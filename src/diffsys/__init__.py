@@ -11,8 +11,9 @@ Layers, bottom up:
   surjectivity/injectivity criteria built from their exact ranks;
 * :mod:`diffsys.systems` -- Lie-algebra tables, differential systems,
   dimension formulas;
-* :mod:`diffsys.monodromy` -- fundamental-group loops, adaptive Runge-Kutta
-  parallel transport with square-root sheet tracking, trace coordinates;
+* :mod:`diffsys.monodromy` -- fundamental-group loops, batched adaptive
+  Runge-Kutta parallel transport with square-root sheet tracking, trace
+  coordinates;
 * :mod:`diffsys.immersion` -- finite-difference rank of the monodromy map on
   explicit coordinate slices;
 * :mod:`diffsys.cli` -- batch subcommands writing replayable JSON reports.
@@ -51,6 +52,7 @@ from .monodromy import (
     integrate_loop,
     irreducibility_probe,
     monodromy,
+    monodromy_batch,
     trace_vector,
 )
 from .immersion import SystCoordinates, fd_step_ladder, immersion_experiment, make_center

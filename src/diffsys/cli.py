@@ -6,8 +6,10 @@ report alone suffices to replay the run.  Reports are written atomically
 (temp file in the target directory, then rename).
 
 Exit codes: 0 the run completed (negative mathematical verdicts are still
-data, not errors), 1 the configuration failed validation, 2 a numerical
-computation failed (integration or singular-value breakdown).
+data, not errors), 1 the configuration failed validation or the output
+could not be written, 2 a numerical computation failed (integration, a
+representation that misses its validity gates, or singular-value
+breakdown).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .immersion import fd_step_ladder, immersion_experiment, make_center
 from .monodromy import (
     ClearanceError,
     IntegrationError,
+    InvalidRepresentationError,
     build_loops,
     irreducibility_probe,
     monodromy,
@@ -123,8 +126,10 @@ def _json_only(args, subcommand):
         )
 
 
-def _write_report(args, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(args, text: str) -> None:
+    """Write to stdout, or atomically to --out: a temp file in the target
+    directory, renamed over the target; the temp file is removed on any
+    failure."""
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -140,16 +145,12 @@ def _write_report(args, payload) -> None:
         raise
 
 
+def _write_report(args, payload) -> None:
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_csv(args, rows) -> None:
-    text = "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(args.out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".diffsys-", suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, args.out)
+    _write(args, "\n".join(",".join(str(x) for x in row) for row in rows) + "\n")
 
 
 def _report(args, subcommand, config, result) -> dict:
@@ -235,7 +236,7 @@ def _cmd_monodromy(args):
     ode_tol = _positive(args, "ode_tol")
     clearance = _positive(args, "clearance")
     loops = build_loops(curve, clearance)
-    rep = monodromy(curve, system, loops, ode_tol, threads=args.threads)
+    rep = monodromy(curve, system, loops, ode_tol)
     traces = trace_vector(rep)
     probe = irreducibility_probe(rep)
     config = {
@@ -277,16 +278,13 @@ def _cmd_immersion(args):
         "seed": args.seed,
         "ode_tol": ode_tol,
         "fd_steps": steps,
-        "threads": args.threads,
     }
     if len(steps) == 1:
-        report = immersion_experiment(
-            center, steps[0], ode_tol, threads=args.threads
-        )
+        report = immersion_experiment(center, steps[0], ode_tol)
         result = report.to_json()
         sv = report.singular_values
     else:
-        ladder = fd_step_ladder(center, steps, ode_tol, threads=args.threads)
+        ladder = fd_step_ladder(center, steps, ode_tol)
         result = ladder.to_json()
         sv = ladder.reports[0].singular_values
     if args.format == "csv":
@@ -308,6 +306,7 @@ def _add_common(p):
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=int, default=0)
+    # worker threads of the lazarsfeld scan; accepted and ignored elsewhere
     p.add_argument("--threads", type=int, default=1)
 
 
@@ -370,15 +369,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _config_value(key, value) -> str:
+    """A config-file value as the text its flag takes: scalars as they are,
+    lists in the comma-separated form of --branch-points and --fd-steps."""
+    if isinstance(value, list) and all(_is_scalar(v) for v in value):
+        return ",".join(str(v) for v in value)
+    if _is_scalar(value):
+        return str(value)
+    raise ConfigError(f"--config: {key} must be a number, a string or a list of them")
+
+
+def _is_scalar(value) -> bool:
+    # bool is an int subclass, but no flag is a switch: true/false is an error
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
+def _apply_config_file(argv):
     """--config supplies defaults; explicit flags win."""
-    if "--config" not in argv:
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            if idx + 1 == len(argv):
+                raise ConfigError("--config requires a path")
+            path, consumed = argv[idx + 1], 2
+            break
+        if arg.startswith("--config="):
+            path, consumed = arg[len("--config="):], 1
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ConfigError("--config requires a path") from None
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -390,32 +408,30 @@ def _apply_config_file(parser, argv):
     for key, value in data.items():
         if key == "subcommand":
             continue
-        flag = "--" + key.replace("_", "-")
-        rebuilt += [flag, str(value)]
-    rest = [a for i, a in enumerate(argv) if i not in (idx, idx + 1)]
-    return rebuilt + rest
+        rebuilt += ["--" + key.replace("_", "-"), _config_value(key, value)]
+    return rebuilt + argv[:idx] + argv[idx + consumed :]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as err:
         # argparse exits itself on --help (0) and on bad usage; bad usage is
         # a configuration error under this tool's exit-code contract
         return 0 if err.code in (0, None) else 1
-    except ConfigError as err:
-        print(f"diffsys: configuration error: {err}", file=sys.stderr)
-        return 1
-    except (ClearanceError, CurveError, ValueError) as err:
-        print(f"diffsys: configuration error: {err}", file=sys.stderr)
-        return 1
-    except (IntegrationError, SingularValueError) as err:
+    except (IntegrationError, InvalidRepresentationError, SingularValueError) as err:
         print(f"diffsys: numerical failure: {err}", file=sys.stderr)
         return 2
+    except (ConfigError, ClearanceError, CurveError, ValueError) as err:
+        print(f"diffsys: configuration error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        print(f"diffsys: cannot write output: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ labeled exploratory and carry no pass/fail meaning.
 
 The loop system is frozen across all perturbations of one experiment, and
 perturbation radii are capped well below the loop clearance, so every
-perturbed monodromy is computed along literally identical polylines.
+perturbed monodromy is computed along literally identical polylines, in one
+batched transport that shares its step sequence with the center.
 
 All complex parameters and traces are split into real and imaginary parts.
 The map is holomorphic, so the real Jacobian has even rank and paired
@@ -39,8 +40,7 @@ reported alongside.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,13 +50,14 @@ from .field import ExactMatrix, ExactScalar, FloatMatrix, numeric_rank
 from .multiplication import CriterionVerdict, criterion_injective
 from .monodromy import (
     IntegrationError,
+    InvalidRepresentationError,
     IrreducibilityVerdict,
     LoopSystem,
     MonodromyRepresentation,
     NumericSL2System,
     build_loops,
     irreducibility_probe,
-    monodromy,
+    monodromy_batch,
     standard_word_list,
     trace_vector,
 )
@@ -240,13 +241,6 @@ def _perturbed(base: NumericSL2System, label, delta: complex) -> NumericSL2Syste
     return NumericSL2System(base.roots, tuple(polys[0]), tuple(polys[1]), tuple(polys[2]))
 
 
-def _trace_values(nsys, loops, ode_tol, words):
-    # perturbed evaluations only need trace accuracy; validity gates for the
-    # center itself use the strict defaults in the caller
-    rep = monodromy(None, nsys, loops, ode_tol, relation_tol=1e-6, det_tol=1e-8)
-    return np.array(trace_vector(rep, words).values, dtype=complex)
-
-
 def _gap_rank(sigma, floor_rel):
     """(real_rank, gap_ratio) by the documented gap rule over the spectrum."""
     if not sigma or sigma[0] == 0.0:
@@ -280,44 +274,13 @@ def _equilibrate(jac: np.ndarray) -> np.ndarray:
     return out
 
 
-def immersion_experiment(
-    center: SystCoordinates,
-    fd_step: float,
-    ode_tol: float = 1e-12,
-    words=None,
-    rank_rel_floor: float = 1e-6,
-    threads: int = 1,
-) -> ImmersionReport:
-    """Central finite differences of the trace chart at one center.
-
-    Aborts when a perturbed curve would collide branch points or break the
-    frozen-loop validity radius; the offending direction is named in the
-    error.  One column per real coordinate; columns are independent
-    monodromy computations and may run on a thread pool.
-    """
+def _check_step(center: SystCoordinates, base: NumericSL2System, labels, fd_step: float):
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     if fd_step > center.clearance / 4:
         raise ValueError(
             f"fd_step {fd_step} exceeds a quarter of the loop clearance {center.clearance}"
         )
-    g = center.genus
-    if words is None:
-        words = standard_word_list(g)
-    labels = center.parameter_labels()
-    base = center.numeric()
-
-    # hypothesis gates at the center
-    verdict = criterion_injective(center.curve, center.system)
-    center_rep = monodromy(None, base, center.loops, ode_tol)
-    probe = irreducibility_probe(center_rep)
-    if g >= 3:
-        status = "exploratory"
-    elif not probe.probably_irreducible or not verdict.holds:
-        status = "out_of_hypothesis"
-    else:
-        status = "ok"
-
     # guard against branch collisions for every probed direction
     for kind, where in labels:
         if kind != "branch":
@@ -329,29 +292,80 @@ def immersion_experiment(
                     f"fd_step {fd_step} would collide branch point {where} with a neighbour"
                 )
 
-    directions = []
-    for label in labels:
-        directions.append((label, fd_step + 0j))
-        directions.append((label, fd_step * 1j))
 
-    def column(direction):
-        label, delta = direction
-        try:
-            tp = _trace_values(_perturbed(base, label, +delta), center.loops, ode_tol, words)
-            tm = _trace_values(_perturbed(base, label, -delta), center.loops, ode_tol, words)
-        except (IntegrationError, ValueError) as err:
-            raise IntegrationError(
-                f"finite-difference direction {label} (step {delta}) failed: {err}"
-            ) from err
-        return (tp - tm) / (2 * fd_step)
+def _experiments(center: SystCoordinates, steps, ode_tol, words=None, rank_rel_floor=1e-6):
+    """One report per fd step, from a single batched monodromy call.
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(column, directions))
+    The batch holds the center and, for every step, the +delta and -delta
+    systems of each real direction, so all columns of all steps share one
+    step sequence (internal numerical differentiation).  A failing
+    perturbed system is reported under its direction and step.
+    """
+    g = center.genus
+    if words is None:
+        words = standard_word_list(g)
+    labels = center.parameter_labels()
+    base = center.numeric()
+    for fd_step in steps:
+        _check_step(center, base, labels, fd_step)
+
+    directions = [(label, delta) for label in labels for delta in (1.0 + 0j, 1j)]
+    systems = [base]
+    probes = []  # (step, label, delta) per perturbed system, in batch order from 1
+    for fd_step in steps:
+        for label, unit in directions:
+            delta = fd_step * unit
+            systems += [_perturbed(base, label, delta), _perturbed(base, label, -delta)]
+            probes += [(fd_step, label, delta)] * 2
+
+    def direction_failed(index, err):
+        _, label, delta = probes[index - 1]
+        return IntegrationError(
+            f"finite-difference direction {label} (step {delta}) failed: {err}"
+        )
+
+    # hypothesis gates at the center
+    verdict = criterion_injective(center.curve, center.system)
+    # perturbed evaluations only need trace accuracy; the center keeps the
+    # strict default gates
+    try:
+        reps = monodromy_batch(systems, center.loops, ode_tol, relation_tol=1e-6, det_tol=1e-8)
+    except IntegrationError as err:
+        if err.member is None or err.member[0] == 0:
+            raise
+        raise direction_failed(err.member[0], err) from err
+    center_rep = replace(reps[0], relation_tol=1e-8, det_tol=1e-10)
+    probe = irreducibility_probe(center_rep)
+    if g >= 3:
+        status = "exploratory"
+    elif not probe.probably_irreducible or not verdict.holds:
+        status = "out_of_hypothesis"
     else:
-        cols = [column(d) for d in directions]
+        status = "ok"
 
-    jac = np.zeros((2 * len(words), 2 * len(labels)), dtype=float)
+    traces = [None]
+    for index, rep in enumerate(reps[1:], start=1):
+        try:
+            traces.append(np.array(trace_vector(rep, words).values, dtype=complex))
+        except InvalidRepresentationError as err:
+            raise direction_failed(index, err) from err
+
+    reports = []
+    for k, fd_step in enumerate(steps):
+        first = 1 + 2 * len(directions) * k
+        cols = [
+            (traces[first + 2 * j] - traces[first + 2 * j + 1]) / (2 * fd_step)
+            for j in range(len(directions))
+        ]
+        reports.append(
+            _report(center, fd_step, cols, words, rank_rel_floor, verdict, probe, center_rep, status)
+        )
+    return reports
+
+
+def _report(center, fd_step, cols, words, rank_rel_floor, verdict, probe, center_rep, status):
+    g = center.genus
+    jac = np.zeros((2 * len(words), len(cols)), dtype=float)
     for j, col in enumerate(cols):
         jac[0::2, j] = col.real
         jac[1::2, j] = col.imag
@@ -388,6 +402,23 @@ def immersion_experiment(
     )
 
 
+def immersion_experiment(
+    center: SystCoordinates,
+    fd_step: float,
+    ode_tol: float = 1e-12,
+    words=None,
+    rank_rel_floor: float = 1e-6,
+) -> ImmersionReport:
+    """Central finite differences of the trace chart at one center.
+
+    Aborts when a perturbed curve would collide branch points or break the
+    frozen-loop validity radius; the offending direction is named in the
+    error.  One column per real coordinate; the center and every perturbed
+    system are transported in one batch.
+    """
+    return _experiments(center, (fd_step,), ode_tol, words, rank_rel_floor)[0]
+
+
 @dataclass(frozen=True)
 class LadderReport:
     steps: tuple
@@ -409,6 +440,7 @@ class LadderReport:
 def fd_step_ladder(center: SystCoordinates, steps, ode_tol: float = 1e-12, **kw) -> LadderReport:
     """Run the experiment at every step of a ladder and compare spectra.
 
+    All steps go into one batched monodromy call with a shared center.
     Needs at least three steps spanning at least two orders of magnitude;
     rank agreement across the ladder is the stability acceptance bar.
     """
@@ -417,7 +449,7 @@ def fd_step_ladder(center: SystCoordinates, steps, ode_tol: float = 1e-12, **kw)
         raise ValueError("fd ladder needs at least 3 steps")
     if max(steps) / min(steps) < 99.999:
         raise ValueError("fd ladder must span at least two orders of magnitude")
-    reports = tuple(immersion_experiment(center, s, ode_tol, **kw) for s in steps)
+    reports = tuple(_experiments(center, steps, ode_tol, **kw))
     ranks = tuple(r.estimated_rank for r in reports)
     dev = 0.0
     for i in range(len(reports)):

@@ -17,12 +17,43 @@ continuation of sqrt(f).
 
 Transport
 ---------
-``integrate_loop`` solves dY = (sum_j B_j omega_j) Y along the lifted
-polyline with an embedded adaptive Runge-Kutta 5(4) pair (Dormand-Prince
-coefficients, PI step control).  The square root y = sqrt(f(x)) is continued
-by choosing, at each accepted step, the root closer to the previous value;
-acceptance additionally requires |y_new - y_old| < |y_old|, so a silent
-sheet jump is impossible and failure surfaces as step-size underflow.
+One kernel solves dY = (sum_j B_j omega_j) Y for a batch of *members* in a
+single numpy sweep.  A member is a numeric system, a polyline (every member
+of a batch has the same vertex count) and the sheet of y = sqrt(f(x)) at its
+first vertex.  The sweep runs an embedded Runge-Kutta 5(4) pair
+(Dormand-Prince coefficients, PI step control) with one step sequence in the
+segment parameter, shared by all members: a step is accepted when the
+largest local error in the batch is within tolerance and every member passes
+the sheet guard, and the next step size follows from that largest error.
+Each member continues y by choosing, at every stage, the root closer to its
+value at the start of the step; acceptance additionally requires
+|y_new - y_old| < |y_old| for every member, so a silent sheet jump is
+impossible and failure surfaces as step-size underflow, naming the member,
+the segment, t and h.  A shared step sequence also means that the +delta and
+-delta systems of a central difference see the same discretisation
+(internal numerical differentiation), so step-control noise cancels in the
+finite-difference columns of :mod:`diffsys.immersion`.
+
+``monodromy_batch`` never integrates whole loop words.  Each word is a
+product of lollipop letters based at the base point, and a letter's
+transport depends only on the system, the letter and the sheet it starts on,
+so a system contributes 2(2g+1) members: every letter on both sheets.  A
+word's transport is the product of its letter transports, with the starting
+sheet of each letter read from the loop's sheet annotation at its base-point
+visits.  ``integrate_loop`` transports one member along a whole loop
+polyline; it is the full-word reference that the tests compare the letter
+products against.
+
+Since every word is assembled from the same letter transports, the surface
+relation is checked on letter products.  Cancelling adjacent repeated letters
+reduces the relation word to a conjugate of (1 2 ... 2g+1)^2, the circuit
+around every finite branch point taken on both sheets, which encircles the
+branch point at infinity and is trivial upstairs.  Each cancellation costs a
+letter involution defect |T(k,-s) T(k,s) - I| (a letter traversed on one
+sheet and then on the other is the trivial loop upstairs).  The relation
+residual therefore witnesses the letter transports themselves, through
+these defects and that circuit, not the agreement of independently
+integrated words; the defects are reported next to it.
 
 Convention: the stored monodromy matrix of a loop is the inverse of the
 forward parallel transport, which turns loop concatenation into plain matrix
@@ -45,6 +76,7 @@ from .systems import DifferentialSystem
 __all__ = [
     "ClearanceError",
     "IntegrationError",
+    "InvalidRepresentationError",
     "Loop",
     "LoopSystem",
     "MonodromyRepresentation",
@@ -55,6 +87,7 @@ __all__ = [
     "build_loops",
     "integrate_loop",
     "monodromy",
+    "monodromy_batch",
     "trace_vector",
     "standard_word_list",
     "irreducibility_probe",
@@ -66,7 +99,26 @@ class ClearanceError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive stepping failed (step underflow or non-finite values)."""
+    """Adaptive stepping failed (step underflow, step budget, non-finite values).
+
+    Failures inside the transport name the batch member at fault as
+    ``member`` = (system index, path, starting sheet), with the ``segment``
+    index, the segment parameter ``t`` and the step ``h``.
+    """
+
+    def __init__(self, message, member=None, segment=None, t=None, h=None):
+        super().__init__(message)
+        self.member = member
+        self.segment = segment
+        self.t = t
+        self.h = h
+
+
+class InvalidRepresentationError(ValueError):
+    """A computed representation misses its relation or determinant gate.
+
+    This is a numerical outcome, not a configuration error.
+    """
 
 
 # -- canonical generator words -------------------------------------------------
@@ -153,6 +205,10 @@ class LoopSystem:
     clearance: float
     genus: int
     loops: tuple  # ordered a1, b1, ..., ag, bg
+    # lollipop polyline of letter k at index k - 1, base point to base point;
+    # all letters have the same vertex count (a foot on the base point stays
+    # as a zero-length segment), so they can share one batched sweep
+    letters: tuple
 
     def to_json(self):
         return {
@@ -255,13 +311,13 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
 
     f = _f_of(roots)
     y0 = cmath.sqrt(f(base))
+    letters = tuple(tuple(lollipop(k)) for k in range(1, n + 1))
     words = canonical_words(g)
     loops = []
     for name, word in words:
         vertices = [base]
         for letter in word:
-            piece = lollipop(letter)
-            vertices.extend(piece[1:])
+            vertices.extend(letters[letter - 1][1:])
         vertices = _dedupe(vertices)
         _validate_clearance(vertices, roots, clearance)
         ys = _track_sqrt(f, y0, vertices)
@@ -272,10 +328,13 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
         if abs(ys[-1] - y0) > 0.5 * abs(y0):
             raise IntegrationError(f"loop {name} does not close on its starting sheet")
         loops.append(Loop(name, word, tuple(vertices), sheets))
-    return LoopSystem(base, clearance, g, tuple(loops))
+    return LoopSystem(base, clearance, g, tuple(loops), letters)
 
 
-def _dedupe(vertices, eps=1e-13):
+_VERTEX_EPS = 1e-13  # polyline vertices closer than this are merged
+
+
+def _dedupe(vertices, eps=_VERTEX_EPS):
     out = [vertices[0]]
     for v in vertices[1:]:
         if abs(v - out[-1]) > eps:
@@ -337,70 +396,106 @@ def _coerce(system) -> NumericSL2System:
     return NumericSL2System.from_system(system)
 
 
-# -- Dormand-Prince 5(4) transport ----------------------------------------------
+# -- batched Dormand-Prince 5(4) transport --------------------------------------
 
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Butcher rows as coefficients on k_0 .. k_5; row 6 holds the 5th-order
+# weights, so the stage-7 state is the step's solution (FSAL)
+_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
 )
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 
 
-def _horner(coeffs, x):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _system_arrays(systems):
+    """Branch roots (S, 2g+1) and H/E/F coefficients (S, 3, g) of numeric systems."""
+    roots = np.array([s.roots for s in systems], dtype=complex)
+    polys = np.array([(s.h_poly, s.e_poly, s.f_poly) for s in systems], dtype=complex)
+    return roots, polys
 
 
-def integrate_loop(curve, system, loop: Loop, ode_tol: float):
-    """Parallel transport around one loop; returns the forward 2x2 transport.
+@np.errstate(all="ignore")  # overflow and NaN are handled by the step control
+def _transport(vertices, sheets, roots, polys, ode_tol, members):
+    """Forward transports (m, 2, 2) of a batch of m members in one sweep.
 
-    The connection form is (sum_i M_i x^i) dx / y with M_i the trace-free
-    coefficient matrices of the system; y is continued along the path.  Local
-    error per step is held at ``ode_tol`` (mixed absolute/relative, embedded
-    4th-order estimate), with PI step-size control and the sheet-guard
-    acceptance test.
+    Member i runs along the polyline ``vertices[i]`` with branch roots
+    ``roots[i]`` and H/E/F coefficients ``polys[i]``, starting from
+    y = ``sheets[i]`` * principal sqrt(f) at its first vertex;
+    ``members[i]`` = (system index, path, starting sheet) names it in
+    errors.  The connection form is (sum_c M_c x^c) dx / y with
+    M_c = [[H_c, E_c], [F_c, -H_c]].  All members share one step sequence in
+    the segment parameter: the local error (mixed absolute/relative at
+    ``ode_tol``, embedded 4th-order estimate) is the largest in the batch,
+    the sheet guard |y_new - y_old| < |y_old| must hold for every member, and
+    a new segment rescales the carried step by the ratio of the longest
+    member segments.  Arrays are component-major, with the batch as the last
+    axis, so every update is a handful of contiguous vector operations.
     """
     if ode_tol <= 0:
         raise ValueError("ode_tol must be positive")
-    # branch data lives in the numeric system; the curve argument exists for
-    # interface symmetry and may be None when a NumericSL2System is passed
-    nsys = _coerce(system)
-    roots = nsys.roots
-    ha, he, hf = nsys.h_poly, nsys.e_poly, nsys.f_poly
+    m, nvert = vertices.shape
+    path = np.ascontiguousarray(vertices.T)  # (nvert, m)
+    root_rows = np.ascontiguousarray(roots.T)  # (2g+1, m)
+    # coeffs[c, j] = column j of M_c, shape (g, 2, 2, 1, m), so that
+    # M @ state = column 0 * row 0 of state + column 1 * row 1 of state
+    hp, ep, fp = polys.transpose(1, 2, 0)  # each (g, m)
+    coeffs = np.array([[hp, fp], [ep, -hp]]).transpose(2, 0, 1, 3)
+    coeffs = np.ascontiguousarray(coeffs[:, :, :, None, :])
 
-    def fval(x):
-        acc = 1.0 + 0.0j
-        for r in roots:
-            acc *= x - r
-        return acc
+    def sqrt_f(x):
+        return np.sqrt(np.multiply.reduce(x - root_rows, axis=0))
 
-    y11, y12, y21, y22 = 1 + 0j, 0j, 0j, 1 + 0j
-    verts = loop.vertices
-    f0 = fval(verts[0])
-    y_ref = cmath.sqrt(f0)
-    if loop.sheets[0] < 0:
-        y_ref = -y_ref
+    def rhs(x, delta, state, y_prev, out):
+        """out = [[H, E], [F, -H]](x) dx/y @ state; returns y continued from y_prev."""
+        y = sqrt_f(x)
+        y = np.where(np.abs(y - y_prev) > np.abs(y + y_prev), -y, y)
+        conn = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            conn = conn * x + c
+        conn = conn * (delta / y)
+        np.add(conn[0] * state[0], conn[1] * state[1], out=out)
+        return y
 
-    atol = rtol = ode_tol
+    Y = np.zeros((2, 2, m), dtype=complex)
+    Y[0, 0] = Y[1, 1] = 1.0
+    y_ref = np.asarray(sheets) * sqrt_f(path[0])
+    K = np.empty((7, 2, 2, m), dtype=complex)
+    K_real = K.reshape(7, 4 * m).view(np.float64)  # stage sums as one real dgemv
+    # per stage: Butcher row, the earlier stages it weighs, its output, its node
+    stages = [(_A[i, :i], K_real[:i], K[i], _C[i]) for i in range(1, 7)]
     h = 0.01
     err_prev = 1.0
     nsteps = 0
     prev_len = None
+    culprit = 0  # member behind the latest rejection
+    seg, t = 0, 0.0
 
-    for v, w in zip(verts, verts[1:]):
-        delta = w - v
-        seg_len = abs(delta)
+    def fail(what, i):
+        member = members[i]
+        raise IntegrationError(
+            f"{what} for system {member[0]}, {member[1]}, start sheet {member[2]:+d} "
+            f"on segment {seg} at t={t:.6g}, h={h:.3g}",
+            member=member,
+            segment=seg,
+            t=t,
+            h=h,
+        )
+
+    for seg in range(nvert - 1):
+        v = path[seg]
+        delta = path[seg + 1] - v
+        seg_len = float(np.max(np.abs(delta)))
         if seg_len == 0:
             continue
         if prev_len is not None:
@@ -408,107 +503,66 @@ def integrate_loop(curve, system, loop: Loop, ode_tol: float):
         prev_len = seg_len
         t = 0.0
         h = min(max(h, 1e-6), 1.0)
-        k1 = None
-
-        def rhs(tau, a11, a12, a21, a22, yr):
-            x = v + delta * tau
-            fx = fval(x)
-            yy = cmath.sqrt(fx)
-            if abs(yy - yr) > abs(-yy - yr):
-                yy = -yy
-            s = delta / yy
-            pa = _horner(ha, x) * s
-            pb = _horner(he, x) * s
-            pc = _horner(hf, x) * s
-            return (
-                pa * a11 + pb * a21,
-                pa * a12 + pb * a22,
-                pc * a11 - pa * a21,
-                pc * a12 - pa * a22,
-                yy,
-            )
+        rhs(v, delta, Y, y_ref, K[0])
 
         while t < 1.0:
             if 1.0 - t < 1e-13:
                 break  # float residue of the parameter interval, below tolerance
             if nsteps > _MAX_STEPS:
-                raise IntegrationError("step budget exhausted")
+                fail("step budget exhausted", culprit)
             h = min(h, 1.0 - t)
             if h < _MIN_STEP:
-                raise IntegrationError(
-                    f"step-size underflow on loop {loop.name} (path too close to a branch point?)"
-                )
-
-            if k1 is None:
-                k1 = rhs(t, y11, y12, y21, y22, y_ref)
-            ks = [k1]
-            for i in range(1, 7):
-                arow = _A[i]
-                s11 = s12 = s21 = s22 = 0j
-                for aij, k in zip(arow, ks):
-                    s11 += aij * k[0]
-                    s12 += aij * k[1]
-                    s21 += aij * k[2]
-                    s22 += aij * k[3]
-                ks.append(
-                    rhs(
-                        t + _C[i] * h,
-                        y11 + h * s11,
-                        y12 + h * s12,
-                        y21 + h * s21,
-                        y22 + h * s22,
-                        y_ref,
-                    )
-                )
-            # 5th-order solution values were assembled in stage 7's state:
-            a7 = _A[6]
-            n11 = y11 + h * sum(aij * k[0] for aij, k in zip(a7, ks[:6]))
-            n12 = y12 + h * sum(aij * k[1] for aij, k in zip(a7, ks[:6]))
-            n21 = y21 + h * sum(aij * k[2] for aij, k in zip(a7, ks[:6]))
-            n22 = y22 + h * sum(aij * k[3] for aij, k in zip(a7, ks[:6]))
-            e11 = h * sum(ei * k[0] for ei, k in zip(_E, ks))
-            e12 = h * sum(ei * k[1] for ei, k in zip(_E, ks))
-            e21 = h * sum(ei * k[2] for ei, k in zip(_E, ks))
-            e22 = h * sum(ei * k[3] for ei, k in zip(_E, ks))
-
-            err = 0.0
-            for ev, old, new in (
-                (e11, y11, n11),
-                (e12, y12, n12),
-                (e21, y21, n21),
-                (e22, y22, n22),
-            ):
-                sc = atol + rtol * max(abs(old), abs(new))
-                err = max(err, abs(ev) / sc)
+                fail("step-size underflow (path too close to a branch point?)", culprit)
+            for row, earlier, out, node in stages:
+                state = Y + h * (row @ earlier).view(complex).reshape(2, 2, m)
+                y_new = rhs(v + delta * (t + node * h), delta, state, y_ref, out)
+            # stage 7 sits at t + h with the 5th-order solution as its state
+            err_vec = h * (_E @ K_real).view(complex).reshape(4, m)
+            scale = ode_tol + ode_tol * np.maximum(np.abs(Y), np.abs(state)).reshape(4, m)
+            member_err = (np.abs(err_vec) / scale).max(axis=0)
+            err = float(np.max(member_err))
+            nsteps += 1
             if not math.isfinite(err):
+                culprit = int(np.argmin(np.isfinite(member_err)))
                 h *= 0.1
-                k1 = None
-                nsteps += 1
                 continue
-
-            y_new = ks[6][4]  # continuation value at t + h (stage 7 sits at t + h)
-            sheet_ok = abs(y_new - y_ref) < abs(y_ref)
-
+            guard = np.abs(y_new - y_ref) < np.abs(y_ref)
+            sheet_ok = bool(guard.all())
             if err <= 1.0 and sheet_ok:
                 t += h
-                y11, y12, y21, y22 = n11, n12, n21, n22
+                Y = state
                 y_ref = y_new
-                k1 = ks[6]  # FSAL
-                if err == 0.0:
-                    fac = 6.0
-                else:
-                    fac = 0.9 * err ** -0.2 * err_prev ** 0.08
+                K[0] = K[6]
+                fac = 6.0 if err == 0.0 else 0.9 * err ** -0.2 * err_prev ** 0.08
                 err_prev = max(err, 1e-10)
                 h *= min(6.0, max(0.2, fac))
             else:
-                shrink = 0.5 if not sheet_ok else max(0.1, 0.9 * err ** -0.2)
+                if sheet_ok:
+                    culprit = int(np.argmax(member_err))
+                    shrink = max(0.1, 0.9 * err ** -0.2)
+                else:
+                    culprit = int(np.argmin(guard))
+                    shrink = 0.5
                 h *= min(0.9, shrink)
-                k1 = None
-            nsteps += 1
-    for val in (y11, y12, y21, y22):
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise IntegrationError("non-finite transport values")
-    return np.array([[y11, y12], [y21, y22]], dtype=complex)
+    finite = np.isfinite(Y).reshape(4, m).all(axis=0)
+    if not finite.all():
+        fail("non-finite transport values", int(np.argmin(finite)))
+    return np.ascontiguousarray(Y.transpose(2, 0, 1))
+
+
+def integrate_loop(curve, system, loop: Loop, ode_tol: float):
+    """Parallel transport around one whole loop; returns the forward 2x2 transport.
+
+    A batch of one member on the loop's full polyline, starting on the sheet
+    of its first vertex.  ``monodromy`` assembles words from letter
+    transports instead; this full-word path is the reference the tests
+    compare those products against.  The curve argument exists for interface
+    symmetry (branch data lives in the numeric system) and may be None.
+    """
+    roots, polys = _system_arrays([_coerce(system)])
+    member = (0, f"loop {loop.name}", loop.sheets[0])
+    vertices = np.array([loop.vertices], dtype=complex)
+    return _transport(vertices, [loop.sheets[0]], roots, polys, ode_tol, [member])[0]
 
 
 # -- monodromy representation ----------------------------------------------------
@@ -522,6 +576,9 @@ class MonodromyRepresentation:
     det_residuals: tuple
     relation_tol: float
     det_tol: float
+    # per letter k: max over sheets s of |T(k,-s) T(k,s) - I|, the letter
+    # transported on one sheet and back on the other (trivial upstairs)
+    involution_defects: tuple = ()
 
     @property
     def valid(self) -> bool:
@@ -541,6 +598,7 @@ class MonodromyRepresentation:
             ],
             "relation_residual": self.relation_residual,
             "det_residuals": list(self.det_residuals),
+            "involution_defects": list(self.involution_defects),
             "relation_tol": self.relation_tol,
             "det_tol": self.det_tol,
             "valid": self.valid,
@@ -556,6 +614,95 @@ def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+_SHEETS = (1, -1)  # starting sheets of the letter members, in member order
+
+
+def _letter_walk(loop: Loop, base_point: complex) -> list:
+    """(letter, starting-sheet index into _SHEETS) for each letter of a word.
+
+    Starting sheets are read from the loop's sheet annotation at its
+    base-point visits, which must alternate: every lollipop encircles one
+    branch point and so swaps the sheet.
+    """
+    visits = [
+        s for v, s in zip(loop.vertices, loop.sheets) if abs(v - base_point) <= _VERTEX_EPS
+    ]
+    if len(visits) != len(loop.word) + 1 or any(b != -a for a, b in zip(visits, visits[1:])):
+        raise IntegrationError(
+            f"loop {loop.name}: sheets do not alternate over its {len(loop.word)} letters"
+        )
+    return [(k, _SHEETS.index(s)) for k, s in zip(loop.word, visits)]
+
+
+def monodromy_batch(
+    systems,
+    loops: LoopSystem,
+    ode_tol: float,
+    relation_tol: float = 1e-8,
+    det_tol: float = 1e-10,
+) -> list:
+    """Representations of many systems along one loop system, in one sweep.
+
+    Transports every (system, letter, starting sheet) member, 2(2g+1) per
+    system, in one batched kernel call and assembles each loop's transport
+    as the product of its letter transports (see module docstring).  The
+    stored matrices are transport inverses, so each family satisfies
+    prod_i [A_i, B_i] = I up to its reported residual; determinant
+    residuals are measured on the raw transports.  Results keep the order
+    of ``systems``.
+    """
+    walks = [_letter_walk(loop, loops.base_point) for loop in loops.loops]
+    nsys = [_coerce(s) for s in systems]
+    roots, polys = _system_arrays(nsys)
+    letters = np.array(loops.letters, dtype=complex)
+    per_system = len(_SHEETS) * len(letters)
+    members = [
+        (i, f"letter {k}", s)
+        for i in range(len(nsys))
+        for k in range(1, len(letters) + 1)
+        for s in _SHEETS
+    ]
+    transports = _transport(
+        np.tile(np.repeat(letters, len(_SHEETS), axis=0), (len(nsys), 1)),
+        np.tile(_SHEETS, len(members) // len(_SHEETS)),
+        np.repeat(roots, per_system, axis=0),
+        np.repeat(polys, per_system, axis=0),
+        ode_tol,
+        members,
+    ).reshape(len(nsys), len(letters), len(_SHEETS), 2, 2)
+
+    names = tuple(loop.name for loop in loops.loops)
+    eye = np.eye(2, dtype=complex)
+    reps = []
+    for letter_t in transports:
+        words = []
+        for walk in walks:
+            w = eye
+            for k, s in walk:
+                w = letter_t[k - 1, s] @ w
+            words.append(w)
+        defects = tuple(
+            max(_opnorm(t[1] @ t[0] - eye), _opnorm(t[0] @ t[1] - eye)) for t in letter_t
+        )
+        reps.append(_representation(words, names, relation_tol, det_tol, defects))
+    return reps
+
+
+def _representation(transports, names, relation_tol, det_tol, defects):
+    det_res = tuple(
+        float(abs((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)) for m in transports
+    )
+    mats = tuple(_sl2_inverse(m) for m in transports)
+    rel = np.eye(2, dtype=complex)
+    for i in range(len(mats) // 2):
+        a, b = mats[2 * i], mats[2 * i + 1]
+        rel = rel @ a @ b @ _sl2_inverse(a) @ _sl2_inverse(b)
+    residual = _opnorm(rel - np.eye(2))
+    return MonodromyRepresentation(
+        mats, names, float(residual), det_res, relation_tol, det_tol, defects
+    )
+
+
 def monodromy(
     curve,
     system,
@@ -563,48 +710,12 @@ def monodromy(
     ode_tol: float,
     relation_tol: float = 1e-8,
     det_tol: float = 1e-10,
-    threads: int = 1,
 ) -> MonodromyRepresentation:
-    """Integrate all 2g loops and assemble the representation.
+    """The representation of one system: ``monodromy_batch`` of one.
 
-    Matrices are transport inverses (see module docstring), so the stored
-    family satisfies prod_i [A_i, B_i] = I up to the reported residual; the
-    determinant residuals are measured on the raw transports.  Loops are
-    independent integrations and may run on a thread pool; results are
-    merged by loop index.
+    The curve argument exists for interface symmetry and may be None.
     """
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            transports = list(
-                pool.map(
-                    lambda loop: integrate_loop(curve, system, loop, ode_tol),
-                    loops.loops,
-                )
-            )
-    else:
-        transports = [
-            integrate_loop(curve, system, loop, ode_tol) for loop in loops.loops
-        ]
-    det_res = tuple(
-        float(abs((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)) for m in transports
-    )
-    mats = tuple(_sl2_inverse(m) for m in transports)
-    g = loops.genus
-    rel = np.eye(2, dtype=complex)
-    for i in range(g):
-        a, b = mats[2 * i], mats[2 * i + 1]
-        rel = rel @ a @ b @ _sl2_inverse(a) @ _sl2_inverse(b)
-    residual = _opnorm(rel - np.eye(2))
-    return MonodromyRepresentation(
-        mats,
-        tuple(l.name for l in loops.loops),
-        float(residual),
-        det_res,
-        relation_tol,
-        det_tol,
-    )
+    return monodromy_batch([system], loops, ode_tol, relation_tol, det_tol)[0]
 
 
 # -- trace coordinates ------------------------------------------------------------
@@ -644,17 +755,21 @@ def standard_word_list(g: int) -> tuple:
     return tuple(words)
 
 
+def _require_valid(rep: MonodromyRepresentation) -> None:
+    if not rep.valid:
+        raise InvalidRepresentationError(
+            f"invalid representation: relation residual {rep.relation_residual:.3e}, "
+            f"max det residual {max(rep.det_residuals):.3e}"
+        )
+
+
 def trace_vector(rep: MonodromyRepresentation, words=None) -> TraceVector:
     """Traces of the documented word list in the generator matrices.
 
     Requires a valid representation (relation and determinant residuals
     within their configured tolerances).
     """
-    if not rep.valid:
-        raise ValueError(
-            f"invalid representation: relation residual {rep.relation_residual:.3e}, "
-            f"max det residual {max(rep.det_residuals):.3e}"
-        )
+    _require_valid(rep)
     g = rep.genus
     if words is None:
         words = standard_word_list(g)
@@ -698,8 +813,7 @@ def irreducibility_probe(rep: MonodromyRepresentation, tol: float = 1e-6) -> Irr
     generators at the given relative tolerance.  Requires a valid
     representation.
     """
-    if not rep.valid:
-        raise ValueError("invalid representation")
+    _require_valid(rep)
     mats = rep.matrices
     scale = max(max(_opnorm(m) for m in mats), 1.0)
     candidates = None

@@ -96,6 +96,19 @@ class TestLazarsfeld:
         assert lines[0] == "trials,successes,failures"
         assert lines[1] == "4,0,4"
 
+    def test_unwritable_out_exit1_without_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "existing-directory"
+        target.mkdir()
+        code = run_cli(
+            [
+                "lazarsfeld", "--quartic", "fermat", "--trials", "2",
+                "--format", "csv", "--out", str(target),
+            ]
+        )
+        assert code == 1
+        assert "cannot write output" in capsys.readouterr().err
+        assert list(tmp_path.glob(".diffsys-*.tmp")) == []
+
     def test_w_dim_validation(self, capsys):
         assert run_cli(
             ["lazarsfeld", "--branch-points", "0,1,2,3,4", "--w-dim", "3"]
@@ -149,6 +162,7 @@ class TestMonodromyCommand:
         assert rep["valid"] is True
         assert len(rep["matrices"]) == 4
         assert len(rep["matrices"][0]) == 4  # four [re, im] entries
+        assert len(rep["involution_defects"]) == 5  # one per letter
         assert report["result"]["loops"]["genus"] == 2
         assert report["result"]["irreducibility"]["verdict"] in (
             "probably_irreducible", "common_eigenvector_found",
@@ -180,6 +194,18 @@ class TestMonodromyCommand:
         )
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_invalid_representation_exit2(self, tmp_path, capsys):
+        # this genus-3 system misses the relation gate (residual about 5e-5)
+        code = run_cli(
+            [
+                "monodromy", "--branch-points", "0,1,2,3,4,5,6", "--seed", "0",
+                "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "invalid representation" in err
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         outs = []
@@ -246,3 +272,28 @@ class TestConfigFile:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"genus": 2}))
         assert run_cli(["--config", str(cfg)]) == 1
+
+    def test_config_equals_form(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"subcommand": "noether", "branch_points": "0,1,2,3,4,5,6"}))
+        out = tmp_path / "r.json"
+        assert run_cli([f"--config={cfg}", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["rank"] == 5
+
+    def test_config_list_becomes_comma_form(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps({"subcommand": "immersion", "seed": 1, "fd_steps": [1e-4, 1e-5, 1e-6]})
+        )
+        out = tmp_path / "r.json"
+        assert run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["fd_steps"] == [1e-4, 1e-5, 1e-6]
+        assert report["result"]["ranks"] == [6, 6, 6]
+
+    def test_config_boolean_or_object_exit1(self, tmp_path, capsys):
+        for value in (True, {"value": 2}, None):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({"subcommand": "dims", "genus": 2, "seed": value}))
+            assert run_cli(["--config", str(cfg)]) == 1
+            assert "seed" in capsys.readouterr().err

@@ -8,12 +8,16 @@ from diffsys.curves import HyperellipticCurve
 from diffsys.field import ExactMatrix, ExactScalar
 from diffsys.monodromy import (
     ClearanceError,
+    IntegrationError,
+    InvalidRepresentationError,
     Loop,
+    NumericSL2System,
     build_loops,
     canonical_words,
     integrate_loop,
     irreducibility_probe,
     monodromy,
+    monodromy_batch,
     standard_word_list,
     trace_vector,
     MonodromyRepresentation,
@@ -237,12 +241,58 @@ class TestMonodromy:
             assert rep.relation_residual <= 1e-8, seed
             assert max(rep.det_residuals) <= 1e-10, seed
 
-    def test_threaded_integration_matches_sequential(self, genus2_curve, loops_g2):
-        system = small_system(genus2_curve, 3)
-        r1 = monodromy(genus2_curve, system, loops_g2, 1e-12, threads=1)
-        r2 = monodromy(genus2_curve, system, loops_g2, 1e-12, threads=4)
-        for a, b in zip(r1.matrices, r2.matrices):
-            assert np.array_equal(a, b)
+    def test_batched_monodromy_deterministic(self, genus2_curve, loops_g2):
+        systems = [small_system(genus2_curve, seed) for seed in (3, 4)]
+        r1 = monodromy_batch(systems, loops_g2, 1e-12)
+        r2 = monodromy_batch(systems, loops_g2, 1e-12)
+        for rep1, rep2 in zip(r1, r2):
+            for a, b in zip(rep1.matrices, rep2.matrices):
+                assert np.array_equal(a, b)
+            assert rep1.involution_defects == rep2.involution_defects
+
+    def test_involution_defects_reported(self, loops_g2, rep_g2):
+        defects = rep_g2.to_json()["involution_defects"]
+        assert len(defects) == 2 * loops_g2.genus + 1 == len(loops_g2.letters)
+        assert all(0 <= d <= 1e-10 for d in defects)
+
+
+def _rel_dev(a, b):
+    return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+
+
+class TestBatchedTransport:
+    def test_letter_products_match_full_word_transport(self, genus2_curve, loops_g2):
+        """Letter-assembled loop matrices against whole-loop integration, on
+        the ten seeded systems of acceptance criterion 6."""
+        for seed in range(1, 11):
+            system = small_system(genus2_curve, seed)
+            rep = monodromy(genus2_curve, system, loops_g2, 1e-12)
+            for loop, m in zip(loops_g2.loops, rep.matrices):
+                forward = integrate_loop(genus2_curve, system, loop, 1e-12)
+                assert _rel_dev(np.linalg.inv(m), forward) <= 1e-10, (seed, loop.name)
+
+    def test_system_in_batch_matches_system_alone(self, genus2_curve, loops_g2):
+        """Shared step sequences differ from a lone system's, so agreement is
+        to tolerance, not bitwise."""
+        stiff = scale_system(small_system(genus2_curve, 4), es(8))
+        systems = [small_system(genus2_curve, 3), stiff, small_system(genus2_curve, 9)]
+        batch = monodromy_batch(systems, loops_g2, 1e-12)
+        for system, rep in zip(systems, batch):
+            alone = monodromy(genus2_curve, system, loops_g2, 1e-12)
+            for a, b in zip(rep.matrices, alone.matrices):
+                assert _rel_dev(a, b) <= 1e-10
+
+    def test_member_on_branch_point_is_named(self, genus2_curve, loops_g2):
+        good = NumericSL2System.from_system(small_system(genus2_curve, 3))
+        roots = list(good.roots)
+        roots[0] = loops_g2.letters[1][6]  # a vertex of the second letter's circle
+        bad = NumericSL2System(tuple(roots), good.h_poly, good.e_poly, good.f_poly)
+        with pytest.raises(IntegrationError) as info:
+            monodromy_batch([good, good, bad], loops_g2, 1e-12)
+        err = info.value
+        assert err.member[:2] == (2, "letter 2")
+        assert "system 2, letter 2" in str(err)
+        assert err.segment is not None and err.h is not None
 
 
 class TestTraceVector:
@@ -279,9 +329,9 @@ class TestTraceVector:
             mats, ("a1", "b1", "a2", "b2"), 1e-3, (0.0,) * 4, 1e-8, 1e-10
         )
         assert not bad.valid
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRepresentationError):
             trace_vector(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRepresentationError):
             irreducibility_probe(bad)
 
     def test_conjugated_rep_same_traces(self, genus2_curve, loops_g2, rep_g2):
