@@ -191,9 +191,7 @@ def _cmd_lazarsfeld(args):
         raise ConfigError("--trials must be >= 1")
     if args.w_dim < 1 or args.w_dim > curve.genus:
         raise ConfigError(f"--w-dim must lie in 1..{curve.genus}")
-    scan = lazarsfeld_scan(
-        curve, trials=args.trials, w_dim=args.w_dim, seed=args.seed, threads=args.threads
-    )
+    scan = lazarsfeld_scan(curve, trials=args.trials, w_dim=args.w_dim, seed=args.seed)
     config = {
         "curve": curve_to_json(curve),
         "trials": args.trials,
@@ -236,7 +234,7 @@ def _cmd_monodromy(args):
     ode_tol = _positive(args, "ode_tol")
     clearance = _positive(args, "clearance")
     loops = build_loops(curve, clearance)
-    rep = monodromy(curve, system, loops, ode_tol)
+    rep = monodromy(system, loops, ode_tol)
     traces = trace_vector(rep)
     probe = irreducibility_probe(rep)
     config = {
@@ -306,8 +304,9 @@ def _add_common(p):
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=int, default=0)
-    # worker threads of the lazarsfeld scan; accepted and ignored elsewhere
-    p.add_argument("--threads", type=int, default=1)
+    # kept so that existing command lines still parse; every subcommand
+    # runs in one thread
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -155,9 +155,6 @@ class PlaneQuartic:
             smoothness_asserted=True,
         )
 
-    def form_dict(self) -> dict:
-        return dict(self.coefficients)
-
 
 Curve = HyperellipticCurve | PlaneQuartic
 
@@ -178,12 +175,6 @@ class Differential:
     numerator: tuple
     denom_class: str
     weight: int
-
-    def numerator_poly(self) -> tuple:
-        return self.numerator
-
-    def numerator_form(self) -> dict:
-        return dict(self.numerator)
 
 
 def _poly_trim(coeffs):

@@ -78,9 +78,6 @@ class ExactScalar:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -295,14 +292,17 @@ def exact_rank(m: ExactMatrix) -> int:
 # -- numeric rank -------------------------------------------------------------
 
 
-def numeric_rank(m: FloatMatrix, rel_tol: float = 1e-10, attempts: int = 2):
+_SVD_ATTEMPTS = 2  # SVD tries, alternating the matrix and its conjugate transpose
+
+
+def numeric_rank(m: FloatMatrix, rel_tol: float = 1e-10):
     """Numeric rank and singular values of ``m``.
 
     Returns ``(rank, singular_values)`` where rank counts the singular values
     above ``rel_tol * sigma_max`` (0 when the matrix is zero or empty); the
     default threshold is 1e-10 relative to the largest singular value.  If
     the LAPACK iteration fails to converge, the computation is retried on the
-    conjugate transpose up to ``attempts`` times and then reported as a
+    conjugate transpose (``_SVD_ATTEMPTS`` tries in all) and then reported as a
     :class:`SingularValueError` rather than returning a silently wrong rank.
     """
     if not 0 < rel_tol < 1:
@@ -311,7 +311,7 @@ def numeric_rank(m: FloatMatrix, rel_tol: float = 1e-10, attempts: int = 2):
         return 0, []
     a = m.to_numpy()
     last_err = None
-    for attempt in range(max(1, attempts)):
+    for attempt in range(_SVD_ATTEMPTS):
         try:
             s = np.linalg.svd(a if attempt % 2 == 0 else a.conj().T, compute_uv=False)
             break
@@ -319,7 +319,7 @@ def numeric_rank(m: FloatMatrix, rel_tol: float = 1e-10, attempts: int = 2):
             last_err = err
     else:  # pragma: no cover - rare
         raise SingularValueError(
-            f"SVD failed to converge after {attempts} attempts"
+            f"SVD failed to converge after {_SVD_ATTEMPTS} attempts"
         ) from last_err
     values = [float(x) for x in s]
     smax = values[0] if values else 0.0

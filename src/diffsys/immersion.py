@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import HyperellipticCurve, curve_to_json
-from .field import ExactMatrix, ExactScalar, FloatMatrix, numeric_rank
+from .field import ExactMatrix, ExactScalar, FloatMatrix, exact_rank, numeric_rank
 from .multiplication import CriterionVerdict, criterion_injective
 from .monodromy import (
     IntegrationError,
@@ -91,8 +91,6 @@ def gauge_slice_regular(system: DifferentialSystem) -> bool:
         rows.append(
             tuple(lie.bracket(xi, column)[row_idx] for xi in basis)
         )
-    from .field import exact_rank
-
     return exact_rank(ExactMatrix.from_rows(rows)) == 3
 
 
@@ -161,6 +159,9 @@ class SystCoordinates:
         }
 
 
+_CENTER_TRIES = 64  # system samples before a center gives up on regularity
+
+
 def make_center(
     seed: int,
     branch=(0, 1, 2, 3, 4),
@@ -168,7 +169,6 @@ def make_center(
     scale: Fraction = Fraction(1, 8),
     clearance: float = 0.22,
     require_criterion: bool = False,
-    max_tries: int = 64,
 ) -> SystCoordinates:
     """Seeded center with a regular gauge slice (resampling until regular).
 
@@ -181,7 +181,7 @@ def make_center(
     lie = builtin_algebra("sl2")
     factor = ExactScalar.of(scale)
     loops = build_loops(curve, clearance)
-    for k in range(max_tries):
+    for k in range(_CENTER_TRIES):
         system = scale_system(
             sample_system(curve, lie, seed=seed + 7919 * k, coefficient_bound=coefficient_bound),
             factor,

@@ -12,8 +12,11 @@ elementary loops with explicit conjugators) whose defining property is that
 
 so the surface-group relation holds by construction, not by accident of
 homology.  Each word has even length, hence lifts to a closed loop on the
-double cover; the per-vertex sheet annotation is computed by continuous
-continuation of sqrt(f).
+double cover.  Loops are assembled from their letters: clearance and the
+continuation of sqrt(f) are checked once per letter, every letter must end on
+the sheet opposite to its start, and a loop's vertices and per-vertex sheets
+are its letters' polylines and sheet profiles end to end, with the sign
+alternating from letter to letter.
 
 Transport
 ---------
@@ -25,24 +28,25 @@ first vertex.  The sweep runs an embedded Runge-Kutta 5(4) pair
 segment parameter, shared by all members: a step is accepted when the
 largest local error in the batch is within tolerance and every member passes
 the sheet guard, and the next step size follows from that largest error.
-Each member continues y by choosing, at every stage, the root closer to its
-value at the start of the step; acceptance additionally requires
-|y_new - y_old| < |y_old| for every member, so a silent sheet jump is
-impossible and failure surfaces as step-size underflow, naming the member,
-the segment, t and h.  A shared step sequence also means that the +delta and
--delta systems of a central difference see the same discretisation
-(internal numerical differentiation), so step-control noise cancels in the
-finite-difference columns of :mod:`diffsys.immersion`.
+Each member continues y by the square-root rule that loop construction uses
+too: at every stage it takes the root nearer to its value at the start of
+the step, and acceptance requires |y_new - y_old| < |y_old| for every
+member, so a silent sheet jump is impossible and failure surfaces as
+step-size underflow, naming the member, the segment, t and h.  A shared
+step sequence also means that the +delta and -delta systems of a central
+difference see the same discretisation (internal numerical
+differentiation), so step-control noise cancels in the finite-difference
+columns of :mod:`diffsys.immersion`.
 
 ``monodromy_batch`` never integrates whole loop words.  Each word is a
 product of lollipop letters based at the base point, and a letter's
 transport depends only on the system, the letter and the sheet it starts on,
 so a system contributes 2(2g+1) members: every letter on both sheets.  A
-word's transport is the product of its letter transports, with the starting
-sheet of each letter read from the loop's sheet annotation at its base-point
-visits.  ``integrate_loop`` transports one member along a whole loop
-polyline; it is the full-word reference that the tests compare the letter
-products against.
+word's transport is the product of its letter transports; since every letter
+swaps the sheet, the i-th letter of a word starts on the principal sheet for
+even i and on the other for odd i.  ``integrate_loop`` transports one member
+along a whole loop polyline; it is the full-word reference that the tests
+compare the letter products against.
 
 Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
@@ -219,44 +223,58 @@ class LoopSystem:
         }
 
 
-def _f_of(roots):
-    def f(x):
-        acc = 1.0 + 0.0j
-        for r in roots:
-            acc *= x - r
-        return acc
-
-    return f
+# -- square-root continuation --------------------------------------------------
+#
+# One rule serves loop construction and transport alike: y = sqrt(f(x)) is
+# continued by taking, of the two roots, the one nearer to the previous value,
+# and a step is on its sheet only if it moved y by less than |y_old|.
 
 
-def _track_sqrt(f, start_y, points, max_chunk=0.2):
-    """Continue y = sqrt(f) along a polyline by dense stepping; returns y values
-    at the given points.  Steps are subdivided until each y increment is small."""
-    y = start_y
-    values = [y]
-    for a, b in zip(points, points[1:]):
-        n = max(2, int(abs(b - a) / max_chunk) + 1)
-        k = 0
-        while True:
-            ok = True
+def _sqrt_f(x, root_rows):
+    """Principal sqrt(f(x)) for f = prod (x - r); ``root_rows`` is (2g+1, m)."""
+    return np.sqrt(np.multiply.reduce(x - root_rows, axis=0))
+
+
+def _nearer_root(w, y_old):
+    """Of the roots +-w, the one nearer to y_old."""
+    return np.where(np.abs(w - y_old) > np.abs(w + y_old), -w, w)
+
+
+def _on_sheet(y_new, y_old):
+    """The sheet guard: a continuation step moved y by less than |y_old|."""
+    return np.abs(y_new - y_old) < np.abs(y_old)
+
+
+_SQRT_CHUNK = 0.2  # initial step length of the dense continuation
+
+
+def _track_sqrt(paths, root_rows):
+    """Continue y = sqrt(f) along polylines ``paths`` (p, nvert) from the
+    principal root at their first vertex, by dense stepping; returns y
+    (p, nvert) at the vertices.  Each segment is subdivided until every step
+    passes the sheet guard."""
+    y = _sqrt_f(paths[:, 0], root_rows)
+    ys = [y]
+    for a, b in zip(paths.T, paths.T[1:]):
+        n = max(2, int(np.max(np.abs(b - a)) / _SQRT_CHUNK) + 1)
+        for _ in range(25):
             yy = y
             for m in range(1, n + 1):
-                x = a + (b - a) * m / n
-                w = cmath.sqrt(f(x))
-                cand = w if abs(w - yy) <= abs(-w - yy) else -w
-                if abs(cand - yy) >= 0.9 * abs(yy):
-                    ok = False
+                cand = _nearer_root(_sqrt_f(a + (b - a) * m / n, root_rows), yy)
+                if not _on_sheet(cand, yy).all():
                     break
                 yy = cand
-            if ok:
-                y = yy
+            else:
                 break
             n *= 2
-            k += 1
-            if k > 24:
-                raise IntegrationError("square-root continuation failed to resolve")
-        values.append(y)
-    return values
+        else:
+            raise IntegrationError("square-root continuation failed to resolve")
+        y = yy
+        ys.append(y)
+    return np.array(ys).T
+
+
+_SHEETS = (1, -1)  # starting sheets of a word's letters, by position parity
 
 
 def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
@@ -264,7 +282,8 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
 
     Requires branch points pairwise separated by more than twice the
     clearance; every polyline vertex keeps at least the clearance from every
-    branch point, and this is re-validated on the final geometry.
+    branch point, and this is re-validated on the final geometry of every
+    letter.
     """
     if not isinstance(curve, HyperellipticCurve):
         raise ValueError("loops are defined for hyperelliptic curves only")
@@ -309,37 +328,38 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
         ]
         return [base, foot, south] + circle[1:] + [foot, base]
 
-    f = _f_of(roots)
-    y0 = cmath.sqrt(f(base))
     letters = tuple(tuple(lollipop(k)) for k in range(1, n + 1))
-    words = canonical_words(g)
-    loops = []
-    for name, word in words:
-        vertices = [base]
-        for letter in word:
-            vertices.extend(letters[letter - 1][1:])
-        vertices = _dedupe(vertices)
-        _validate_clearance(vertices, roots, clearance)
-        ys = _track_sqrt(f, y0, vertices)
-        principal = [cmath.sqrt(f(v)) for v in vertices]
-        sheets = tuple(
-            1 if abs(y - p) <= abs(y + p) else -1 for y, p in zip(ys, principal)
-        )
-        if abs(ys[-1] - y0) > 0.5 * abs(y0):
-            raise IntegrationError(f"loop {name} does not close on its starting sheet")
-        loops.append(Loop(name, word, tuple(vertices), sheets))
-    return LoopSystem(base, clearance, g, tuple(loops), letters)
+    for letter in letters:
+        _validate_clearance(letter, roots, clearance)
+    # sheet profile of every letter, started on the principal root at the base
+    paths = np.array(letters)
+    root_rows = np.array(roots)[:, None]
+    ys = _track_sqrt(paths, root_rows)
+    principal = _sqrt_f(paths, root_rows[:, :, None])
+    profiles = np.where(np.abs(ys - principal) <= np.abs(ys + principal), 1, -1).tolist()
+    for k, profile in enumerate(profiles, start=1):
+        if profile[-1] != -1:
+            raise IntegrationError(f"letter {k} does not end on the opposite sheet")
+    loops = tuple(
+        Loop(name, word, *_join(word, letters, profiles)) for name, word in canonical_words(g)
+    )
+    return LoopSystem(base, clearance, g, loops, letters)
 
 
 _VERTEX_EPS = 1e-13  # polyline vertices closer than this are merged
 
 
-def _dedupe(vertices, eps=_VERTEX_EPS):
-    out = [vertices[0]]
-    for v in vertices[1:]:
-        if abs(v - out[-1]) > eps:
-            out.append(v)
-    return out
+def _join(word, letters, profiles):
+    """Vertices and sheets of a word: its letters end to end, the i-th
+    starting on sheet _SHEETS[i % 2] (each letter swaps the sheet), with
+    vertices closer than _VERTEX_EPS to their predecessor merged into it."""
+    vertices, sheets = [letters[0][0]], [_SHEETS[0]]
+    for i, k in enumerate(word):
+        for v, p in zip(letters[k - 1][1:], profiles[k - 1][1:]):
+            if abs(v - vertices[-1]) > _VERTEX_EPS:
+                vertices.append(v)
+                sheets.append(_SHEETS[i % 2] * p)
+    return tuple(vertices), tuple(sheets)
 
 
 def _validate_clearance(vertices, roots, clearance):
@@ -453,13 +473,9 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
     coeffs = np.array([[hp, fp], [ep, -hp]]).transpose(2, 0, 1, 3)
     coeffs = np.ascontiguousarray(coeffs[:, :, :, None, :])
 
-    def sqrt_f(x):
-        return np.sqrt(np.multiply.reduce(x - root_rows, axis=0))
-
     def rhs(x, delta, state, y_prev, out):
         """out = [[H, E], [F, -H]](x) dx/y @ state; returns y continued from y_prev."""
-        y = sqrt_f(x)
-        y = np.where(np.abs(y - y_prev) > np.abs(y + y_prev), -y, y)
+        y = _nearer_root(_sqrt_f(x, root_rows), y_prev)
         conn = coeffs[-1]
         for c in coeffs[-2::-1]:
             conn = conn * x + c
@@ -469,7 +485,7 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
 
     Y = np.zeros((2, 2, m), dtype=complex)
     Y[0, 0] = Y[1, 1] = 1.0
-    y_ref = np.asarray(sheets) * sqrt_f(path[0])
+    y_ref = np.asarray(sheets) * _sqrt_f(path[0], root_rows)
     K = np.empty((7, 2, 2, m), dtype=complex)
     K_real = K.reshape(7, 4 * m).view(np.float64)  # stage sums as one real dgemv
     # per stage: Butcher row, the earlier stages it weighs, its output, its node
@@ -526,7 +542,7 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
                 culprit = int(np.argmin(np.isfinite(member_err)))
                 h *= 0.1
                 continue
-            guard = np.abs(y_new - y_ref) < np.abs(y_ref)
+            guard = _on_sheet(y_new, y_ref)
             sheet_ok = bool(guard.all())
             if err <= 1.0 and sheet_ok:
                 t += h
@@ -550,14 +566,13 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
     return np.ascontiguousarray(Y.transpose(2, 0, 1))
 
 
-def integrate_loop(curve, system, loop: Loop, ode_tol: float):
+def integrate_loop(system, loop: Loop, ode_tol: float):
     """Parallel transport around one whole loop; returns the forward 2x2 transport.
 
     A batch of one member on the loop's full polyline, starting on the sheet
     of its first vertex.  ``monodromy`` assembles words from letter
     transports instead; this full-word path is the reference the tests
-    compare those products against.  The curve argument exists for interface
-    symmetry (branch data lives in the numeric system) and may be None.
+    compare those products against.
     """
     roots, polys = _system_arrays([_coerce(system)])
     member = (0, f"loop {loop.name}", loop.sheets[0])
@@ -614,26 +629,6 @@ def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-_SHEETS = (1, -1)  # starting sheets of the letter members, in member order
-
-
-def _letter_walk(loop: Loop, base_point: complex) -> list:
-    """(letter, starting-sheet index into _SHEETS) for each letter of a word.
-
-    Starting sheets are read from the loop's sheet annotation at its
-    base-point visits, which must alternate: every lollipop encircles one
-    branch point and so swaps the sheet.
-    """
-    visits = [
-        s for v, s in zip(loop.vertices, loop.sheets) if abs(v - base_point) <= _VERTEX_EPS
-    ]
-    if len(visits) != len(loop.word) + 1 or any(b != -a for a, b in zip(visits, visits[1:])):
-        raise IntegrationError(
-            f"loop {loop.name}: sheets do not alternate over its {len(loop.word)} letters"
-        )
-    return [(k, _SHEETS.index(s)) for k, s in zip(loop.word, visits)]
-
-
 def monodromy_batch(
     systems,
     loops: LoopSystem,
@@ -651,7 +646,6 @@ def monodromy_batch(
     residuals are measured on the raw transports.  Results keep the order
     of ``systems``.
     """
-    walks = [_letter_walk(loop, loops.base_point) for loop in loops.loops]
     nsys = [_coerce(s) for s in systems]
     roots, polys = _system_arrays(nsys)
     letters = np.array(loops.letters, dtype=complex)
@@ -676,10 +670,10 @@ def monodromy_batch(
     reps = []
     for letter_t in transports:
         words = []
-        for walk in walks:
+        for loop in loops.loops:
             w = eye
-            for k, s in walk:
-                w = letter_t[k - 1, s] @ w
+            for i, k in enumerate(loop.word):
+                w = letter_t[k - 1, i % 2] @ w
             words.append(w)
         defects = tuple(
             max(_opnorm(t[1] @ t[0] - eye), _opnorm(t[0] @ t[1] - eye)) for t in letter_t
@@ -704,17 +698,13 @@ def _representation(transports, names, relation_tol, det_tol, defects):
 
 
 def monodromy(
-    curve,
     system,
     loops: LoopSystem,
     ode_tol: float,
     relation_tol: float = 1e-8,
     det_tol: float = 1e-10,
 ) -> MonodromyRepresentation:
-    """The representation of one system: ``monodromy_batch`` of one.
-
-    The curve argument exists for interface symmetry and may be None.
-    """
+    """The representation of one system: ``monodromy_batch`` of one."""
     return monodromy_batch([system], loops, ode_tol, relation_tol, det_tol)[0]
 
 

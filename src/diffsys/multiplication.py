@@ -168,15 +168,22 @@ class ScanReport:
         }
 
 
-def _draw_subspace(basis, w_dim, rng, bound=10, max_tries=200):
+_COORD_BOUND = 10  # scan coordinates are integers in [-10, 10]
+_DRAW_TRIES = 200  # draws before a scan trial gives up on independence
+
+
+def _draw_subspace(basis, w_dim, rng):
     g = len(basis)
-    for _ in range(max_tries):
+    for _ in range(_DRAW_TRIES):
         rows = [
-            [rng.randint(-bound, bound) for _ in range(g)] for _ in range(w_dim)
+            [rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(g)]
+            for _ in range(w_dim)
         ]
         gens = tuple(tuple(ExactScalar.of(v) for v in row) for row in rows)
-        if exact_rank(ExactMatrix.from_rows(gens)) == w_dim:
+        try:
             return rows, SubspaceSelection(basis, gens)
+        except ValueError:  # dependent draw: rows have length g by construction
+            continue
     raise RuntimeError("failed to draw an independent random subspace")
 
 
@@ -186,13 +193,13 @@ def lazarsfeld_scan(
     w_dim: int = 3,
     seed: int = 0,
     store_all: bool = False,
-    threads: int = 1,
 ) -> ScanReport:
     """Randomized surjectivity scan over ``trials`` seeded subspaces W.
 
     Coordinates are integers in [-10, 10] from per-trial generators derived
-    from the master seed, so single trials replay independently and may run
-    on a thread pool (aggregation is by trial index, order-independent).
+    from the master seed, so single trials replay independently.  Trials run
+    one after another in the calling thread: the exact arithmetic is pure
+    Python and holds the interpreter lock, so threads would not overlap.
     Failures are recorded with their W; genericity means they are expected
     never on non-hyperelliptic targets and always on hyperelliptic ones of
     genus >= 3.  With ``store_all`` every drawn W is kept (with its rank)
@@ -206,23 +213,12 @@ def lazarsfeld_scan(
     basis = canonical_basis(curve)
     target = 3 * g - 3
 
-    def run_trial(t):
-        rng = random.Random(f"{seed}:{t}")
-        rows, w = _draw_subspace(basis, w_dim, rng)
-        return rows, theta_matrix(curve, w).rank
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_trial, range(trials)))
-    else:
-        outcomes = [run_trial(t) for t in range(trials)]
-
     successes = 0
     failures = []
     everything = []
-    for t, (rows, rank) in enumerate(outcomes):
+    for t in range(trials):
+        rows, w = _draw_subspace(basis, w_dim, random.Random(f"{seed}:{t}"))
+        rank = theta_matrix(curve, w).rank
         if rank == target:
             successes += 1
         else:

@@ -327,11 +327,16 @@ def scale_system(system: DifferentialSystem, factor: ExactScalar) -> Differentia
 def conjugate_system(system: DifferentialSystem, s: ExactMatrix) -> DifferentialSystem:
     """Apply a constant gauge transformation: each coefficient matrix M_i of
     the system (the g-valued coefficient of the i-th differential) becomes
-    S M_i S^-1.  Requires the algebra to carry its defining representation."""
+    S M_i S^-1.  Requires the algebra to carry a 2x2 defining representation
+    (sl2, gl2)."""
     lie = system.lie
     if lie.rep_matrices is None:
         raise ValueError("algebra carries no defining representation")
     n = lie.rep_matrices[0].rows
+    if n != 2:
+        raise ValueError(
+            f"gauge conjugation supports 2x2 defining representations only; {lie.name} is {n}x{n}"
+        )
     if s.rows != n or s.cols != n:
         raise ValueError(f"gauge matrix must be {n}x{n}")
     det = s.get(0, 0) * s.get(1, 1) - s.get(0, 1) * s.get(1, 0)
@@ -339,8 +344,8 @@ def conjugate_system(system: DifferentialSystem, s: ExactMatrix) -> Differential
         raise ValueError("gauge matrix is singular")
     s_inv = ExactMatrix.from_rows(
         [
-            [s.get(1, 1) / det, (-ExactScalar.of(1)) * s.get(0, 1) / det],
-            [(-ExactScalar.of(1)) * s.get(1, 0) / det, s.get(0, 0) / det],
+            [s.get(1, 1) / det, -s.get(0, 1) / det],
+            [-s.get(1, 0) / det, s.get(0, 0) / det],
         ]
     )
     columns = [tuple(m.entries) for m in lie.rep_matrices]
@@ -348,7 +353,6 @@ def conjugate_system(system: DifferentialSystem, s: ExactMatrix) -> Differential
     g = coeff.cols
     new_cols = []
     for c in range(g):
-        m = ExactMatrix.zeros(n, n)
         acc = [ZERO] * (n * n)
         for j in range(lie.dimension):
             cf = coeff.get(j, c)

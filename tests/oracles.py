@@ -152,9 +152,7 @@ def theta_products(curve, basis1, w_coords_list):
 _NODES, _WEIGHTS = leg.leggauss(24)
 
 
-def loop_integral(curve, loop, numer_coeffs, chunk=0.05):
-    """Integral of (sum c_i x^i) dx / y along a loop polyline, by composite
-    Gauss-Legendre with dense square-root continuation."""
+def _f_of(curve):
     roots = curve.float_roots()
 
     def f(x):
@@ -163,6 +161,19 @@ def loop_integral(curve, loop, numer_coeffs, chunk=0.05):
             acc *= x - r
         return acc
 
+    return f
+
+
+def _nearer_sqrt(f, x, y):
+    """The square root of f(x) nearer to y (dense continuation step)."""
+    yy = cmath.sqrt(f(x))
+    return -yy if abs(yy - y) > abs(-yy - y) else yy
+
+
+def loop_integral(curve, loop, numer_coeffs, chunk=0.05):
+    """Integral of (sum c_i x^i) dx / y along a loop polyline, by composite
+    Gauss-Legendre with dense square-root continuation."""
+    f = _f_of(curve)
     y = cmath.sqrt(f(loop.vertices[0]))
     if loop.sheets[0] < 0:
         y = -y
@@ -176,16 +187,27 @@ def loop_integral(curve, loop, numer_coeffs, chunk=0.05):
             acc = 0j
             for t, w in zip(_NODES, _WEIGHTS):
                 x = mid + half * t
-                yy = cmath.sqrt(f(x))
-                if abs(yy - y) > abs(-yy - y):
-                    yy = -yy
+                yy = _nearer_sqrt(f, x, y)
                 acc += w * sum(c * x**i for i, c in enumerate(numer_coeffs)) / yy
             total += acc * half
-            yy = cmath.sqrt(f(q))
-            if abs(yy - y) > abs(-yy - y):
-                yy = -yy
-            y = yy
+            y = _nearer_sqrt(f, q, y)
     return total
+
+
+def loop_sheets(curve, loop, chunk=0.05):
+    """Sheet of y = sqrt(f) at every vertex of a whole loop polyline, against
+    the principal root: +1 at the first vertex, then dense continuation with
+    the nearer-root rule of ``loop_integral``, never split into letters."""
+    f = _f_of(curve)
+    y = cmath.sqrt(f(loop.vertices[0]))
+    sheets = [1]
+    for a, b in zip(loop.vertices, loop.vertices[1:]):
+        n = max(2, int(abs(b - a) / chunk) + 1)
+        for m in range(1, n + 1):
+            y = _nearer_sqrt(f, a + (b - a) * m / n, y)
+        p = cmath.sqrt(f(b))
+        sheets.append(1 if abs(y - p) <= abs(y + p) else -1)
+    return sheets
 
 
 # -- exact finite-field check of loop words --------------------------------------

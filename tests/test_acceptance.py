@@ -211,7 +211,7 @@ def test_criterion_6_monodromy_validity(loops_g2):
         system = scale_system(
             sample_system(curve, SL2, seed=seed, coefficient_bound=5), eighth
         )
-        rep = monodromy(curve, system, loops_g2, ode_tol=1e-12)
+        rep = monodromy(system, loops_g2, ode_tol=1e-12)
         if max(rep.det_residuals) > 1e-10:
             ok = False
             details.append(f"seed {seed} det {max(rep.det_residuals):.2e}")
@@ -219,7 +219,7 @@ def test_criterion_6_monodromy_validity(loops_g2):
             ok = False
             details.append(f"seed {seed} relation {rep.relation_residual:.2e}")
         # gauge invariance of traces
-        rep_conj = monodromy(curve, conjugate_system(system, gauge), loops_g2, 1e-12)
+        rep_conj = monodromy(conjugate_system(system, gauge), loops_g2, 1e-12)
         dev = max(
             abs(a - b)
             for a, b in zip(trace_vector(rep).values, trace_vector(rep_conj).values)
@@ -235,8 +235,8 @@ def test_criterion_6_monodromy_validity(loops_g2):
             moved.append(v + complex(*rng.uniform(-eps / 2, eps / 2, 2)))
         moved.append(loop.vertices[-1])
         perturbed = Loop(loop.name, loop.word, tuple(moved), (loop.sheets[0],) * len(moved))
-        y0 = integrate_loop(curve, system, loop, 1e-12)
-        y1 = integrate_loop(curve, system, perturbed, 1e-12)
+        y0 = integrate_loop(system, loop, 1e-12)
+        y1 = integrate_loop(system, perturbed, 1e-12)
         if np.max(np.abs(y0 - y1)) > 1e-7:
             ok = False
             details.append(f"seed {seed} homotopy {np.max(np.abs(y0 - y1)):.2e}")
@@ -247,7 +247,7 @@ def test_criterion_6_monodromy_validity(loops_g2):
         )
         system = DifferentialSystem(curve, SL2, coeff)
         for loop in loops_g2.loops:
-            y = integrate_loop(curve, system, loop, 1e-12)
+            y = integrate_loop(system, loop, 1e-12)
             integral = loop_integral(curve, loop, [complex(Fraction(c)) for c in h_coeffs])
             pred = cmath.exp(integral)
             err = max(abs(y[0, 0] - pred), abs(y[1, 1] - 1 / pred), abs(y[0, 1]), abs(y[1, 0]))

@@ -114,6 +114,20 @@ class TestLazarsfeld:
             ["lazarsfeld", "--branch-points", "0,1,2,3,4", "--w-dim", "3"]
         ) == 1
 
+    def test_threads_flag_changes_nothing(self, tmp_path):
+        """--threads stays accepted (benchmark scripts pass it) but is a no-op."""
+        texts = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"scan-{threads}.json"
+            assert run_cli(
+                [
+                    "lazarsfeld", "--branch-points", "0,1,2,3,4,5,6", "--trials", "6",
+                    "--seed", "2", "--threads", threads, "--out", str(out),
+                ]
+            ) == 0
+            texts.append(re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', out.read_text()))
+        assert texts[0] == texts[1]
+
 
 class TestCriterion:
     def test_sampled_system(self, tmp_path):

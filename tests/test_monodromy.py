@@ -30,7 +30,7 @@ from diffsys.systems import (
     scale_system,
 )
 
-from oracles import loop_integral, word_is_trivial_upstairs
+from oracles import loop_integral, loop_sheets, word_is_trivial_upstairs
 
 
 def es(re, im=0):
@@ -54,7 +54,7 @@ def loops_g2(genus2_curve):
 
 @pytest.fixture(scope="module")
 def rep_g2(genus2_curve, loops_g2):
-    return monodromy(genus2_curve, small_system(genus2_curve, 3), loops_g2, 1e-12)
+    return monodromy(small_system(genus2_curve, 3), loops_g2, 1e-12)
 
 
 class TestCanonicalWords:
@@ -121,12 +121,22 @@ class TestBuildLoops:
         with pytest.raises(ValueError):
             build_loops(genus2_curve, clearance=0.0)
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_sheets_match_whole_loop_continuation(self, g):
+        """Sheets assembled from letter profiles against an independent dense
+        continuation of sqrt(f) along each whole loop polyline."""
+        curve = HyperellipticCurve.from_integers(range(2 * g + 1))
+        for clearance in (0.22, 0.2):
+            loops = build_loops(curve, clearance)
+            for loop in loops.loops:
+                assert list(loop.sheets) == loop_sheets(curve, loop), (g, clearance, loop.name)
+
 
 class TestIntegrateLoop:
     def test_zero_system_identity(self, genus2_curve, loops_g2):
         system = DifferentialSystem(genus2_curve, SL2, ExactMatrix.zeros(3, 2))
         for loop in loops_g2.loops:
-            Y = integrate_loop(genus2_curve, system, loop, 1e-12)
+            Y = integrate_loop(system, loop, 1e-12)
             assert np.allclose(Y, np.eye(2), atol=1e-14)
 
     def test_abelian_reduction_vs_quadrature(self, genus2_curve, loops_g2):
@@ -137,7 +147,7 @@ class TestIntegrateLoop:
         )
         system = DifferentialSystem(genus2_curve, SL2, coeff)
         for loop in loops_g2.loops:
-            Y = integrate_loop(genus2_curve, system, loop, 1e-12)
+            Y = integrate_loop(system, loop, 1e-12)
             integral = loop_integral(genus2_curve, loop, [1.0, 0.5])
             pred = cmath.exp(integral)
             err = max(
@@ -151,7 +161,7 @@ class TestIntegrateLoop:
     def test_unimodular_transport(self, genus2_curve, loops_g2):
         system = small_system(genus2_curve, 17)
         for loop in loops_g2.loops:
-            Y = integrate_loop(genus2_curve, system, loop, 1e-12)
+            Y = integrate_loop(system, loop, 1e-12)
             det = Y[0, 0] * Y[1, 1] - Y[0, 1] * Y[1, 0]
             assert abs(det - 1) <= 1e-10
 
@@ -164,26 +174,26 @@ class TestIntegrateLoop:
             tuple(reversed(loop.vertices)),
             tuple(reversed(loop.sheets)),
         )
-        Y = integrate_loop(genus2_curve, system, loop, 1e-12)
-        Z = integrate_loop(genus2_curve, system, reverse, 1e-12)
+        Y = integrate_loop(system, loop, 1e-12)
+        Z = integrate_loop(system, reverse, 1e-12)
         assert np.linalg.norm(Y @ Z - np.eye(2), 2) <= 1e-9
 
     def test_bad_tolerance(self, genus2_curve, loops_g2):
         system = small_system(genus2_curve, 5)
         with pytest.raises(ValueError):
-            integrate_loop(genus2_curve, system, loops_g2.loops[0], 0.0)
+            integrate_loop(system, loops_g2.loops[0], 0.0)
 
     def test_non_sl2_rejected(self, genus2_curve, loops_g2):
         gl2 = builtin_algebra("gl2")
         system = DifferentialSystem(genus2_curve, gl2, ExactMatrix.zeros(4, 2))
         with pytest.raises(ValueError):
-            integrate_loop(genus2_curve, system, loops_g2.loops[0], 1e-12)
+            integrate_loop(system, loops_g2.loops[0], 1e-12)
 
 
 class TestMonodromy:
     def test_zero_system_trivial_rep(self, genus2_curve, loops_g2):
         system = DifferentialSystem(genus2_curve, SL2, ExactMatrix.zeros(3, 2))
-        rep = monodromy(genus2_curve, system, loops_g2, 1e-12)
+        rep = monodromy(system, loops_g2, 1e-12)
         assert rep.relation_residual <= 1e-14
         for m in rep.matrices:
             assert np.allclose(m, np.eye(2), atol=1e-14)
@@ -199,8 +209,8 @@ class TestMonodromy:
         system = small_system(genus2_curve, 3)
         s = ExactMatrix.from_rows([[es(2), es(1)], [es(3), es(2)]])  # det 1
         conj = conjugate_system(system, s)
-        rep1 = monodromy(genus2_curve, system, loops_g2, 1e-12)
-        rep2 = monodromy(genus2_curve, conj, loops_g2, 1e-12)
+        rep1 = monodromy(system, loops_g2, 1e-12)
+        rep2 = monodromy(conj, loops_g2, 1e-12)
         t1 = trace_vector(rep1).values
         t2 = trace_vector(rep2).values
         assert max(abs(a - b) for a, b in zip(t1, t2)) <= 1e-8
@@ -217,8 +227,8 @@ class TestMonodromy:
             tuple(refined_vertices),
             (loop.sheets[0],) * len(refined_vertices),
         )
-        Y0 = integrate_loop(genus2_curve, system, loop, 1e-12)
-        Y1 = integrate_loop(genus2_curve, system, refined, 1e-12)
+        Y0 = integrate_loop(system, loop, 1e-12)
+        Y1 = integrate_loop(system, refined, 1e-12)
         assert np.max(np.abs(Y0 - Y1)) <= 1e-7
 
     def test_homotopy_invariance_vertex_perturbation(self, genus2_curve, loops_g2):
@@ -231,13 +241,13 @@ class TestMonodromy:
             moved.append(v + complex(*rng.uniform(-eps / 2, eps / 2, 2)))
         moved.append(loop.vertices[-1])
         perturbed = Loop(loop.name, loop.word, tuple(moved), (loop.sheets[0],) * len(moved))
-        Y0 = integrate_loop(genus2_curve, system, loop, 1e-12)
-        Y1 = integrate_loop(genus2_curve, system, perturbed, 1e-12)
+        Y0 = integrate_loop(system, loop, 1e-12)
+        Y1 = integrate_loop(system, perturbed, 1e-12)
         assert np.max(np.abs(Y0 - Y1)) <= 1e-7
 
     def test_ten_seeded_systems_meet_tolerances(self, genus2_curve, loops_g2):
         for seed in range(1, 11):
-            rep = monodromy(genus2_curve, small_system(genus2_curve, seed), loops_g2, 1e-12)
+            rep = monodromy(small_system(genus2_curve, seed), loops_g2, 1e-12)
             assert rep.relation_residual <= 1e-8, seed
             assert max(rep.det_residuals) <= 1e-10, seed
 
@@ -266,9 +276,9 @@ class TestBatchedTransport:
         the ten seeded systems of acceptance criterion 6."""
         for seed in range(1, 11):
             system = small_system(genus2_curve, seed)
-            rep = monodromy(genus2_curve, system, loops_g2, 1e-12)
+            rep = monodromy(system, loops_g2, 1e-12)
             for loop, m in zip(loops_g2.loops, rep.matrices):
-                forward = integrate_loop(genus2_curve, system, loop, 1e-12)
+                forward = integrate_loop(system, loop, 1e-12)
                 assert _rel_dev(np.linalg.inv(m), forward) <= 1e-10, (seed, loop.name)
 
     def test_system_in_batch_matches_system_alone(self, genus2_curve, loops_g2):
@@ -278,7 +288,7 @@ class TestBatchedTransport:
         systems = [small_system(genus2_curve, 3), stiff, small_system(genus2_curve, 9)]
         batch = monodromy_batch(systems, loops_g2, 1e-12)
         for system, rep in zip(systems, batch):
-            alone = monodromy(genus2_curve, system, loops_g2, 1e-12)
+            alone = monodromy(system, loops_g2, 1e-12)
             for a, b in zip(rep.matrices, alone.matrices):
                 assert _rel_dev(a, b) <= 1e-10
 

@@ -9,6 +9,7 @@ from diffsys.systems import (
     DifferentialSystem,
     LieAlgebraData,
     builtin_algebra,
+    conjugate_system,
     contract,
     dimension_report,
     dyad_detect,
@@ -225,3 +226,30 @@ class TestSystemSerialization:
         t = system_from_json(data)
         assert t.lie.name == "my_sl2"
         assert t.lie.structure_constants == sl2.structure_constants
+
+
+class TestConjugateSystem:
+    def test_sl3_rejected_with_clear_error(self, genus2_curve):
+        """Conjugation is written for 2x2 representations; sl3 must be refused
+        up front, for an invertible and for a singular 3x3 gauge matrix."""
+        sl3 = builtin_algebra("sl3")
+        system = sample_system(genus2_curve, sl3, seed=2, coefficient_bound=3)
+        identity = ExactMatrix.identity(3)
+        singular = ExactMatrix.from_rows(
+            [[es(1), es(0), es(0)], [es(0), es(1), es(0)], [es(1), es(1), es(0)]]
+        )
+        for gauge in (identity, singular):
+            with pytest.raises(ValueError, match="2x2 defining representations only"):
+                conjugate_system(system, gauge)
+
+    def test_gl2_identity_gauge(self, genus2_curve):
+        gl2 = builtin_algebra("gl2")
+        system = sample_system(genus2_curve, gl2, seed=4, coefficient_bound=3)
+        assert conjugate_system(system, ExactMatrix.identity(2)) == system
+
+    def test_singular_2x2_gauge_rejected(self, genus2_curve):
+        sl2 = builtin_algebra("sl2")
+        system = sample_system(genus2_curve, sl2, seed=4, coefficient_bound=3)
+        singular = ExactMatrix.from_rows([[es(1), es(2)], [es(2), es(4)]])
+        with pytest.raises(ValueError, match="singular"):
+            conjugate_system(system, singular)
