@@ -22,6 +22,8 @@ import sys
 import tempfile
 from fractions import Fraction
 
+from numpy.linalg import LinAlgError
+
 from .curves import (
     CurveError,
     HyperellipticCurve,
@@ -422,7 +424,7 @@ def main(argv=None) -> int:
         # argparse exits itself on --help (0) and on bad usage; bad usage is
         # a configuration error under this tool's exit-code contract
         return 0 if err.code in (0, None) else 1
-    except (IntegrationError, InvalidRepresentationError, SingularValueError) as err:
+    except (IntegrationError, InvalidRepresentationError, SingularValueError, LinAlgError) as err:
         print(f"diffsys: numerical failure: {err}", file=sys.stderr)
         return 2
     except (ConfigError, ClearanceError, CurveError, ValueError) as err:

@@ -20,33 +20,37 @@ alternating from letter to letter.
 
 Transport
 ---------
-One kernel solves dY = (sum_j B_j omega_j) Y for a batch of *members* in a
-single numpy sweep.  A member is a numeric system, a polyline (every member
-of a batch has the same vertex count) and the sheet of y = sqrt(f(x)) at its
+One kernel solves dY = (sum_j B_j omega_j) Y in a single numpy sweep for a
+batch of *rows*, each a numeric system and a polyline (all with the same
+vertex count), run on every sheet of a shared tuple of starting sheets; a
+(row, sheet) pair is a *member*, starting from y = sheet * sqrt(f(x)) at its
 first vertex.  The sweep runs an embedded Runge-Kutta 5(4) pair
 (Dormand-Prince coefficients, PI step control) with one step sequence in the
 segment parameter, shared by all members: a step is accepted when the
 largest local error in the batch is within tolerance and every member passes
 the sheet guard, and the next step size follows from that largest error.
-Each member continues y by the square-root rule that loop construction uses
-too: at every stage it takes the root nearer to its value at the start of
-the step, and acceptance requires |y_new - y_old| < |y_old| for every
-member, so a silent sheet jump is impossible and failure surfaces as
-step-size underflow, naming the member, the segment, t and h.  A shared
-step sequence also means that the +delta and -delta systems of a central
-difference see the same discretisation (internal numerical
-differentiation), so step-control noise cancels in the finite-difference
-columns of :mod:`diffsys.immersion`.
+y is continued by the square-root rule that loop construction uses too:
+every stage takes the root nearer to y at the start of the step, and
+acceptance requires |y_new - y_old| < |y_old|, so a silent sheet jump is
+impossible and failure surfaces as step-size underflow, naming the member,
+the segment, t and h.  As no stage depends on an earlier stage's y, each
+step computes its geometry (x, y and the connection at all six new stages)
+in one pass per row; the other sheet's y and connection are exact
+negations and the guard ignores the sign, so one pass serves both sheets
+and changes no bit of any member's numbers.  With one step sequence the
++delta and -delta systems of a central difference see one discretisation
+(internal numerical differentiation), so step-control noise cancels in the
+finite-difference columns of :mod:`diffsys.immersion`.
 
 ``monodromy_batch`` never integrates whole loop words.  Each word is a
 product of lollipop letters based at the base point, and a letter's
 transport depends only on the system, the letter and the sheet it starts on,
-so a system contributes 2(2g+1) members: every letter on both sheets.  A
-word's transport is the product of its letter transports; since every letter
-swaps the sheet, the i-th letter of a word starts on the principal sheet for
-even i and on the other for odd i.  ``integrate_loop`` transports one member
-along a whole loop polyline; it is the full-word reference that the tests
-compare the letter products against.
+so a system contributes 2g+1 rows, one per letter, each run on both sheets.
+A word's transport is the product of its letter transports; since every
+letter swaps the sheet, the i-th letter of a word starts on the principal
+sheet for even i and on the other for odd i.  ``integrate_loop`` transports
+one row on one sheet along a whole loop polyline; it is the full-word
+reference that the tests compare the letter products against.
 
 Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
@@ -231,8 +235,10 @@ class LoopSystem:
 
 
 def _sqrt_f(x, root_rows):
-    """Principal sqrt(f(x)) for f = prod (x - r); ``root_rows`` is (2g+1, m)."""
-    return np.sqrt(np.multiply.reduce(x - root_rows, axis=0))
+    """Principal sqrt(f(x)) for f = prod (x - r), roots on axis -2 of ``root_rows``
+    (2g+1, m), just before the batch axis: leading axes of ``x`` then leave
+    numpy's choice of loop, fused elementwise or unfused reduction, unchanged."""
+    return np.sqrt(np.multiply.reduce(x - root_rows, axis=-2))
 
 
 def _nearer_root(w, y_old):
@@ -335,7 +341,7 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     paths = np.array(letters)
     root_rows = np.array(roots)[:, None]
     ys = _track_sqrt(paths, root_rows)
-    principal = _sqrt_f(paths, root_rows[:, :, None])
+    principal = _sqrt_f(paths.T[:, None], root_rows).T
     profiles = np.where(np.abs(ys - principal) <= np.abs(ys + principal), 1, -1).tolist()
     for k, profile in enumerate(profiles, start=1):
         if profile[-1] != -1:
@@ -438,58 +444,59 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 
 
-def _system_arrays(systems):
-    """Branch roots (S, 2g+1) and H/E/F coefficients (S, 3, g) of numeric systems."""
-    roots = np.array([s.roots for s in systems], dtype=complex)
-    polys = np.array([(s.h_poly, s.e_poly, s.f_poly) for s in systems], dtype=complex)
-    return roots, polys
-
-
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
-def _transport(vertices, sheets, roots, polys, ode_tol, members):
-    """Forward transports (m, 2, 2) of a batch of m members in one sweep.
+def _transport(vertices, sheets, systems, ode_tol, members):
+    """Forward transports (r, s, 2, 2) of r rows, each run on s sheets, in one sweep.
 
-    Member i runs along the polyline ``vertices[i]`` with branch roots
-    ``roots[i]`` and H/E/F coefficients ``polys[i]``, starting from
-    y = ``sheets[i]`` * principal sqrt(f) at its first vertex;
-    ``members[i]`` = (system index, path, starting sheet) names it in
-    errors.  The connection form is (sum_c M_c x^c) dx / y with
-    M_c = [[H_c, E_c], [F_c, -H_c]].  All members share one step sequence in
-    the segment parameter: the local error (mixed absolute/relative at
-    ``ode_tol``, embedded 4th-order estimate) is the largest in the batch,
-    the sheet guard |y_new - y_old| < |y_old| must hold for every member, and
-    a new segment rescales the carried step by the ratio of the longest
-    member segments.  Arrays are component-major, with the batch as the last
-    axis, so every update is a handful of contiguous vector operations.
+    Row i runs along the polyline ``vertices[i]`` with the numeric system
+    ``systems[i]``, once from each start y = sheet * principal sqrt(f),
+    sheet in ``sheets``; the connection form is (sum_c M_c x^c) dx / y with
+    M_c = [[H_c, E_c], [F_c, -H_c]].  ``members[i * s + j]`` = (system
+    index, path, starting sheet) names row i on sheet j in errors.  The local
+    error is mixed absolute/relative at ``ode_tol``; a new segment rescales
+    the carried step by the ratio of the longest row segments.
     """
     if ode_tol <= 0:
         raise ValueError("ode_tol must be positive")
-    m, nvert = vertices.shape
-    path = np.ascontiguousarray(vertices.T)  # (nvert, m)
-    root_rows = np.ascontiguousarray(roots.T)  # (2g+1, m)
-    # coeffs[c, j] = column j of M_c, shape (g, 2, 2, 1, m), so that
+    r, nvert = vertices.shape
+    ns = len(sheets)
+    path = np.ascontiguousarray(vertices.T)  # (nvert, r)
+    root_rows = np.ascontiguousarray(np.array([s.roots for s in systems], dtype=complex).T)
+    # coeffs[c, 0, j] = column j of M_c, shape (2, 1, r), so that
     # M @ state = column 0 * row 0 of state + column 1 * row 1 of state
-    hp, ep, fp = polys.transpose(1, 2, 0)  # each (g, m)
+    polys = np.array([(s.h_poly, s.e_poly, s.f_poly) for s in systems], dtype=complex)
+    hp, ep, fp = polys.transpose(1, 2, 0)  # each (g, r)
     coeffs = np.array([[hp, fp], [ep, -hp]]).transpose(2, 0, 1, 3)
-    coeffs = np.ascontiguousarray(coeffs[:, :, :, None, :])
+    coeffs = np.ascontiguousarray(coeffs[:, None, :, :, None, :])
+    # Member arrays are (..., sheet, row): rows innermost keep the inner loops
+    # long (sheets innermost made them length 2), and per-row geometry keeps
+    # a whole fd ladder's temporaries under numpy's 256 KB elision threshold.
+    conn = np.empty((6, 2, 2, 1, ns, r), dtype=complex)  # per stage, for every member
 
-    def rhs(x, delta, state, y_prev, out):
-        """out = [[H, E], [F, -H]](x) dx/y @ state; returns y continued from y_prev."""
-        y = _nearer_root(_sqrt_f(x, root_rows), y_prev)
-        conn = coeffs[-1]
+    def geometry(x, delta, y_prev):
+        """conn[:k] at the k points x (k, r); returns y (k, r), continued from
+        y_prev on the principal sheet.  The other sheet negates y, so conn."""
+        y = _nearer_root(_sqrt_f(x[:, None], root_rows), y_prev)
+        m = coeffs[-1]
         for c in coeffs[-2::-1]:
-            conn = conn * x + c
-        conn = conn * (delta / y)
-        np.add(conn[0] * state[0], conn[1] * state[1], out=out)
+            m = m * x[:, None, None, None, :] + c
+        m = m * (delta / y)[:, None, None, None, :]
+        for j, sheet in enumerate(sheets):
+            np.copyto(conn[: len(x), :, :, :, j], m if sheet > 0 else -m)
         return y
 
-    Y = np.zeros((2, 2, m), dtype=complex)
+    states = np.zeros((7, 2, 2, ns, r), dtype=complex)  # states[0] is Y, at the step start
+    Y = states[0]
     Y[0, 0] = Y[1, 1] = 1.0
-    y_ref = np.asarray(sheets) * _sqrt_f(path[0], root_rows)
-    K = np.empty((7, 2, 2, m), dtype=complex)
-    K_real = K.reshape(7, 4 * m).view(np.float64)  # stage sums as one real dgemv
-    # per stage: Butcher row, the earlier stages it weighs, its output, its node
-    stages = [(_A[i, :i], K_real[:i], K[i], _C[i]) for i in range(1, 7)]
+    y_ref = _sqrt_f(path[0], root_rows)
+    K = np.empty_like(states)
+    K_real = K.reshape(7, 4 * ns * r).view(np.float64)  # stage sums as one real dgemv
+    inc_real = np.empty(8 * ns * r)
+    inc = inc_real.view(complex).reshape(Y.shape)
+    prods = np.empty((2,) + Y.shape, dtype=complex)
+    # per stage: Butcher row, the earlier stages it weighs, its state and output
+    stages = [(_A[i, :i], K_real[:i], states[i], K[i]) for i in range(1, 7)]
+    nodes = np.array(_C[1:])
     h = 0.01
     err_prev = 1.0
     nsteps = 0
@@ -502,10 +509,7 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
         raise IntegrationError(
             f"{what} for system {member[0]}, {member[1]}, start sheet {member[2]:+d} "
             f"on segment {seg} at t={t:.6g}, h={h:.3g}",
-            member=member,
-            segment=seg,
-            t=t,
-            h=h,
+            member=member, segment=seg, t=t, h=h,
         )
 
     for seg in range(nvert - 1):
@@ -519,7 +523,8 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
         prev_len = seg_len
         t = 0.0
         h = min(max(h, 1e-6), 1.0)
-        rhs(v, delta, Y, y_ref, K[0])
+        geometry(v[None], delta, y_ref)
+        np.add(*np.multiply(conn[0], Y[:, None], out=prods), out=K[0])
 
         while t < 1.0:
             if 1.0 - t < 1e-13:
@@ -529,24 +534,27 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
             h = min(h, 1.0 - t)
             if h < _MIN_STEP:
                 fail("step-size underflow (path too close to a branch point?)", culprit)
-            for row, earlier, out, node in stages:
-                state = Y + h * (row @ earlier).view(complex).reshape(2, 2, m)
-                y_new = rhs(v + delta * (t + node * h), delta, state, y_ref, out)
+            y_new = geometry(v + delta * (t + nodes * h)[:, None], delta, y_ref)[-1]
+            for c, (row, earlier, state, out) in zip(conn, stages):
+                np.matmul(row, earlier, out=inc_real)
+                np.add(Y, np.multiply(h, inc, out=inc), out=state)
+                np.add(*np.multiply(c, state[:, None], out=prods), out=out)
             # stage 7 sits at t + h with the 5th-order solution as its state
-            err_vec = h * (_E @ K_real).view(complex).reshape(4, m)
-            scale = ode_tol + ode_tol * np.maximum(np.abs(Y), np.abs(state)).reshape(4, m)
-            member_err = (np.abs(err_vec) / scale).max(axis=0)
-            err = float(np.max(member_err))
+            np.matmul(_E, K_real, out=inc_real)
+            scale = ode_tol + ode_tol * np.maximum(np.abs(Y), np.abs(state))
+            rel_err = (np.abs(np.multiply(h, inc, out=inc)) / scale).reshape(4, ns, r)
+            err = float(rel_err.max())
             nsteps += 1
+            # culprits are read in member order (row, sheet)
             if not math.isfinite(err):
-                culprit = int(np.argmin(np.isfinite(member_err)))
+                culprit = int(np.argmin(np.isfinite(rel_err.max(axis=0).T)))
                 h *= 0.1
                 continue
-            guard = _on_sheet(y_new, y_ref)
+            guard = _on_sheet(y_new, y_ref)  # per row: negating y leaves the test unchanged
             sheet_ok = bool(guard.all())
             if err <= 1.0 and sheet_ok:
                 t += h
-                Y = state
+                Y[...] = state
                 y_ref = y_new
                 K[0] = K[6]
                 fac = 6.0 if err == 0.0 else 0.9 * err ** -0.2 * err_prev ** 0.08
@@ -554,16 +562,16 @@ def _transport(vertices, sheets, roots, polys, ode_tol, members):
                 h *= min(6.0, max(0.2, fac))
             else:
                 if sheet_ok:
-                    culprit = int(np.argmax(member_err))
+                    culprit = int(np.argmax(rel_err.max(axis=0).T))
                     shrink = max(0.1, 0.9 * err ** -0.2)
                 else:
-                    culprit = int(np.argmin(guard))
+                    culprit = int(np.argmin(guard)) * ns  # the row's first sheet
                     shrink = 0.5
                 h *= min(0.9, shrink)
-    finite = np.isfinite(Y).reshape(4, m).all(axis=0)
+    finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
     if not finite.all():
         fail("non-finite transport values", int(np.argmin(finite)))
-    return np.ascontiguousarray(Y.transpose(2, 0, 1))
+    return np.ascontiguousarray(Y.transpose(3, 2, 0, 1))
 
 
 def integrate_loop(system, loop: Loop, ode_tol: float):
@@ -574,10 +582,9 @@ def integrate_loop(system, loop: Loop, ode_tol: float):
     transports instead; this full-word path is the reference the tests
     compare those products against.
     """
-    roots, polys = _system_arrays([_coerce(system)])
     member = (0, f"loop {loop.name}", loop.sheets[0])
     vertices = np.array([loop.vertices], dtype=complex)
-    return _transport(vertices, [loop.sheets[0]], roots, polys, ode_tol, [member])[0]
+    return _transport(vertices, (loop.sheets[0],), [_coerce(system)], ode_tol, [member])[0, 0]
 
 
 # -- monodromy representation ----------------------------------------------------
@@ -626,7 +633,8 @@ def _sl2_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def _opnorm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
+    # an overflowed product has no SVD; its norm is infinite, not an error
+    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else math.inf
 
 
 def monodromy_batch(
@@ -647,23 +655,13 @@ def monodromy_batch(
     of ``systems``.
     """
     nsys = [_coerce(s) for s in systems]
-    roots, polys = _system_arrays(nsys)
     letters = np.array(loops.letters, dtype=complex)
-    per_system = len(_SHEETS) * len(letters)
-    members = [
-        (i, f"letter {k}", s)
-        for i in range(len(nsys))
-        for k in range(1, len(letters) + 1)
-        for s in _SHEETS
-    ]
-    transports = _transport(
-        np.tile(np.repeat(letters, len(_SHEETS), axis=0), (len(nsys), 1)),
-        np.tile(_SHEETS, len(members) // len(_SHEETS)),
-        np.repeat(roots, per_system, axis=0),
-        np.repeat(polys, per_system, axis=0),
-        ode_tol,
-        members,
-    ).reshape(len(nsys), len(letters), len(_SHEETS), 2, 2)
+    # one row per (system, letter), run on both sheets; members sheet fastest
+    rows = [s for s in nsys for _ in letters]
+    members = [(i, f"letter {k}", s) for i in range(len(nsys))
+               for k in range(1, len(letters) + 1) for s in _SHEETS]
+    transports = _transport(np.tile(letters, (len(nsys), 1)), _SHEETS, rows, ode_tol, members)
+    transports = transports.reshape(len(nsys), len(letters), len(_SHEETS), 2, 2)
 
     names = tuple(loop.name for loop in loops.loops)
     eye = np.eye(2, dtype=complex)

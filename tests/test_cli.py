@@ -1,6 +1,8 @@
 import json
 import re
 
+import numpy as np
+
 from diffsys.cli import main
 
 
@@ -208,6 +210,22 @@ class TestMonodromyCommand:
         )
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_linalg_failure_exit2(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, but it is a numerical failure
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        code = run_cli(
+            [
+                "monodromy", "--branch-points", "0,1,2,3,4", "--seed", "3",
+                "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_invalid_representation_exit2(self, tmp_path, capsys):
         # this genus-3 system misses the relation gate (residual about 5e-5)

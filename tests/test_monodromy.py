@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from diffsys.monodromy import (
     standard_word_list,
     trace_vector,
     MonodromyRepresentation,
+    _representation,
 )
 from diffsys.systems import (
     DifferentialSystem,
@@ -260,6 +262,15 @@ class TestMonodromy:
                 assert np.array_equal(a, b)
             assert rep1.involution_defects == rep2.involution_defects
 
+    def test_overflowed_relation_is_invalid_not_an_error(self):
+        """A relation product that overflows has infinite residual: the
+        representation is invalid, and no SVD is attempted on it."""
+        big = np.diag([1e200, 1e-200]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), 1e-8, 1e-10, ())
+        assert rep.relation_residual == math.inf
+        assert rep.valid is False
+
     def test_involution_defects_reported(self, loops_g2, rep_g2):
         defects = rep_g2.to_json()["involution_defects"]
         assert len(defects) == 2 * loops_g2.genus + 1 == len(loops_g2.letters)
@@ -303,6 +314,16 @@ class TestBatchedTransport:
         assert err.member[:2] == (2, "letter 2")
         assert "system 2, letter 2" in str(err)
         assert err.segment is not None and err.h is not None
+
+    def test_failing_member_named_in_row_sheet_order(self, genus2_curve, loops_g2):
+        """Errors are read in member order (system, letter, sheet), sheet
+        fastest, however the kernel lays its arrays out."""
+        ok = NumericSL2System.from_system(small_system(genus2_curve, 3))
+        bad = NumericSL2System(ok.roots, (1e300,) * 2, (1e300,) * 2, (1e300,) * 2)
+        with pytest.raises(IntegrationError) as info:
+            monodromy_batch([ok, bad, ok], loops_g2, 1e-10)
+        assert info.value.member == (1, "letter 1", 1)
+        assert info.value.segment == 0
 
 
 class TestTraceVector:
