@@ -105,6 +105,8 @@ def _system_from_args(args, curve):
                 system = system_from_json(json.load(fh))
         except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
             raise ConfigError(f"--system-json invalid: {err}") from None
+        if system.curve != curve:
+            raise ConfigError("system curve does not match the requested curve")
         return system
     lie = builtin_algebra(args.algebra)
     system = sample_system(curve, lie, seed=args.seed, coefficient_bound=args.bound)
@@ -118,14 +120,6 @@ def _positive(args, name):
     if value is None or value <= 0:
         raise ConfigError(f"{name.replace('_', '-')} must be positive")
     return value
-
-
-def _json_only(args, subcommand):
-    if args.format == "csv":
-        raise ConfigError(
-            f"--format csv is not available for {subcommand}; CSV covers only "
-            "the lazarsfeld tally and the immersion singular-value table"
-        )
 
 
 def _write(args, text: str) -> None:
@@ -168,7 +162,6 @@ def _report(args, subcommand, config, result) -> dict:
 
 
 def _cmd_dims(args):
-    _json_only(args, "dims")
     if args.genus < 2:
         raise ConfigError("--genus must be >= 2")
     lie = builtin_algebra(args.algebra)
@@ -179,7 +172,6 @@ def _cmd_dims(args):
 
 
 def _cmd_noether(args):
-    _json_only(args, "noether")
     curve = _curve_from_args(args)
     verdict = noether_check(curve)
     config = {"curve": curve_to_json(curve), "seed": args.seed}
@@ -210,11 +202,8 @@ def _cmd_lazarsfeld(args):
 
 
 def _cmd_criterion(args):
-    _json_only(args, "criterion")
     curve = _curve_from_args(args)
     system = _system_from_args(args, curve)
-    if system.curve != curve:
-        raise ConfigError("system curve does not match the requested curve")
     verdict = criterion_injective(curve, system)
     dyad = dyad_detect(system)
     config = {
@@ -228,7 +217,6 @@ def _cmd_criterion(args):
 
 
 def _cmd_monodromy(args):
-    _json_only(args, "monodromy")
     curve = _curve_from_args(args)
     if not isinstance(curve, HyperellipticCurve):
         raise ConfigError("monodromy runs on hyperelliptic curves only")
@@ -302,9 +290,13 @@ def _add_curve_args(p):
     p.add_argument("--curve-json", help="path to a curve description JSON file")
 
 
+def _add_format(p):
+    # CSV covers only the lazarsfeld tally and the immersion singular-value table
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+
 def _add_common(p):
     p.add_argument("--out", help="report path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=int, default=0)
     # kept so that existing command lines still parse; every subcommand
     # runs in one thread
@@ -334,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_args(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--w-dim", type=int, default=3)
+    _add_format(p)
     _add_common(p)
     p.set_defaults(func=_cmd_lazarsfeld)
 
@@ -364,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd-steps", default="1e-4,1e-5,1e-6")
     p.add_argument("--ode-tol", type=float, default=1e-12)
     p.add_argument("--clearance", type=float, default=0.22)
+    _add_format(p)
     _add_common(p)
     p.set_defaults(func=_cmd_immersion)
 

@@ -150,6 +150,9 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
+    def to_numpy(self) -> np.ndarray:
+        return np.array([e.to_complex() for e in self.entries]).reshape(self.rows, self.cols)
+
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             self.cols,

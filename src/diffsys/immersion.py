@@ -27,7 +27,7 @@ The map is holomorphic, so the real Jacobian has even rank and paired
 singular values; reports state the complex rank (real rank / 2) and record
 whether evenness held.  When the estimated rank equals the full dimension
 there is no trailing singular value to form a gap against, so the gap ratio
-is taken against the detection floor ``rank_rel_floor * sigma_1``.
+is taken against the detection floor ``_RANK_REL_FLOOR * sigma_1`` (1e-6 sigma_1).
 
 Branch directions and coefficient directions carry very different natural
 units, which skews raw singular values without changing the rank.  Before
@@ -54,7 +54,7 @@ from .monodromy import (
     IrreducibilityVerdict,
     LoopSystem,
     MonodromyRepresentation,
-    NumericSL2System,
+    NumericSystem,
     build_loops,
     irreducibility_probe,
     monodromy_batch,
@@ -145,9 +145,6 @@ class SystCoordinates:
     def free_complex_count(self) -> int:
         return len(self.parameter_labels())
 
-    def numeric(self) -> NumericSL2System:
-        return NumericSL2System.from_system(self.system)
-
     def to_json(self):
         return {
             "curve": curve_to_json(self.curve),
@@ -160,6 +157,7 @@ class SystCoordinates:
 
 
 _CENTER_TRIES = 64  # system samples before a center gives up on regularity
+_RANK_REL_FLOOR = 1e-6  # detection floor of the gap rule and numeric ranks, relative to sigma_1
 
 
 def make_center(
@@ -229,24 +227,28 @@ class ImmersionReport:
         }
 
 
-def _perturbed(base: NumericSL2System, label, delta: complex) -> NumericSL2System:
+def _perturbed(base: NumericSystem, rho, label, delta: complex) -> NumericSystem:
+    """``base`` moved by ``delta`` along a branch point or along coefficient
+    (r, c), which adds delta * rho[r] to M_c; ``rho`` is the numeric defining
+    representation, and only its nonzero entries are touched."""
     kind, where = label
     if kind == "branch":
         roots = list(base.roots)
         roots[where] = roots[where] + delta
-        return NumericSL2System(tuple(roots), base.h_poly, base.e_poly, base.f_poly)
+        return NumericSystem(tuple(roots), base.matrices)
     r, c = where
-    polys = [list(base.h_poly), list(base.e_poly), list(base.f_poly)]
-    polys[r][c] = polys[r][c] + delta
-    return NumericSL2System(base.roots, tuple(polys[0]), tuple(polys[1]), tuple(polys[2]))
+    matrices = base.matrices.copy()
+    moved = rho[r] != 0
+    matrices[c][moved] += delta * rho[r][moved]
+    return NumericSystem(base.roots, matrices)
 
 
-def _gap_rank(sigma, floor_rel):
+def _gap_rank(sigma):
     """(real_rank, gap_ratio) by the documented gap rule over the spectrum."""
     if not sigma or sigma[0] == 0.0:
         return 0, 0.0
     s1 = sigma[0]
-    floor = floor_rel * s1
+    floor = _RANK_REL_FLOOR * s1
     best_r, best_ratio = 0, 0.0
     m = len(sigma)
     for r in range(1, m + 1):
@@ -274,7 +276,7 @@ def _equilibrate(jac: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_step(center: SystCoordinates, base: NumericSL2System, labels, fd_step: float):
+def _check_step(center: SystCoordinates, base: NumericSystem, labels, fd_step: float):
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     if fd_step > center.clearance / 4:
@@ -293,7 +295,7 @@ def _check_step(center: SystCoordinates, base: NumericSL2System, labels, fd_step
                 )
 
 
-def _experiments(center: SystCoordinates, steps, ode_tol, words=None, rank_rel_floor=1e-6):
+def _experiments(center: SystCoordinates, steps, ode_tol):
     """One report per fd step, from a single batched monodromy call.
 
     The batch holds the center and, for every step, the +delta and -delta
@@ -302,10 +304,9 @@ def _experiments(center: SystCoordinates, steps, ode_tol, words=None, rank_rel_f
     perturbed system is reported under its direction and step.
     """
     g = center.genus
-    if words is None:
-        words = standard_word_list(g)
     labels = center.parameter_labels()
-    base = center.numeric()
+    base = NumericSystem.from_system(center.system)
+    rho = np.array([m.to_numpy() for m in center.system.lie.rep_matrices])
     for fd_step in steps:
         _check_step(center, base, labels, fd_step)
 
@@ -315,7 +316,7 @@ def _experiments(center: SystCoordinates, steps, ode_tol, words=None, rank_rel_f
     for fd_step in steps:
         for label, unit in directions:
             delta = fd_step * unit
-            systems += [_perturbed(base, label, delta), _perturbed(base, label, -delta)]
+            systems += [_perturbed(base, rho, label, delta), _perturbed(base, rho, label, -delta)]
             probes += [(fd_step, label, delta)] * 2
 
     def direction_failed(index, err):
@@ -346,7 +347,7 @@ def _experiments(center: SystCoordinates, steps, ode_tol, words=None, rank_rel_f
     traces = [None]
     for index, rep in enumerate(reps[1:], start=1):
         try:
-            traces.append(np.array(trace_vector(rep, words).values, dtype=complex))
+            traces.append(np.array(trace_vector(rep).values, dtype=complex))
         except InvalidRepresentationError as err:
             raise direction_failed(index, err) from err
 
@@ -358,24 +359,25 @@ def _experiments(center: SystCoordinates, steps, ode_tol, words=None, rank_rel_f
             for j in range(len(directions))
         ]
         reports.append(
-            _report(center, fd_step, cols, words, rank_rel_floor, verdict, probe, center_rep, status)
+            _report(center, fd_step, cols, verdict, probe, center_rep, status)
         )
     return reports
 
 
-def _report(center, fd_step, cols, words, rank_rel_floor, verdict, probe, center_rep, status):
+def _report(center, fd_step, cols, verdict, probe, center_rep, status):
     g = center.genus
+    words = standard_word_list(g)
     jac = np.zeros((2 * len(words), len(cols)), dtype=float)
     for j, col in enumerate(cols):
         jac[0::2, j] = col.real
         jac[1::2, j] = col.imag
 
     fm = FloatMatrix.from_numpy(jac.astype(complex))
-    _, raw_sigma = numeric_rank(fm, rel_tol=rank_rel_floor)
+    _, raw_sigma = numeric_rank(fm, rel_tol=_RANK_REL_FLOOR)
     _, sigma = numeric_rank(
-        FloatMatrix.from_numpy(_equilibrate(jac).astype(complex)), rel_tol=rank_rel_floor
+        FloatMatrix.from_numpy(_equilibrate(jac).astype(complex)), rel_tol=_RANK_REL_FLOOR
     )
-    real_rank, gap_ratio = _gap_rank(sigma, rank_rel_floor)
+    real_rank, gap_ratio = _gap_rank(sigma)
     even = real_rank % 2 == 0
 
     nbranch = 2 * (2 * g - 1)
@@ -398,16 +400,12 @@ def _report(center, fd_step, cols, words, rank_rel_floor, verdict, probe, center
         center_rep=center_rep,
         status=status,
         per_block_column_norms=blocks,
-        words=tuple(tuple(w) for w in words),
+        words=words,
     )
 
 
 def immersion_experiment(
-    center: SystCoordinates,
-    fd_step: float,
-    ode_tol: float = 1e-12,
-    words=None,
-    rank_rel_floor: float = 1e-6,
+    center: SystCoordinates, fd_step: float, ode_tol: float = 1e-12
 ) -> ImmersionReport:
     """Central finite differences of the trace chart at one center.
 
@@ -416,7 +414,7 @@ def immersion_experiment(
     error.  One column per real coordinate; the center and every perturbed
     system are transported in one batch.
     """
-    return _experiments(center, (fd_step,), ode_tol, words, rank_rel_floor)[0]
+    return _experiments(center, (fd_step,), ode_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -437,7 +435,7 @@ class LadderReport:
         }
 
 
-def fd_step_ladder(center: SystCoordinates, steps, ode_tol: float = 1e-12, **kw) -> LadderReport:
+def fd_step_ladder(center: SystCoordinates, steps, ode_tol: float = 1e-12) -> LadderReport:
     """Run the experiment at every step of a ladder and compare spectra.
 
     All steps go into one batched monodromy call with a shared center.
@@ -449,7 +447,7 @@ def fd_step_ladder(center: SystCoordinates, steps, ode_tol: float = 1e-12, **kw)
         raise ValueError("fd ladder needs at least 3 steps")
     if max(steps) / min(steps) < 99.999:
         raise ValueError("fd ladder must span at least two orders of magnitude")
-    reports = tuple(_experiments(center, steps, ode_tol, **kw))
+    reports = tuple(_experiments(center, steps, ode_tol))
     ranks = tuple(r.estimated_rank for r in reports)
     dev = 0.0
     for i in range(len(reports)):

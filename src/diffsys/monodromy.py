@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import HyperellipticCurve
-from .systems import DifferentialSystem
+from .systems import DifferentialSystem, coefficient_matrices
 
 __all__ = [
     "ClearanceError",
@@ -90,7 +90,7 @@ __all__ = [
     "MonodromyRepresentation",
     "TraceVector",
     "IrreducibilityVerdict",
-    "NumericSL2System",
+    "NumericSystem",
     "canonical_words",
     "build_loops",
     "integrate_loop",
@@ -393,33 +393,27 @@ def _validate_clearance(vertices, roots, clearance):
 
 
 @dataclass(frozen=True)
-class NumericSL2System:
-    """Float view of an sl2 system: branch roots and H/E/F coefficient polys."""
+class NumericSystem:
+    """Float view of a system: branch roots and one connection matrix per differential."""
 
     roots: tuple  # 2g+1 complex branch points
-    h_poly: tuple  # ascending coefficients of the H-component polynomial
-    e_poly: tuple
-    f_poly: tuple
+    matrices: np.ndarray  # (g, 2, 2) complex: M_c of systems.coefficient_matrices
 
     @staticmethod
-    def from_system(system: DifferentialSystem) -> "NumericSL2System":
+    def from_system(system: DifferentialSystem) -> "NumericSystem":
         if system.lie.name != "sl2" or system.lie.dimension != 3:
             raise ValueError("monodromy integration supports sl2 systems only")
         curve = system.curve
         if not isinstance(curve, HyperellipticCurve):
             raise ValueError("monodromy integration supports hyperelliptic curves only")
-        coeff = system.coefficients
-        g = curve.genus
-        rows = [tuple(e.to_complex() for e in coeff.row(j)) for j in range(3)]
-        return NumericSL2System(
-            tuple(curve.float_roots()), rows[0][:g], rows[1][:g], rows[2][:g]
-        )
+        matrices = np.array([m.to_numpy() for m in coefficient_matrices(system)])
+        return NumericSystem(tuple(curve.float_roots()), matrices)
 
 
-def _coerce(system) -> NumericSL2System:
-    if isinstance(system, NumericSL2System):
+def _coerce(system) -> NumericSystem:
+    if isinstance(system, NumericSystem):
         return system
-    return NumericSL2System.from_system(system)
+    return NumericSystem.from_system(system)
 
 
 # -- batched Dormand-Prince 5(4) transport --------------------------------------
@@ -451,7 +445,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     Row i runs along the polyline ``vertices[i]`` with the numeric system
     ``systems[i]``, once from each start y = sheet * principal sqrt(f),
     sheet in ``sheets``; the connection form is (sum_c M_c x^c) dx / y with
-    M_c = [[H_c, E_c], [F_c, -H_c]].  ``members[i * s + j]`` = (system
+    M_c from ``systems.coefficient_matrices``.  ``members[i * s + j]`` = (system
     index, path, starting sheet) names row i on sheet j in errors.  The local
     error is mixed absolute/relative at ``ode_tol``; a new segment rescales
     the carried step by the ratio of the longest row segments.
@@ -464,9 +458,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     root_rows = np.ascontiguousarray(np.array([s.roots for s in systems], dtype=complex).T)
     # coeffs[c, 0, j] = column j of M_c, shape (2, 1, r), so that
     # M @ state = column 0 * row 0 of state + column 1 * row 1 of state
-    polys = np.array([(s.h_poly, s.e_poly, s.f_poly) for s in systems], dtype=complex)
-    hp, ep, fp = polys.transpose(1, 2, 0)  # each (g, r)
-    coeffs = np.array([[hp, fp], [ep, -hp]]).transpose(2, 0, 1, 3)
+    coeffs = np.array([s.matrices for s in systems], dtype=complex).transpose(1, 3, 2, 0)
     coeffs = np.ascontiguousarray(coeffs[:, None, :, :, None, :])
     # Member arrays are (..., sheet, row): rows innermost keep the inner loops
     # long (sheets innermost made them length 2), and per-row geometry keeps
@@ -680,6 +672,7 @@ def monodromy_batch(
     return reps
 
 
+@np.errstate(all="ignore")  # an overflowed relation product is reported invalid
 def _representation(transports, names, relation_tol, det_tol, defects):
     det_res = tuple(
         float(abs((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)) for m in transports
@@ -695,15 +688,9 @@ def _representation(transports, names, relation_tol, det_tol, defects):
     )
 
 
-def monodromy(
-    system,
-    loops: LoopSystem,
-    ode_tol: float,
-    relation_tol: float = 1e-8,
-    det_tol: float = 1e-10,
-) -> MonodromyRepresentation:
+def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentation:
     """The representation of one system: ``monodromy_batch`` of one."""
-    return monodromy_batch([system], loops, ode_tol, relation_tol, det_tol)[0]
+    return monodromy_batch([system], loops, ode_tol)[0]
 
 
 # -- trace coordinates ------------------------------------------------------------
@@ -751,16 +738,14 @@ def _require_valid(rep: MonodromyRepresentation) -> None:
         )
 
 
-def trace_vector(rep: MonodromyRepresentation, words=None) -> TraceVector:
+def trace_vector(rep: MonodromyRepresentation) -> TraceVector:
     """Traces of the documented word list in the generator matrices.
 
     Requires a valid representation (relation and determinant residuals
     within their configured tolerances).
     """
     _require_valid(rep)
-    g = rep.genus
-    if words is None:
-        words = standard_word_list(g)
+    words = standard_word_list(rep.genus)
     lookup = {name: rep.matrices[i] for i, name in enumerate(rep.loop_names)}
     values = []
     for w in words:
@@ -768,10 +753,12 @@ def trace_vector(rep: MonodromyRepresentation, words=None) -> TraceVector:
         for name in w:
             m = m @ lookup[name]
         values.append(complex(m[0, 0] + m[1, 1]))
-    return TraceVector(tuple(tuple(w) for w in words), tuple(values))
+    return TraceVector(words, tuple(values))
 
 
 # -- irreducibility probe -----------------------------------------------------------
+
+_PROBE_TOL = 1e-6  # relative tolerance of the common-eigenvector tests
 
 
 @dataclass(frozen=True)
@@ -791,14 +778,14 @@ class IrreducibilityVerdict:
         }
 
 
-def irreducibility_probe(rep: MonodromyRepresentation, tol: float = 1e-6) -> IrreducibilityVerdict:
+def irreducibility_probe(rep: MonodromyRepresentation) -> IrreducibilityVerdict:
     """Search for a common eigenvector of all generators.
 
     A proper parabolic in SL(2, C) stabilizes a line, so a representation is
     reducible exactly when such a common line exists.  Candidate lines come
     from the eigenvectors of the first generator that is not a scalar
     multiple of the identity; each candidate is tested against all
-    generators at the given relative tolerance.  Requires a valid
+    generators at the relative tolerance ``_PROBE_TOL``.  Requires a valid
     representation.
     """
     _require_valid(rep)
@@ -807,7 +794,7 @@ def irreducibility_probe(rep: MonodromyRepresentation, tol: float = 1e-6) -> Irr
     candidates = None
     for m in mats:
         centered = m - (np.trace(m) / 2.0) * np.eye(2)
-        if _opnorm(centered) > tol * scale:
+        if _opnorm(centered) > _PROBE_TOL * scale:
             _, vecs = np.linalg.eig(m)
             candidates = [vecs[:, 0], vecs[:, 1]]
             break
@@ -820,7 +807,7 @@ def irreducibility_probe(rep: MonodromyRepresentation, tol: float = 1e-6) -> Irr
         for m in mats:
             image = m @ v
             mu = np.vdot(v, image)
-            if np.linalg.norm(image - mu * v) > tol * max(_opnorm(m), 1.0):
+            if np.linalg.norm(image - mu * v) > _PROBE_TOL * max(_opnorm(m), 1.0):
                 common = False
                 break
         if common:

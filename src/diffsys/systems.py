@@ -24,6 +24,7 @@ __all__ = [
     "DyadVerdict",
     "DimensionReport",
     "builtin_algebra",
+    "coefficient_matrices",
     "conjugate_system",
     "contract",
     "dyad_detect",
@@ -324,15 +325,36 @@ def scale_system(system: DifferentialSystem, factor: ExactScalar) -> Differentia
     )
 
 
+def coefficient_matrices(system: DifferentialSystem) -> tuple:
+    """The connection matrices M_c = sum_j coeff[j, c] rho(e_j), one exact
+    ExactMatrix per differential c, with rho the algebra's defining
+    representation; for sl2 with basis (H, E, F), M_c = [[H_c, E_c], [F_c, -H_c]]."""
+    lie = system.lie
+    if lie.rep_matrices is None:
+        raise ValueError("algebra carries no defining representation")
+    n = lie.rep_matrices[0].rows
+    coeff = system.coefficients
+    mats = []
+    for c in range(coeff.cols):
+        acc = [ZERO] * (n * n)
+        for j, rho in enumerate(lie.rep_matrices):
+            cf = coeff.get(j, c)
+            if cf.is_zero():
+                continue
+            for t, e in enumerate(rho.entries):
+                acc[t] = acc[t] + cf * e
+        mats.append(ExactMatrix(n, n, tuple(acc)))
+    return tuple(mats)
+
+
 def conjugate_system(system: DifferentialSystem, s: ExactMatrix) -> DifferentialSystem:
     """Apply a constant gauge transformation: each coefficient matrix M_i of
     the system (the g-valued coefficient of the i-th differential) becomes
     S M_i S^-1.  Requires the algebra to carry a 2x2 defining representation
     (sl2, gl2)."""
     lie = system.lie
-    if lie.rep_matrices is None:
-        raise ValueError("algebra carries no defining representation")
-    n = lie.rep_matrices[0].rows
+    mats = coefficient_matrices(system)
+    n = mats[0].rows
     if n != 2:
         raise ValueError(
             f"gauge conjugation supports 2x2 defining representations only; {lie.name} is {n}x{n}"
@@ -349,20 +371,11 @@ def conjugate_system(system: DifferentialSystem, s: ExactMatrix) -> Differential
         ]
     )
     columns = [tuple(m.entries) for m in lie.rep_matrices]
-    coeff = system.coefficients
-    g = coeff.cols
-    new_cols = []
-    for c in range(g):
-        acc = [ZERO] * (n * n)
-        for j in range(lie.dimension):
-            cf = coeff.get(j, c)
-            if cf.is_zero():
-                continue
-            for t, e in enumerate(lie.rep_matrices[j].entries):
-                acc[t] = acc[t] + cf * e
-        m = ExactMatrix(n, n, tuple(acc))
-        conj = s.matmul(m).matmul(s_inv)
-        new_cols.append(_exact_solve(columns, tuple(conj.entries)))
+    new_cols = [
+        _exact_solve(columns, tuple(s.matmul(m).matmul(s_inv).entries))
+        for m in mats
+    ]
+    g = len(new_cols)
     entries = tuple(
         new_cols[c][j] for j in range(lie.dimension) for c in range(g)
     )

@@ -184,6 +184,27 @@ class TestMonodromyCommand:
             "probably_irreducible", "common_eigenvector_found",
         )
 
+    def test_system_json_on_another_curve_exit1(self, tmp_path, capsys):
+        """The loops come from the flag curve, so a system on other branch
+        points is refused rather than transported along the wrong loops."""
+        from diffsys.curves import HyperellipticCurve
+        from diffsys.systems import builtin_algebra, sample_system, system_to_json
+
+        curve = HyperellipticCurve.from_integers([0, 1, 3, 6, 10])
+        system = sample_system(curve, builtin_algebra("sl2"), seed=1, coefficient_bound=2)
+        spath = tmp_path / "system.json"
+        spath.write_text(json.dumps(system_to_json(system)))
+        out = tmp_path / "mono.json"
+        code = run_cli(
+            [
+                "monodromy", "--branch-points", "0,1,2,3,4",
+                "--system-json", str(spath), "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "does not match" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_ode_tol_exit1(self, capsys):
         code = run_cli(
             ["monodromy", "--branch-points", "0,1,2,3,4", "--ode-tol", "0"]

@@ -8,12 +8,13 @@ from diffsys.field import ExactMatrix, ExactScalar
 from diffsys.immersion import (
     GAUGE_FROZEN_ENTRIES,
     SystCoordinates,
+    _perturbed,
     fd_step_ladder,
     gauge_slice_regular,
     immersion_experiment,
     make_center,
 )
-from diffsys.monodromy import build_loops
+from diffsys.monodromy import NumericSystem, build_loops
 from diffsys.systems import (
     DifferentialSystem,
     builtin_algebra,
@@ -143,6 +144,27 @@ class TestImmersionExperiment:
         mask = np.abs(a) > 1e-6
         rel = np.abs(a[mask] - b[mask]) / np.abs(a[mask])
         assert float(rel.max()) <= 0.01
+
+
+class TestPerturbed:
+    def test_coefficient_direction_moves_only_representation_support(self, good_center):
+        """Moving coefficient (r, c) adds delta * rho(e_r) to M_c and leaves
+        every other bit alone, signed zeros included."""
+        base = NumericSystem.from_system(good_center.system)
+        before = base.matrices.copy()
+        rho = np.array([m.to_numpy() for m in SL2.rep_matrices])
+        delta = 1e-3 + 2e-3j
+        g = good_center.genus
+        for kind, (r, c) in (l for l in good_center.parameter_labels() if l[0] == "coeff"):
+            moved = _perturbed(base, rho, (kind, (r, c)), delta)
+            bits = moved.matrices.view(np.uint64) != base.matrices.view(np.uint64)
+            changed = bits.reshape(g, 2, 2, 2).any(axis=-1)
+            expected = np.zeros((g, 2, 2), dtype=bool)
+            expected[c] = rho[r] != 0
+            assert np.array_equal(changed, expected)
+            assert np.allclose(moved.matrices[c] - base.matrices[c], delta * rho[r], atol=1e-15)
+            assert moved.roots == base.roots
+        assert np.array_equal(base.matrices.view(np.uint64), before.view(np.uint64))
 
 
 class TestFdLadder:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from diffsys.monodromy import (
     IntegrationError,
     InvalidRepresentationError,
     Loop,
-    NumericSL2System,
+    NumericSystem,
     build_loops,
     canonical_words,
     integrate_loop,
@@ -271,6 +272,13 @@ class TestMonodromy:
         assert rep.relation_residual == math.inf
         assert rep.valid is False
 
+    def test_overflowed_relation_prints_no_warning(self):
+        big = np.diag([1e200, 1e-200]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), 1e-8, 1e-10, ())
+        assert rep.valid is False
+
     def test_involution_defects_reported(self, loops_g2, rep_g2):
         defects = rep_g2.to_json()["involution_defects"]
         assert len(defects) == 2 * loops_g2.genus + 1 == len(loops_g2.letters)
@@ -304,10 +312,10 @@ class TestBatchedTransport:
                 assert _rel_dev(a, b) <= 1e-10
 
     def test_member_on_branch_point_is_named(self, genus2_curve, loops_g2):
-        good = NumericSL2System.from_system(small_system(genus2_curve, 3))
+        good = NumericSystem.from_system(small_system(genus2_curve, 3))
         roots = list(good.roots)
         roots[0] = loops_g2.letters[1][6]  # a vertex of the second letter's circle
-        bad = NumericSL2System(tuple(roots), good.h_poly, good.e_poly, good.f_poly)
+        bad = NumericSystem(tuple(roots), good.matrices)
         with pytest.raises(IntegrationError) as info:
             monodromy_batch([good, good, bad], loops_g2, 1e-12)
         err = info.value
@@ -318,8 +326,8 @@ class TestBatchedTransport:
     def test_failing_member_named_in_row_sheet_order(self, genus2_curve, loops_g2):
         """Errors are read in member order (system, letter, sheet), sheet
         fastest, however the kernel lays its arrays out."""
-        ok = NumericSL2System.from_system(small_system(genus2_curve, 3))
-        bad = NumericSL2System(ok.roots, (1e300,) * 2, (1e300,) * 2, (1e300,) * 2)
+        ok = NumericSystem.from_system(small_system(genus2_curve, 3))
+        bad = NumericSystem(ok.roots, np.array([[[1e300, 1e300], [1e300, -1e300]]] * 2))
         with pytest.raises(IntegrationError) as info:
             monodromy_batch([ok, bad, ok], loops_g2, 1e-10)
         assert info.value.member == (1, "letter 1", 1)

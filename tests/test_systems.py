@@ -9,6 +9,7 @@ from diffsys.systems import (
     DifferentialSystem,
     LieAlgebraData,
     builtin_algebra,
+    coefficient_matrices,
     conjugate_system,
     contract,
     dimension_report,
@@ -226,6 +227,44 @@ class TestSystemSerialization:
         t = system_from_json(data)
         assert t.lie.name == "my_sl2"
         assert t.lie.structure_constants == sl2.structure_constants
+
+
+class TestCoefficientMatrices:
+    def test_sl2_layout(self, genus2_curve):
+        system = sample_system(genus2_curve, builtin_algebra("sl2"), seed=5, coefficient_bound=4)
+        mats = coefficient_matrices(system)
+        assert len(mats) == genus2_curve.genus
+        for c, m in enumerate(mats):
+            h, e, f = (system.coefficients.get(j, c) for j in range(3))
+            assert m == ExactMatrix.from_rows([[h, e], [f, -h]])
+
+    @pytest.mark.parametrize("name", ["gl2", "sl3"])
+    def test_sum_over_representation(self, genus3_curve, name):
+        lie = builtin_algebra(name)
+        system = sample_system(genus3_curve, lie, seed=6, coefficient_bound=4)
+        n = lie.rep_matrices[0].rows
+        mats = coefficient_matrices(system)
+        assert len(mats) == genus3_curve.genus
+        for c, m in enumerate(mats):
+            expected = [
+                [
+                    sum(
+                        (system.coefficients.get(j, c) * rho.get(a, b)
+                         for j, rho in enumerate(lie.rep_matrices)),
+                        es(0),
+                    )
+                    for b in range(n)
+                ]
+                for a in range(n)
+            ]
+            assert m == ExactMatrix.from_rows(expected)
+
+    def test_algebra_without_representation_rejected(self, genus2_curve):
+        sl2 = builtin_algebra("sl2")
+        bare = LieAlgebraData.from_structure_constants("bare", sl2.structure_constants)
+        coeff = sample_system(genus2_curve, sl2, seed=1, coefficient_bound=2).coefficients
+        with pytest.raises(ValueError, match="defining representation"):
+            coefficient_matrices(DifferentialSystem(genus2_curve, bare, coeff))
 
 
 class TestConjugateSystem:
