@@ -98,8 +98,20 @@ def _curve_from_args(args) -> object:
         raise ConfigError(f"--curve-json invalid: {err}") from None
 
 
+class _Given(argparse.Action):
+    """Store the flag's value and record in ``given`` that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 def _system_from_args(args, curve):
     if args.system_json is not None:
+        given = getattr(args, "given", ())
+        unused = [f"--{n}" for n in ("scale", "bound", "algebra", "seed") if n in given]
+        if unused:
+            raise ConfigError(f"{', '.join(unused)} cannot be used with --system-json")
         try:
             with open(args.system_json) as fh:
                 system = system_from_json(json.load(fh))
@@ -297,7 +309,7 @@ def _add_format(p):
 
 def _add_common(p):
     p.add_argument("--out", help="report path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, action=_Given)
     # kept so that existing command lines still parse; every subcommand
     # runs in one thread
     p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
@@ -332,18 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criterion", help="injectivity criterion for a system")
     _add_curve_args(p)
-    p.add_argument("--algebra", default="sl2", choices=["sl2", "gl2", "sl3"])
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--scale", default="1", help="exact rational factor applied to sampled coefficients")
+    p.add_argument("--algebra", default="sl2", choices=["sl2", "gl2", "sl3"], action=_Given)
+    p.add_argument("--bound", type=int, default=5, action=_Given)
+    p.add_argument("--scale", default="1", action=_Given, help="exact rational factor applied to sampled coefficients")
     p.add_argument("--system-json", help="path to a system JSON file (overrides sampling)")
     _add_common(p)
     p.set_defaults(func=_cmd_criterion)
 
     p = sub.add_parser("monodromy", help="full monodromy representation with traces")
     _add_curve_args(p)
-    p.add_argument("--algebra", default="sl2", choices=["sl2"])
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--scale", default="1/8")
+    p.add_argument("--algebra", default="sl2", choices=["sl2"], action=_Given)
+    p.add_argument("--bound", type=int, default=5, action=_Given)
+    p.add_argument("--scale", default="1/8", action=_Given)
     p.add_argument("--system-json")
     p.add_argument("--ode-tol", type=float, default=1e-12)
     p.add_argument("--clearance", type=float, default=0.22)

@@ -300,15 +300,27 @@ def canonical_basis(curve: Curve) -> DifferentialBasis:
     return DifferentialBasis(curve, 1, tuple(els))
 
 
+_QUADRATIC_BASES: dict = {}  # curve -> its verified weight-2 basis, oldest first
+_QUADRATIC_BASES_MAX = 64
+
+
 def quadratic_basis(curve: Curve) -> DifferentialBasis:
-    """Ordered basis of quadratic differentials (weight 2), 3g-3 elements."""
+    """Ordered basis of quadratic differentials (weight 2), 3g-3 elements,
+    built and verified once per curve for the last _QUADRATIC_BASES_MAX curves."""
+    basis = _QUADRATIC_BASES.get(curve)
+    if basis is not None:
+        return basis
     if isinstance(curve, HyperellipticCurve):
         g = curve.genus
         els = [Differential(_monomial(i), "y2", 2) for i in range(2 * g - 1)]
         els += [Differential(_monomial(j), "y", 2) for j in range(g - 2)]
-        return DifferentialBasis(curve, 2, tuple(els))
-    els = [Differential(((e, ONE),), "adj2", 2) for e in QUADRATIC_FORMS]
-    return DifferentialBasis(curve, 2, tuple(els))
+    else:
+        els = [Differential(((e, ONE),), "adj2", 2) for e in QUADRATIC_FORMS]
+    basis = DifferentialBasis(curve, 2, tuple(els))
+    if len(_QUADRATIC_BASES) >= _QUADRATIC_BASES_MAX:
+        del _QUADRATIC_BASES[next(iter(_QUADRATIC_BASES))]
+    _QUADRATIC_BASES[curve] = basis
+    return basis
 
 
 def multiply(d1: Differential, d2: Differential, curve: Curve) -> Differential:

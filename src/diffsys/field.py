@@ -2,9 +2,11 @@
 
 Every rank claim in this package reduces to one of two kernels:
 
-* ``exact_rank`` -- fraction-free (Bareiss) elimination over the Gaussian
-  integers, after clearing denominators row by row.  No tolerance, no
-  rounding; the answer is the rank over Q(i).
+* ``exact_rank`` -- fraction-free (Bareiss) elimination.  Each row is
+  cleared of denominators in integer arithmetic; the integer matrix is then
+  eliminated over Z with plain ints when every entry is real, and over the
+  Gaussian integers Z[i] otherwise.  No tolerance, no rounding; the answer is
+  the rank over Q(i).
 * ``numeric_rank`` -- singular values of a complex double matrix with a
   relative threshold.
 
@@ -14,6 +16,7 @@ Matrices here are small (tens of rows), so exactness is cheap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +48,8 @@ def _to_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class ExactScalar:
-    """An element of Q(i): exact rational real and imaginary parts."""
+    """An element of Q(i): exact rational real and imaginary parts.  Most are
+    real, and arithmetic on two real operands skips the imaginary parts."""
 
     re: Fraction
     im: Fraction
@@ -55,21 +59,29 @@ class ExactScalar:
         return ExactScalar(_to_fraction(re), _to_fraction(im))
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
+        if not self.im and not other.im:
+            return ExactScalar(self.re + other.re, _Q0)
         return ExactScalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
+        if not self.im and not other.im:
+            return ExactScalar(self.re - other.re, _Q0)
         return ExactScalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.re, -self.im)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
+        if not self.im and not other.im:
+            return ExactScalar(self.re * other.re, _Q0)
         return ExactScalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
+        if not self.im and not other.im:  # Fraction raises ZeroDivisionError on 0
+            return ExactScalar(self.re / other.re, _Q0)
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by exact zero")
@@ -105,6 +117,7 @@ class ExactScalar:
         return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}i)"
 
 
+_Q0 = Fraction(0)
 ZERO = ExactScalar.of(0)
 ONE = ExactScalar.of(1)
 
@@ -220,7 +233,14 @@ class FloatMatrix:
         return np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
 
 
-# -- exact rank (Bareiss over Gaussian integers) -----------------------------
+# -- exact rank (Bareiss over Z or the Gaussian integers) --------------------
+
+
+def _z_divexact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
 
 
 def _gi_mul(a, b):
@@ -243,48 +263,48 @@ def _gi_divexact(a, b):
     return (qr, qi)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
+# the rings of the elimination: zero, one, product, difference, checked exact division
+_INTEGERS = (0, 1, operator.mul, operator.sub, _z_divexact)
+_GAUSSIAN_INTEGERS = ((0, 0), (1, 0), _gi_mul, _gi_sub, _gi_divexact)
 
 
 def exact_rank(m: ExactMatrix) -> int:
     """Rank of ``m`` over Q(i), by fraction-free elimination.
 
-    Each row is scaled by the lcm of its denominators (rank-preserving), and
-    Bareiss two-step elimination runs over Gaussian integers, so intermediate
-    entries stay polynomially bounded and every division is exact.
+    Each row is scaled by the lcm of its denominators (rank-preserving), in
+    integer arithmetic.  Bareiss two-step elimination then runs over Z when
+    every scaled entry is real and over the Gaussian integers otherwise, so
+    intermediate entries stay polynomially bounded.  Every division is exact
+    and checked: a remainder raises ``ArithmeticError``.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
     work = []
     for i in range(m.rows):
         row = m.row(i)
-        scale = 1
-        for e in row:
-            scale = _lcm(scale, e.re.denominator)
-            scale = _lcm(scale, e.im.denominator)
-        work.append(
-            [(int(e.re * scale), int(e.im * scale)) for e in row]
-        )
+        scale = math.lcm(*(e.re.denominator for e in row), *(e.im.denominator for e in row))
+        work.append([(e.re.numerator * (scale // e.re.denominator),
+                      e.im.numerator * (scale // e.im.denominator)) for e in row])
+    real = not any(im for row in work for _, im in row)
+    work = [[re for re, _ in row] for row in work] if real else work
+    zero, prev, mul, sub, divexact = _INTEGERS if real else _GAUSSIAN_INTEGERS
     nrows, ncols = m.rows, m.cols
-    prev = (1, 0)
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c] != (0, 0):
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if work[i][c] != zero), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        piv = work[r][c]
+        top = work[r]
+        piv = top[c]
         for i in range(r + 1, nrows):
-            lead = work[i][c]
-            for j in range(c + 1, ncols):
-                num = _gi_sub(_gi_mul(work[i][j], piv), _gi_mul(lead, work[r][j]))
-                work[i][j] = _gi_divexact(num, prev)
-            work[i][c] = (0, 0)
+            row = work[i]
+            lead = row[c]
+            # column c is never read again, so only the columns after it move
+            row[c + 1 :] = [
+                divexact(sub(mul(a, piv), mul(lead, b)), prev)
+                for a, b in zip(row[c + 1 :], top[c + 1 :])
+            ]
         prev = piv
         r += 1
         if r == nrows:

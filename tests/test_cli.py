@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from diffsys.cli import main
 
@@ -205,6 +206,20 @@ class TestMonodromyCommand:
         assert "does not match" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_system_json_with_defaults_runs(self, tmp_path):
+        from diffsys.curves import HyperellipticCurve
+        from diffsys.systems import builtin_algebra, sample_system, system_to_json
+
+        curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
+        system = sample_system(curve, builtin_algebra("sl2"), seed=1, coefficient_bound=1)
+        spath = tmp_path / "system.json"
+        spath.write_text(json.dumps(system_to_json(system)))
+        out = tmp_path / "mono.json"
+        argv = ["monodromy", "--branch-points", "0,1,2,3,4", "--system-json", str(spath)]
+        assert run_cli(argv + ["--ode-tol", "1e-10", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["system"] == system_to_json(system)
+
     def test_zero_ode_tol_exit1(self, capsys):
         code = run_cli(
             ["monodromy", "--branch-points", "0,1,2,3,4", "--ode-tol", "0"]
@@ -350,3 +365,29 @@ class TestConfigFile:
             cfg.write_text(json.dumps({"subcommand": "dims", "genus": 2, "seed": value}))
             assert run_cli(["--config", str(cfg)]) == 1
             assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["criterion", "monodromy"])
+@pytest.mark.parametrize(
+    "flag, value", [("--scale", "2"), ("--bound", "9"), ("--algebra", "sl2"), ("--seed", "0")]
+)
+def test_sampling_flag_with_system_json_exit1(tmp_path, capsys, subcommand, flag, value):
+    """A --system-json system is not sampled, so a sampling flag given with
+    it, even at its default value, is refused instead of ignored."""
+    from diffsys.curves import HyperellipticCurve
+    from diffsys.systems import builtin_algebra, sample_system, system_to_json
+
+    curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
+    system = sample_system(curve, builtin_algebra("sl2"), seed=1, coefficient_bound=2)
+    spath = tmp_path / "system.json"
+    spath.write_text(json.dumps(system_to_json(system)))
+    out = tmp_path / "report.json"
+    code = run_cli(
+        [
+            subcommand, "--branch-points", "0,1,2,3,4", "--system-json", str(spath),
+            flag, value, "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from diffsys.curves import (
     CurveError,
+    Differential,
+    DifferentialBasis,
     HyperellipticCurve,
     MembershipError,
     PlaneQuartic,
@@ -147,6 +149,25 @@ class TestQuadraticBasis:
             [_element_coordinates(el, genus3_curve) for el in basis.elements]
         )
         assert exact_rank(mat) == len(basis)
+
+    def test_built_once_per_curve(self, genus3_curve, fermat_quartic):
+        for curve in (genus3_curve, fermat_quartic):
+            assert quadratic_basis(curve) is quadratic_basis(curve)
+        equal = HyperellipticCurve(tuple(genus3_curve.branch_points))
+        assert quadratic_basis(equal) is quadratic_basis(genus3_curve)
+
+    def test_memo_is_bounded(self):
+        from diffsys.curves import _QUADRATIC_BASES, _QUADRATIC_BASES_MAX
+
+        for k in range(_QUADRATIC_BASES_MAX + 5):
+            quadratic_basis(HyperellipticCurve.from_integers([0, 1, 2, 3, 5 + k]))
+        assert len(_QUADRATIC_BASES) == _QUADRATIC_BASES_MAX
+
+    def test_dependent_basis_rejected(self, genus3_curve):
+        els = list(quadratic_basis(genus3_curve).elements)
+        els[-1] = Differential(els[0].numerator, "y2", 2)
+        with pytest.raises(CurveError, match="not exactly independent"):
+            DifferentialBasis(genus3_curve, 2, tuple(els))
 
 
 class TestExpressInBasis:

@@ -9,6 +9,8 @@ from diffsys.field import (
     ExactMatrix,
     ExactScalar,
     FloatMatrix,
+    _gi_divexact,
+    _z_divexact,
     exact_rank,
     numeric_rank,
 )
@@ -26,6 +28,14 @@ def random_exact_matrix(rng, rows, cols, mag=100):
         re = Fraction(rng.randint(-mag, mag), rng.randint(1, mag))
         im = Fraction(rng.randint(-mag, mag), rng.randint(1, mag))
         entries.append(ExactScalar(re, im))
+    return ExactMatrix(rows, cols, tuple(entries))
+
+
+def random_real_matrix(rng, rows, cols, mag=100):
+    entries = [
+        ExactScalar.of(Fraction(rng.randint(-mag, mag), rng.randint(1, mag)))
+        for _ in range(rows * cols)
+    ]
     return ExactMatrix(rows, cols, tuple(entries))
 
 
@@ -47,6 +57,33 @@ class TestExactScalar:
     def test_json_roundtrip(self):
         x = es(Fraction(-3, 7), Fraction(22, 5))
         assert ExactScalar.from_json(x.to_json()) == x
+
+    def test_division_by_zero(self):
+        for a in (es(3), es(3, 1)):
+            for zero in (es(0), ExactScalar(Fraction(0), Fraction(0, 7))):
+                with pytest.raises(ZeroDivisionError):
+                    a / zero
+
+
+_rational = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 50))
+# about half the parts are exact zeros, so real x real, real x complex and
+# exact-zero operands are all drawn often
+_part = st.one_of(st.just(Fraction(0)), _rational)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_part, _part, _part, _part)
+def test_scalar_arithmetic_matches_componentwise_formula(a, b, c, d):
+    """(a + bi) op (c + di) against the textbook component formulas."""
+    x, y = ExactScalar(a, b), ExactScalar(c, d)
+    assert x + y == ExactScalar(a + c, b + d)
+    assert x - y == ExactScalar(a - c, b - d)
+    assert x * y == ExactScalar(a * c - b * d, a * d + b * c)
+    n = c * c + d * d
+    if n:
+        assert x / y == ExactScalar((a * c + b * d) / n, (b * c - a * d) / n)
+    for z in (x + y, x - y, x * y):
+        assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
 
 
 class TestExactRank:
@@ -100,6 +137,23 @@ class TestExactRank:
             v = _random_unimodular(rng, 5)
             assert exact_rank(u.matmul(m)) == exact_rank(m)
             assert exact_rank(m.matmul(v)) == exact_rank(m)
+
+    def test_real_low_rank_against_sympy(self):
+        """Real rational matrices take the integer elimination."""
+        rng = random.Random(29)
+        for _ in range(30):
+            r = rng.randint(0, 4)
+            n, k = rng.randint(1, 6), rng.randint(1, 6)
+            m = random_real_matrix(rng, n, r, mag=9).matmul(random_real_matrix(rng, r, k, mag=9))
+            assert exact_rank(m) == sympy_rank(m) <= r
+
+    def test_divisions_are_checked_on_both_rings(self):
+        assert _z_divexact(-12, 4) == -3
+        assert _gi_divexact((-2, 6), (1, 1)) == (2, 4)
+        with pytest.raises(ArithmeticError):
+            _z_divexact(7, 2)
+        with pytest.raises(ArithmeticError):
+            _gi_divexact((1, 0), (1, 1))
 
     def test_invariance_under_permutation(self):
         rng = random.Random(19)
@@ -186,3 +240,20 @@ def test_numeric_matches_exact_rank_property(data):
     m = ExactMatrix(rows, cols, tuple(entries))
     nrank, _ = numeric_rank(m.to_float(), 1e-10)
     assert nrank == exact_rank(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rank_of_real_matrix_unchanged_by_factor_i(data):
+    """i*M has the rank of M; M is eliminated over Z and i*M over Z[i]."""
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 6))
+    rank = data.draw(st.integers(0, min(rows, cols)))
+    part = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+    def real_matrix(n, k):
+        return ExactMatrix(n, k, tuple(ExactScalar.of(data.draw(part)) for _ in range(n * k)))
+
+    m = real_matrix(rows, rank).matmul(real_matrix(rank, cols))
+    im = ExactMatrix(rows, cols, tuple(ExactScalar.of(0, e.re) for e in m.entries))
+    assert exact_rank(im) == exact_rank(m) <= rank
