@@ -53,6 +53,7 @@ from .monodromy import (
     irreducibility_probe,
     monodromy,
     monodromy_batch,
+    monodromy_family,
     trace_vector,
 )
 from .immersion import SystCoordinates, fd_step_ladder, immersion_experiment, make_center

@@ -57,7 +57,7 @@ from .monodromy import (
     NumericSystem,
     build_loops,
     irreducibility_probe,
-    monodromy_batch,
+    monodromy_family,
     standard_word_list,
     trace_vector,
 )
@@ -330,7 +330,7 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
     # perturbed evaluations only need trace accuracy; the center keeps the
     # strict default gates
     try:
-        reps = monodromy_batch(systems, center.loops, ode_tol, relation_tol=1e-6, det_tol=1e-8)
+        reps = monodromy_family(systems, center.loops, ode_tol, relation_tol=1e-6, det_tol=1e-8)
     except IntegrationError as err:
         if err.member is None or err.member[0] == 0:
             raise

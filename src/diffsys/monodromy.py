@@ -24,33 +24,47 @@ One kernel solves dY = (sum_j B_j omega_j) Y in a single numpy sweep for a
 batch of *rows*, each a numeric system and a polyline (all with the same
 vertex count), run on every sheet of a shared tuple of starting sheets; a
 (row, sheet) pair is a *member*, starting from y = sheet * sqrt(f(x)) at its
-first vertex.  The sweep runs an embedded Runge-Kutta 5(4) pair
-(Dormand-Prince coefficients, PI step control) with one step sequence in the
-segment parameter, shared by all members: a step is accepted when the
-largest local error in the batch is within tolerance and every member passes
-the sheet guard, and the next step size follows from that largest error.
+first vertex.  The sweep runs the Dormand-Prince 8(5,3) pair DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.10; twelve stages, the last of which
+holds the step's solution, whose slope starts the next step) with one step
+sequence in the segment parameter, shared by all members: a step is accepted
+when the largest local error in the batch is within tolerance and every
+member passes the sheet guard, and the next step size follows from that
+largest error (factor 0.9 err^(-1/8) within [0.2, 6]).  An entry's local
+error is the combined estimate h |e5|^2 / hypot(|e5|, |e3| / 10), held to
+ode_tol / 10 in the mixed scale 1 + max(|Y|, |Y_new|): against transports at
+1e-15 of 48 genus-2 and genus-3 systems, ode_tol itself left the letters
+less accurate than the former 5(4) pair's on a third of them, the tenth
+more accurate on all.  An accepted step fails once an entry of Y passes
+2**26 = eps^(-1/2), where rounding alone breaks det = 1, naming the member.
 y is continued by the square-root rule that loop construction uses too:
 every stage takes the root nearer to y at the start of the step, and
 acceptance requires |y_new - y_old| < |y_old|, so a silent sheet jump is
 impossible and failure surfaces as step-size underflow, naming the member,
 the segment, t and h.  As no stage depends on an earlier stage's y, each
-step computes its geometry (x, y and the connection at all six new stages)
-in one pass per row; the other sheet's y and connection are exact
-negations and the guard ignores the sign, so one pass serves both sheets
-and changes no bit of any member's numbers.  With one step sequence the
-+delta and -delta systems of a central difference see one discretisation
-(internal numerical differentiation), so step-control noise cancels in the
-finite-difference columns of :mod:`diffsys.immersion`.
+step computes its geometry (x, y and the connection at the eleven new
+points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
+y and connection are exact negations and the guard ignores the sign, so one
+pass serves both sheets and changes no bit of any member's numbers.
 
-``monodromy_batch`` never integrates whole loop words.  Each word is a
-product of lollipop letters based at the base point, and a letter's
-transport depends only on the system, the letter and the sheet it starts on,
-so a system contributes 2g+1 rows, one per letter, each run on both sheets.
-A word's transport is the product of its letter transports; since every
-letter swaps the sheet, the i-th letter of a word starts on the principal
-sheet for even i and on the other for odd i.  ``integrate_loop`` transports
-one row on one sheet along a whole loop polyline; it is the full-word
-reference that the tests compare the letter products against.
+Who shares a sweep: :mod:`diffsys.immersion` runs a center and its +delta
+and -delta systems through ``monodromy_family``, so a central difference
+sees one discretisation and step-control noise cancels in its columns.
+``monodromy_batch`` sweeps each system alone, bit for bit as ``monodromy``:
+a shared step sequence moves a stiff system by about as much as double
+precision determines it (a genus-2 system of norm 1.7e3 moves by 1.3e-10,
+relative, from ode_tol 1e-14 to 1e-15).
+
+Neither integrates whole loop words.  Each word is a product of lollipop
+letters based at the base point, and a letter's transport depends only on
+the system, the letter and the sheet it starts on, so a system contributes
+2g+1 rows, one per letter, each run on both sheets.  A word's transport is
+the product of its letter transports, formed in extended precision
+(``np.clongdouble``) and rounded once; since every letter swaps the sheet,
+the i-th letter of a word starts on the principal sheet for even i and on
+the other for odd i.  ``integrate_loop`` transports one row on one sheet
+along a whole loop polyline; it is the full-word reference that the tests
+compare the letter products against.
 
 Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
@@ -96,6 +110,7 @@ __all__ = [
     "integrate_loop",
     "monodromy",
     "monodromy_batch",
+    "monodromy_family",
     "trace_vector",
     "standard_word_list",
     "irreducibility_probe",
@@ -416,26 +431,52 @@ def _coerce(system) -> NumericSystem:
     return NumericSystem.from_system(system)
 
 
-# -- batched Dormand-Prince 5(4) transport --------------------------------------
+# -- batched Dormand-Prince 8(5,3) transport ------------------------------------
 
-# Butcher rows as coefficients on k_0 .. k_5; row 6 holds the 5th-order
-# weights, so the stage-7 state is the step's solution (FSAL)
-_A = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-    ]
-)
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Hairer, Norsett & Wanner, Solving ODEs I, II.10.  Butcher rows of stages
+# 1 .. 12 as coefficients on k_0 .. k_11; row 12 holds the 8th-order weights,
+# so the stage-12 state is the step's solution (FSAL)
+_A = np.array([row + (0.0,) * (12 - len(row)) for row in (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+)])
+# nodes of stages 0 .. 12; stages 11 and 12 both sit at t + h
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0])
+# error weights on k_0 .. k_11: the 5th-order estimate e5, then the 3rd-order e3
+_E = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294],
+    [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082],
+])
 
 _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
+_GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
+_TINY = np.finfo(float).tiny  # a zero estimate over a zero denominator is 0, not NaN
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
@@ -447,8 +488,8 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     sheet in ``sheets``; the connection form is (sum_c M_c x^c) dx / y with
     M_c from ``systems.coefficient_matrices``.  ``members[i * s + j]`` = (system
     index, path, starting sheet) names row i on sheet j in errors.  The local
-    error is mixed absolute/relative at ``ode_tol``; a new segment rescales
-    the carried step by the ratio of the longest row segments.
+    error is mixed absolute/relative at ``ode_tol / 10``; a new segment
+    rescales the carried step by the ratio of the longest row segments.
     """
     if ode_tol <= 0:
         raise ValueError("ode_tol must be positive")
@@ -463,7 +504,8 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     # Member arrays are (..., sheet, row): rows innermost keep the inner loops
     # long (sheets innermost made them length 2), and per-row geometry keeps
     # a whole fd ladder's temporaries under numpy's 256 KB elision threshold.
-    conn = np.empty((6, 2, 2, 1, ns, r), dtype=complex)  # per stage, for every member
+    conn = np.empty((11, 2, 2, 1, ns, r), dtype=complex)  # per new node, for every member
+    signs = np.array(sheets, dtype=float)[:, None]
 
     def geometry(x, delta, y_prev):
         """conn[:k] at the k points x (k, r); returns y (k, r), continued from
@@ -472,25 +514,35 @@ def _transport(vertices, sheets, systems, ode_tol, members):
         m = coeffs[-1]
         for c in coeffs[-2::-1]:
             m = m * x[:, None, None, None, :] + c
-        m = m * (delta / y)[:, None, None, None, :]
-        for j, sheet in enumerate(sheets):
-            np.copyto(conn[: len(x), :, :, :, j], m if sheet > 0 else -m)
+        np.multiply(m[..., None, :], (delta / y)[:, None, None, None, None, :] * signs,
+                    out=conn[: len(x)])
         return y
 
-    states = np.zeros((7, 2, 2, ns, r), dtype=complex)  # states[0] is Y, at the step start
-    Y = states[0]
+    n = 4 * ns * r  # complex entries per state
+    # YK[0] is Y, the state at the step start, and YK[1 + i] is stage i's
+    # slope k_i, so each stage state Y + h sum_j a_ij k_j is one real dgemv
+    YK = np.zeros((14, 2, 2, ns, r), dtype=complex)
+    YK_real = YK.reshape(14, n).view(np.float64)
+    Y, K = YK[0], YK[1:]
     Y[0, 0] = Y[1, 1] = 1.0
+    abs_Y = np.abs(Y)
     y_ref = _sqrt_f(path[0], root_rows)
-    K = np.empty_like(states)
-    K_real = K.reshape(7, 4 * ns * r).view(np.float64)  # stage sums as one real dgemv
-    inc_real = np.empty(8 * ns * r)
-    inc = inc_real.view(complex).reshape(Y.shape)
+    hA = np.ones((12, 13))  # column 0 weighs Y; the rest is h times the Butcher rows
+    states = np.empty((2, 2 * n))  # stages 1..11 share row 0; row 1 is stage 12, Y_new
+    state, Y_new = states.view(complex).reshape((2,) + Y.shape)
+    est_real = np.empty((2, 2 * n))
+    est = est_real.view(complex).reshape((2,) + Y.shape)  # e5 and e3 over h
+    abs_new = np.empty_like(abs_Y)
     prods = np.empty((2,) + Y.shape, dtype=complex)
-    # per stage: Butcher row, the earlier stages it weighs, its state and output
-    stages = [(_A[i, :i], K_real[:i], states[i], K[i]) for i in range(1, 7)]
-    nodes = np.array(_C[1:])
+    # per stage: its row, the terms it weighs, its state, its connection
+    # (stage 12 reuses stage 11's point) and its slope
+    outs = [(states[0], state)] * 11 + [(states[1], Y_new)]
+    stages = [
+        (hA[i, : i + 2], YK_real[: i + 2], *outs[i], conn[min(i, 10)], K[i + 1]) for i in range(12)
+    ]
+    nodes = _C[1:12]
+    tol = ode_tol / 10
     h = 0.01
-    err_prev = 1.0
     nsteps = 0
     prev_len = None
     culprit = 0  # member behind the latest rejection
@@ -503,6 +555,10 @@ def _transport(vertices, sheets, systems, ode_tol, members):
             f"on segment {seg} at t={t:.6g}, h={h:.3g}",
             member=member, segment=seg, t=t, h=h,
         )
+
+    def by_member(a):
+        """Per-member maxima of an entrywise array, in member order (row, sheet)."""
+        return a.reshape(4, ns, r).max(axis=0).T
 
     for seg in range(nvert - 1):
         v = path[seg]
@@ -527,39 +583,41 @@ def _transport(vertices, sheets, systems, ode_tol, members):
             if h < _MIN_STEP:
                 fail("step-size underflow (path too close to a branch point?)", culprit)
             y_new = geometry(v + delta * (t + nodes * h)[:, None], delta, y_ref)[-1]
-            for c, (row, earlier, state, out) in zip(conn, stages):
-                np.matmul(row, earlier, out=inc_real)
-                np.add(Y, np.multiply(h, inc, out=inc), out=state)
-                np.add(*np.multiply(c, state[:, None], out=prods), out=out)
-            # stage 7 sits at t + h with the 5th-order solution as its state
-            np.matmul(_E, K_real, out=inc_real)
-            scale = ode_tol + ode_tol * np.maximum(np.abs(Y), np.abs(state))
-            rel_err = (np.abs(np.multiply(h, inc, out=inc)) / scale).reshape(4, ns, r)
-            err = float(rel_err.max())
+            np.multiply(h, _A, out=hA[:, 1:])
+            for row, terms, st_real, st, c, out in stages:
+                np.matmul(row, terms, out=st_real)
+                np.add(*np.multiply(c, st[:, None], out=prods), out=out)
+            # combined estimate h |e5|^2 / hypot(|e5|, |e3| / 10) per entry,
+            # scaled by tol * (1 + max(|Y|, |Y_new|)); NaN propagates
+            np.matmul(_E, YK_real[1:13], out=est_real)
+            a5, a3 = np.abs(est)
+            np.abs(Y_new, out=abs_new)
+            den = np.hypot(a5, 0.1 * a3) * (1.0 + np.maximum(abs_Y, abs_new))
+            rel_err = a5 * a5 / np.maximum(den, _TINY)
+            err = float(rel_err.max()) * h / tol
             nsteps += 1
-            # culprits are read in member order (row, sheet)
             if not math.isfinite(err):
-                culprit = int(np.argmin(np.isfinite(rel_err.max(axis=0).T)))
+                culprit = int(np.argmin(np.isfinite(by_member(rel_err))))
                 h *= 0.1
                 continue
             guard = _on_sheet(y_new, y_ref)  # per row: negating y leaves the test unchanged
             sheet_ok = bool(guard.all())
             if err <= 1.0 and sheet_ok:
                 t += h
-                Y[...] = state
+                Y[...] = Y_new
+                abs_Y, abs_new = abs_new, abs_Y
+                if float(abs_Y.max()) > _GROWTH_CAP:
+                    fail("transport entry above 2**26",
+                         int(np.argmax(by_member(abs_Y))))
                 y_ref = y_new
-                K[0] = K[6]
-                fac = 6.0 if err == 0.0 else 0.9 * err ** -0.2 * err_prev ** 0.08
-                err_prev = max(err, 1e-10)
-                h *= min(6.0, max(0.2, fac))
+                K[0] = K[12]
+                h *= 6.0 if err == 0.0 else min(6.0, 0.9 * err**-0.125)
+            elif sheet_ok:
+                culprit = int(np.argmax(by_member(rel_err)))
+                h *= min(0.9, max(0.2, 0.9 * err**-0.125))
             else:
-                if sheet_ok:
-                    culprit = int(np.argmax(rel_err.max(axis=0).T))
-                    shrink = max(0.1, 0.9 * err ** -0.2)
-                else:
-                    culprit = int(np.argmin(guard)) * ns  # the row's first sheet
-                    shrink = 0.5
-                h *= min(0.9, shrink)
+                culprit = int(np.argmin(guard)) * ns  # the row's first sheet
+                h *= 0.5
     finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
     if not finite.all():
         fail("non-finite transport values", int(np.argmin(finite)))
@@ -629,47 +687,69 @@ def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else math.inf
 
 
-def monodromy_batch(
-    systems,
-    loops: LoopSystem,
-    ode_tol: float,
-    relation_tol: float = 1e-8,
-    det_tol: float = 1e-10,
-) -> list:
-    """Representations of many systems along one loop system, in one sweep.
+def _word_transports(letter_t, loops: LoopSystem) -> list:
+    """Each loop's forward transport, the product of its letter transports
+    ``letter_t`` (2g+1, 2 sheets, 2, 2) formed and returned in np.clongdouble,
+    so that rounding a word once keeps float products out of its determinant
+    residual.  Where longdouble is double (macOS arm64) it is the float product."""
+    ext = letter_t.astype(np.clongdouble)
+    words = []
+    for loop in loops.loops:
+        w = np.eye(2, dtype=np.clongdouble)
+        for i, k in enumerate(loop.word):
+            w = ext[k - 1, i % 2] @ w
+        words.append(w)
+    return words
 
-    Transports every (system, letter, starting sheet) member, 2(2g+1) per
-    system, in one batched kernel call and assembles each loop's transport
-    as the product of its letter transports (see module docstring).  The
-    stored matrices are transport inverses, so each family satisfies
-    prod_i [A_i, B_i] = I up to its reported residual; determinant
-    residuals are measured on the raw transports.  Results keep the order
-    of ``systems``.
-    """
-    nsys = [_coerce(s) for s in systems]
+
+def _representations(systems, first, loops, ode_tol, relation_tol, det_tol):
+    """Representations of ``systems`` (numbered from ``first`` in errors),
+    their 2(2g+1) letter members each in one shared sweep."""
     letters = np.array(loops.letters, dtype=complex)
     # one row per (system, letter), run on both sheets; members sheet fastest
-    rows = [s for s in nsys for _ in letters]
-    members = [(i, f"letter {k}", s) for i in range(len(nsys))
+    rows = [s for s in systems for _ in letters]
+    members = [(first + i, f"letter {k}", s) for i in range(len(systems))
                for k in range(1, len(letters) + 1) for s in _SHEETS]
-    transports = _transport(np.tile(letters, (len(nsys), 1)), _SHEETS, rows, ode_tol, members)
-    transports = transports.reshape(len(nsys), len(letters), len(_SHEETS), 2, 2)
+    transports = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, rows, ode_tol, members)
+    transports = transports.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
 
     names = tuple(loop.name for loop in loops.loops)
     eye = np.eye(2, dtype=complex)
     reps = []
     for letter_t in transports:
-        words = []
-        for loop in loops.loops:
-            w = eye
-            for i, k in enumerate(loop.word):
-                w = letter_t[k - 1, i % 2] @ w
-            words.append(w)
+        words = [w.astype(complex) for w in _word_transports(letter_t, loops)]
         defects = tuple(
             max(_opnorm(t[1] @ t[0] - eye), _opnorm(t[0] @ t[1] - eye)) for t in letter_t
         )
         reps.append(_representation(words, names, relation_tol, det_tol, defects))
     return reps
+
+
+def monodromy_batch(systems, loops: LoopSystem, ode_tol: float,
+                    relation_tol: float = 1e-8, det_tol: float = 1e-10) -> list:
+    """Representations of independent systems along one loop system.
+
+    Each system is swept alone, so its representation is bit for bit
+    ``monodromy(system)``; errors name the system by its index in
+    ``systems``.  Every (letter, starting sheet) member, 2(2g+1) per system,
+    is transported and each loop's transport is the product of its letter
+    transports (see module docstring).  The stored matrices are transport
+    inverses, so each family satisfies prod_i [A_i, B_i] = I up to its
+    reported residual; determinant residuals are measured on the raw
+    transports.  Results keep the order of ``systems``.
+    """
+    nsys = [_coerce(s) for s in systems]
+    return [rep for i, s in enumerate(nsys)
+            for rep in _representations([s], i, loops, ode_tol, relation_tol, det_tol)]
+
+
+def monodromy_family(systems, loops: LoopSystem, ode_tol: float,
+                     relation_tol: float = 1e-8, det_tol: float = 1e-10) -> list:
+    """``monodromy_batch`` in one sweep whose step sequence all systems share,
+    for finite-difference partners that must see one discretisation; each
+    result then depends on the whole family, not on its system alone."""
+    return _representations([_coerce(s) for s in systems], 0, loops, ode_tol,
+                            relation_tol, det_tol)
 
 
 @np.errstate(all="ignore")  # an overflowed relation product is reported invalid

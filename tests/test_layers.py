@@ -1,8 +1,14 @@
 """Contracts of the layer modules that outside tooling relies on."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import diffsys
 
 LAYERS = ("field", "curves", "multiplication", "systems", "monodromy", "immersion", "cli")
 
@@ -15,3 +21,14 @@ def test_every_exported_name_resolves(layer):
     assert module.__all__
     for name in module.__all__:
         assert getattr(module, name, None) is not None, f"diffsys.{layer}.{name}"
+
+
+def test_import_leaves_scipy_out():
+    """diffsys runs on numpy alone; scipy is a test dependency only."""
+    src = str(Path(diffsys.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, diffsys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

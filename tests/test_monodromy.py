@@ -23,7 +23,13 @@ from diffsys.monodromy import (
     standard_word_list,
     trace_vector,
     MonodromyRepresentation,
+    _A,
+    _C,
+    _E,
+    _SHEETS,
     _representation,
+    _transport,
+    _word_transports,
 )
 from diffsys.systems import (
     DifferentialSystem,
@@ -332,6 +338,81 @@ class TestBatchedTransport:
             monodromy_batch([ok, bad, ok], loops_g2, 1e-10)
         assert info.value.member == (1, "letter 1", 1)
         assert info.value.segment == 0
+
+
+class TestDOP853Transport:
+    def test_tableau_is_scipys_bit_for_bit(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(_A, coefficients.A[1:13, :12])
+        assert np.array_equal(_C, coefficients.C[:13])
+        assert np.array_equal(_E, np.array([coefficients.E5[:12], coefficients.E3[:12]]))
+        # the estimators give the FSAL stage no weight, so dropping it loses nothing
+        assert coefficients.E5[12] == coefficients.E3[12] == 0.0
+
+    def test_letter_transport_matches_scipy_dop853(self, genus2_curve, loops_g2):
+        """One letter on both sheets against solve_ivp, which carries y as a
+        state (dy/dt = y/2 sum_r delta/(x - r)) instead of picking roots."""
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        system = NumericSystem.from_system(small_system(genus2_curve, 5))
+        roots = np.array(system.roots)
+        vertices = loops_g2.letters[4]
+
+        def rhs(t, z, v, d):
+            x, y = v + d * t, z[4]
+            m = sum(mc * x**c for c, mc in enumerate(system.matrices)) * (d / y)
+            dy = 0.5 * y * d * np.sum(1 / (x - roots))
+            return np.append((m @ z[:4].reshape(2, 2)).ravel(), dy)
+
+        for sheet in _SHEETS:
+            ours = integrate_loop(system, Loop("e5", (5,), vertices, (sheet,) * len(vertices)), 1e-12)
+            z = np.append(np.eye(2, dtype=complex).ravel(), sheet * np.sqrt(np.prod(vertices[0] - roots)))
+            for a, b in zip(vertices, vertices[1:]):
+                if a != b:
+                    z = solve_ivp(rhs, (0.0, 1.0), z, method="DOP853", rtol=1e-13, atol=1e-13,
+                                  args=(a, b - a)).y[:, -1]
+            assert _rel_dev(ours, z[:4].reshape(2, 2)) <= 1e-11, sheet
+
+    @pytest.mark.parametrize("ode_tol", [2e-12, 7e-13, 5e-13, 2e-13, 1e-14])
+    def test_conjugated_criterion_6_system_valid(self, genus2_curve, loops_g2, ode_tol):
+        """Criterion 6's gauge-conjugated seed-2 system, at the tolerances
+        where float products of letters pushed its determinant residual
+        past the 1e-10 gate."""
+        gauge = ExactMatrix.from_rows([[es(2), es(1)], [es(3), es(2)]])
+        rep = monodromy(conjugate_system(small_system(genus2_curve, 2), gauge), loops_g2, ode_tol)
+        assert rep.valid, (rep.relation_residual, max(rep.det_residuals))
+
+    def test_growth_cap_names_member(self, genus2_curve, loops_g2):
+        """Entries past 2**26 fail the accepted step at once, naming the member."""
+        system = scale_system(sample_system(genus2_curve, SL2, seed=3, coefficient_bound=5), es(1000))
+        with pytest.raises(IntegrationError, match=r"above 2\*\*26") as info:
+            monodromy(system, loops_g2, 1e-12)
+        assert info.value.member == (0, "letter 5", -1)
+        assert info.value.segment == 0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+    def test_word_products_exact_to_extended_precision(self, genus2_curve, loops_g2):
+        """Words of the float letter transports against their exact product."""
+
+        def exact(z):
+            return es(Fraction(*z.real.as_integer_ratio()), Fraction(*z.imag.as_integer_ratio()))
+
+        def exact_matrix(m):
+            return ExactMatrix.from_rows([[exact(z) for z in row] for row in m])
+
+        letters = np.array(loops_g2.letters)
+        members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
+        for seed in (2, 3, 9):
+            system = NumericSystem.from_system(small_system(genus2_curve, seed))
+            letter_t = _transport(letters, _SHEETS, [system] * len(letters), 1e-12, members)
+            for loop, w in zip(loops_g2.loops, _word_transports(letter_t, loops_g2)):
+                ref = ExactMatrix.identity(2)
+                for i, k in enumerate(loop.word):
+                    ref = exact_matrix(letter_t[k - 1, i % 2]).matmul(ref)
+                got = exact_matrix(w)
+                parts = [(got.get(i, j), ref.get(i, j)) for i in (0, 1) for j in (0, 1)]
+                dev = max(max(abs(a.re - b.re), abs(a.im - b.im)) for a, b in parts)
+                size = max(max(abs(b.re), abs(b.im)) for _, b in parts)
+                assert dev <= Fraction(1, 10**17) * size, (seed, loop.name, float(dev / size))
 
 
 class TestTraceVector:
