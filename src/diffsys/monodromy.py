@@ -463,15 +463,15 @@ _A = np.array([row + (0.0,) * (12 - len(row)) for row in (
 _C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
                0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
                0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0])
-# error weights on k_0 .. k_11: the 5th-order estimate e5, then the 3rd-order e3
+# error weights on k_0 .. k_11: e5, then e3 = 8th-order weights less bhh1..bhh3
 _E = np.array([
     [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
      1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
      -0.022355307863886294],
-    [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
-     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
-     0.02265179219836082],
+    _A[-1],
 ])
+_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                      0.220588235294117647058823529412e-1)
 
 _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
@@ -725,8 +725,7 @@ def _representations(systems, first, loops, ode_tol, relation_tol, det_tol):
     return reps
 
 
-def monodromy_batch(systems, loops: LoopSystem, ode_tol: float,
-                    relation_tol: float = 1e-8, det_tol: float = 1e-10) -> list:
+def monodromy_batch(systems, loops: LoopSystem, ode_tol: float) -> list:
     """Representations of independent systems along one loop system.
 
     Each system is swept alone, so its representation is bit for bit
@@ -736,18 +735,18 @@ def monodromy_batch(systems, loops: LoopSystem, ode_tol: float,
     transports (see module docstring).  The stored matrices are transport
     inverses, so each family satisfies prod_i [A_i, B_i] = I up to its
     reported residual; determinant residuals are measured on the raw
-    transports.  Results keep the order of ``systems``.
+    transports and gated at 1e-10, the relation residual at 1e-8.  Results
+    keep the order of ``systems``.
     """
-    nsys = [_coerce(s) for s in systems]
-    return [rep for i, s in enumerate(nsys)
-            for rep in _representations([s], i, loops, ode_tol, relation_tol, det_tol)]
+    return [_representations([_coerce(s)], i, loops, ode_tol, 1e-8, 1e-10)[0]
+            for i, s in enumerate(systems)]
 
 
 def monodromy_family(systems, loops: LoopSystem, ode_tol: float,
-                     relation_tol: float = 1e-8, det_tol: float = 1e-10) -> list:
+                     relation_tol: float, det_tol: float) -> list:
     """``monodromy_batch`` in one sweep whose step sequence all systems share,
-    for finite-difference partners that must see one discretisation; each
-    result then depends on the whole family, not on its system alone."""
+    gated at ``relation_tol`` and ``det_tol``, for finite-difference partners
+    that must see one discretisation; each result then depends on the family."""
     return _representations([_coerce(s) for s in systems], 0, loops, ode_tol,
                             relation_tol, det_tol)
 
