@@ -19,43 +19,4 @@ Layers, bottom up:
 * :mod:`diffsys.cli` -- batch subcommands writing replayable JSON reports.
 """
 
-from .field import ExactMatrix, ExactScalar, FloatMatrix, exact_rank, numeric_rank
-from .curves import (
-    DifferentialBasis,
-    HyperellipticCurve,
-    PlaneQuartic,
-    canonical_basis,
-    express_in_basis,
-    quadratic_basis,
-)
-from .multiplication import (
-    CriterionVerdict,
-    SubspaceSelection,
-    criterion_injective,
-    lazarsfeld_scan,
-    noether_check,
-    theta_matrix,
-)
-from .systems import (
-    DifferentialSystem,
-    LieAlgebraData,
-    builtin_algebra,
-    contract,
-    dimension_report,
-    dyad_detect,
-    sample_system,
-)
-from .monodromy import (
-    LoopSystem,
-    MonodromyRepresentation,
-    build_loops,
-    integrate_loop,
-    irreducibility_probe,
-    monodromy,
-    monodromy_batch,
-    monodromy_family,
-    trace_vector,
-)
-from .immersion import SystCoordinates, fd_step_ladder, immersion_experiment, make_center
-
 __version__ = "0.1.0"

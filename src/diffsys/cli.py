@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -127,10 +128,9 @@ def _system_from_args(args, curve):
     return system
 
 
-def _positive(args, name):
-    value = getattr(args, name)
-    if value is None or value <= 0:
-        raise ConfigError(f"{name.replace('_', '-')} must be positive")
+def _positive(value, flag):
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{flag} must be positive and finite")
     return value
 
 
@@ -161,7 +161,7 @@ def _write_csv(args, rows) -> None:
     _write(args, "\n".join(",".join(str(x) for x in row) for row in rows) + "\n")
 
 
-def _report(args, subcommand, config, result) -> dict:
+def _report(subcommand, config, result) -> dict:
     return {
         "subcommand": subcommand,
         "config": config,
@@ -179,7 +179,7 @@ def _cmd_dims(args):
     lie = builtin_algebra(args.algebra)
     report = dimension_report(args.genus, lie)
     config = {"genus": args.genus, "algebra": args.algebra, "seed": args.seed}
-    _write_report(args, _report(args, "dims", config, report.to_json()))
+    _write_report(args, _report("dims", config, report.to_json()))
     return 0
 
 
@@ -187,7 +187,7 @@ def _cmd_noether(args):
     curve = _curve_from_args(args)
     verdict = noether_check(curve)
     config = {"curve": curve_to_json(curve), "seed": args.seed}
-    _write_report(args, _report(args, "noether", config, verdict.to_json()))
+    _write_report(args, _report("noether", config, verdict.to_json()))
     return 0
 
 
@@ -209,7 +209,7 @@ def _cmd_lazarsfeld(args):
         rows.append((scan.trials, scan.successes, scan.trials - scan.successes))
         _write_csv(args, rows)
         return 0
-    _write_report(args, _report(args, "lazarsfeld", config, scan.to_json()))
+    _write_report(args, _report("lazarsfeld", config, scan.to_json()))
     return 0
 
 
@@ -224,7 +224,7 @@ def _cmd_criterion(args):
         "seed": args.seed,
     }
     result = {"criterion": verdict.to_json(), "dyad": dyad.to_json()}
-    _write_report(args, _report(args, "criterion", config, result))
+    _write_report(args, _report("criterion", config, result))
     return 0
 
 
@@ -233,8 +233,8 @@ def _cmd_monodromy(args):
     if not isinstance(curve, HyperellipticCurve):
         raise ConfigError("monodromy runs on hyperelliptic curves only")
     system = _system_from_args(args, curve)
-    ode_tol = _positive(args, "ode_tol")
-    clearance = _positive(args, "clearance")
+    ode_tol = _positive(args.ode_tol, "--ode-tol")
+    clearance = _positive(args.clearance, "--clearance")
     loops = build_loops(curve, clearance)
     rep = monodromy(system, loops, ode_tol)
     traces = trace_vector(rep)
@@ -252,16 +252,16 @@ def _cmd_monodromy(args):
         "irreducibility": probe.to_json(),
         "loops": loops.to_json(),
     }
-    _write_report(args, _report(args, "monodromy", config, result))
+    _write_report(args, _report("monodromy", config, result))
     return 0
 
 
 def _cmd_immersion(args):
-    ode_tol = _positive(args, "ode_tol")
-    clearance = _positive(args, "clearance")
+    ode_tol = _positive(args.ode_tol, "--ode-tol")
+    clearance = _positive(args.clearance, "--clearance")
     steps = [float(s) for s in args.fd_steps.split(",") if s.strip()]
-    if not steps or any(s <= 0 for s in steps):
-        raise ConfigError("--fd-steps must be positive reals")
+    if not steps or not all(0 < s < math.inf for s in steps):
+        raise ConfigError("--fd-steps must be positive and finite")
     branch = [_parse_rational(v) for v in args.branch_points.split(",")] if args.branch_points else [0, 1, 2, 3, 4]
     try:
         center = make_center(
@@ -292,7 +292,7 @@ def _cmd_immersion(args):
         _write_csv(args, rows)
         return 0
     result["loops"] = center.loops.to_json()
-    _write_report(args, _report(args, "immersion", config, result))
+    _write_report(args, _report("immersion", config, result))
     return 0
 
 

@@ -40,7 +40,8 @@ reported alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -277,8 +278,8 @@ def _equilibrate(jac: np.ndarray) -> np.ndarray:
 
 
 def _check_step(center: SystCoordinates, base: NumericSystem, labels, fd_step: float):
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
+    if not 0 < fd_step < math.inf:
+        raise ValueError("fd_step must be positive and finite")
     if fd_step > center.clearance / 4:
         raise ValueError(
             f"fd_step {fd_step} exceeds a quarter of the loop clearance {center.clearance}"
@@ -327,15 +328,13 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
 
     # hypothesis gates at the center
     verdict = criterion_injective(center.curve, center.system)
-    # perturbed evaluations only need trace accuracy; the center keeps the
-    # strict default gates
     try:
-        reps = monodromy_family(systems, center.loops, ode_tol, relation_tol=1e-6, det_tol=1e-8)
+        reps = monodromy_family(systems, center.loops, ode_tol)
     except IntegrationError as err:
         if err.member is None or err.member[0] == 0:
             raise
         raise direction_failed(err.member[0], err) from err
-    center_rep = replace(reps[0], relation_tol=1e-8, det_tol=1e-10)
+    center_rep = reps[0]
     probe = irreducibility_probe(center_rep)
     if g >= 3:
         status = "exploratory"

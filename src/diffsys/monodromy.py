@@ -47,13 +47,14 @@ points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
 y and connection are exact negations and the guard ignores the sign, so one
 pass serves both sheets and changes no bit of any member's numbers.
 
-Who shares a sweep: :mod:`diffsys.immersion` runs a center and its +delta
-and -delta systems through ``monodromy_family``, so a central difference
-sees one discretisation and step-control noise cancels in its columns.
-``monodromy_batch`` sweeps each system alone, bit for bit as ``monodromy``:
-a shared step sequence moves a stiff system by about as much as double
-precision determines it (a genus-2 system of norm 1.7e3 moves by 1.3e-10,
-relative, from ode_tol 1e-14 to 1e-15).
+Who shares a sweep: ``monodromy`` sweeps its one system alone, and
+:mod:`diffsys.immersion` runs a center and its +delta and -delta systems
+through ``monodromy_family``, so a central difference sees one
+discretisation and step-control noise cancels in its columns.  A family
+member is not bit for bit its lone run: a shared step sequence moves a
+stiff system by about as much as double precision determines it (a genus-2
+system of norm 1.7e3 moves by 1.3e-10, relative, from ode_tol 1e-14 to
+1e-15).  Every representation, center or partner, meets the same gates.
 
 Neither integrates whole loop words.  Each word is a product of lollipop
 letters based at the base point, and a letter's transport depends only on
@@ -109,7 +110,6 @@ __all__ = [
     "build_loops",
     "integrate_loop",
     "monodromy",
-    "monodromy_batch",
     "monodromy_family",
     "trace_vector",
     "standard_word_list",
@@ -310,8 +310,8 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
         raise ValueError("loops are defined for hyperelliptic curves only")
     if not curve.odd_model:
         raise ValueError("loop construction expects the odd-degree model")
-    if clearance <= 0:
-        raise ValueError("clearance must be positive")
+    if not 0 < clearance < math.inf:
+        raise ValueError("clearance must be positive and finite")
     g = curve.genus
     roots = sorted(curve.float_roots(), key=lambda z: (z.real, z.imag))
     n = len(roots)
@@ -491,8 +491,8 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     error is mixed absolute/relative at ``ode_tol / 10``; a new segment
     rescales the carried step by the ratio of the longest row segments.
     """
-    if ode_tol <= 0:
-        raise ValueError("ode_tol must be positive")
+    if not 0 < ode_tol < math.inf:
+        raise ValueError("ode_tol must be positive and finite")
     r, nvert = vertices.shape
     ns = len(sheets)
     path = np.ascontiguousarray(vertices.T)  # (nvert, r)
@@ -639,6 +639,9 @@ def integrate_loop(system, loop: Loop, ode_tol: float):
 
 # -- monodromy representation ----------------------------------------------------
 
+_RELATION_TOL = 1e-8  # gate on the surface-relation residual
+_DET_TOL = 1e-10  # gate on each loop's |det T - 1|
+
 
 @dataclass(frozen=True)
 class MonodromyRepresentation:
@@ -646,16 +649,14 @@ class MonodromyRepresentation:
     loop_names: tuple
     relation_residual: float
     det_residuals: tuple
-    relation_tol: float
-    det_tol: float
     # per letter k: max over sheets s of |T(k,-s) T(k,s) - I|, the letter
     # transported on one sheet and back on the other (trivial upstairs)
     involution_defects: tuple = ()
 
     @property
     def valid(self) -> bool:
-        return self.relation_residual <= self.relation_tol and all(
-            d <= self.det_tol for d in self.det_residuals
+        return self.relation_residual <= _RELATION_TOL and all(
+            d <= _DET_TOL for d in self.det_residuals
         )
 
     @property
@@ -671,8 +672,8 @@ class MonodromyRepresentation:
             "relation_residual": self.relation_residual,
             "det_residuals": list(self.det_residuals),
             "involution_defects": list(self.involution_defects),
-            "relation_tol": self.relation_tol,
-            "det_tol": self.det_tol,
+            "relation_tol": _RELATION_TOL,
+            "det_tol": _DET_TOL,
             "valid": self.valid,
         }
 
@@ -702,13 +703,14 @@ def _word_transports(letter_t, loops: LoopSystem) -> list:
     return words
 
 
-def _representations(systems, first, loops, ode_tol, relation_tol, det_tol):
-    """Representations of ``systems`` (numbered from ``first`` in errors),
-    their 2(2g+1) letter members each in one shared sweep."""
+def _sweep(systems, loops: LoopSystem, ode_tol: float) -> list:
+    """Representations of ``systems``, their 2(2g+1) letter members each in
+    one sweep whose step sequence all of them share."""
+    systems = [_coerce(s) for s in systems]
     letters = np.array(loops.letters, dtype=complex)
     # one row per (system, letter), run on both sheets; members sheet fastest
     rows = [s for s in systems for _ in letters]
-    members = [(first + i, f"letter {k}", s) for i in range(len(systems))
+    members = [(i, f"letter {k}", s) for i in range(len(systems))
                for k in range(1, len(letters) + 1) for s in _SHEETS]
     transports = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, rows, ode_tol, members)
     transports = transports.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
@@ -721,38 +723,12 @@ def _representations(systems, first, loops, ode_tol, relation_tol, det_tol):
         defects = tuple(
             max(_opnorm(t[1] @ t[0] - eye), _opnorm(t[0] @ t[1] - eye)) for t in letter_t
         )
-        reps.append(_representation(words, names, relation_tol, det_tol, defects))
+        reps.append(_representation(words, names, defects))
     return reps
 
 
-def monodromy_batch(systems, loops: LoopSystem, ode_tol: float) -> list:
-    """Representations of independent systems along one loop system.
-
-    Each system is swept alone, so its representation is bit for bit
-    ``monodromy(system)``; errors name the system by its index in
-    ``systems``.  Every (letter, starting sheet) member, 2(2g+1) per system,
-    is transported and each loop's transport is the product of its letter
-    transports (see module docstring).  The stored matrices are transport
-    inverses, so each family satisfies prod_i [A_i, B_i] = I up to its
-    reported residual; determinant residuals are measured on the raw
-    transports and gated at 1e-10, the relation residual at 1e-8.  Results
-    keep the order of ``systems``.
-    """
-    return [_representations([_coerce(s)], i, loops, ode_tol, 1e-8, 1e-10)[0]
-            for i, s in enumerate(systems)]
-
-
-def monodromy_family(systems, loops: LoopSystem, ode_tol: float,
-                     relation_tol: float, det_tol: float) -> list:
-    """``monodromy_batch`` in one sweep whose step sequence all systems share,
-    gated at ``relation_tol`` and ``det_tol``, for finite-difference partners
-    that must see one discretisation; each result then depends on the family."""
-    return _representations([_coerce(s) for s in systems], 0, loops, ode_tol,
-                            relation_tol, det_tol)
-
-
 @np.errstate(all="ignore")  # an overflowed relation product is reported invalid
-def _representation(transports, names, relation_tol, det_tol, defects):
+def _representation(transports, names, defects):
     det_res = tuple(
         float(abs((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)) for m in transports
     )
@@ -762,14 +738,27 @@ def _representation(transports, names, relation_tol, det_tol, defects):
         a, b = mats[2 * i], mats[2 * i + 1]
         rel = rel @ a @ b @ _sl2_inverse(a) @ _sl2_inverse(b)
     residual = _opnorm(rel - np.eye(2))
-    return MonodromyRepresentation(
-        mats, names, float(residual), det_res, relation_tol, det_tol, defects
-    )
+    return MonodromyRepresentation(mats, names, float(residual), det_res, defects)
 
 
 def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentation:
-    """The representation of one system: ``monodromy_batch`` of one."""
-    return monodromy_batch([system], loops, ode_tol)[0]
+    """The representation of one system along a loop system, swept alone.
+
+    Every (letter, starting sheet) member, 2(2g+1) of them, is transported
+    and each loop's transport is the product of its letter transports (see
+    module docstring).  The stored matrices are transport inverses, so they
+    satisfy prod_i [A_i, B_i] = I up to the reported residual; determinant
+    residuals are measured on the raw transports and gated at ``_DET_TOL``
+    (1e-10), the relation residual at ``_RELATION_TOL`` (1e-8).
+    """
+    return _sweep([system], loops, ode_tol)[0]
+
+
+def monodromy_family(systems, loops: LoopSystem, ode_tol: float) -> list:
+    """Representations of ``systems`` in one shared sweep, in their order, for
+    finite-difference partners that must see one discretisation; each result
+    then depends on the family, and errors name a system by its index."""
+    return _sweep(systems, loops, ode_tol)
 
 
 # -- trace coordinates ------------------------------------------------------------
@@ -821,7 +810,7 @@ def trace_vector(rep: MonodromyRepresentation) -> TraceVector:
     """Traces of the documented word list in the generator matrices.
 
     Requires a valid representation (relation and determinant residuals
-    within their configured tolerances).
+    within ``_RELATION_TOL`` and ``_DET_TOL``).
     """
     _require_valid(rep)
     words = standard_word_list(rep.genus)

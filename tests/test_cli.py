@@ -180,6 +180,8 @@ class TestMonodromyCommand:
         assert len(rep["matrices"]) == 4
         assert len(rep["matrices"][0]) == 4  # four [re, im] entries
         assert len(rep["involution_defects"]) == 5  # one per letter
+        assert rep["relation_tol"] == 1e-8
+        assert rep["det_tol"] == 1e-10
         assert report["result"]["loops"]["genus"] == 2
         assert report["result"]["irreducibility"]["verdict"] in (
             "probably_irreducible", "common_eigenvector_found",
@@ -221,17 +223,24 @@ class TestMonodromyCommand:
         assert report["config"]["system"] == system_to_json(system)
 
     def test_zero_ode_tol_exit1(self, capsys):
-        code = run_cli(
-            ["monodromy", "--branch-points", "0,1,2,3,4", "--ode-tol", "0"]
-        )
-        assert code == 1
-        assert "ode-tol" in capsys.readouterr().err
+        """Zero, NaN and infinity are refused before any transport runs."""
+        for value in ("0", "nan", "inf"):
+            code = run_cli(
+                ["monodromy", "--branch-points", "0,1,2,3,4", "--ode-tol", value]
+            )
+            assert code == 1, value
+            assert "--ode-tol must be positive and finite" in capsys.readouterr().err
 
     def test_infeasible_clearance_exit1(self, capsys):
         code = run_cli(
             ["monodromy", "--branch-points", "0,1,2,3,4", "--clearance", "0.6"]
         )
         assert code == 1
+        code = run_cli(
+            ["monodromy", "--branch-points", "0,1,2,3,4", "--clearance", "nan"]
+        )
+        assert code == 1
+        assert "--clearance must be positive and finite" in capsys.readouterr().err
 
     def test_quartic_rejected(self, capsys):
         assert run_cli(["monodromy", "--quartic", "fermat"]) == 1
@@ -321,6 +330,8 @@ class TestImmersionCommand:
     def test_bad_fd_steps_exit1(self, capsys):
         assert run_cli(["immersion", "--fd-steps", "0"]) == 1
         assert run_cli(["immersion", "--fd-steps=-1e-4"]) == 1
+        assert run_cli(["immersion", "--fd-steps", "nan,1e-5,1e-6"]) == 1
+        assert "--fd-steps must be positive and finite" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,8 @@ class TestImmersionExperiment:
             immersion_experiment(good_center, fd_step=0.0)
         with pytest.raises(ValueError):
             immersion_experiment(good_center, fd_step=good_center.clearance)
+        with pytest.raises(ValueError, match="fd_step"):
+            immersion_experiment(good_center, math.nan)
 
     def test_dyad_center_flagged(self):
         """Dyad coefficients have dependent frozen functionals (the slice is

@@ -1,6 +1,7 @@
 """Contracts of the layer modules that outside tooling relies on."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -23,12 +24,20 @@ def test_every_exported_name_resolves(layer):
         assert getattr(module, name, None) is not None, f"diffsys.{layer}.{name}"
 
 
+def test_layer_module_not_shadowed():
+    """The package binds no function over a layer module of the same name."""
+    import diffsys.monodromy as m
+
+    assert inspect.ismodule(m)
+
+
 def test_import_leaves_scipy_out():
-    """diffsys runs on numpy alone; scipy is a test dependency only."""
+    """diffsys runs on numpy alone; scipy is a test dependency only.  The
+    CLI module imports every layer."""
     src = str(Path(diffsys.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, diffsys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, diffsys.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"

@@ -19,7 +19,6 @@ from diffsys.monodromy import (
     integrate_loop,
     irreducibility_probe,
     monodromy,
-    monodromy_batch,
     monodromy_family,
     standard_word_list,
     trace_vector,
@@ -128,8 +127,9 @@ class TestBuildLoops:
             build_loops(curve, clearance=0.2)
 
     def test_nonpositive_clearance_rejected(self, genus2_curve):
-        with pytest.raises(ValueError):
-            build_loops(genus2_curve, clearance=0.0)
+        for clearance in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="clearance must be positive and finite"):
+                build_loops(genus2_curve, clearance)
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_sheets_match_whole_loop_continuation(self, g):
@@ -190,8 +190,9 @@ class TestIntegrateLoop:
 
     def test_bad_tolerance(self, genus2_curve, loops_g2):
         system = small_system(genus2_curve, 5)
-        with pytest.raises(ValueError):
-            integrate_loop(system, loops_g2.loops[0], 0.0)
+        for ode_tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="ode_tol must be positive and finite"):
+                integrate_loop(system, loops_g2.loops[0], ode_tol)
 
     def test_non_sl2_rejected(self, genus2_curve, loops_g2):
         gl2 = builtin_algebra("gl2")
@@ -263,8 +264,8 @@ class TestMonodromy:
 
     def test_batched_monodromy_deterministic(self, genus2_curve, loops_g2):
         systems = [small_system(genus2_curve, seed) for seed in (3, 4)]
-        r1 = monodromy_batch(systems, loops_g2, 1e-12)
-        r2 = monodromy_batch(systems, loops_g2, 1e-12)
+        r1 = monodromy_family(systems, loops_g2, 1e-12)
+        r2 = monodromy_family(systems, loops_g2, 1e-12)
         for rep1, rep2 in zip(r1, r2):
             for a, b in zip(rep1.matrices, rep2.matrices):
                 assert np.array_equal(a, b)
@@ -275,7 +276,7 @@ class TestMonodromy:
         representation is invalid, and no SVD is attempted on it."""
         big = np.diag([1e200, 1e-200]).astype(complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), 1e-8, 1e-10, ())
+            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), ())
         assert rep.relation_residual == math.inf
         assert rep.valid is False
 
@@ -283,7 +284,7 @@ class TestMonodromy:
         big = np.diag([1e200, 1e-200]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), 1e-8, 1e-10, ())
+            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), ())
         assert rep.valid is False
 
     def test_involution_defects_reported(self, loops_g2, rep_g2):
@@ -307,46 +308,27 @@ class TestBatchedTransport:
                 forward = integrate_loop(system, loop, 1e-12)
                 assert _rel_dev(np.linalg.inv(m), forward) <= 1e-10, (seed, loop.name)
 
-    def test_system_in_batch_matches_system_alone(self, genus2_curve, loops_g2):
-        """Shared step sequences differ from a lone system's, so agreement is
-        to tolerance, not bitwise."""
-        stiff = scale_system(small_system(genus2_curve, 4), es(8))
-        systems = [small_system(genus2_curve, 3), stiff, small_system(genus2_curve, 9)]
-        batch = monodromy_batch(systems, loops_g2, 1e-12)
-        for system, rep in zip(systems, batch):
-            alone = monodromy(system, loops_g2, 1e-12)
-            for a, b in zip(rep.matrices, alone.matrices):
-                assert _rel_dev(a, b) <= 1e-10
-
     def test_member_on_branch_point_is_named(self, genus2_curve, loops_g2):
         good = NumericSystem.from_system(small_system(genus2_curve, 3))
         roots = list(good.roots)
         roots[0] = loops_g2.letters[1][6]  # a vertex of the second letter's circle
         bad = NumericSystem(tuple(roots), good.matrices)
         with pytest.raises(IntegrationError) as info:
-            monodromy_batch([good, good, bad], loops_g2, 1e-12)
+            monodromy_family([good, good, bad], loops_g2, 1e-12)
         err = info.value
         assert err.member[:2] == (2, "letter 2")
         assert "system 2, letter 2" in str(err)
         assert err.segment is not None and err.h is not None
 
-    def test_failing_member_named_in_row_sheet_order(self, genus2_curve, loops_g2):
-        """Errors are read in member order (system, letter, sheet), sheet
-        fastest, however the kernel lays its arrays out."""
-        ok = NumericSystem.from_system(small_system(genus2_curve, 3))
-        bad = NumericSystem(ok.roots, np.array([[[1e300, 1e300], [1e300, -1e300]]] * 2))
-        with pytest.raises(IntegrationError) as info:
-            monodromy_batch([ok, bad, ok], loops_g2, 1e-10)
-        assert info.value.member == (1, "letter 1", 1)
-        assert info.value.segment == 0
-
     def test_family_member_named_by_global_index(self, genus2_curve, loops_g2):
         """One shared sweep over several systems names a failing member by
-        its system's index in the family."""
+        its system's index in the family, reading errors in member order
+        (system, letter, sheet), sheet fastest, however the kernel lays its
+        arrays out."""
         ok = NumericSystem.from_system(small_system(genus2_curve, 3))
         bad = NumericSystem(ok.roots, np.array([[[1e300, 1e300], [1e300, -1e300]]] * 2))
         with pytest.raises(IntegrationError) as info:
-            monodromy_family([ok, bad, ok], loops_g2, 1e-10, 1e-8, 1e-10)
+            monodromy_family([ok, bad, ok], loops_g2, 1e-10)
         assert info.value.member == (1, "letter 1", 1)
         assert info.value.segment == 0
 
@@ -355,7 +337,7 @@ class TestBatchedTransport:
         system stay within 1e-12 of their lone runs (measured: about 1e-13)."""
         stiff = scale_system(small_system(genus2_curve, 4), es(8))
         systems = [small_system(genus2_curve, 3), stiff, small_system(genus2_curve, 9)]
-        family = monodromy_family(systems, loops_g2, 1e-12, 1e-8, 1e-10)
+        family = monodromy_family(systems, loops_g2, 1e-12)
         for i in (0, 2):
             alone = monodromy(systems[i], loops_g2, 1e-12)
             assert family[i].valid
@@ -452,7 +434,7 @@ class TestTraceVector:
     def test_identity_rep(self, loops_g2):
         mats = tuple(np.eye(2, dtype=complex) for _ in range(4))
         rep = MonodromyRepresentation(
-            mats, ("a1", "b1", "a2", "b2"), 0.0, (0.0,) * 4, 1e-8, 1e-10
+            mats, ("a1", "b1", "a2", "b2"), 0.0, (0.0,) * 4
         )
         tv = trace_vector(rep)
         assert all(abs(v - 2) <= 1e-14 for v in tv.values)
@@ -462,7 +444,7 @@ class TestTraceVector:
         d = np.diag([lam, 1 / lam])
         mats = (d, np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.eye(2, dtype=complex))
         rep = MonodromyRepresentation(
-            mats, ("a1", "b1", "a2", "b2"), 0.0, (0.0,) * 4, 1e-8, 1e-10
+            mats, ("a1", "b1", "a2", "b2"), 0.0, (0.0,) * 4
         )
         tv = trace_vector(rep)
         idx = tv.words.index(("a1",))
@@ -471,7 +453,7 @@ class TestTraceVector:
     def test_invalid_rep_rejected(self):
         mats = tuple(np.eye(2, dtype=complex) for _ in range(4))
         bad = MonodromyRepresentation(
-            mats, ("a1", "b1", "a2", "b2"), 1e-3, (0.0,) * 4, 1e-8, 1e-10
+            mats, ("a1", "b1", "a2", "b2"), 1e-3, (0.0,) * 4
         )
         assert not bad.valid
         with pytest.raises(InvalidRepresentationError):
@@ -485,7 +467,7 @@ class TestTraceVector:
         conj_m = tuple(s @ m @ np.linalg.inv(s) for m in rep_g2.matrices)
         rep2 = MonodromyRepresentation(
             conj_m, rep_g2.loop_names, rep_g2.relation_residual,
-            rep_g2.det_residuals, 1e-8, 1e-10,
+            rep_g2.det_residuals,
         )
         t1, t2 = trace_vector(rep_g2).values, trace_vector(rep2).values
         assert max(abs(a - b) for a, b in zip(t1, t2)) <= 1e-8
@@ -498,8 +480,6 @@ class TestIrreducibilityProbe:
             ("a1", "b1", "a2", "b2"),
             0.0,
             (0.0,) * 4,
-            1e-8,
-            1e-10,
         )
 
     def test_upper_triangular_found(self):
