@@ -38,6 +38,7 @@ from .monodromy import (
     ClearanceError,
     IntegrationError,
     InvalidRepresentationError,
+    ODE_TOL_FLOOR,
     build_loops,
     irreducibility_probe,
     monodromy,
@@ -128,9 +129,11 @@ def _system_from_args(args, curve):
     return system
 
 
-def _positive(value, flag):
+def _positive(value, flag, floor=0.0):
     if not 0 < value < math.inf:
         raise ConfigError(f"{flag} must be positive and finite")
+    if value < floor:
+        raise ConfigError(f"{flag} must be at least {floor:.3g}")
     return value
 
 
@@ -233,7 +236,7 @@ def _cmd_monodromy(args):
     if not isinstance(curve, HyperellipticCurve):
         raise ConfigError("monodromy runs on hyperelliptic curves only")
     system = _system_from_args(args, curve)
-    ode_tol = _positive(args.ode_tol, "--ode-tol")
+    ode_tol = _positive(args.ode_tol, "--ode-tol", ODE_TOL_FLOOR)
     clearance = _positive(args.clearance, "--clearance")
     loops = build_loops(curve, clearance)
     rep = monodromy(system, loops, ode_tol)
@@ -257,7 +260,7 @@ def _cmd_monodromy(args):
 
 
 def _cmd_immersion(args):
-    ode_tol = _positive(args.ode_tol, "--ode-tol")
+    ode_tol = _positive(args.ode_tol, "--ode-tol", ODE_TOL_FLOOR)
     clearance = _positive(args.clearance, "--clearance")
     steps = [float(s) for s in args.fd_steps.split(",") if s.strip()]
     if not steps or not all(0 < s < math.inf for s in steps):

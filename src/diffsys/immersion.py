@@ -60,7 +60,8 @@ from .monodromy import (
     irreducibility_probe,
     monodromy_family,
     standard_word_list,
-    trace_vector,
+    _require_valid,
+    _traces,
 )
 from .systems import DifferentialSystem, builtin_algebra, sample_system, scale_system, system_to_json
 
@@ -343,16 +344,17 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
     else:
         status = "ok"
 
-    traces = [None]
     for index, rep in enumerate(reps[1:], start=1):
         try:
-            traces.append(np.array(trace_vector(rep).values, dtype=complex))
+            _require_valid(rep)
         except InvalidRepresentationError as err:
             raise direction_failed(index, err) from err
+    mats = np.array([rep.matrices for rep in reps[1:]])
+    traces = _traces(mats, center_rep.loop_names, standard_word_list(g))  # one chain per word
 
     reports = []
     for k, fd_step in enumerate(steps):
-        first = 1 + 2 * len(directions) * k
+        first = 2 * len(directions) * k
         cols = [
             (traces[first + 2 * j] - traces[first + 2 * j + 1]) / (2 * fd_step)
             for j in range(len(directions))

@@ -43,9 +43,11 @@ acceptance requires |y_new - y_old| < |y_old|, so a silent sheet jump is
 impossible and failure surfaces as step-size underflow, naming the member,
 the segment, t and h.  As no stage depends on an earlier stage's y, each
 step computes its geometry (x, y and the connection at the eleven new
-points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
-y and connection are exact negations and the guard ignores the sign, so one
-pass serves both sheets and changes no bit of any member's numbers.
+points; stages 11 and 12 share t + h) in one pass: x, y and the guard once
+per distinct (roots, polyline) row, since coefficient partners share their
+center's, the connection per row.  The other sheet's y and connection are
+exact negations and the guard ignores the sign, so one pass serves both
+sheets; neither sharing changes a bit of any member's numbers.
 
 Who shares a sweep: ``monodromy`` sweeps its one system alone, and
 :mod:`diffsys.immersion` runs a center and its +delta and -delta systems
@@ -63,9 +65,12 @@ the system, the letter and the sheet it starts on, so a system contributes
 the product of its letter transports, formed in extended precision
 (``np.clongdouble``) and rounded once; since every letter swaps the sheet,
 the i-th letter of a word starts on the principal sheet for even i and on
-the other for odd i.  ``integrate_loop`` transports one row on one sheet
-along a whole loop polyline; it is the full-word reference that the tests
-compare the letter products against.
+the other for odd i.  Words, inverses, residuals, defects and norms are
+formed on arrays stacked over a sweep's systems, bit for bit the per-matrix
+results: numpy's array complex multiply and array ``abs`` round unlike its
+scalar ones, so determinants come from real parts and moduli from hypot.
+``integrate_loop`` transports one row on one sheet along a whole loop
+polyline, the full-word reference the tests compare letter products against.
 
 Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
@@ -106,6 +111,7 @@ __all__ = [
     "TraceVector",
     "IrreducibilityVerdict",
     "NumericSystem",
+    "ODE_TOL_FLOOR",
     "canonical_words",
     "build_loops",
     "integrate_loop",
@@ -473,6 +479,7 @@ _E = np.array([
 _E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
                       0.220588235294117647058823529412e-1)
 
+ODE_TOL_FLOOR = 10 * float(np.finfo(float).eps)  # ode_tol / 10 below eps: unresolvable
 _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 _GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
@@ -493,10 +500,20 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     """
     if not 0 < ode_tol < math.inf:
         raise ValueError("ode_tol must be positive and finite")
+    if ode_tol < ODE_TOL_FLOOR:
+        raise ValueError(f"ode_tol {ode_tol:.3g} is below 10 eps: double precision cannot hold it")
     r, nvert = vertices.shape
     ns = len(sheets)
-    path = np.ascontiguousarray(vertices.T)  # (nvert, r)
-    root_rows = np.ascontiguousarray(np.array([s.roots for s in systems], dtype=complex).T)
+    roots = np.array([s.roots for s in systems], dtype=complex)
+    # x, y and the sheet guard run once per distinct (roots, polyline) row
+    # ``first``; ``inv`` maps rows to them
+    keys = {}
+    inv = np.array([keys.setdefault(k.tobytes(), len(keys)) for k in np.hstack([roots, vertices])])
+    first = np.unique(inv, return_index=True)[1]
+    if len(first) == r:
+        first = inv = slice(None)  # no gather
+    path = np.ascontiguousarray(vertices[first].T)  # (nvert, distinct rows)
+    root_rows = np.ascontiguousarray(roots[first].T)
     # coeffs[c, 0, j] = column j of M_c, shape (2, 1, r), so that
     # M @ state = column 0 * row 0 of state + column 1 * row 1 of state
     coeffs = np.array([s.matrices for s in systems], dtype=complex).transpose(1, 3, 2, 0)
@@ -508,13 +525,14 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     signs = np.array(sheets, dtype=float)[:, None]
 
     def geometry(x, delta, y_prev):
-        """conn[:k] at the k points x (k, r); returns y (k, r), continued from
-        y_prev on the principal sheet.  The other sheet negates y, so conn."""
+        """conn[:k] at the k points x (k, distinct rows); returns y there, continued
+        from y_prev on the principal sheet.  The other sheet negates y, so conn."""
         y = _nearer_root(_sqrt_f(x[:, None], root_rows), y_prev)
+        x = x[:, inv]
         m = coeffs[-1]
         for c in coeffs[-2::-1]:
             m = m * x[:, None, None, None, :] + c
-        np.multiply(m[..., None, :], (delta / y)[:, None, None, None, None, :] * signs,
+        np.multiply(m[..., None, :], (delta / y)[:, inv][:, None, None, None, None, :] * signs,
                     out=conn[: len(x)])
         return y
 
@@ -600,7 +618,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
                 culprit = int(np.argmin(np.isfinite(by_member(rel_err))))
                 h *= 0.1
                 continue
-            guard = _on_sheet(y_new, y_ref)  # per row: negating y leaves the test unchanged
+            guard = _on_sheet(y_new, y_ref)  # per distinct row: negating y leaves it unchanged
             sheet_ok = bool(guard.all())
             if err <= 1.0 and sheet_ok:
                 t += h
@@ -616,7 +634,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
                 culprit = int(np.argmax(by_member(rel_err)))
                 h *= min(0.9, max(0.2, 0.9 * err**-0.125))
             else:
-                culprit = int(np.argmin(guard)) * ns  # the row's first sheet
+                culprit = int(np.argmin(guard[inv])) * ns  # the row's first sheet
                 h *= 0.5
     finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
     if not finite.all():
@@ -652,6 +670,7 @@ class MonodromyRepresentation:
     # per letter k: max over sheets s of |T(k,-s) T(k,s) - I|, the letter
     # transported on one sheet and back on the other (trivial upstairs)
     involution_defects: tuple = ()
+    letter_norms: tuple = ()  # per letter k: max over sheets s of |T(k,s)|_2
 
     @property
     def valid(self) -> bool:
@@ -672,40 +691,55 @@ class MonodromyRepresentation:
             "relation_residual": self.relation_residual,
             "det_residuals": list(self.det_residuals),
             "involution_defects": list(self.involution_defects),
+            "letter_norms": list(self.letter_norms),
             "relation_tol": _RELATION_TOL,
             "det_tol": _DET_TOL,
             "valid": self.valid,
         }
 
 
-def _sl2_inverse(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+def _dets(m):
+    """Determinants (real, imaginary part) of a stack of 2x2 matrices, from
+    real parts: numpy's array complex multiply rounds unlike its scalar one
+    (852 of 2000 random determinants differed in the last bit)."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return re, im
 
 
-def _opnorm(m: np.ndarray) -> float:
-    # an overflowed product has no SVD; its norm is infinite, not an error
-    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else math.inf
+def _sl2_inverses(m):
+    """Inverses of a stack of 2x2 matrices: adjugate over determinant."""
+    det = np.stack(_dets(m), axis=-1).view(complex)
+    adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
+    return adj.reshape(m.shape) / det[..., None]
 
 
-def _word_transports(letter_t, loops: LoopSystem) -> list:
-    """Each loop's forward transport, the product of its letter transports
-    ``letter_t`` (2g+1, 2 sheets, 2, 2) formed and returned in np.clongdouble,
-    so that rounding a word once keeps float products out of its determinant
-    residual.  Where longdouble is double (macOS arm64) it is the float product."""
+def _opnorms(stack):
+    """Spectral norms of a stack; an overflowed matrix has no SVD: norm inf."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    sigma = np.linalg.svd(np.where(finite[..., None, None], stack, 0), compute_uv=False)[..., 0]
+    return np.where(finite, sigma, math.inf)
+
+
+def _words(letter_t, loops: LoopSystem):
+    """Forward transports (n, 2g, 2, 2) of the loops: products of ``letter_t``
+    (n, 2g+1, 2 sheets, 2, 2) in np.clongdouble, so that rounding a word once
+    keeps float products out of its determinant residual (where longdouble is
+    double, as on macOS arm64, they are the float products)."""
     ext = letter_t.astype(np.clongdouble)
-    words = []
-    for loop in loops.loops:
+    words = np.empty((len(ext), len(loops.loops), 2, 2), dtype=np.clongdouble)
+    for j, loop in enumerate(loops.loops):
         w = np.eye(2, dtype=np.clongdouble)
         for i, k in enumerate(loop.word):
-            w = ext[k - 1, i % 2] @ w
-        words.append(w)
+            w = ext[:, k - 1, i % 2] @ w
+        words[:, j] = w
     return words
 
 
-def _sweep(systems, loops: LoopSystem, ode_tol: float) -> list:
-    """Representations of ``systems``, their 2(2g+1) letter members each in
-    one sweep whose step sequence all of them share."""
+def _letter_transports(systems, loops: LoopSystem, ode_tol: float):
+    """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``, all
+    2(2g+1) letter members of each in one sweep sharing its step sequence."""
     systems = [_coerce(s) for s in systems]
     letters = np.array(loops.letters, dtype=complex)
     # one row per (system, letter), run on both sheets; members sheet fastest
@@ -713,32 +747,35 @@ def _sweep(systems, loops: LoopSystem, ode_tol: float) -> list:
     members = [(i, f"letter {k}", s) for i in range(len(systems))
                for k in range(1, len(letters) + 1) for s in _SHEETS]
     transports = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, rows, ode_tol, members)
-    transports = transports.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
-
-    names = tuple(loop.name for loop in loops.loops)
-    eye = np.eye(2, dtype=complex)
-    reps = []
-    for letter_t in transports:
-        words = [w.astype(complex) for w in _word_transports(letter_t, loops)]
-        defects = tuple(
-            max(_opnorm(t[1] @ t[0] - eye), _opnorm(t[0] @ t[1] - eye)) for t in letter_t
-        )
-        reps.append(_representation(words, names, defects))
-    return reps
+    return transports.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
 
 
-@np.errstate(all="ignore")  # an overflowed relation product is reported invalid
-def _representation(transports, names, defects):
-    det_res = tuple(
-        float(abs((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)) for m in transports
-    )
-    mats = tuple(_sl2_inverse(m) for m in transports)
+@np.errstate(all="ignore")  # an overflowed word or relation product is reported invalid
+def _representations(letter_t, loops: LoopSystem) -> list:
+    """Representations from letter transports (n, 2g+1, 2 sheets, 2, 2),
+    every quantity computed for all n systems at once."""
+    words = _words(letter_t, loops).astype(complex)
+    re, im = _dets(words)
+    det_res = np.hypot(re - 1.0, im)  # array np.abs rounds unlike scalar abs
+    mats = _sl2_inverses(words)
+    inverses = _sl2_inverses(mats)
     rel = np.eye(2, dtype=complex)
-    for i in range(len(mats) // 2):
-        a, b = mats[2 * i], mats[2 * i + 1]
-        rel = rel @ a @ b @ _sl2_inverse(a) @ _sl2_inverse(b)
-    residual = _opnorm(rel - np.eye(2))
-    return MonodromyRepresentation(mats, names, float(residual), det_res, defects)
+    for i in range(0, mats.shape[1], 2):
+        rel = rel @ mats[:, i] @ mats[:, i + 1] @ inverses[:, i] @ inverses[:, i + 1]
+    residuals = _opnorms(rel - np.eye(2))
+    defects = _opnorms(letter_t[:, :, ::-1] @ letter_t - np.eye(2)).max(axis=-1)
+    norms = _opnorms(letter_t).max(axis=-1)
+    names = tuple(loop.name for loop in loops.loops)
+    return [
+        MonodromyRepresentation(tuple(m), names, float(r), tuple(d.tolist()),
+                                tuple(inv.tolist()), tuple(nrm.tolist()))
+        for m, r, d, inv, nrm in zip(mats, residuals, det_res, defects, norms)
+    ]
+
+
+def _sweep(systems, loops: LoopSystem, ode_tol: float) -> list:
+    """Representations of ``systems`` from one shared sweep of their letters."""
+    return _representations(_letter_transports(systems, loops, ode_tol), loops)
 
 
 def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentation:
@@ -800,10 +837,24 @@ def standard_word_list(g: int) -> tuple:
 
 def _require_valid(rep: MonodromyRepresentation) -> None:
     if not rep.valid:
+        norm = f", largest letter norm {max(rep.letter_norms):.3e}" if rep.letter_norms else ""
         raise InvalidRepresentationError(
             f"invalid representation: relation residual {rep.relation_residual:.3e}, "
-            f"max det residual {max(rep.det_residuals):.3e}"
+            f"max det residual {max(rep.det_residuals):.3e}{norm}"
         )
+
+
+def _traces(mats, names, words) -> np.ndarray:
+    """Traces (n, len(words)) of the words in the generator stacks ``mats``
+    (n, 2g, 2, 2), whose generators are named ``names``."""
+    index = {name: i for i, name in enumerate(names)}
+    out = np.empty((len(mats), len(words)), dtype=complex)
+    for j, w in enumerate(words):
+        m = np.eye(2, dtype=complex)
+        for name in w:
+            m = m @ mats[:, index[name]]
+        out[:, j] = m[:, 0, 0] + m[:, 1, 1]
+    return out
 
 
 def trace_vector(rep: MonodromyRepresentation) -> TraceVector:
@@ -814,14 +865,8 @@ def trace_vector(rep: MonodromyRepresentation) -> TraceVector:
     """
     _require_valid(rep)
     words = standard_word_list(rep.genus)
-    lookup = {name: rep.matrices[i] for i, name in enumerate(rep.loop_names)}
-    values = []
-    for w in words:
-        m = np.eye(2, dtype=complex)
-        for name in w:
-            m = m @ lookup[name]
-        values.append(complex(m[0, 0] + m[1, 1]))
-    return TraceVector(words, tuple(values))
+    values = _traces(np.array(rep.matrices)[None], rep.loop_names, words)[0]
+    return TraceVector(words, tuple(values.tolist()))
 
 
 # -- irreducibility probe -----------------------------------------------------------
@@ -858,11 +903,12 @@ def irreducibility_probe(rep: MonodromyRepresentation) -> IrreducibilityVerdict:
     """
     _require_valid(rep)
     mats = rep.matrices
-    scale = max(max(_opnorm(m) for m in mats), 1.0)
+    norms = _opnorms(np.array(mats))
+    scale = max(float(norms.max()), 1.0)
     candidates = None
     for m in mats:
         centered = m - (np.trace(m) / 2.0) * np.eye(2)
-        if _opnorm(centered) > _PROBE_TOL * scale:
+        if _opnorms(centered) > _PROBE_TOL * scale:
             _, vecs = np.linalg.eig(m)
             candidates = [vecs[:, 0], vecs[:, 1]]
             break
@@ -872,10 +918,10 @@ def irreducibility_probe(rep: MonodromyRepresentation) -> IrreducibilityVerdict:
     for v in candidates:
         v = v / np.linalg.norm(v)
         common = True
-        for m in mats:
+        for m, norm in zip(mats, norms):
             image = m @ v
             mu = np.vdot(v, image)
-            if np.linalg.norm(image - mu * v) > _PROBE_TOL * max(_opnorm(m), 1.0):
+            if np.linalg.norm(image - mu * v) > _PROBE_TOL * max(norm, 1.0):
                 common = False
                 break
         if common:

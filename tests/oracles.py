@@ -3,10 +3,13 @@
 Nothing here reuses the code paths it checks: holomorphy comes from local
 valuations, multiplication ranks from point evaluation and SVD, periods from
 composite Gauss-Legendre quadrature, loop words from exact finite-field
-representations of the branch-loop group, and exact ranks from sympy.
+representations of the branch-loop group, exact ranks from sympy, and the
+stacked representation layer of the monodromy from products and norms taken
+one matrix at a time.
 """
 
 import cmath
+import math
 import random
 
 import numpy as np
@@ -287,6 +290,69 @@ def word_is_trivial_upstairs(words_product, n_letters, trials=8, seed=7):
         if acc != idm and acc != neg:
             return False
     return True
+
+
+# -- per-matrix representation reference -------------------------------------------
+#
+# The monodromy computes every quantity below on stacked arrays; here each is
+# formed one 2x2 matrix at a time, with numpy's scalar complex arithmetic for
+# determinants and their moduli.
+
+
+def _opnorm(m):
+    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else math.inf
+
+
+def _sl2_inverse(m):
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+
+
+def word_transports(letter_t, loops):
+    """Forward transports of the loops from one system's letter transports
+    ``letter_t`` (2g+1, 2 sheets, 2, 2): each word a chain of single
+    products in np.clongdouble, the i-th letter taken on sheet i % 2."""
+    ext = letter_t.astype(np.clongdouble)
+    words = []
+    for loop in loops.loops:
+        w = np.eye(2, dtype=np.clongdouble)
+        for i, k in enumerate(loop.word):
+            w = ext[k - 1, i % 2] @ w
+        words.append(w)
+    return words
+
+
+def representation(letter_t, loops):
+    """(matrices, relation residual, det residuals, involution defects,
+    letter norms) of one system from its letter transports."""
+    eye = np.eye(2, dtype=complex)
+    with np.errstate(all="ignore"):
+        transports = [w.astype(complex) for w in word_transports(letter_t, loops)]
+        det_res = tuple(
+            float(abs((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)) for m in transports
+        )
+        mats = tuple(_sl2_inverse(m) for m in transports)
+        rel = eye
+        for i in range(len(mats) // 2):
+            a, b = mats[2 * i], mats[2 * i + 1]
+            rel = rel @ a @ b @ _sl2_inverse(a) @ _sl2_inverse(b)
+        residual = _opnorm(rel - np.eye(2))
+    defects = tuple(max(_opnorm(t[1] @ t[0] - eye), _opnorm(t[0] @ t[1] - eye)) for t in letter_t)
+    norms = tuple(max(_opnorm(t[0]), _opnorm(t[1])) for t in letter_t)
+    return mats, residual, det_res, defects, norms
+
+
+def traces(mats, names, words):
+    """Traces of the words (tuples of generator names) in one system's
+    generator matrices ``mats``, named ``names``."""
+    lookup = dict(zip(names, mats))
+    values = []
+    for w in words:
+        m = np.eye(2, dtype=complex)
+        for name in w:
+            m = m @ lookup[name]
+        values.append(complex(m[0, 0] + m[1, 1]))
+    return tuple(values)
 
 
 # -- sympy exact-rank oracle -------------------------------------------------------

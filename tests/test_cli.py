@@ -231,6 +231,20 @@ class TestMonodromyCommand:
             assert code == 1, value
             assert "--ode-tol must be positive and finite" in capsys.readouterr().err
 
+    def test_ode_tol_below_double_precision_exit1(self, capsys, monkeypatch):
+        """A tolerance finer than 10 eps is a configuration error, refused
+        before any transport (1e-20 used to run 285 s, then exit 2)."""
+        import diffsys.cli
+
+        def no_transport(*args):
+            raise AssertionError("transport started")
+
+        monkeypatch.setattr(diffsys.cli, "monodromy", no_transport)
+        code = run_cli(["monodromy", "--branch-points", "0,1,2,3,4", "--ode-tol", "1e-20"])
+        assert code == 1
+        assert "--ode-tol must be at least" in capsys.readouterr().err
+        assert run_cli(["immersion", "--fd-steps", "1e-4", "--ode-tol", "1e-16"]) == 1
+
     def test_infeasible_clearance_exit1(self, capsys):
         code = run_cli(
             ["monodromy", "--branch-points", "0,1,2,3,4", "--clearance", "0.6"]
@@ -283,6 +297,9 @@ class TestMonodromyCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err and "invalid representation" in err
+        # the failure explains itself: letter 7's transport has norm about 4.5e3
+        norm = re.search(r"largest letter norm (\S+)$", err.strip())
+        assert norm and float(norm.group(1)) > 1e3
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         outs = []

@@ -23,13 +23,16 @@ from diffsys.monodromy import (
     standard_word_list,
     trace_vector,
     MonodromyRepresentation,
+    ODE_TOL_FLOOR,
     _A,
     _C,
     _E,
     _SHEETS,
-    _representation,
+    _letter_transports,
+    _representations,
+    _traces,
     _transport,
-    _word_transports,
+    _words,
 )
 from diffsys.systems import (
     DifferentialSystem,
@@ -39,6 +42,7 @@ from diffsys.systems import (
     scale_system,
 )
 
+import oracles
 from oracles import loop_integral, loop_sheets, word_is_trivial_upstairs
 
 
@@ -194,6 +198,17 @@ class TestIntegrateLoop:
             with pytest.raises(ValueError, match="ode_tol must be positive and finite"):
                 integrate_loop(system, loops_g2.loops[0], ode_tol)
 
+    def test_tolerance_below_double_precision_rejected(self, genus2_curve, loops_g2):
+        """The local error is held to ode_tol / 10 relative to 1 + |Y|, which
+        double precision cannot resolve below 10 eps: such a tolerance is
+        refused before any step (1e-20 used to run 285 s on the CLI and
+        exhaust the step budget)."""
+        system = small_system(genus2_curve, 5)
+        assert ODE_TOL_FLOOR == 10 * np.finfo(float).eps
+        for ode_tol in (1e-20, 0.99 * ODE_TOL_FLOOR):
+            with pytest.raises(ValueError, match="double precision"):
+                integrate_loop(system, loops_g2.loops[0], ode_tol)
+
     def test_non_sl2_rejected(self, genus2_curve, loops_g2):
         gl2 = builtin_algebra("gl2")
         system = DifferentialSystem(genus2_curve, gl2, ExactMatrix.zeros(4, 2))
@@ -271,26 +286,116 @@ class TestMonodromy:
                 assert np.array_equal(a, b)
             assert rep1.involution_defects == rep2.involution_defects
 
-    def test_overflowed_relation_is_invalid_not_an_error(self):
+    @staticmethod
+    def _overflowing_letters(loops):
+        """Letter transports diag(1e50, 1e-50) on both sheets: each word of at
+        most four letters stays finite, the relation product overflows."""
+        letter = np.diag([1e50, 1e-50]).astype(complex)
+        return np.array(np.broadcast_to(letter, (1, len(loops.letters), 2, 2, 2)))
+
+    def test_overflowed_relation_is_invalid_not_an_error(self, loops_g2):
         """A relation product that overflows has infinite residual: the
         representation is invalid, and no SVD is attempted on it."""
-        big = np.diag([1e200, 1e-200]).astype(complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), ())
+        (rep,) = _representations(self._overflowing_letters(loops_g2), loops_g2)
+        assert all(np.isfinite(np.linalg.inv(m)).all() for m in rep.matrices)
         assert rep.relation_residual == math.inf
         assert rep.valid is False
 
-    def test_overflowed_relation_prints_no_warning(self):
-        big = np.diag([1e200, 1e-200]).astype(complex)
+    def test_overflowed_relation_prints_no_warning(self, loops_g2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = _representation([big] * 4, ("a1", "b1", "a2", "b2"), ())
+            (rep,) = _representations(self._overflowing_letters(loops_g2), loops_g2)
         assert rep.valid is False
+
+    def test_overflow_in_a_stack_stays_with_its_member(self, genus2_curve, loops_g2):
+        """In a two-system stack only the overflowing member turns invalid;
+        the other is bit for bit its own stack of one."""
+        system = small_system(genus2_curve, 3)
+        letters = _letter_transports([NumericSystem.from_system(system)], loops_g2, 1e-12)
+        stack = np.concatenate([self._overflowing_letters(loops_g2), letters])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad, good = _representations(stack, loops_g2)
+        (alone,) = _representations(letters, loops_g2)
+        assert bad.relation_residual == math.inf and bad.valid is False
+        assert good.valid
+        assert good.to_json() == alone.to_json()
+        for a, b in zip(good.matrices, alone.matrices):
+            assert np.array_equal(a, b)
 
     def test_involution_defects_reported(self, loops_g2, rep_g2):
         defects = rep_g2.to_json()["involution_defects"]
         assert len(defects) == 2 * loops_g2.genus + 1 == len(loops_g2.letters)
         assert all(0 <= d <= 1e-10 for d in defects)
+
+    def test_letter_norms_reported(self, loops_g2, rep_g2):
+        """det T = 1 forces the largest singular value of T to be at least 1."""
+        norms = rep_g2.to_json()["letter_norms"]
+        assert len(norms) == 2 * loops_g2.genus + 1
+        assert all(n >= 1 - 1e-9 for n in norms)
+
+
+def _assert_same_rep(a, b):
+    """Bit-equality of two representations, matrices included."""
+    assert a.to_json() == b.to_json()
+    for m, n in zip(a.matrices, b.matrices):
+        assert np.array_equal(m, n)
+
+
+class TestStackedRepresentation:
+    """The stacked representation layer and the per-distinct-row geometry
+    against the per-matrix reference in ``oracles``, on a family like an fd
+    ladder's: a center, coefficient partners (which share the center's
+    geometry rows), branch partners, an exact duplicate and a stiff system."""
+
+    @pytest.fixture(scope="class")
+    def family(self, genus2_curve):
+        base = NumericSystem.from_system(small_system(genus2_curve, 3))
+        unit = np.zeros((2, 2, 2), dtype=complex)
+        unit[0, 0, 1] = 1.0
+        coeff = [NumericSystem(base.roots, base.matrices + d * unit) for d in (1e-5, -1e-5, 1e-5j)]
+        moved = [base.roots[:2] + (base.roots[2] + d,) + base.roots[3:] for d in (1e-5, -1e-5j)]
+        branch = [NumericSystem(roots, base.matrices) for roots in moved]
+        stiff = NumericSystem.from_system(scale_system(small_system(genus2_curve, 4), es(8)))
+        return [base, *coeff, *branch, base, stiff]
+
+    @pytest.fixture(scope="class")
+    def family_reps(self, family, loops_g2):
+        return monodromy_family(family, loops_g2, 1e-12)
+
+    def test_family_matches_per_matrix_reference(self, family, family_reps, loops_g2):
+        letter_t = _letter_transports(family, loops_g2, 1e-12)
+        words = standard_word_list(2)
+        stacked = _traces(np.array([rep.matrices for rep in family_reps]), family_reps[0].loop_names, words)
+        for i, rep in enumerate(family_reps):
+            mats, residual, det_res, defects, norms = oracles.representation(letter_t[i], loops_g2)
+            for a, b in zip(rep.matrices, mats):
+                assert np.array_equal(a, b), i
+            assert rep.relation_residual == residual, i
+            assert rep.det_residuals == det_res, i
+            assert rep.involution_defects == defects, i
+            assert rep.letter_norms == norms, i
+            ref = oracles.traces(mats, rep.loop_names, words)
+            assert tuple(stacked[i].tolist()) == ref, i
+            if rep.valid:  # the stiff system misses the relation gate
+                assert trace_vector(rep).values == ref, i
+        _assert_same_rep(family_reps[0], family_reps[-2])
+
+    def test_permuted_family_permutes_results(self, family, family_reps, loops_g2):
+        order = [5, 2, 7, 0, 3, 6, 1, 4]
+        permuted = monodromy_family([family[j] for j in order], loops_g2, 1e-12)
+        for rep, j in zip(permuted, order):
+            _assert_same_rep(rep, family_reps[j])
+
+    def test_lone_system_takes_no_gather(self, genus2_curve, loops_g2):
+        """A lone system's rows are all distinct: its result equals the
+        per-matrix reference on its own letter transports."""
+        system = NumericSystem.from_system(small_system(genus2_curve, 9))
+        letter_t = _letter_transports([system], loops_g2, 1e-12)
+        rep = monodromy(system, loops_g2, 1e-12)
+        mats, residual, *_ = oracles.representation(letter_t[0], loops_g2)
+        assert rep.relation_residual == residual
+        assert all(np.array_equal(a, b) for a, b in zip(rep.matrices, mats))
 
 
 def _rel_dev(a, b):
@@ -319,6 +424,20 @@ class TestBatchedTransport:
         assert err.member[:2] == (2, "letter 2")
         assert "system 2, letter 2" in str(err)
         assert err.segment is not None and err.h is not None
+
+    def test_sheet_guard_culprit_behind_shared_rows(self, genus2_curve, loops_g2):
+        """A system with a branch point 1e-15 off a segment of letter 2 fails
+        on the sheet guard alone (its zero connection has no local error);
+        behind two systems that share their geometry rows, the error still
+        names it, not the index of its row among the distinct ones."""
+        zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
+        a, b = loops_g2.letters[1][6], loops_g2.letters[1][7]
+        roots = list(zero.roots)
+        roots[0] = (a + b) / 2 + 1e-15j * (b - a) / abs(b - a)
+        bad = NumericSystem(tuple(roots), zero.matrices)
+        with pytest.raises(IntegrationError, match="underflow") as info:
+            monodromy_family([zero, zero, bad], loops_g2, 1e-12)
+        assert info.value.member == (2, "letter 2", 1)
 
     def test_family_member_named_by_global_index(self, genus2_curve, loops_g2):
         """One shared sweep over several systems names a failing member by
@@ -411,7 +530,7 @@ class TestDOP853Transport:
         for seed in (2, 3, 9):
             system = NumericSystem.from_system(small_system(genus2_curve, seed))
             letter_t = _transport(letters, _SHEETS, [system] * len(letters), 1e-12, members)
-            for loop, w in zip(loops_g2.loops, _word_transports(letter_t, loops_g2)):
+            for loop, w in zip(loops_g2.loops, _words(letter_t[None], loops_g2)[0]):
                 ref = ExactMatrix.identity(2)
                 for i, k in enumerate(loop.word):
                     ref = exact_matrix(letter_t[k - 1, i % 2]).matmul(ref)
