@@ -60,8 +60,7 @@ from .monodromy import (
     irreducibility_probe,
     monodromy_family,
     standard_word_list,
-    _require_valid,
-    _traces,
+    trace_values,
 )
 from .systems import DifferentialSystem, builtin_algebra, sample_system, scale_system, system_to_json
 
@@ -344,13 +343,10 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
     else:
         status = "ok"
 
-    for index, rep in enumerate(reps[1:], start=1):
-        try:
-            _require_valid(rep)
-        except InvalidRepresentationError as err:
-            raise direction_failed(index, err) from err
-    mats = np.array([rep.matrices for rep in reps[1:]])
-    traces = _traces(mats, center_rep.loop_names, standard_word_list(g))  # one chain per word
+    try:
+        traces = trace_values(reps[1:])
+    except InvalidRepresentationError as err:
+        raise direction_failed(err.index + 1, err) from err
 
     reports = []
     for k, fd_step in enumerate(steps):

@@ -43,11 +43,9 @@ acceptance requires |y_new - y_old| < |y_old|, so a silent sheet jump is
 impossible and failure surfaces as step-size underflow, naming the member,
 the segment, t and h.  As no stage depends on an earlier stage's y, each
 step computes its geometry (x, y and the connection at the eleven new
-points; stages 11 and 12 share t + h) in one pass: x, y and the guard once
-per distinct (roots, polyline) row, since coefficient partners share their
-center's, the connection per row.  The other sheet's y and connection are
-exact negations and the guard ignores the sign, so one pass serves both
-sheets; neither sharing changes a bit of any member's numbers.
+points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
+y and connection are exact negations and the guard ignores the sign, so one
+pass serves both sheets and changes no bit of any member's numbers.
 
 Who shares a sweep: ``monodromy`` sweeps its one system alone, and
 :mod:`diffsys.immersion` runs a center and its +delta and -delta systems
@@ -117,6 +115,7 @@ __all__ = [
     "integrate_loop",
     "monodromy",
     "monodromy_family",
+    "trace_values",
     "trace_vector",
     "standard_word_list",
     "irreducibility_probe",
@@ -146,8 +145,13 @@ class IntegrationError(RuntimeError):
 class InvalidRepresentationError(ValueError):
     """A computed representation misses its relation or determinant gate.
 
-    This is a numerical outcome, not a configuration error.
+    This is a numerical outcome, not a configuration error.  ``index`` is
+    the representation's position in the sequence given to ``trace_values``.
     """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 # -- canonical generator words -------------------------------------------------
@@ -504,16 +508,8 @@ def _transport(vertices, sheets, systems, ode_tol, members):
         raise ValueError(f"ode_tol {ode_tol:.3g} is below 10 eps: double precision cannot hold it")
     r, nvert = vertices.shape
     ns = len(sheets)
-    roots = np.array([s.roots for s in systems], dtype=complex)
-    # x, y and the sheet guard run once per distinct (roots, polyline) row
-    # ``first``; ``inv`` maps rows to them
-    keys = {}
-    inv = np.array([keys.setdefault(k.tobytes(), len(keys)) for k in np.hstack([roots, vertices])])
-    first = np.unique(inv, return_index=True)[1]
-    if len(first) == r:
-        first = inv = slice(None)  # no gather
-    path = np.ascontiguousarray(vertices[first].T)  # (nvert, distinct rows)
-    root_rows = np.ascontiguousarray(roots[first].T)
+    path = np.ascontiguousarray(vertices.T)  # (nvert, r)
+    root_rows = np.ascontiguousarray(np.array([s.roots for s in systems], dtype=complex).T)
     # coeffs[c, 0, j] = column j of M_c, shape (2, 1, r), so that
     # M @ state = column 0 * row 0 of state + column 1 * row 1 of state
     coeffs = np.array([s.matrices for s in systems], dtype=complex).transpose(1, 3, 2, 0)
@@ -525,14 +521,13 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     signs = np.array(sheets, dtype=float)[:, None]
 
     def geometry(x, delta, y_prev):
-        """conn[:k] at the k points x (k, distinct rows); returns y there, continued
-        from y_prev on the principal sheet.  The other sheet negates y, so conn."""
+        """conn[:k] at the k points x (k, r); returns y (k, r), continued from
+        y_prev on the principal sheet.  The other sheet negates y, so conn."""
         y = _nearer_root(_sqrt_f(x[:, None], root_rows), y_prev)
-        x = x[:, inv]
         m = coeffs[-1]
         for c in coeffs[-2::-1]:
             m = m * x[:, None, None, None, :] + c
-        np.multiply(m[..., None, :], (delta / y)[:, inv][:, None, None, None, None, :] * signs,
+        np.multiply(m[..., None, :], (delta / y)[:, None, None, None, None, :] * signs,
                     out=conn[: len(x)])
         return y
 
@@ -618,7 +613,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
                 culprit = int(np.argmin(np.isfinite(by_member(rel_err))))
                 h *= 0.1
                 continue
-            guard = _on_sheet(y_new, y_ref)  # per distinct row: negating y leaves it unchanged
+            guard = _on_sheet(y_new, y_ref)  # per row: negating y leaves the test unchanged
             sheet_ok = bool(guard.all())
             if err <= 1.0 and sheet_ok:
                 t += h
@@ -634,7 +629,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
                 culprit = int(np.argmax(by_member(rel_err)))
                 h *= min(0.9, max(0.2, 0.9 * err**-0.125))
             else:
-                culprit = int(np.argmin(guard[inv])) * ns  # the row's first sheet
+                culprit = int(np.argmin(guard)) * ns  # the row's first sheet
                 h *= 0.5
     finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
     if not finite.all():
@@ -835,38 +830,44 @@ def standard_word_list(g: int) -> tuple:
     return tuple(words)
 
 
-def _require_valid(rep: MonodromyRepresentation) -> None:
+def _require_valid(rep: MonodromyRepresentation, index=None) -> None:
     if not rep.valid:
         norm = f", largest letter norm {max(rep.letter_norms):.3e}" if rep.letter_norms else ""
         raise InvalidRepresentationError(
             f"invalid representation: relation residual {rep.relation_residual:.3e}, "
-            f"max det residual {max(rep.det_residuals):.3e}{norm}"
+            f"max det residual {max(rep.det_residuals):.3e}{norm}",
+            index=index,
         )
 
 
-def _traces(mats, names, words) -> np.ndarray:
-    """Traces (n, len(words)) of the words in the generator stacks ``mats``
-    (n, 2g, 2, 2), whose generators are named ``names``."""
-    index = {name: i for i, name in enumerate(names)}
-    out = np.empty((len(mats), len(words)), dtype=complex)
+def trace_values(reps) -> np.ndarray:
+    """Traces (n, words) of the documented word list for n representations
+    of one genus on one loop system, one product chain per word over the
+    stacked generator matrices.
+
+    Requires every representation to be valid (relation and determinant
+    residuals within ``_RELATION_TOL`` and ``_DET_TOL``); the first invalid
+    one raises ``InvalidRepresentationError`` with its position as ``index``.
+    """
+    for i, rep in enumerate(reps):
+        _require_valid(rep, i)
+    mats = np.array([rep.matrices for rep in reps])  # (n, 2g, 2, 2)
+    column = {name: i for i, name in enumerate(reps[0].loop_names)}
+    words = standard_word_list(reps[0].genus)
+    out = np.empty((len(reps), len(words)), dtype=complex)
     for j, w in enumerate(words):
         m = np.eye(2, dtype=complex)
         for name in w:
-            m = m @ mats[:, index[name]]
+            m = m @ mats[:, column[name]]
         out[:, j] = m[:, 0, 0] + m[:, 1, 1]
     return out
 
 
 def trace_vector(rep: MonodromyRepresentation) -> TraceVector:
-    """Traces of the documented word list in the generator matrices.
-
-    Requires a valid representation (relation and determinant residuals
-    within ``_RELATION_TOL`` and ``_DET_TOL``).
-    """
-    _require_valid(rep)
-    words = standard_word_list(rep.genus)
-    values = _traces(np.array(rep.matrices)[None], rep.loop_names, words)[0]
-    return TraceVector(words, tuple(values.tolist()))
+    """Traces of the documented word list in the generator matrices of one
+    valid representation: ``trace_values`` on a stack of one."""
+    values = trace_values([rep])[0]
+    return TraceVector(standard_word_list(rep.genus), tuple(values.tolist()))
 
 
 # -- irreducibility probe -----------------------------------------------------------

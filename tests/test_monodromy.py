@@ -21,6 +21,7 @@ from diffsys.monodromy import (
     monodromy,
     monodromy_family,
     standard_word_list,
+    trace_values,
     trace_vector,
     MonodromyRepresentation,
     ODE_TOL_FLOOR,
@@ -30,7 +31,6 @@ from diffsys.monodromy import (
     _SHEETS,
     _letter_transports,
     _representations,
-    _traces,
     _transport,
     _words,
 )
@@ -343,10 +343,9 @@ def _assert_same_rep(a, b):
 
 
 class TestStackedRepresentation:
-    """The stacked representation layer and the per-distinct-row geometry
-    against the per-matrix reference in ``oracles``, on a family like an fd
-    ladder's: a center, coefficient partners (which share the center's
-    geometry rows), branch partners, an exact duplicate and a stiff system."""
+    """The stacked representation layer against the per-matrix reference in
+    ``oracles``, on a family like an fd ladder's: a center, coefficient
+    partners, branch partners, an exact duplicate and a stiff system."""
 
     @pytest.fixture(scope="class")
     def family(self, genus2_curve):
@@ -366,7 +365,9 @@ class TestStackedRepresentation:
     def test_family_matches_per_matrix_reference(self, family, family_reps, loops_g2):
         letter_t = _letter_transports(family, loops_g2, 1e-12)
         words = standard_word_list(2)
-        stacked = _traces(np.array([rep.matrices for rep in family_reps]), family_reps[0].loop_names, words)
+        valid = [i for i, rep in enumerate(family_reps) if rep.valid]
+        assert len(valid) == len(family_reps) - 1  # the stiff system misses the relation gate
+        stacked = dict(zip(valid, trace_values([family_reps[i] for i in valid])))
         for i, rep in enumerate(family_reps):
             mats, residual, det_res, defects, norms = oracles.representation(letter_t[i], loops_g2)
             for a, b in zip(rep.matrices, mats):
@@ -375,9 +376,9 @@ class TestStackedRepresentation:
             assert rep.det_residuals == det_res, i
             assert rep.involution_defects == defects, i
             assert rep.letter_norms == norms, i
-            ref = oracles.traces(mats, rep.loop_names, words)
-            assert tuple(stacked[i].tolist()) == ref, i
-            if rep.valid:  # the stiff system misses the relation gate
+            if rep.valid:
+                ref = oracles.traces(mats, rep.loop_names, words)
+                assert tuple(stacked[i].tolist()) == ref, i
                 assert trace_vector(rep).values == ref, i
         _assert_same_rep(family_reps[0], family_reps[-2])
 
@@ -387,15 +388,12 @@ class TestStackedRepresentation:
         for rep, j in zip(permuted, order):
             _assert_same_rep(rep, family_reps[j])
 
-    def test_lone_system_takes_no_gather(self, genus2_curve, loops_g2):
-        """A lone system's rows are all distinct: its result equals the
-        per-matrix reference on its own letter transports."""
-        system = NumericSystem.from_system(small_system(genus2_curve, 9))
-        letter_t = _letter_transports([system], loops_g2, 1e-12)
-        rep = monodromy(system, loops_g2, 1e-12)
-        mats, residual, *_ = oracles.representation(letter_t[0], loops_g2)
-        assert rep.relation_residual == residual
-        assert all(np.array_equal(a, b) for a, b in zip(rep.matrices, mats))
+    def test_trace_values_name_the_first_invalid(self, family_reps):
+        """The stiff system (index 7) misses the relation gate; behind valid
+        representations, ``trace_values`` names its position."""
+        with pytest.raises(InvalidRepresentationError, match="largest letter norm") as info:
+            trace_values(family_reps[:3] + family_reps[7:] + family_reps[3:7])
+        assert info.value.index == 3
 
 
 def _rel_dev(a, b):
@@ -425,11 +423,10 @@ class TestBatchedTransport:
         assert "system 2, letter 2" in str(err)
         assert err.segment is not None and err.h is not None
 
-    def test_sheet_guard_culprit_behind_shared_rows(self, genus2_curve, loops_g2):
+    def test_sheet_guard_culprit_is_named(self, genus2_curve, loops_g2):
         """A system with a branch point 1e-15 off a segment of letter 2 fails
         on the sheet guard alone (its zero connection has no local error);
-        behind two systems that share their geometry rows, the error still
-        names it, not the index of its row among the distinct ones."""
+        behind two systems with identical rows, the error names it."""
         zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
         a, b = loops_g2.letters[1][6], loops_g2.letters[1][7]
         roots = list(zero.roots)
