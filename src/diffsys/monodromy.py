@@ -32,11 +32,11 @@ when the largest local error in the batch is within tolerance and every
 member passes the sheet guard, and the next step size follows from that
 largest error (factor 0.9 err^(-1/8) within [0.2, 6]).  An entry's local
 error is the combined estimate h |e5|^2 / hypot(|e5|, |e3| / 10), held to
-ode_tol / 10 in the mixed scale 1 + max(|Y|, |Y_new|): against transports at
-1e-15 of 48 genus-2 and genus-3 systems, ode_tol itself left the letters
-less accurate than the former 5(4) pair's on a third of them, the tenth
-more accurate on all.  An accepted step fails once an entry of Y passes
-2**26 = eps^(-1/2), where rounding alone breaks det = 1, naming the member.
+ode_tol / 10 in the mixed scale 1 + max(|Y|, |Y_new|) (on 48 genus-2 and
+genus-3 systems, ode_tol itself fell short of the former 5(4) pair on a
+third, the tenth beat it on all).  An accepted step fails once an entry of Y
+passes 2**26 = eps^(-1/2), where rounding alone breaks det = 1, naming the
+member.
 y is continued by the square-root rule that loop construction uses too:
 every stage takes the root nearer to y at the start of the step, and
 acceptance requires |y_new - y_old| < |y_old|, so a silent sheet jump is
@@ -45,7 +45,9 @@ the segment, t and h.  As no stage depends on an earlier stage's y, each
 step computes its geometry (x, y and the connection at the eleven new
 points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
 y and connection are exact negations and the guard ignores the sign, so one
-pass serves both sheets and changes no bit of any member's numbers.
+pass serves both sheets and changes no bit of any member's numbers.  The
+sweep also keeps the transports to vertex 2 and counts its accepted and
+rejected steps, which every representation from it reports.
 
 Who shares a sweep: ``monodromy`` sweeps its one system alone, and
 :mod:`diffsys.immersion` runs a center and its +delta and -delta systems
@@ -56,19 +58,24 @@ stiff system by about as much as double precision determines it (a genus-2
 system of norm 1.7e3 moves by 1.3e-10, relative, from ode_tol 1e-14 to
 1e-15).  Every representation, center or partner, meets the same gates.
 
-Neither integrates whole loop words.  Each word is a product of lollipop
-letters based at the base point, and a letter's transport depends only on
-the system, the letter and the sheet it starts on, so a system contributes
-2g+1 rows, one per letter, each run on both sheets.  A word's transport is
-the product of its letter transports, formed in extended precision
-(``np.clongdouble``) and rounded once; since every letter swaps the sheet,
-the i-th letter of a word starts on the principal sheet for even i and on
-the other for odd i.  Words, inverses, residuals, defects and norms are
-formed on arrays stacked over a sweep's systems, bit for bit the per-matrix
-results: numpy's array complex multiply and array ``abs`` round unlike its
-scalar ones, so determinants come from real parts and moduli from hypot.
-``integrate_loop`` transports one row on one sheet along a whole loop
-polyline, the full-word reference the tests compare letter products against.
+Neither integrates whole loop words, nor whole letters.  A word is a product
+of lollipop letters based at the base point; a letter's transport depends
+only on the system, the letter and its starting sheet, so a system
+contributes 2g+1 rows, one per letter, each run on both sheets.  A lollipop
+runs out along its stem (base, foot, south), once around its circle, which
+swaps the sheet, and back along the stem, that is the stem on the other
+sheet, reversed.  So rows stop at south (vertex 2 + _CIRCLE_SIDES), and
+T(k,s) = G(k,-s)^-1 C(k,s) G(k,s) with G the stem and C the circle
+transport.  A word's transport is the product of its letter transports,
+formed in extended precision (``np.clongdouble``) and rounded once; since
+every letter swaps the sheet, the i-th letter of a word starts on the
+principal sheet for even i and on the other for odd i.  Words, inverses,
+residuals, defects and norms are formed on arrays stacked over a sweep's
+systems, bit for bit the per-matrix results: numpy's array complex multiply
+and array ``abs`` round unlike its scalar ones, so determinants come from
+real parts and moduli from hypot.  ``integrate_loop`` transports one row on
+one sheet along a whole loop polyline, the full-word reference the tests
+compare letter products against.
 
 Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
@@ -76,10 +83,12 @@ reduces the relation word to a conjugate of (1 2 ... 2g+1)^2, the circuit
 around every finite branch point taken on both sheets, which encircles the
 branch point at infinity and is trivial upstairs.  Each cancellation costs a
 letter involution defect |T(k,-s) T(k,s) - I| (a letter traversed on one
-sheet and then on the other is the trivial loop upstairs).  The relation
-residual therefore witnesses the letter transports themselves, through
-these defects and that circuit, not the agreement of independently
-integrated words; the defects are reported next to it.
+sheet and then on the other is the trivial loop upstairs).  The stem G(k,-s)
+cancels exactly in that product, so a defect witnesses the letter's circle
+on both sheets, conjugated by G(k,s); the stems are witnessed through the
+circuit, whose neighbouring letters differ.  The relation residual thus
+witnesses the letter transports themselves, not the agreement of
+independently integrated words; the defects are reported next to it.
 
 Convention: the stored monodromy matrix of a loop is the inverse of the
 forward parallel transport, which turns loop concatenation into plain matrix
@@ -355,9 +364,10 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
         south = lam + rad * cmath.exp(-0.5j * math.pi)
         circle = [
             lam + rad * cmath.exp(1j * (-0.5 * math.pi + 2 * math.pi * m / _CIRCLE_SIDES))
-            for m in range(_CIRCLE_SIDES + 1)
+            for m in range(1, _CIRCLE_SIDES)
         ]
-        return [base, foot, south] + circle[1:] + [foot, base]
+        # the circle closes on south exactly, and the way back is the stem reversed
+        return [base, foot, south] + circle + [south, foot, base]
 
     letters = tuple(tuple(lollipop(k)) for k in range(1, n + 1))
     for letter in letters:
@@ -488,10 +498,11 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 _GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
 _TINY = np.finfo(float).tiny  # a zero estimate over a zero denominator is 0, not NaN
+_STEM_END = 2  # a letter's stem is vertices 0 .. 2: base, foot, south
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
-def _transport(vertices, sheets, systems, ode_tol, members):
+def _transport(vertices, sheets, systems, ode_tol, members, record=None):
     """Forward transports (r, s, 2, 2) of r rows, each run on s sheets, in one sweep.
 
     Row i runs along the polyline ``vertices[i]`` with the numeric system
@@ -501,6 +512,8 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     index, path, starting sheet) names row i on sheet j in errors.  The local
     error is mixed absolute/relative at ``ode_tol / 10``; a new segment
     rescales the carried step by the ratio of the longest row segments.
+    A ``record`` dict receives the transports to vertex ``_STEM_END`` as
+    "stem" and the sweep's (accepted, rejected) step counts as "steps".
     """
     if not 0 < ode_tol < math.inf:
         raise ValueError("ode_tol must be positive and finite")
@@ -556,7 +569,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     nodes = _C[1:12]
     tol = ode_tol / 10
     h = 0.01
-    nsteps = 0
+    nsteps = accepted = 0
     prev_len = None
     culprit = 0  # member behind the latest rejection
     seg, t = 0, 0.0
@@ -574,6 +587,8 @@ def _transport(vertices, sheets, systems, ode_tol, members):
         return a.reshape(4, ns, r).max(axis=0).T
 
     for seg in range(nvert - 1):
+        if seg == _STEM_END:
+            stem = Y.copy()
         v = path[seg]
         delta = path[seg + 1] - v
         seg_len = float(np.max(np.abs(delta)))
@@ -617,6 +632,7 @@ def _transport(vertices, sheets, systems, ode_tol, members):
             sheet_ok = bool(guard.all())
             if err <= 1.0 and sheet_ok:
                 t += h
+                accepted += 1
                 Y[...] = Y_new
                 abs_Y, abs_new = abs_new, abs_Y
                 if float(abs_Y.max()) > _GROWTH_CAP:
@@ -634,6 +650,8 @@ def _transport(vertices, sheets, systems, ode_tol, members):
     finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
     if not finite.all():
         fail("non-finite transport values", int(np.argmin(finite)))
+    if record is not None:
+        record.update(stem=stem.transpose(3, 2, 0, 1), steps=(accepted, nsteps - accepted))
     return np.ascontiguousarray(Y.transpose(3, 2, 0, 1))
 
 
@@ -666,6 +684,7 @@ class MonodromyRepresentation:
     # transported on one sheet and back on the other (trivial upstairs)
     involution_defects: tuple = ()
     letter_norms: tuple = ()  # per letter k: max over sheets s of |T(k,s)|_2
+    steps: tuple = ()  # (accepted, rejected) steps of the sweep that made it
 
     @property
     def valid(self) -> bool:
@@ -687,6 +706,7 @@ class MonodromyRepresentation:
             "det_residuals": list(self.det_residuals),
             "involution_defects": list(self.involution_defects),
             "letter_norms": list(self.letter_norms),
+            "steps": dict(zip(("accepted", "rejected"), self.steps)),
             "relation_tol": _RELATION_TOL,
             "det_tol": _DET_TOL,
             "valid": self.valid,
@@ -732,23 +752,26 @@ def _words(letter_t, loops: LoopSystem):
     return words
 
 
-def _letter_transports(systems, loops: LoopSystem, ode_tol: float):
+def _letter_transports(systems, loops: LoopSystem, ode_tol: float, record=None):
     """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``, all
-    2(2g+1) letter members of each in one sweep sharing its step sequence."""
+    2(2g+1) letter members of each in one sweep sharing its step sequence,
+    composed as G(k,-s)^-1 C(k,s) G(k,s); ``record`` as in ``_transport``."""
+    record = {} if record is None else record
     systems = [_coerce(s) for s in systems]
-    letters = np.array(loops.letters, dtype=complex)
+    letters = np.array([v[: _STEM_END + 1 + _CIRCLE_SIDES] for v in loops.letters], dtype=complex)
     # one row per (system, letter), run on both sheets; members sheet fastest
     rows = [s for s in systems for _ in letters]
     members = [(i, f"letter {k}", s) for i in range(len(systems))
                for k in range(1, len(letters) + 1) for s in _SHEETS]
-    transports = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, rows, ode_tol, members)
+    end = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, rows, ode_tol, members, record)
+    transports = _sl2_inverses(record["stem"][:, ::-1]) @ end
     return transports.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
 
 
 @np.errstate(all="ignore")  # an overflowed word or relation product is reported invalid
-def _representations(letter_t, loops: LoopSystem) -> list:
-    """Representations from letter transports (n, 2g+1, 2 sheets, 2, 2),
-    every quantity computed for all n systems at once."""
+def _representations(letter_t, loops: LoopSystem, steps=()) -> list:
+    """Representations from letter transports (n, 2g+1, 2 sheets, 2, 2) and
+    their sweep's ``steps``, every quantity computed for all n systems at once."""
     words = _words(letter_t, loops).astype(complex)
     re, im = _dets(words)
     det_res = np.hypot(re - 1.0, im)  # array np.abs rounds unlike scalar abs
@@ -763,14 +786,16 @@ def _representations(letter_t, loops: LoopSystem) -> list:
     names = tuple(loop.name for loop in loops.loops)
     return [
         MonodromyRepresentation(tuple(m), names, float(r), tuple(d.tolist()),
-                                tuple(inv.tolist()), tuple(nrm.tolist()))
+                                tuple(inv.tolist()), tuple(nrm.tolist()), steps)
         for m, r, d, inv, nrm in zip(mats, residuals, det_res, defects, norms)
     ]
 
 
 def _sweep(systems, loops: LoopSystem, ode_tol: float) -> list:
     """Representations of ``systems`` from one shared sweep of their letters."""
-    return _representations(_letter_transports(systems, loops, ode_tol), loops)
+    record = {}
+    letter_t = _letter_transports(systems, loops, ode_tol, record)
+    return _representations(letter_t, loops, record["steps"])
 
 
 def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentation:
