@@ -21,6 +21,7 @@ every matrix built downstream is reproducible bit for bit:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import ExactMatrix, ExactScalar, ZERO, ONE, exact_rank
 
@@ -261,6 +262,22 @@ class DifferentialBasis:
     def __len__(self):
         return len(self.elements)
 
+    @cached_property
+    def products(self) -> tuple:
+        """Product table of a weight-1 basis: ``products[i][j]`` holds the
+        nonzero coordinates ``(row, value)`` of basis_i * basis_j in
+        ``quadratic_basis(curve)``, each product formed once per basis object."""
+        basis2 = quadratic_basis(self.curve)
+        table = []
+        for a in self.elements:
+            row = []
+            for b in self.elements:
+                prod = multiply(a, b, self.curve)
+                coords = express_in_basis(prod.numerator, prod.denom_class, basis2)
+                row.append(tuple((r, v) for r, v in enumerate(coords) if not v.is_zero()))
+            table.append(tuple(row))
+        return tuple(table)
+
 
 def _element_coordinates(el: Differential, curve) -> list:
     """Coordinates of a basis element in the full monomial space of its class."""
@@ -288,39 +305,45 @@ def _element_coordinates(el: Differential, curve) -> list:
     return vec
 
 
-def canonical_basis(curve: Curve) -> DifferentialBasis:
-    """Ordered basis of holomorphic differentials (weight 1), g elements."""
+_BASES: dict = {}  # curve -> {weight: its verified basis}, oldest curve first
+_BASES_MAX = 64
+
+
+def _memo_basis(curve: Curve, weight: int) -> DifferentialBasis:
+    """The frozen monomial basis of one weight, built and verified once per
+    curve for the last _BASES_MAX curves."""
+    bases = _BASES.get(curve)
+    if bases is None:
+        if len(_BASES) >= _BASES_MAX:
+            del _BASES[next(iter(_BASES))]
+        bases = _BASES[curve] = {}
+    if weight in bases:
+        return bases[weight]
     if isinstance(curve, HyperellipticCurve):
         g = curve.genus
-        els = [
-            Differential(_monomial(i), "y", 1) for i in range(g)
-        ]
-        return DifferentialBasis(curve, 1, tuple(els))
-    els = [Differential(((e, ONE),), "adj", 1) for e in LINEAR_FORMS]
-    return DifferentialBasis(curve, 1, tuple(els))
+        if weight == 1:
+            els = [Differential(_monomial(i), "y", 1) for i in range(g)]
+        else:
+            els = [Differential(_monomial(i), "y2", 2) for i in range(2 * g - 1)]
+            els += [Differential(_monomial(j), "y", 2) for j in range(g - 2)]
+    else:
+        forms, denom_class = (LINEAR_FORMS, "adj") if weight == 1 else (QUADRATIC_FORMS, "adj2")
+        els = [Differential(((e, ONE),), denom_class, weight) for e in forms]
+    bases[weight] = DifferentialBasis(curve, weight, tuple(els))
+    return bases[weight]
 
 
-_QUADRATIC_BASES: dict = {}  # curve -> its verified weight-2 basis, oldest first
-_QUADRATIC_BASES_MAX = 64
+def canonical_basis(curve: Curve) -> DifferentialBasis:
+    """Ordered basis of holomorphic differentials (weight 1), g elements,
+    memoized per curve so that every theta matrix on a curve shares one
+    product table (``DifferentialBasis.products``)."""
+    return _memo_basis(curve, 1)
 
 
 def quadratic_basis(curve: Curve) -> DifferentialBasis:
     """Ordered basis of quadratic differentials (weight 2), 3g-3 elements,
-    built and verified once per curve for the last _QUADRATIC_BASES_MAX curves."""
-    basis = _QUADRATIC_BASES.get(curve)
-    if basis is not None:
-        return basis
-    if isinstance(curve, HyperellipticCurve):
-        g = curve.genus
-        els = [Differential(_monomial(i), "y2", 2) for i in range(2 * g - 1)]
-        els += [Differential(_monomial(j), "y", 2) for j in range(g - 2)]
-    else:
-        els = [Differential(((e, ONE),), "adj2", 2) for e in QUADRATIC_FORMS]
-    basis = DifferentialBasis(curve, 2, tuple(els))
-    if len(_QUADRATIC_BASES) >= _QUADRATIC_BASES_MAX:
-        del _QUADRATIC_BASES[next(iter(_QUADRATIC_BASES))]
-    _QUADRATIC_BASES[curve] = basis
-    return basis
+    memoized per curve."""
+    return _memo_basis(curve, 2)
 
 
 def multiply(d1: Differential, d2: Differential, curve: Curve) -> Differential:

@@ -9,6 +9,12 @@ its matrix:
 * randomized scans over small-integer subspaces W,
 * the injectivity criterion for a differential system, evaluated through
   the span of its contraction image.
+
+The map is bilinear, so the g^2 products of weight-1 basis pairs fix every
+theta matrix on a curve: each basis forms them once, as its product table
+(``DifferentialBasis.products``), and a column is a linear combination of
+table entries.  ``canonical_basis`` is memoized per curve, so every scan
+trial, Noether check and criterion on a curve shares one table.
 """
 
 from __future__ import annotations
@@ -16,15 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .curves import (
-    DifferentialBasis,
-    canonical_basis,
-    combine,
-    curve_to_json,
-    express_in_basis,
-    multiply,
-    quadratic_basis,
-)
+from .curves import DifferentialBasis, canonical_basis, curve_to_json
 from .field import ExactMatrix, ExactScalar, ZERO, ONE, exact_rank
 
 __all__ = [
@@ -93,22 +91,28 @@ class MultiplicationMatrix:
 
 
 def theta_matrix(curve, w: SubspaceSelection) -> MultiplicationMatrix:
-    """Multiplication restricted to H0(K) (x) W, with exact rank certificate."""
-    basis1 = w.ambient
-    basis2 = quadratic_basis(curve)
-    w_elements = [combine(basis1, coords) for coords in w.generators]
+    """Multiplication restricted to H0(K) (x) W, with exact rank certificate.
+
+    The map is bilinear, so column (i, w) is sum_j w_j * P[i][j], read from
+    the product table P = ``w.ambient.products`` that the ambient basis forms
+    once; no product of differentials is formed per column.
+    """
+    if w.ambient.curve != curve:
+        raise ValueError("subspace W lies on a different curve")
+    nrows = 3 * curve.genus - 3
     columns = []
-    for el in basis1.elements:
-        for wel in w_elements:
-            prod = multiply(el, wel, curve)
-            columns.append(express_in_basis(prod.numerator, prod.denom_class, basis2))
-    nrows = len(basis2)
-    ncols = len(columns)
-    entries = tuple(columns[c][r] for r in range(nrows) for c in range(ncols))
-    mat = ExactMatrix(nrows, ncols, entries)
+    for products in w.ambient.products:
+        for coords in w.generators:
+            col = [ZERO] * nrows
+            for c, entries in zip(coords, products):
+                for r, v in entries:  # a row's first term is stored, not added to ZERO
+                    col[r] = c * v if col[r] is ZERO else col[r] + c * v
+            columns.append(col)
+    entries = tuple(col[r] for r in range(nrows) for col in columns)
+    mat = ExactMatrix(nrows, len(columns), entries)
     desc = (
         "full H0(K) (x) H0(K)"
-        if w.dimension == len(basis1)
+        if w.dimension == len(w.ambient)
         else f"H0(K) (x) W, dim W = {w.dimension}"
     )
     return MultiplicationMatrix(curve, desc, mat, exact_rank(mat))

@@ -157,11 +157,11 @@ class TestQuadraticBasis:
         assert quadratic_basis(equal) is quadratic_basis(genus3_curve)
 
     def test_memo_is_bounded(self):
-        from diffsys.curves import _QUADRATIC_BASES, _QUADRATIC_BASES_MAX
+        from diffsys.curves import _BASES, _BASES_MAX
 
-        for k in range(_QUADRATIC_BASES_MAX + 5):
+        for k in range(_BASES_MAX + 5):
             quadratic_basis(HyperellipticCurve.from_integers([0, 1, 2, 3, 5 + k]))
-        assert len(_QUADRATIC_BASES) == _QUADRATIC_BASES_MAX
+        assert len(_BASES) == _BASES_MAX
 
     def test_dependent_basis_rejected(self, genus3_curve):
         els = list(quadratic_basis(genus3_curve).elements)

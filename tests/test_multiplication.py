@@ -1,9 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from diffsys import curves
 from diffsys.curves import (
+    Differential,
+    DifferentialBasis,
     HyperellipticCurve,
+    PlaneQuartic,
     canonical_basis,
     express_in_basis,
     multiply,
@@ -81,6 +86,116 @@ class TestThetaMatrix:
     def test_rank_recomputation_idempotent(self, genus2_curve):
         theta = theta_matrix(genus2_curve, full_subspace(genus2_curve))
         assert exact_rank(theta.matrix) == theta.rank
+
+
+def gaussian_rational(rng):
+    """A random element of Q(i) with a nonzero imaginary part and, mostly, a
+    non-integer real part."""
+    re = Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+    im = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    return ExactScalar.of(re, im)
+
+
+def random_subspace(basis, rng):
+    g = len(basis)
+    while True:
+        gens = tuple(
+            tuple(gaussian_rational(rng) for _ in range(g))
+            for _ in range(rng.randint(1, g))
+        )
+        try:
+            return SubspaceSelection(basis, gens)
+        except ValueError:
+            continue
+
+
+def assert_matches_oracle(curve, w):
+    """Every entry of theta_matrix equals combine -> multiply -> express_in_basis."""
+    theta = theta_matrix(curve, w)
+    basis2 = quadratic_basis(curve)
+    prods = theta_products(curve, w.ambient, w.generators)
+    assert (theta.matrix.rows, theta.matrix.cols) == (len(basis2), len(prods))
+    for col, (numer, denom_class) in enumerate(prods):
+        expected = express_in_basis(numer, denom_class, basis2)
+        assert tuple(theta.matrix.get(r, col) for r in range(theta.matrix.rows)) == expected
+    return theta
+
+
+TABLE_CURVES = {
+    **{
+        f"hyperelliptic-g{g}-{model}": HyperellipticCurve.from_integers(
+            [k * k + 1 for k in range(n)]
+        )
+        for g in range(2, 6)
+        for model, n in (("odd", 2 * g + 1), ("even", 2 * g + 2))
+    },
+    "fermat": PlaneQuartic.fermat(),
+    "klein": PlaneQuartic.klein(),
+}
+
+
+def scaled(el, s):
+    if el.denom_class == "y":
+        return Differential(tuple(s * c for c in el.numerator), "y", 1)
+    return Differential(tuple((e, s * c) for e, c in el.numerator), "adj", 1)
+
+
+class TestProductTable:
+    @pytest.mark.parametrize("name", sorted(TABLE_CURVES))
+    def test_table_matches_oracle(self, name):
+        curve = TABLE_CURVES[name]
+        rng = random.Random(name)
+        for _ in range(3):
+            assert_matches_oracle(curve, random_subspace(canonical_basis(curve), rng))
+
+    @pytest.mark.parametrize("name", ["hyperelliptic-g3-odd", "hyperelliptic-g4-even", "klein"])
+    def test_non_canonical_ambient_has_its_own_table(self, name):
+        curve = TABLE_CURVES[name]
+        rng = random.Random(f"permuted {name}")
+        canonical = canonical_basis(curve)
+        order = list(range(len(canonical)))
+        rng.shuffle(order)
+        other = DifferentialBasis(
+            curve, 1, tuple(scaled(canonical.elements[i], gaussian_rational(rng)) for i in order)
+        )
+        w = random_subspace(canonical, rng)
+        moved = SubspaceSelection(other, w.generators)
+        before = assert_matches_oracle(curve, w)
+        after = assert_matches_oracle(curve, moved)
+        assert other.products is not canonical.products
+        assert after.matrix != before.matrix
+
+    def test_w_from_another_hyperelliptic_curve_rejected(self):
+        source = HyperellipticCurve.from_integers(range(7))
+        target = HyperellipticCurve.from_integers([0, 1, 2, 3, 4, 5, 7])
+        w = unit_subspace(source, [0, 1, 2])
+        with pytest.raises(ValueError, match="different curve"):
+            theta_matrix(target, w)
+
+    def test_hyperelliptic_w_on_quartic_rejected(self, fermat_quartic):
+        w = unit_subspace(HyperellipticCurve.from_integers(range(7)), [0, 1])
+        with pytest.raises(ValueError, match="different curve"):
+            theta_matrix(fermat_quartic, w)
+
+    def test_products_formed_once_per_curve(self, monkeypatch):
+        """Deterministic mechanism count: g^2 products on first use, none after."""
+        monkeypatch.setattr(curves, "_BASES", {})
+        calls = []
+        real_multiply = curves.multiply
+        monkeypatch.setattr(
+            curves, "multiply", lambda *args: calls.append(args) or real_multiply(*args)
+        )
+        curve = HyperellipticCurve.from_integers([0, 2, 3, 5, 7, 11, 13, 17, 19])
+        g = curve.genus
+        lazarsfeld_scan(curve, trials=20, w_dim=3, seed=1)
+        first_use = len(calls)
+        assert 0 < first_use <= g * g
+        lazarsfeld_scan(curve, trials=20, w_dim=3, seed=2)
+        noether_check(curve)
+        system = sample_system(curve, builtin_algebra("sl2"), seed=3, coefficient_bound=5)
+        criterion_injective(curve, system)
+        assert len(calls) == first_use
+        assert canonical_basis(curve) is canonical_basis(curve)
 
 
 class TestProductProperties:
