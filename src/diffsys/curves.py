@@ -78,6 +78,10 @@ class HyperellipticCurve:
             for j in range(i + 1, len(pts)):
                 if (pts[i] - pts[j]).is_zero():
                     raise CurveError(f"coincident branch points at index {i}, {j}")
+        object.__setattr__(self, "_hash", hash(pts))  # a Fraction hashes by modular inverse
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def from_integers(values) -> "HyperellipticCurve":
@@ -126,6 +130,9 @@ class PlaneQuartic:
             raise CurveError("duplicate monomial in quartic coefficients")
         if all(c.is_zero() for _, c in self.coefficients):
             raise CurveError("zero quartic form")
+        object.__setattr__(self, "_hash", hash(self.coefficients))
+
+    __hash__ = HyperellipticCurve.__hash__
 
     @property
     def genus(self) -> int:

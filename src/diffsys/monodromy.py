@@ -46,8 +46,7 @@ step computes its geometry (x, y and the connection at the eleven new
 points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
 y and connection are exact negations and the guard ignores the sign, so one
 pass serves both sheets and changes no bit of any member's numbers.  The
-sweep also keeps the transports to vertex 2 and counts its accepted and
-rejected steps, which every representation from it reports.
+sweep also returns y at the last vertex and its step counts.
 
 Who shares a sweep: ``monodromy`` sweeps its one system alone, and
 :mod:`diffsys.immersion` runs a center and its +delta and -delta systems
@@ -60,22 +59,24 @@ system of norm 1.7e3 moves by 1.3e-10, relative, from ode_tol 1e-14 to
 
 Neither integrates whole loop words, nor whole letters.  A word is a product
 of lollipop letters based at the base point; a letter's transport depends
-only on the system, the letter and its starting sheet, so a system
-contributes 2g+1 rows, one per letter, each run on both sheets.  A lollipop
-runs out along its stem (base, foot, south), once around its circle, which
-swaps the sheet, and back along the stem, that is the stem on the other
-sheet, reversed.  So rows stop at south (vertex 2 + _CIRCLE_SIDES), and
-T(k,s) = G(k,-s)^-1 C(k,s) G(k,s) with G the stem and C the circle
-transport.  A word's transport is the product of its letter transports,
-formed in extended precision (``np.clongdouble``) and rounded once; since
-every letter swaps the sheet, the i-th letter of a word starts on the
-principal sheet for even i and on the other for odd i.  Words, inverses,
-residuals, defects and norms are formed on arrays stacked over a sweep's
-systems, bit for bit the per-matrix results: numpy's array complex multiply
-and array ``abs`` round unlike its scalar ones, so determinants come from
-real parts and moduli from hypot.  ``integrate_loop`` transports one row on
-one sheet along a whole loop polyline, the full-word reference the tests
-compare letter products against.
+only on the system, the letter and its starting sheet.  A lollipop runs out
+along its stem (base, foot, south), once around its circle, which swaps the
+sheet, and back along the stem on the other sheet, reversed, so
+T(k,s) = G(k,-s)^-1 H(k,s) G(k,s), G the stem and H the circle from south.
+Circles are not walked: in the chart x = lam + b u^2 about the system's
+branch point lam inside the circle (b = south - lam), dx / y is regular at
+u = 0, and the circle is homotopic to the half-turn u = 1 -> -1 straight
+through lam (``_half_turns``) as long as lam is the only branch point
+inside, which is checked before the half-turns are swept.  So a family
+takes two sweeps of a row per (system, letter) on both sheets: the stems,
+the same polylines for every system, and the half-turns, each in its
+system's own chart.  Letters and words are formed in extended precision
+(``np.clongdouble``) and rounded once; since every letter swaps the sheet,
+the i-th letter of a word starts on the principal sheet for even i and on
+the other for odd i.  Words, inverses, residuals, defects and norms are
+formed on arrays stacked over a sweep's systems, bit for bit the per-matrix
+results: numpy's array complex multiply and array ``abs`` round unlike its
+scalar ones, so determinants come from real parts and moduli from hypot.
 
 Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
@@ -84,11 +85,11 @@ around every finite branch point taken on both sheets, which encircles the
 branch point at infinity and is trivial upstairs.  Each cancellation costs a
 letter involution defect |T(k,-s) T(k,s) - I| (a letter traversed on one
 sheet and then on the other is the trivial loop upstairs).  The stem G(k,-s)
-cancels exactly in that product, so a defect witnesses the letter's circle
-on both sheets, conjugated by G(k,s); the stems are witnessed through the
-circuit, whose neighbouring letters differ.  The relation residual thus
-witnesses the letter transports themselves, not the agreement of
-independently integrated words; the defects are reported next to it.
+cancels exactly in that product, so a defect witnesses the letter's
+half-turns on both sheets, conjugated by G(k,s); the stems are witnessed
+through the circuit, whose neighbouring letters differ.  The relation
+residual thus witnesses the letter transports themselves, not the agreement
+of independently integrated words; the defects are reported next to it.
 
 Convention: the stored monodromy matrix of a loop is the inverse of the
 forward parallel transport, which turns loop concatenation into plain matrix
@@ -269,10 +270,12 @@ class LoopSystem:
 
 
 def _sqrt_f(x, root_rows):
-    """Principal sqrt(f(x)) for f = prod (x - r), roots on axis -2 of ``root_rows``
-    (2g+1, m), just before the batch axis: leading axes of ``x`` then leave
-    numpy's choice of loop, fused elementwise or unfused reduction, unchanged."""
-    return np.sqrt(np.multiply.reduce(x - root_rows, axis=-2))
+    """Principal sqrt(f(x)), f = prod (x - r) over the rows r of ``root_rows``
+    (broadcast against ``x``), one root at a time: no (x, roots) temporary."""
+    prod = x - root_rows[0]
+    for r in root_rows[1:]:
+        prod *= x - r
+    return np.sqrt(prod)
 
 
 def _nearer_root(w, y_old):
@@ -299,8 +302,9 @@ def _track_sqrt(paths, root_rows):
         n = max(2, int(np.max(np.abs(b - a)) / _SQRT_CHUNK) + 1)
         for _ in range(25):
             yy = y
-            for m in range(1, n + 1):
-                cand = _nearer_root(_sqrt_f(a + (b - a) * m / n, root_rows), yy)
+            # every substep's root in one product: one call per root, not per substep
+            for w in _sqrt_f(a + (b - a) * np.arange(1, n + 1)[:, None] / n, root_rows):
+                cand = _nearer_root(w, yy)
                 if not _on_sheet(cand, yy).all():
                     break
                 yy = cand
@@ -376,7 +380,7 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     paths = np.array(letters)
     root_rows = np.array(roots)[:, None]
     ys = _track_sqrt(paths, root_rows)
-    principal = _sqrt_f(paths.T[:, None], root_rows).T
+    principal = _sqrt_f(paths.T, root_rows).T
     profiles = np.where(np.abs(ys - principal) <= np.abs(ys + principal), 1, -1).tolist()
     for k, profile in enumerate(profiles, start=1):
         if profile[-1] != -1:
@@ -431,7 +435,7 @@ def _validate_clearance(vertices, roots, clearance):
 class NumericSystem:
     """Float view of a system: branch roots and one connection matrix per differential."""
 
-    roots: tuple  # 2g+1 complex branch points
+    roots: tuple  # 2g+1 complex branch points (a half-turn chart: the 4g roots of P)
     matrices: np.ndarray  # (g, 2, 2) complex: M_c of systems.coefficient_matrices
 
     @staticmethod
@@ -499,6 +503,7 @@ _MAX_STEPS = 2_000_000
 _GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
 _TINY = np.finfo(float).tiny  # a zero estimate over a zero denominator is 0, not NaN
 _STEM_END = 2  # a letter's stem is vertices 0 .. 2: base, foot, south
+_SHEET_MATCH_TOL = 1e-8  # a chart's y(u=1) = y(south) / b^(g+1/2) is +-sqrt P(1) to rounding
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
@@ -512,8 +517,9 @@ def _transport(vertices, sheets, systems, ode_tol, members, record=None):
     index, path, starting sheet) names row i on sheet j in errors.  The local
     error is mixed absolute/relative at ``ode_tol / 10``; a new segment
     rescales the carried step by the ratio of the longest row segments.
-    A ``record`` dict receives the transports to vertex ``_STEM_END`` as
-    "stem" and the sweep's (accepted, rejected) step counts as "steps".
+    A ``record`` dict receives y continued to the last vertex on the
+    principal sheet, per row, as "y" and the sweep's (accepted, rejected)
+    step counts as "steps".
     """
     if not 0 < ode_tol < math.inf:
         raise ValueError("ode_tol must be positive and finite")
@@ -536,7 +542,7 @@ def _transport(vertices, sheets, systems, ode_tol, members, record=None):
     def geometry(x, delta, y_prev):
         """conn[:k] at the k points x (k, r); returns y (k, r), continued from
         y_prev on the principal sheet.  The other sheet negates y, so conn."""
-        y = _nearer_root(_sqrt_f(x[:, None], root_rows), y_prev)
+        y = _nearer_root(_sqrt_f(x, root_rows), y_prev)
         m = coeffs[-1]
         for c in coeffs[-2::-1]:
             m = m * x[:, None, None, None, :] + c
@@ -587,8 +593,6 @@ def _transport(vertices, sheets, systems, ode_tol, members, record=None):
         return a.reshape(4, ns, r).max(axis=0).T
 
     for seg in range(nvert - 1):
-        if seg == _STEM_END:
-            stem = Y.copy()
         v = path[seg]
         delta = path[seg + 1] - v
         seg_len = float(np.max(np.abs(delta)))
@@ -651,18 +655,16 @@ def _transport(vertices, sheets, systems, ode_tol, members, record=None):
     if not finite.all():
         fail("non-finite transport values", int(np.argmin(finite)))
     if record is not None:
-        record.update(stem=stem.transpose(3, 2, 0, 1), steps=(accepted, nsteps - accepted))
+        record.update(y=y_ref, steps=(accepted, nsteps - accepted))
     return np.ascontiguousarray(Y.transpose(3, 2, 0, 1))
 
 
 def integrate_loop(system, loop: Loop, ode_tol: float):
     """Parallel transport around one whole loop; returns the forward 2x2 transport.
 
-    A batch of one member on the loop's full polyline, starting on the sheet
-    of its first vertex.  ``monodromy`` assembles words from letter
-    transports instead; this full-word path is the reference the tests
-    compare those products against.
-    """
+    A batch of one member along the loop's full polyline, circles included,
+    from the sheet of its first vertex: the whole-word reference, sharing no
+    stem, chart or letter product with ``monodromy``, that tests compare to."""
     member = (0, f"loop {loop.name}", loop.sheets[0])
     vertices = np.array([loop.vertices], dtype=complex)
     return _transport(vertices, (loop.sheets[0],), [_coerce(system)], ode_tol, [member])[0, 0]
@@ -753,19 +755,75 @@ def _words(letter_t, loops: LoopSystem):
 
 
 def _letter_transports(systems, loops: LoopSystem, ode_tol: float, record=None):
-    """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``, all
-    2(2g+1) letter members of each in one sweep sharing its step sequence,
-    composed as G(k,-s)^-1 C(k,s) G(k,s); ``record`` as in ``_transport``."""
-    record = {} if record is None else record
+    """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``,
+    G(k,-s)^-1 H(k,s) G(k,s) from a sweep of stems G and one of half-turns H;
+    ``record`` gets their (accepted, rejected) steps as "sweeps", summed as "steps"."""
     systems = [_coerce(s) for s in systems]
-    letters = np.array([v[: _STEM_END + 1 + _CIRCLE_SIDES] for v in loops.letters], dtype=complex)
+    stems = np.array([v[: _STEM_END + 1] for v in loops.letters] * len(systems), dtype=complex)
     # one row per (system, letter), run on both sheets; members sheet fastest
-    rows = [s for s in systems for _ in letters]
     members = [(i, f"letter {k}", s) for i in range(len(systems))
-               for k in range(1, len(letters) + 1) for s in _SHEETS]
-    end = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, rows, ode_tol, members, record)
-    transports = _sl2_inverses(record["stem"][:, ::-1]) @ end
-    return transports.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
+               for k in range(1, len(loops.letters) + 1) for s in _SHEETS]
+    sweeps = ({}, {})
+    g = _transport(stems, _SHEETS, [s for s in systems for _ in loops.letters], ode_tol,
+                   members, sweeps[0])
+    h = _half_turns(systems, loops, sweeps[0]["y"], ode_tol, sweeps[1])
+    if record is not None:
+        record["sweeps"] = [r["steps"] for r in sweeps]
+        record["steps"] = tuple(map(sum, zip(*record["sweeps"])))
+    # formed in extended precision and rounded once, as words are
+    ext = np.clongdouble
+    transports = _sl2_inverses(g[:, ::-1]).astype(ext) @ h.astype(ext) @ g.astype(ext)
+    return transports.astype(complex).reshape(len(systems), -1, len(_SHEETS), 2, 2)
+
+
+@np.errstate(all="ignore")  # rows that fail the checks may divide by zero
+def _half_turns(systems, loops: LoopSystem, y_south, ode_tol: float, record=None):
+    """Circle transports (rows, 2 sheets, 2, 2) from south, row (i, k) for
+    system i and letter k, as one sweep of half-turns u = 1 -> -1 in the
+    charts x = lam + b u^2 (module docstring), on the sheets of ``y_south``,
+    each row's stem y at south on the principal sheet.  f = b^(2g+1) u^2 P(u),
+    P = prod_j (u^2 - (lam_j - lam) / b) over the other branch points."""
+    roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
+    matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
+    (n, m), g = roots.shape, matrices.shape[1]
+    ring = np.array([v[_STEM_END: _STEM_END + _CIRCLE_SIDES] for v in loops.letters])
+    centers = ring.mean(axis=1)
+    radii = np.abs(ring[:, 0] - centers)
+    dist = np.abs(roots[:, None, :] - centers[:, None])  # (n, letters, roots)
+    own = dist.argmin(axis=-1)[..., None] == np.arange(m)  # lam: nearest the center
+    per_row = np.broadcast_to(roots[:, None], own.shape)
+    lam = per_row[own]  # (rows,), row = (system, letter)
+    b = np.tile(ring[:, 0], n) - lam
+    half = np.sqrt((per_row[~own].reshape(len(lam), m - 1) - lam[:, None]) / b[:, None])
+    chart_roots = np.concatenate([half, -half], axis=1)  # (rows, 4g)
+    scale = 2 * np.sqrt(b) / b**g  # 2 b^(1/2-g)
+    # N_2d = scale b^d sum_{c >= d} C(c, d) lam^(c-d) M_c; odd coefficients are 0
+    c = np.arange(g)
+    binom = np.array([[math.comb(j, d) for j in c] for d in c])
+    weights = binom * lam[:, None, None] ** np.maximum(c - c[:, None], 0)
+    weights *= (scale[:, None] * b[:, None] ** c)[..., None]
+    coeffs = np.zeros((len(lam), 2 * g - 1, 4), dtype=complex)
+    coeffs[:, ::2] = weights @ matrices.repeat(len(ring), axis=0).reshape(-1, g, 4)
+    ratio = y_south * scale / (2 * b) / _sqrt_f(np.ones(len(lam)), chart_roots.T)
+    sigma = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1)
+    # another branch point may come as near a circle as to a loop segment
+    # (0.9 clearance), so an fd step of up to clearance / 4 always passes
+    for bad, what in (
+        ((~own & (dist < (radii + 0.9 * loops.clearance)[:, None])).any(axis=-1),
+         "another branch point inside or within the clearance of its circle"),
+        (dist[own] >= np.tile(radii / _SEC, n), "no branch point inside its circle"),
+        (~(np.abs(ratio - sigma) <= _SHEET_MATCH_TOL), "its chart's y at south is not +-sqrt P(1)"),
+    ):
+        if bad.any():
+            i, k = divmod(int(np.argmax(bad)), len(ring))  # first in member order
+            raise IntegrationError(f"system {i}, letter {k + 1}: {what}",
+                                   member=(i, f"letter {k + 1}", 1))
+    charts = [NumericSystem(r, a.reshape(-1, 2, 2)) for r, a in zip(chart_roots, coeffs)]
+    members = [(i, f"letter {k + 1} half-turn", sg * s)
+               for (i, k), sg in zip(np.ndindex(n, len(ring)), sigma.tolist()) for s in _SHEETS]
+    out = _transport(np.tile([1.0 + 0j, -1.0], (len(lam), 1)), _SHEETS, charts, ode_tol,
+                     members, record)
+    return np.where(sigma[:, None, None, None] > 0, out, out[:, ::-1])
 
 
 @np.errstate(all="ignore")  # an overflowed word or relation product is reported invalid
