@@ -19,9 +19,9 @@ labeled exploratory and carry no pass/fail meaning.
 
 The loop system is frozen across all perturbations of one experiment, and
 perturbation radii are capped well below the loop clearance, so every
-perturbed system runs along literally identical stems, takes its circles as
-half-turns in its own chart (:mod:`diffsys.monodromy`), and shares both
-batched sweeps' step sequences with the center.
+perturbed system runs along literally identical base-line edges, takes each
+stem and circle as one turn in its own chart (:mod:`diffsys.monodromy`), and
+shares both batched sweeps' step sequences with the center.
 
 All complex parameters and traces are split into real and imaginary parts.
 The map is holomorphic, so the real Jacobian has even rank and paired

@@ -57,20 +57,21 @@ stiff system by about as much as double precision determines it (a genus-2
 system of norm 1.7e3 moves by 1.3e-10, relative, from ode_tol 1e-14 to
 1e-15).  Every representation, center or partner, meets the same gates.
 
-Neither integrates whole loop words, nor whole letters.  A word is a product
-of lollipop letters based at the base point; a letter's transport depends
-only on the system, the letter and its starting sheet.  A lollipop runs out
-along its stem (base, foot, south), once around its circle, which swaps the
-sheet, and back along the stem on the other sheet, reversed, so
-T(k,s) = G(k,-s)^-1 H(k,s) G(k,s), G the stem and H the circle from south.
-Circles are not walked: in the chart x = lam + b u^2 about the system's
-branch point lam inside the circle (b = south - lam), dx / y is regular at
-u = 0, and the circle is homotopic to the half-turn u = 1 -> -1 straight
-through lam (``_half_turns``) as long as lam is the only branch point
-inside, which is checked before the half-turns are swept.  So a family
-takes two sweeps of a row per (system, letter) on both sheets: the stems,
-the same polylines for every system, and the half-turns, each in its
-system's own chart.  Letters and words are formed in extended precision
+Neither integrates whole loop words, nor whole letters, whose transports
+depend only on the system, the letter, its starting sheet and its homotopy
+class.  A lollipop runs along the base line to its foot, up to south, once
+around its circle, which swaps the sheet, and back on the other sheet, so
+T(k,s) = F(k,-s)^-1 V(k,s) F(k,s), F from the base to the foot and V the
+turn from the foot.  F_k = E_k F_parent over one edge per foot off the base,
+from the nearest foot between it and the base, or from the base (``_feet``).
+V is the one segment u_f -> -u_f, u_f^2 = (foot - lam) / b, straight through
+lam in the chart x = lam + b u^2 about the system's branch point lam inside
+the circle (b = south - lam), where dx / y is regular (``_turn_charts``);
+it is homotopic to the lollipop as long as no other branch point comes
+within 0.9 clearance of the circle or of the triangle (foot, south, lam),
+checked before either sweep.  So a family takes two sweeps on both sheets:
+the edges, the same for every system, and the turns, each in its system's
+own chart.  Letters and words are formed in extended precision
 (``np.clongdouble``) and rounded once; since every letter swaps the sheet,
 the i-th letter of a word starts on the principal sheet for even i and on
 the other for odd i.  Words, inverses, residuals, defects and norms are
@@ -84,10 +85,10 @@ reduces the relation word to a conjugate of (1 2 ... 2g+1)^2, the circuit
 around every finite branch point taken on both sheets, which encircles the
 branch point at infinity and is trivial upstairs.  Each cancellation costs a
 letter involution defect |T(k,-s) T(k,s) - I| (a letter traversed on one
-sheet and then on the other is the trivial loop upstairs).  The stem G(k,-s)
-cancels exactly in that product, so a defect witnesses the letter's
-half-turns on both sheets, conjugated by G(k,s); the stems are witnessed
-through the circuit, whose neighbouring letters differ.  The relation
+sheet and then on the other is the trivial loop upstairs).  F(k,-s) cancels
+exactly in that product, so a defect witnesses the letter's turns on both
+sheets, conjugated by F(k,s); the edges are witnessed through the circuit,
+whose neighbouring letters differ.  The relation
 residual thus witnesses the letter transports themselves, not the agreement
 of independently integrated words; the defects are reported next to it.
 
@@ -435,7 +436,7 @@ def _validate_clearance(vertices, roots, clearance):
 class NumericSystem:
     """Float view of a system: branch roots and one connection matrix per differential."""
 
-    roots: tuple  # 2g+1 complex branch points (a half-turn chart: the 4g roots of P)
+    roots: tuple  # 2g+1 complex branch points
     matrices: np.ndarray  # (g, 2, 2) complex: M_c of systems.coefficient_matrices
 
     @staticmethod
@@ -502,19 +503,19 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 _GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
 _TINY = np.finfo(float).tiny  # a zero estimate over a zero denominator is 0, not NaN
-_STEM_END = 2  # a letter's stem is vertices 0 .. 2: base, foot, south
-_SHEET_MATCH_TOL = 1e-8  # a chart's y(u=1) = y(south) / b^(g+1/2) is +-sqrt P(1) to rounding
+_SHEET_MATCH_TOL = 1e-8  # continued y over a principal root is +-1 to rounding
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
-def _transport(vertices, sheets, systems, ode_tol, members, record=None):
+def _transport(vertices, sheets, roots, matrices, ode_tol, members, record=None):
     """Forward transports (r, s, 2, 2) of r rows, each run on s sheets, in one sweep.
 
-    Row i runs along the polyline ``vertices[i]`` with the numeric system
-    ``systems[i]``, once from each start y = sheet * principal sqrt(f),
-    sheet in ``sheets``; the connection form is (sum_c M_c x^c) dx / y with
-    M_c from ``systems.coefficient_matrices``.  ``members[i * s + j]`` = (system
-    index, path, starting sheet) names row i on sheet j in errors.  The local
+    Row i runs along the polyline ``vertices[i]`` with branch points
+    ``roots[i]`` and matrices ``matrices[i]`` (stacked (r, m) and (r, g, 2, 2)),
+    once from each start y = sheet * principal sqrt(f), sheet in ``sheets``;
+    the connection form is (sum_c M_c x^c) dx / y with M_c from
+    ``systems.coefficient_matrices``.  ``members[i * s + j]`` = (system index,
+    path, starting sheet) names row i on sheet j in errors.  The local
     error is mixed absolute/relative at ``ode_tol / 10``; a new segment
     rescales the carried step by the ratio of the longest row segments.
     A ``record`` dict receives y continued to the last vertex on the
@@ -528,10 +529,10 @@ def _transport(vertices, sheets, systems, ode_tol, members, record=None):
     r, nvert = vertices.shape
     ns = len(sheets)
     path = np.ascontiguousarray(vertices.T)  # (nvert, r)
-    root_rows = np.ascontiguousarray(np.array([s.roots for s in systems], dtype=complex).T)
+    root_rows = np.ascontiguousarray(np.asarray(roots, dtype=complex).T)
     # coeffs[c, 0, j] = column j of M_c, shape (2, 1, r), so that
     # M @ state = column 0 * row 0 of state + column 1 * row 1 of state
-    coeffs = np.array([s.matrices for s in systems], dtype=complex).transpose(1, 3, 2, 0)
+    coeffs = np.asarray(matrices, dtype=complex).transpose(1, 3, 2, 0)
     coeffs = np.ascontiguousarray(coeffs[:, None, :, :, None, :])
     # Member arrays are (..., sheet, row): rows innermost keep the inner loops
     # long (sheets innermost made them length 2), and per-row geometry keeps
@@ -665,9 +666,9 @@ def integrate_loop(system, loop: Loop, ode_tol: float):
     A batch of one member along the loop's full polyline, circles included,
     from the sheet of its first vertex: the whole-word reference, sharing no
     stem, chart or letter product with ``monodromy``, that tests compare to."""
-    member = (0, f"loop {loop.name}", loop.sheets[0])
-    vertices = np.array([loop.vertices], dtype=complex)
-    return _transport(vertices, (loop.sheets[0],), [_coerce(system)], ode_tol, [member])[0, 0]
+    system, member = _coerce(system), (0, f"loop {loop.name}", loop.sheets[0])
+    return _transport(np.array([loop.vertices], dtype=complex), (loop.sheets[0],), [system.roots],
+                      system.matrices[None], ode_tol, [member])[0, 0]
 
 
 # -- monodromy representation ----------------------------------------------------
@@ -727,7 +728,7 @@ def _dets(m):
 
 def _sl2_inverses(m):
     """Inverses of a stack of 2x2 matrices: adjugate over determinant."""
-    det = np.stack(_dets(m), axis=-1).view(complex)
+    det = np.stack(_dets(m), axis=-1).view(m.dtype)
     adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
     return adj.reshape(m.shape) / det[..., None]
 
@@ -756,46 +757,108 @@ def _words(letter_t, loops: LoopSystem):
 
 def _letter_transports(systems, loops: LoopSystem, ode_tol: float, record=None):
     """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``,
-    G(k,-s)^-1 H(k,s) G(k,s) from a sweep of stems G and one of half-turns H;
-    ``record`` gets their (accepted, rejected) steps as "sweeps", summed as "steps"."""
+    F(k,-s)^-1 V(k,s) F(k,s) from one sweep of base-line edges (``_feet``)
+    and one of the turns V, u_f -> -u_f in the charts of ``_turn_charts``,
+    their sheets matched at the foot by sqrt P(u_f) = y_foot scale / (2 b u_f);
+    ``record`` gets the sweeps' (accepted, rejected) steps as "sweeps",
+    summed as "steps"."""
     systems = [_coerce(s) for s in systems]
-    stems = np.array([v[: _STEM_END + 1] for v in loops.letters] * len(systems), dtype=complex)
-    # one row per (system, letter), run on both sheets; members sheet fastest
-    members = [(i, f"letter {k}", s) for i in range(len(systems))
-               for k in range(1, len(loops.letters) + 1) for s in _SHEETS]
+    roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
+    matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
+    chart_roots, coeffs, u_foot, factor = _turn_charts(roots, matrices, loops)  # guards first
     sweeps = ({}, {})
-    g = _transport(stems, _SHEETS, [s for s in systems for _ in loops.letters], ode_tol,
-                   members, sweeps[0])
-    h = _half_turns(systems, loops, sweeps[0]["y"], ode_tol, sweeps[1])
+    feet, y_feet = _feet(roots, matrices, loops, ode_tol, sweeps[0])
+    ratio = y_feet.ravel() * factor / _sqrt_f(u_foot, chart_roots.T)
+    sigma = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1)
+    _name_first([(~(np.abs(ratio - sigma) <= _SHEET_MATCH_TOL).reshape(y_feet.shape),
+                  "its chart's y at the foot is not +-sqrt P(u_f)")], range(y_feet.shape[1]))
+    members = [(i, f"letter {k + 1} turn", s) for i, k in np.ndindex(y_feet.shape) for s in _SHEETS]
+    turns = _transport(np.stack([u_foot, -u_foot], axis=1), _SHEETS, chart_roots, coeffs, ode_tol,
+                       members, sweeps[1])
+    turns = np.where(sigma[:, None, None, None] > 0, turns, turns[:, ::-1]).reshape(feet.shape)
     if record is not None:
         record["sweeps"] = [r["steps"] for r in sweeps]
         record["steps"] = tuple(map(sum, zip(*record["sweeps"])))
     # formed in extended precision and rounded once, as words are
-    ext = np.clongdouble
-    transports = _sl2_inverses(g[:, ::-1]).astype(ext) @ h.astype(ext) @ g.astype(ext)
-    return transports.astype(complex).reshape(len(systems), -1, len(_SHEETS), 2, 2)
+    return (_sl2_inverses(feet[:, :, ::-1]) @ turns.astype(np.clongdouble) @ feet).astype(complex)
 
 
-@np.errstate(all="ignore")  # rows that fail the checks may divide by zero
-def _half_turns(systems, loops: LoopSystem, y_south, ode_tol: float, record=None):
-    """Circle transports (rows, 2 sheets, 2, 2) from south, row (i, k) for
-    system i and letter k, as one sweep of half-turns u = 1 -> -1 in the
-    charts x = lam + b u^2 (module docstring), on the sheets of ``y_south``,
-    each row's stem y at south on the principal sheet.  f = b^(2g+1) u^2 P(u),
-    P = prod_j (u^2 - (lam_j - lam) / b) over the other branch points."""
-    roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
-    matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
+def _name_first(checks, letters):
+    """Raise for the first of the (mask, what) ``checks`` over (system, column)
+    that any row fails, naming its first row; column j is letter ``letters[j]`` + 1."""
+    for bad, what in checks:
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+            k = letters[j] + 1
+            raise IntegrationError(f"system {i}, letter {k}: {what}", member=(i, f"letter {k}", 1))
+
+
+def _feet(roots, matrices, loops: LoopSystem, ode_tol: float, record):
+    """Transports F (n, 2g+1, 2 sheets, 2, 2) in np.clongdouble from the base
+    to each letter's foot, and y (n, 2g+1) continued there from the principal
+    root at the base, from one sweep of one edge per foot off the base; y is
+    chained along the edges, each link y_end / sqrt f(foot) checked +-1."""
+    n, nl = roots.shape  # one letter per branch point
+    feet = np.array([v[1] for v in loops.letters] + [loops.base_point])  # slot nl: the base
+    offset = (feet - loops.base_point).real.tolist()  # the feet lie on the base line
+    parent, last = {}, [nl, nl]  # the nearest foot (or the base) on each side so far
+    for k in np.argsort(np.abs(offset[:nl]), kind="stable").tolist():
+        if offset[k] != 0:
+            parent[k], last[offset[k] > 0] = last[offset[k] > 0], k
+    rows = sorted(parent)  # edge rows in member order, sheets against their start's sqrt f
+    members = [(i, f"letter {k + 1}", s) for i in range(n) for k in rows for s in _SHEETS]
+    edges = _transport(np.tile(feet[[[parent[k], k] for k in rows]], (n, 1)), _SHEETS,
+                       roots.repeat(len(rows), 0), matrices.repeat(len(rows), 0), ode_tol,
+                       members, record).reshape(n, len(rows), len(_SHEETS), 2, 2)
+    principal = _sqrt_f(feet, roots.T[..., None])  # (n, nl + 1)
+    links = record["y"].reshape(n, -1) / principal[:, rows]
+    signs = np.where(np.abs(links - 1) <= np.abs(links + 1), 1, -1)
+    _name_first([(~(np.abs(links - signs) <= _SHEET_MATCH_TOL), "its edge's y is not +-sqrt f")],
+                rows)
+    sheet = np.ones((n, nl + 1))  # y at each foot over sqrt f there, from the principal base
+    feet_t = np.broadcast_to(np.eye(2, dtype=np.clongdouble), (n, nl + 1, len(_SHEETS), 2, 2)).copy()
+    for k in parent:  # by distance from the base: parents first
+        j, p = rows.index(k), parent[k]
+        flip = (sheet[:, p] < 0)[:, None, None, None]
+        feet_t[:, k] = np.where(flip, edges[:, j, ::-1], edges[:, j]) @ feet_t[:, p]
+        sheet[:, k] = sheet[:, p] * signs[:, j]
+    return feet_t[:, :nl], (sheet * principal)[:, :nl]
+
+
+def _triangle_distance(p, a, b, c):
+    """Distance of the points p from the triangles (a, b, c), broadcast; 0 inside."""
+    out, cross = np.inf, []
+    for o, d in ((a, b - a), (b, c - b), (c, a - c)):
+        t = np.clip(((p - o) * d.conjugate()).real / np.abs(d) ** 2, 0, 1)
+        out = np.minimum(out, np.abs(o + t * d - p))
+        cross.append(((p - o) * d.conjugate()).imag)
+    return np.where((np.min(cross, axis=0) > 0) | (np.max(cross, axis=0) < 0), 0.0, out)
+
+
+@np.errstate(all="ignore")  # rows that fail the guards may divide by zero
+def _turn_charts(roots, matrices, loops: LoopSystem):
+    """Chart roots, coefficients, u_f and sqrt P(u_f) / y_foot of the turns,
+    row (i, k) for system i and letter k, after the turn guards (module
+    docstring).  f = b^(2g+1) u^2 P(u), P = prod_j (u^2 - (lam_j - lam) / b),
+    and the connection is N(u) du / sqrt P(u), N = 2 b^(1/2-g) sum_c M_c x^c."""
     (n, m), g = roots.shape, matrices.shape[1]
-    ring = np.array([v[_STEM_END: _STEM_END + _CIRCLE_SIDES] for v in loops.letters])
-    centers = ring.mean(axis=1)
-    radii = np.abs(ring[:, 0] - centers)
+    ring = np.array([v[2: 2 + _CIRCLE_SIDES] for v in loops.letters])
+    foot, south, centers = np.array([v[1] for v in loops.letters]), ring[:, 0], ring.mean(axis=1)
+    radii = np.abs(south - centers)
     dist = np.abs(roots[:, None, :] - centers[:, None])  # (n, letters, roots)
     own = dist.argmin(axis=-1)[..., None] == np.arange(m)  # lam: nearest the center
     per_row = np.broadcast_to(roots[:, None], own.shape)
-    lam = per_row[own]  # (rows,), row = (system, letter)
-    b = np.tile(ring[:, 0], n) - lam
-    half = np.sqrt((per_row[~own].reshape(len(lam), m - 1) - lam[:, None]) / b[:, None])
-    chart_roots = np.concatenate([half, -half], axis=1)  # (rows, 4g)
+    lam, others = per_row[own].reshape(n, -1), per_row[~own].reshape(n, len(ring), m - 1)
+    gap = np.minimum(dist[~own].reshape(others.shape) - radii[:, None],
+                     _triangle_distance(others, foot[:, None], south[:, None], lam[..., None]))
+    # another branch point may come as near as to a loop segment (0.9 clearance),
+    # so an fd step of up to clearance / 4 always passes
+    _name_first([((gap < 0.9 * loops.clearance).any(axis=-1), "another branch point inside or "
+                  "within the clearance of its circle or of its turn's triangle"),
+                 (dist[own].reshape(n, -1) >= radii / _SEC, "no branch point inside its circle")],
+                range(len(ring)))
+    lam, b = lam.ravel(), (south - lam).ravel()  # rows (system, letter)
+    half = np.sqrt((others.reshape(len(lam), m - 1) - lam[:, None]) / b[:, None])
     scale = 2 * np.sqrt(b) / b**g  # 2 b^(1/2-g)
     # N_2d = scale b^d sum_{c >= d} C(c, d) lam^(c-d) M_c; odd coefficients are 0
     c = np.arange(g)
@@ -804,26 +867,9 @@ def _half_turns(systems, loops: LoopSystem, y_south, ode_tol: float, record=None
     weights *= (scale[:, None] * b[:, None] ** c)[..., None]
     coeffs = np.zeros((len(lam), 2 * g - 1, 4), dtype=complex)
     coeffs[:, ::2] = weights @ matrices.repeat(len(ring), axis=0).reshape(-1, g, 4)
-    ratio = y_south * scale / (2 * b) / _sqrt_f(np.ones(len(lam)), chart_roots.T)
-    sigma = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1)
-    # another branch point may come as near a circle as to a loop segment
-    # (0.9 clearance), so an fd step of up to clearance / 4 always passes
-    for bad, what in (
-        ((~own & (dist < (radii + 0.9 * loops.clearance)[:, None])).any(axis=-1),
-         "another branch point inside or within the clearance of its circle"),
-        (dist[own] >= np.tile(radii / _SEC, n), "no branch point inside its circle"),
-        (~(np.abs(ratio - sigma) <= _SHEET_MATCH_TOL), "its chart's y at south is not +-sqrt P(1)"),
-    ):
-        if bad.any():
-            i, k = divmod(int(np.argmax(bad)), len(ring))  # first in member order
-            raise IntegrationError(f"system {i}, letter {k + 1}: {what}",
-                                   member=(i, f"letter {k + 1}", 1))
-    charts = [NumericSystem(r, a.reshape(-1, 2, 2)) for r, a in zip(chart_roots, coeffs)]
-    members = [(i, f"letter {k + 1} half-turn", sg * s)
-               for (i, k), sg in zip(np.ndindex(n, len(ring)), sigma.tolist()) for s in _SHEETS]
-    out = _transport(np.tile([1.0 + 0j, -1.0], (len(lam), 1)), _SHEETS, charts, ode_tol,
-                     members, record)
-    return np.where(sigma[:, None, None, None] > 0, out, out[:, ::-1])
+    u_foot = np.sqrt((np.tile(foot, n) - lam) / b)
+    return (np.concatenate([half, -half], axis=1), coeffs.reshape(len(lam), -1, 2, 2), u_foot,
+            scale / (2 * b * u_foot))
 
 
 @np.errstate(all="ignore")  # an overflowed word or relation product is reported invalid

@@ -31,7 +31,7 @@ from diffsys.monodromy import (
     _CIRCLE_SIDES,
     _E,
     _SHEETS,
-    _half_turns,
+    _feet,
     _letter_transports,
     _representations,
     _transport,
@@ -45,6 +45,7 @@ from diffsys.systems import (
     scale_system,
 )
 
+import diffsys.monodromy
 import oracles
 from oracles import loop_integral, loop_sheets, word_is_trivial_upstairs
 
@@ -412,6 +413,22 @@ def _rel_dev(a, b):
     return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
 
 
+def _rows(systems, per_system):
+    """Stacked roots and matrices of ``systems``, each repeated for ``per_system`` rows."""
+    return (np.array([s.roots for s in systems]).repeat(per_system, 0),
+            np.array([s.matrices for s in systems]).repeat(per_system, 0))
+
+
+def _full_letters(systems, loops):
+    """Letter transports (n, 2g+1, 2 sheets, 2, 2) from one sweep of the whole
+    lollipops in x, the reference for the composed letters."""
+    letters = np.array(loops.letters)
+    members = [(i, k, s) for i in range(len(systems)) for k in range(len(letters)) for s in _SHEETS]
+    full = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, *_rows(systems, len(letters)),
+                      1e-12, members)
+    return full.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
+
+
 class TestBatchedTransport:
     def test_letter_products_match_full_word_transport(self, genus2_curve, loops_g2):
         """Letter-assembled loop matrices against whole-loop integration, on
@@ -455,6 +472,7 @@ class TestBatchedTransport:
         (0, 1 + 0.2j, 2, "another branch point inside"),
         (4, 1 + 0.2j, 2, "another branch point inside"),
         (4, 4 + 3j, 5, "no branch point inside"),
+        (0, 2.1 - 0.66j, 3, "of its turn's triangle"),
     ])
     def test_branch_point_off_its_circle_is_named(self, genus2_curve, loops_g2, where, moved,
                                                   letter, what):
@@ -462,7 +480,10 @@ class TestBatchedTransport:
         none, makes a half-turn differ from its circle; the guard names the
         member.  Unguarded, the first case gives an invalid representation
         (relation residual 41) whose involution defects all stay below 1e-13,
-        so nothing else names the cause."""
+        so nothing else names the cause.  The last case puts root 0 0.1 beside
+        letter 3's foot, outside its circle's clearance ring but within the
+        clearance of the turn's triangle (foot, south, lam): the guard names
+        letter 3, not the emptied circle of letter 1."""
         good = NumericSystem.from_system(small_system(genus2_curve, 3))
         roots = list(good.roots)
         roots[where] = moved
@@ -485,64 +506,76 @@ class TestBatchedTransport:
             family.append(NumericSystem(tuple(roots), base.matrices))
         assert all(rep.valid for rep in monodromy_family(family, loops, 1e-12))
 
-    def test_half_turn_sheet_mismatch_is_named(self, genus2_curve, loops_g2):
-        """A chart's y at u = 1 must be +-sqrt P(1): a stem y off by a factor
-        i matches no sheet, and the first such member is named."""
-        system = NumericSystem.from_system(small_system(genus2_curve, 3))
-        stems = np.array([v[:3] for v in loops_g2.letters])
-        members = [(0, k, s) for k in range(len(stems)) for s in _SHEETS]
-        record = {}
-        _transport(stems, _SHEETS, [system] * len(stems), 1e-12, members, record)
-        with pytest.raises(IntegrationError, match=r"not \+-sqrt P\(1\)") as info:
-            _half_turns([system], loops_g2, record["y"] * 1j, 1e-12)
+    def test_half_turn_sheet_mismatch_is_named(self, genus2_curve, loops_g2, monkeypatch):
+        """A turn chart's y at the foot must be +-sqrt P(u_f): a foot y off by
+        a factor i matches no sheet, and the first such member is named."""
+        feet = diffsys.monodromy._feet
+
+        def off_by_i(*args):
+            transports, y_feet = feet(*args)
+            return transports, y_feet * 1j
+
+        monkeypatch.setattr(diffsys.monodromy, "_feet", off_by_i)
+        with pytest.raises(IntegrationError, match=r"not \+-sqrt P\(u_f\)") as info:
+            monodromy(small_system(genus2_curve, 3), loops_g2, 1e-12)
         assert info.value.member == (0, "letter 1", 1)
 
     def test_abelian_half_turns_vs_quadrature(self, genus2_curve, loops_g2):
-        """delta = H (x) omega: each half-turn is diag(exp I, exp -I) with I
-        the Gauss-Legendre integral of omega once around the letter's circle
-        polygon in x, from south on the sheet the stem reaches there
-        (measured: 6.3e-14)."""
+        """delta = H (x) omega: each letter, composed from its edges to the
+        foot and its turn, the chart segment u_f -> -u_f, is diag(exp I,
+        exp -I) with I the Gauss-Legendre integral of omega along the whole
+        lollipop polygon in x (measured: 3.7e-13)."""
         coeff = ExactMatrix.from_rows([[es(1), es(Fraction(1, 2))], [es(0), es(0)], [es(0), es(0)]])
         system = NumericSystem.from_system(DifferentialSystem(genus2_curve, SL2, coeff))
-        stems = np.array([v[:3] for v in loops_g2.letters])
-        members = [(0, k, s) for k in range(len(stems)) for s in _SHEETS]
-        record = {}
-        _transport(stems, _SHEETS, [system] * len(stems), 1e-12, members, record)
-        half = _half_turns([system], loops_g2, record["y"], 1e-12)
+        letter_t = _letter_transports([system], loops_g2, 1e-12)[0]
         worst = 0.0
         for k, letter in enumerate(loops_g2.letters):
-            stem = letter[:3]
-            south = loop_sheets(genus2_curve, Loop("stem", (k + 1,), stem, (1,) * 3))[-1]
-            circle = letter[2: 3 + _CIRCLE_SIDES]
             for j, sheet in enumerate(_SHEETS):
-                polygon = Loop("circle", (k + 1,), circle, (sheet * south,) * len(circle))
-                pred = cmath.exp(loop_integral(genus2_curve, polygon, [1.0, 0.5]))
-                h = half[k, j]
+                path = Loop("letter", (k + 1,), letter, (sheet,) * len(letter))
+                pred = cmath.exp(loop_integral(genus2_curve, path, [1.0, 0.5]))
+                h = letter_t[k, j]
                 worst = max(worst, abs(h[0, 0] - pred), abs(h[1, 1] - 1 / pred),
                             abs(h[0, 1]), abs(h[1, 0]))
         assert worst <= 1e-10, worst
 
     def test_stem_guard_culprit_is_named(self, genus2_curve, loops_g2):
-        """The stem is swept once, on the way out: a branch point 1e-15 off
-        letter 3's segment foot -> south still fails on the sheet guard."""
+        """The segment foot -> south is part of the letter's turn, whose chart
+        segment is homotopic to the lollipop only outside the triangle (foot,
+        south, lam): a branch point 1e-15 off letter 3's segment fails the turn
+        guard, which runs before any sweep (no segment, no step)."""
         zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
         a, b = loops_g2.letters[2][1], loops_g2.letters[2][2]
         roots = list(zero.roots)
         roots[0] = (a + b) / 2 + 1e-15j * (b - a) / abs(b - a)
         bad = NumericSystem(tuple(roots), zero.matrices)
-        with pytest.raises(IntegrationError, match="underflow.*on segment 1 ") as info:
+        with pytest.raises(IntegrationError, match="of its turn's triangle") as info:
             monodromy_family([zero, zero, bad], loops_g2, 1e-12)
         assert info.value.member == (2, "letter 3", 1)
-        assert info.value.segment == 1
+        assert info.value.segment is None
+
+    def test_edge_guard_culprit_is_named(self, genus2_curve, loops_g2):
+        """No guard covers the base line: a branch point 1e-15 off the edge
+        from the base to letter 2's foot, 0.3 of the way, fails the sheet
+        guard of the edge sweep, behind two systems with identical rows,
+        naming the member."""
+        zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
+        roots = list(zero.roots)
+        roots[0] = 0.7 * loops_g2.base_point + 0.3 * loops_g2.letters[1][1] + 1e-15j
+        bad = NumericSystem(tuple(roots), zero.matrices)
+        with pytest.raises(IntegrationError, match="underflow.*on segment 0 ") as info:
+            _feet(*_rows([zero, zero, bad], 1), loops_g2, 1e-12, {})
+        assert info.value.member[:2] == (2, "letter 2")
+        assert info.value.segment == 0
 
     @pytest.mark.parametrize("genus", [2, 3])
     def test_stem_once_letters_match_full_letter_sweep(self, genus):
-        """Letters composed as G(k,-s)^-1 H(k,s) G(k,s), H the half-turn in
-        each system's own chart, against one sweep of the whole lollipops in
-        x, per letter member, on one family: seeds 1..10 (criterion 6's at
-        genus 2) and seed 1 with each branch point moved by 1e-4 and by
-        1e-4 i, whose half-turns run about moved centers (measured: 4.8e-14
-        and 4.0e-14 at genus 2 and 3, partners 8.6e-15 and 1.6e-14)."""
+        """Letters composed as F(k,-s)^-1 V(k,s) F(k,s), F the base-line edges
+        to the foot and V the turn in each system's own chart, against one
+        sweep of the whole lollipops in x, per letter member, on one family:
+        seeds 1..10 (criterion 6's at genus 2) and seed 1 with each branch
+        point moved by 1e-4 and by 1e-4 i, whose turns run about moved
+        centers (measured: 5.8e-14 and 4.4e-14 at genus 2 and 3, partners 9.5e-15
+        and 1.8e-14)."""
         curve = HyperellipticCurve.from_integers(range(2 * genus + 1))
         loops = build_loops(curve, 0.22)
         systems = [NumericSystem.from_system(small_system(curve, seed)) for seed in range(1, 11)]
@@ -550,31 +583,47 @@ class TestBatchedTransport:
             roots = list(systems[0].roots)
             roots[j] += d
             systems.append(NumericSystem(tuple(roots), systems[0].matrices))
-        letters = np.array(loops.letters)
-        members = [(i, k, s) for i in range(len(systems)) for k in range(len(letters)) for s in _SHEETS]
-        rows = [s for s in systems for _ in letters]
-        full = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, rows, 1e-12, members)
         composed = _letter_transports(systems, loops, 1e-12)
-        for i, (c, f) in enumerate(zip(composed, full.reshape(composed.shape))):
+        for i, (c, f) in enumerate(zip(composed, _full_letters(systems, loops))):
             dev = max(_rel_dev(a, b) for a, b in zip(c.reshape(-1, 2, 2), f.reshape(-1, 2, 2)))
             assert dev <= 1e-12, (i, dev)
 
     def test_stem_once_sweep_takes_fewer_steps(self, genus3_curve):
         """Genus-3 seed 1 against a full-letter sweep of the same system
-        (measured: 76 accepted steps, 49 on stems and 27 on half-turns,
-        against 179); the counts are deterministic and family members report
-        their shared sweeps."""
+        (measured: 51 accepted steps, 18 on edges and 33 on turns, against
+        179); the counts are deterministic and family members report their
+        shared sweeps."""
         loops = build_loops(genus3_curve, 0.22)
         system = NumericSystem.from_system(small_system(genus3_curve, 1))
         letters = np.array(loops.letters)
         members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
         record = {}
-        _transport(letters, _SHEETS, [system] * len(letters), 1e-12, members, record)
+        _transport(letters, _SHEETS, *_rows([system], len(letters)), 1e-12, members, record)
         rep = monodromy(system, loops, 1e-12)
         assert rep.to_json()["steps"]["accepted"] < record["steps"][0]
         assert monodromy(system, loops, 1e-12).steps == rep.steps
         family = monodromy_family([system, small_system(genus3_curve, 2)], loops, 1e-12)
         assert family[0].steps == family[1].steps
+
+    def test_sheet_chain_on_complex_branch_points(self):
+        """Branch points 0+i, 1-i, 2, 3+2i, 4-i: the principal sqrt f flips
+        sign between the base (letter 3's foot) and letter 2's foot.  y at
+        each foot, chained along the edges, is the oracle's dense
+        continuation of sqrt f along the base line, and the composed letters
+        match a full-letter sweep (measured: 6.2e-14)."""
+        curve = HyperellipticCurve(tuple(es(j, im) for j, im in enumerate((1, -1, 0, 2, -1))))
+        loops = build_loops(curve, 0.22)
+        system = NumericSystem.from_system(small_system(curve, 1))
+        _, y_feet = _feet(*_rows([system], 1), loops, 1e-12, {})
+        sheets = [loop_sheets(curve, Loop("edge", (k,), (loops.base_point, v[1]), (1, 1)))[-1]
+                  for k, v in enumerate(loops.letters, start=1)]
+        assert sheets == [-1, -1, 1, 1, 1]
+        principal = [np.sqrt(np.prod(v[1] - np.array(system.roots))) for v in loops.letters]
+        assert np.allclose(y_feet[0], np.multiply(sheets, principal), rtol=1e-13, atol=0)
+        composed = _letter_transports([system], loops, 1e-12)[0]
+        full = _full_letters([system], loops)[0]
+        dev = max(_rel_dev(a, b) for a, b in zip(composed.reshape(-1, 2, 2), full.reshape(-1, 2, 2)))
+        assert dev <= 1e-12, dev
 
     def test_family_member_named_by_global_index(self, genus2_curve, loops_g2):
         """One shared sweep over several systems names a failing member by
@@ -645,11 +694,12 @@ class TestDOP853Transport:
         assert rep.valid, (rep.relation_residual, max(rep.det_residuals))
 
     def test_growth_cap_names_member(self, genus2_curve, loops_g2):
-        """Entries past 2**26 fail the accepted step at once, naming the member."""
+        """Entries past 2**26 fail the accepted step at once, naming the member:
+        here the edge from the base to letter 4's foot."""
         system = scale_system(sample_system(genus2_curve, SL2, seed=3, coefficient_bound=5), es(1000))
         with pytest.raises(IntegrationError, match=r"above 2\*\*26") as info:
             monodromy(system, loops_g2, 1e-12)
-        assert info.value.member == (0, "letter 5", -1)
+        assert info.value.member == (0, "letter 4", -1)
         assert info.value.segment == 0
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
@@ -666,7 +716,7 @@ class TestDOP853Transport:
         members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
         for seed in (2, 3, 9):
             system = NumericSystem.from_system(small_system(genus2_curve, seed))
-            letter_t = _transport(letters, _SHEETS, [system] * len(letters), 1e-12, members)
+            letter_t = _transport(letters, _SHEETS, *_rows([system], len(letters)), 1e-12, members)
             for loop, w in zip(loops_g2.loops, _words(letter_t[None], loops_g2)[0]):
                 ref = ExactMatrix.identity(2)
                 for i, k in enumerate(loop.word):
