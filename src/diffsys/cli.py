@@ -42,7 +42,8 @@ from .monodromy import (
     build_loops,
     irreducibility_probe,
     monodromy,
-    trace_vector,
+    standard_word_list,
+    trace_values,
 )
 from .multiplication import criterion_injective, lazarsfeld_scan, noether_check
 from .systems import (
@@ -240,7 +241,10 @@ def _cmd_monodromy(args):
     clearance = _positive(args.clearance, "--clearance")
     loops = build_loops(curve, clearance)
     rep = monodromy(system, loops, ode_tol)
-    traces = trace_vector(rep)
+    traces = {
+        "words": ["*".join(w) for w in standard_word_list(rep.genus)],
+        "values": [[v.real, v.imag] for v in trace_values([rep])[0].tolist()],
+    }
     probe = irreducibility_probe(rep)
     config = {
         "curve": curve_to_json(curve),
@@ -251,7 +255,7 @@ def _cmd_monodromy(args):
     }
     result = {
         "representation": rep.to_json(),
-        "traces": traces.to_json(),
+        "traces": traces,
         "irreducibility": probe.to_json(),
         "loops": loops.to_json(),
     }

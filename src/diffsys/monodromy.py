@@ -22,40 +22,42 @@ Transport
 ---------
 One kernel solves dY = (sum_j B_j omega_j) Y in a single numpy sweep for a
 batch of *rows*, each a numeric system and a polyline (all with the same
-vertex count), run on every sheet of a shared tuple of starting sheets; a
-(row, sheet) pair is a *member*, starting from y = sheet * sqrt(f(x)) at its
-first vertex.  The sweep runs the Dormand-Prince 8(5,3) pair DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, II.10; twelve stages, the last of which
-holds the step's solution, whose slope starts the next step) with one step
-sequence in the segment parameter, shared by all members: a step is accepted
-when the largest local error in the batch is within tolerance and every
-member passes the sheet guard, and the next step size follows from that
-largest error (factor 0.9 err^(-1/8) within [0.2, 6]).  An entry's local
-error is the combined estimate h |e5|^2 / hypot(|e5|, |e3| / 10), held to
-ode_tol / 10 in the mixed scale 1 + max(|Y|, |Y_new|) (on 48 genus-2 and
-genus-3 systems, ode_tol itself fell short of the former 5(4) pair on a
-third, the tenth beat it on all).  An accepted step fails once an entry of Y
-passes 2**26 = eps^(-1/2), where rounding alone breaks det = 1, naming the
-member.
+vertex count), run on both sheets; a (row, sheet) pair is a *member*,
+starting from y = sheet * sqrt(f(x)) at its first vertex.  The sweep runs
+the Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
+ODEs I, II.10; twelve stages, the last of which holds the step's solution,
+whose slope starts the next step) with one step sequence in the segment
+parameter, shared by all members: a step is accepted when the largest local
+error in the batch is within tolerance and every member passes the sheet
+guard, and the next step size follows from that largest error (factor 0.9
+err^(-1/8) within [0.2, 6]).  An entry's local error is the combined
+estimate h |e5|^2 / hypot(|e5|, |e3| / 10), held to ode_tol / 10 in the
+mixed scale 1 + max(|Y|, |Y_new|) (on 48 genus-2 and genus-3 systems,
+ode_tol itself fell short of the former 5(4) pair on a third, the tenth beat
+it on all).  An accepted step fails once an entry of Y passes 2**26 =
+eps^(-1/2), where rounding alone breaks det = 1, naming the member.
 y is continued by the square-root rule that loop construction uses too:
 every stage takes the root nearer to y at the start of the step, and
-acceptance requires |y_new - y_old| < |y_old|, so a silent sheet jump is
-impossible and failure surfaces as step-size underflow, naming the member,
-the segment, t and h.  As no stage depends on an earlier stage's y, each
+acceptance requires |y_new - y_old| < |y_old|.  That sheet guard checks only
+the step's end point: with a zero connection the local error is 0 and steps
+grow, and a step that straddles a branch point has passed it.  A step the
+guard keeps rejecting ends in step-size underflow, naming the member, the
+segment, t and h.  As no stage depends on an earlier stage's y, each
 step computes its geometry (x, y and the connection at the eleven new
 points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
 y and connection are exact negations and the guard ignores the sign, so one
 pass serves both sheets and changes no bit of any member's numbers.  The
-sweep also returns y at the last vertex and its step counts.
+sweep also returns y at the last vertex and its (accepted, rejected) step
+counts.
 
-Who shares a sweep: ``monodromy`` sweeps its one system alone, and
-:mod:`diffsys.immersion` runs a center and its +delta and -delta systems
-through ``monodromy_family``, so a central difference sees one
-discretisation and step-control noise cancels in its columns.  A family
-member is not bit for bit its lone run: a shared step sequence moves a
-stiff system by about as much as double precision determines it (a genus-2
-system of norm 1.7e3 moves by 1.3e-10, relative, from ode_tol 1e-14 to
-1e-15).  Every representation, center or partner, meets the same gates.
+Who shares a sweep: ``monodromy`` is ``monodromy_family`` of its one
+system, and :mod:`diffsys.immersion` runs a center and its +delta and
+-delta systems through one ``monodromy_family``, so a central difference
+sees one discretisation and step-control noise cancels in its columns.  A
+family member is not bit for bit its lone run: a shared step sequence moves
+a stiff system by about as much as double precision determines it (a
+genus-2 system of norm 1.7e3 moves by 1.3e-10, relative, from ode_tol 1e-14
+to 1e-15).  Every representation, center or partner, meets the same gates.
 
 Neither integrates whole loop words, nor whole letters, whose transports
 depend only on the system, the letter, its starting sheet and its homotopy
@@ -117,17 +119,14 @@ __all__ = [
     "Loop",
     "LoopSystem",
     "MonodromyRepresentation",
-    "TraceVector",
     "IrreducibilityVerdict",
     "NumericSystem",
     "ODE_TOL_FLOOR",
     "canonical_words",
     "build_loops",
-    "integrate_loop",
     "monodromy",
     "monodromy_family",
     "trace_values",
-    "trace_vector",
     "standard_word_list",
     "irreducibility_probe",
 ]
@@ -319,7 +318,7 @@ def _track_sqrt(paths, root_rows):
     return np.array(ys).T
 
 
-_SHEETS = (1, -1)  # starting sheets of a word's letters, by position parity
+_SHEETS = (1, -1)  # each kernel row runs on both; a word's i-th letter starts on _SHEETS[i % 2]
 
 
 def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
@@ -507,27 +506,26 @@ _SHEET_MATCH_TOL = 1e-8  # continued y over a principal root is +-1 to rounding
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
-def _transport(vertices, sheets, roots, matrices, ode_tol, members, record=None):
-    """Forward transports (r, s, 2, 2) of r rows, each run on s sheets, in one sweep.
+def _transport(vertices, roots, matrices, ode_tol, members):
+    """Forward transports (r, 2, 2, 2) of r rows, each run on both sheets, in
+    one sweep, with y (r,) continued to the last vertex on the principal
+    sheet and the sweep's (accepted, rejected) step counts.
 
     Row i runs along the polyline ``vertices[i]`` with branch points
     ``roots[i]`` and matrices ``matrices[i]`` (stacked (r, m) and (r, g, 2, 2)),
-    once from each start y = sheet * principal sqrt(f), sheet in ``sheets``;
+    once from each start y = sheet * principal sqrt(f), sheet in ``_SHEETS``;
     the connection form is (sum_c M_c x^c) dx / y with M_c from
-    ``systems.coefficient_matrices``.  ``members[i * s + j]`` = (system index,
+    ``systems.coefficient_matrices``.  ``members[2 * i + j]`` = (system index,
     path, starting sheet) names row i on sheet j in errors.  The local
     error is mixed absolute/relative at ``ode_tol / 10``; a new segment
     rescales the carried step by the ratio of the longest row segments.
-    A ``record`` dict receives y continued to the last vertex on the
-    principal sheet, per row, as "y" and the sweep's (accepted, rejected)
-    step counts as "steps".
     """
     if not 0 < ode_tol < math.inf:
         raise ValueError("ode_tol must be positive and finite")
     if ode_tol < ODE_TOL_FLOOR:
         raise ValueError(f"ode_tol {ode_tol:.3g} is below 10 eps: double precision cannot hold it")
     r, nvert = vertices.shape
-    ns = len(sheets)
+    ns = len(_SHEETS)
     path = np.ascontiguousarray(vertices.T)  # (nvert, r)
     root_rows = np.ascontiguousarray(np.asarray(roots, dtype=complex).T)
     # coeffs[c, 0, j] = column j of M_c, shape (2, 1, r), so that
@@ -538,7 +536,7 @@ def _transport(vertices, sheets, roots, matrices, ode_tol, members, record=None)
     # long (sheets innermost made them length 2), and per-row geometry keeps
     # a whole fd ladder's temporaries under numpy's 256 KB elision threshold.
     conn = np.empty((11, 2, 2, 1, ns, r), dtype=complex)  # per new node, for every member
-    signs = np.array(sheets, dtype=float)[:, None]
+    signs = np.array(_SHEETS, dtype=float)[:, None]
 
     def geometry(x, delta, y_prev):
         """conn[:k] at the k points x (k, r); returns y (k, r), continued from
@@ -655,20 +653,7 @@ def _transport(vertices, sheets, roots, matrices, ode_tol, members, record=None)
     finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
     if not finite.all():
         fail("non-finite transport values", int(np.argmin(finite)))
-    if record is not None:
-        record.update(y=y_ref, steps=(accepted, nsteps - accepted))
-    return np.ascontiguousarray(Y.transpose(3, 2, 0, 1))
-
-
-def integrate_loop(system, loop: Loop, ode_tol: float):
-    """Parallel transport around one whole loop; returns the forward 2x2 transport.
-
-    A batch of one member along the loop's full polyline, circles included,
-    from the sheet of its first vertex: the whole-word reference, sharing no
-    stem, chart or letter product with ``monodromy``, that tests compare to."""
-    system, member = _coerce(system), (0, f"loop {loop.name}", loop.sheets[0])
-    return _transport(np.array([loop.vertices], dtype=complex), (loop.sheets[0],), [system.roots],
-                      system.matrices[None], ode_tol, [member])[0, 0]
+    return np.ascontiguousarray(Y.transpose(3, 2, 0, 1)), y_ref, (accepted, nsteps - accepted)
 
 
 # -- monodromy representation ----------------------------------------------------
@@ -685,9 +670,9 @@ class MonodromyRepresentation:
     det_residuals: tuple
     # per letter k: max over sheets s of |T(k,-s) T(k,s) - I|, the letter
     # transported on one sheet and back on the other (trivial upstairs)
-    involution_defects: tuple = ()
-    letter_norms: tuple = ()  # per letter k: max over sheets s of |T(k,s)|_2
-    steps: tuple = ()  # (accepted, rejected) steps of the sweep that made it
+    involution_defects: tuple
+    letter_norms: tuple  # per letter k: max over sheets s of |T(k,s)|_2
+    steps: tuple  # (accepted, rejected) steps of the sweep that made it
 
     @property
     def valid(self) -> bool:
@@ -755,32 +740,28 @@ def _words(letter_t, loops: LoopSystem):
     return words
 
 
-def _letter_transports(systems, loops: LoopSystem, ode_tol: float, record=None):
+def _letter_transports(systems, loops: LoopSystem, ode_tol: float):
     """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``,
     F(k,-s)^-1 V(k,s) F(k,s) from one sweep of base-line edges (``_feet``)
     and one of the turns V, u_f -> -u_f in the charts of ``_turn_charts``,
-    their sheets matched at the foot by sqrt P(u_f) = y_foot scale / (2 b u_f);
-    ``record`` gets the sweeps' (accepted, rejected) steps as "sweeps",
-    summed as "steps"."""
+    their sheets matched at the foot by sqrt P(u_f) = y_foot scale / (2 b u_f),
+    and the (accepted, rejected) steps of the two sweeps, edges first."""
     systems = [_coerce(s) for s in systems]
     roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
     matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
     chart_roots, coeffs, u_foot, factor = _turn_charts(roots, matrices, loops)  # guards first
-    sweeps = ({}, {})
-    feet, y_feet = _feet(roots, matrices, loops, ode_tol, sweeps[0])
+    feet, y_feet, edge_steps = _feet(roots, matrices, loops, ode_tol)
     ratio = y_feet.ravel() * factor / _sqrt_f(u_foot, chart_roots.T)
     sigma = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1)
     _name_first([(~(np.abs(ratio - sigma) <= _SHEET_MATCH_TOL).reshape(y_feet.shape),
                   "its chart's y at the foot is not +-sqrt P(u_f)")], range(y_feet.shape[1]))
     members = [(i, f"letter {k + 1} turn", s) for i, k in np.ndindex(y_feet.shape) for s in _SHEETS]
-    turns = _transport(np.stack([u_foot, -u_foot], axis=1), _SHEETS, chart_roots, coeffs, ode_tol,
-                       members, sweeps[1])
+    turns, _, turn_steps = _transport(np.stack([u_foot, -u_foot], axis=1), chart_roots, coeffs,
+                                      ode_tol, members)
     turns = np.where(sigma[:, None, None, None] > 0, turns, turns[:, ::-1]).reshape(feet.shape)
-    if record is not None:
-        record["sweeps"] = [r["steps"] for r in sweeps]
-        record["steps"] = tuple(map(sum, zip(*record["sweeps"])))
     # formed in extended precision and rounded once, as words are
-    return (_sl2_inverses(feet[:, :, ::-1]) @ turns.astype(np.clongdouble) @ feet).astype(complex)
+    letters = (_sl2_inverses(feet[:, :, ::-1]) @ turns.astype(np.clongdouble) @ feet).astype(complex)
+    return letters, (edge_steps, turn_steps)
 
 
 def _name_first(checks, letters):
@@ -793,11 +774,12 @@ def _name_first(checks, letters):
             raise IntegrationError(f"system {i}, letter {k}: {what}", member=(i, f"letter {k}", 1))
 
 
-def _feet(roots, matrices, loops: LoopSystem, ode_tol: float, record):
+def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
     """Transports F (n, 2g+1, 2 sheets, 2, 2) in np.clongdouble from the base
-    to each letter's foot, and y (n, 2g+1) continued there from the principal
-    root at the base, from one sweep of one edge per foot off the base; y is
-    chained along the edges, each link y_end / sqrt f(foot) checked +-1."""
+    to each letter's foot, y (n, 2g+1) continued there from the principal
+    root at the base, and the (accepted, rejected) steps of the one sweep of
+    one edge per foot off the base; y is chained along the edges, each link
+    y_end / sqrt f(foot) checked +-1."""
     n, nl = roots.shape  # one letter per branch point
     feet = np.array([v[1] for v in loops.letters] + [loops.base_point])  # slot nl: the base
     offset = (feet - loops.base_point).real.tolist()  # the feet lie on the base line
@@ -807,11 +789,12 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float, record):
             parent[k], last[offset[k] > 0] = last[offset[k] > 0], k
     rows = sorted(parent)  # edge rows in member order, sheets against their start's sqrt f
     members = [(i, f"letter {k + 1}", s) for i in range(n) for k in rows for s in _SHEETS]
-    edges = _transport(np.tile(feet[[[parent[k], k] for k in rows]], (n, 1)), _SHEETS,
-                       roots.repeat(len(rows), 0), matrices.repeat(len(rows), 0), ode_tol,
-                       members, record).reshape(n, len(rows), len(_SHEETS), 2, 2)
+    edges, y_end, steps = _transport(np.tile(feet[[[parent[k], k] for k in rows]], (n, 1)),
+                                     roots.repeat(len(rows), 0), matrices.repeat(len(rows), 0),
+                                     ode_tol, members)
+    edges = edges.reshape(n, len(rows), len(_SHEETS), 2, 2)
     principal = _sqrt_f(feet, roots.T[..., None])  # (n, nl + 1)
-    links = record["y"].reshape(n, -1) / principal[:, rows]
+    links = y_end.reshape(n, -1) / principal[:, rows]
     signs = np.where(np.abs(links - 1) <= np.abs(links + 1), 1, -1)
     _name_first([(~(np.abs(links - signs) <= _SHEET_MATCH_TOL), "its edge's y is not +-sqrt f")],
                 rows)
@@ -822,7 +805,7 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float, record):
         flip = (sheet[:, p] < 0)[:, None, None, None]
         feet_t[:, k] = np.where(flip, edges[:, j, ::-1], edges[:, j]) @ feet_t[:, p]
         sheet[:, k] = sheet[:, p] * signs[:, j]
-    return feet_t[:, :nl], (sheet * principal)[:, :nl]
+    return feet_t[:, :nl], (sheet * principal)[:, :nl], steps
 
 
 def _triangle_distance(p, a, b, c):
@@ -873,7 +856,7 @@ def _turn_charts(roots, matrices, loops: LoopSystem):
 
 
 @np.errstate(all="ignore")  # an overflowed word or relation product is reported invalid
-def _representations(letter_t, loops: LoopSystem, steps=()) -> list:
+def _representations(letter_t, loops: LoopSystem, steps) -> list:
     """Representations from letter transports (n, 2g+1, 2 sheets, 2, 2) and
     their sweep's ``steps``, every quantity computed for all n systems at once."""
     words = _words(letter_t, loops).astype(complex)
@@ -895,15 +878,9 @@ def _representations(letter_t, loops: LoopSystem, steps=()) -> list:
     ]
 
 
-def _sweep(systems, loops: LoopSystem, ode_tol: float) -> list:
-    """Representations of ``systems`` from one shared sweep of their letters."""
-    record = {}
-    letter_t = _letter_transports(systems, loops, ode_tol, record)
-    return _representations(letter_t, loops, record["steps"])
-
-
 def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentation:
-    """The representation of one system along a loop system, swept alone.
+    """The representation of one system along a loop system: ``monodromy_family``
+    of that system alone.
 
     Every (letter, starting sheet) member, 2(2g+1) of them, is transported
     and each loop's transport is the product of its letter transports (see
@@ -912,29 +889,18 @@ def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentat
     residuals are measured on the raw transports and gated at ``_DET_TOL``
     (1e-10), the relation residual at ``_RELATION_TOL`` (1e-8).
     """
-    return _sweep([system], loops, ode_tol)[0]
+    return monodromy_family([system], loops, ode_tol)[0]
 
 
 def monodromy_family(systems, loops: LoopSystem, ode_tol: float) -> list:
     """Representations of ``systems`` in one shared sweep, in their order, for
     finite-difference partners that must see one discretisation; each result
     then depends on the family, and errors name a system by its index."""
-    return _sweep(systems, loops, ode_tol)
+    letter_t, sweeps = _letter_transports(systems, loops, ode_tol)
+    return _representations(letter_t, loops, tuple(map(sum, zip(*sweeps))))
 
 
 # -- trace coordinates ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceVector:
-    words: tuple  # tuples of generator names, e.g. ("a1", "b1", "a2")
-    values: tuple  # complex traces, same order
-
-    def to_json(self):
-        return {
-            "words": ["*".join(w) for w in self.words],
-            "values": [[v.real, v.imag] for v in self.values],
-        }
 
 
 def standard_word_list(g: int) -> tuple:
@@ -961,10 +927,10 @@ def standard_word_list(g: int) -> tuple:
 
 def _require_valid(rep: MonodromyRepresentation, index=None) -> None:
     if not rep.valid:
-        norm = f", largest letter norm {max(rep.letter_norms):.3e}" if rep.letter_norms else ""
         raise InvalidRepresentationError(
             f"invalid representation: relation residual {rep.relation_residual:.3e}, "
-            f"max det residual {max(rep.det_residuals):.3e}{norm}",
+            f"max det residual {max(rep.det_residuals):.3e}, "
+            f"largest letter norm {max(rep.letter_norms):.3e}",
             index=index,
         )
 
@@ -990,13 +956,6 @@ def trace_values(reps) -> np.ndarray:
             m = m @ mats[:, column[name]]
         out[:, j] = m[:, 0, 0] + m[:, 1, 1]
     return out
-
-
-def trace_vector(rep: MonodromyRepresentation) -> TraceVector:
-    """Traces of the documented word list in the generator matrices of one
-    valid representation: ``trace_values`` on a stack of one."""
-    values = trace_values([rep])[0]
-    return TraceVector(standard_word_list(rep.genus), tuple(values.tolist()))
 
 
 # -- irreducibility probe -----------------------------------------------------------

@@ -5,7 +5,9 @@ valuations, multiplication ranks from point evaluation and SVD, periods from
 composite Gauss-Legendre quadrature, loop words from exact finite-field
 representations of the branch-loop group, exact ranks from sympy, and the
 stacked representation layer of the monodromy from products and norms taken
-one matrix at a time.
+one matrix at a time.  The one exception is the whole-loop transport, which
+runs the monodromy's own kernel, but along a loop's full polyline, circles
+included, with no edge, chart or letter product of its own.
 """
 
 import cmath
@@ -18,6 +20,7 @@ import sympy
 
 from diffsys.curves import HyperellipticCurve, PlaneQuartic
 from diffsys.field import FloatMatrix, numeric_rank
+from diffsys.monodromy import _SHEETS, _coerce, _transport
 
 # -- valuation oracle for hyperelliptic differentials --------------------------
 
@@ -290,6 +293,21 @@ def word_is_trivial_upstairs(words_product, n_letters, trials=8, seed=7):
         if acc != idm and acc != neg:
             return False
     return True
+
+
+# -- whole-loop transport reference ----------------------------------------------
+
+
+def integrate_loop(system, loop, ode_tol):
+    """Forward 2x2 transport around one whole loop: one kernel row along the
+    loop's full polyline, run on both sheets, read on the sheet of its first
+    vertex.  The whole-word reference for the letter products of
+    ``monodromy``."""
+    system = _coerce(system)
+    members = [(0, f"loop {loop.name}", s) for s in _SHEETS]
+    forward, _, _ = _transport(np.array([loop.vertices], dtype=complex), [system.roots],
+                               system.matrices[None], ode_tol, members)
+    return forward[0, _SHEETS.index(loop.sheets[0])]
 
 
 # -- per-matrix representation reference -------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from diffsys.curves import HyperellipticCurve, PlaneQuartic, canonical_basis
 from diffsys.field import ExactMatrix, ExactScalar, exact_rank
 from diffsys.immersion import fd_step_ladder, make_center
-from diffsys.monodromy import Loop, build_loops, integrate_loop, monodromy, trace_vector
+from diffsys.monodromy import Loop, build_loops, monodromy, trace_values
 from diffsys.multiplication import (
     criterion_injective,
     exact_row_basis,
@@ -33,7 +33,7 @@ from diffsys.systems import (
     scale_system,
 )
 
-from oracles import evaluation_rank, loop_integral, theta_products
+from oracles import evaluation_rank, integrate_loop, loop_integral, theta_products
 
 SL2 = builtin_algebra("sl2")
 
@@ -220,10 +220,8 @@ def test_criterion_6_monodromy_validity(loops_g2):
             details.append(f"seed {seed} relation {rep.relation_residual:.2e}")
         # gauge invariance of traces
         rep_conj = monodromy(conjugate_system(system, gauge), loops_g2, 1e-12)
-        dev = max(
-            abs(a - b)
-            for a, b in zip(trace_vector(rep).values, trace_vector(rep_conj).values)
-        )
+        traces, traces_conj = trace_values([rep, rep_conj])
+        dev = float(np.max(np.abs(traces - traces_conj)))
         if dev > 1e-8:
             ok = False
             details.append(f"seed {seed} gauge {dev:.2e}")

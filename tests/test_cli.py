@@ -315,6 +315,32 @@ class TestMonodromyCommand:
             outs.append(text)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("branch_points, genus", [("0,1,2,3,4", 2), ("0,1,2,3,4,5,6", 3)])
+    def test_traces_payload(self, tmp_path, branch_points, genus):
+        """The report's trace words are the documented word list in order, and
+        each value is the trace of the product of the report's own matrices."""
+        from diffsys.monodromy import standard_word_list
+
+        out = tmp_path / "mono.json"
+        argv = ["monodromy", "--branch-points", branch_points, "--seed", "1", "--out", str(out)]
+        assert run_cli(argv) == 0
+        result = json.loads(out.read_text())["result"]
+        traces, rep = result["traces"], result["representation"]
+        assert traces["words"] == ["*".join(w) for w in standard_word_list(genus)]
+        mats = {
+            name: np.array([complex(re, im) for re, im in m]).reshape(2, 2)
+            for name, m in zip(rep["loop_names"], rep["matrices"])
+        }
+        expected = []
+        for word in traces["words"]:
+            product = np.eye(2, dtype=complex)
+            for name in word.split("*"):
+                product = product @ mats[name]
+            expected.append(np.trace(product))
+        values = np.array([complex(re, im) for re, im in traces["values"]])
+        assert len(values) == 6 * genus - 3
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
 
 class TestImmersionCommand:
     def test_single_step_csv(self, tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import warnings
@@ -17,13 +18,11 @@ from diffsys.monodromy import (
     NumericSystem,
     build_loops,
     canonical_words,
-    integrate_loop,
     irreducibility_probe,
     monodromy,
     monodromy_family,
     standard_word_list,
     trace_values,
-    trace_vector,
     MonodromyRepresentation,
     ODE_TOL_FLOOR,
     _A,
@@ -47,7 +46,7 @@ from diffsys.systems import (
 
 import diffsys.monodromy
 import oracles
-from oracles import loop_integral, loop_sheets, word_is_trivial_upstairs
+from oracles import integrate_loop, loop_integral, loop_sheets, word_is_trivial_upstairs
 
 
 def es(re, im=0):
@@ -209,7 +208,7 @@ class TestIntegrateLoop:
         system = small_system(genus2_curve, 5)
         for ode_tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="ode_tol must be positive and finite"):
-                integrate_loop(system, loops_g2.loops[0], ode_tol)
+                monodromy(system, loops_g2, ode_tol)
 
     def test_tolerance_below_double_precision_rejected(self, genus2_curve, loops_g2):
         """The local error is held to ode_tol / 10 relative to 1 + |Y|, which
@@ -220,13 +219,13 @@ class TestIntegrateLoop:
         assert ODE_TOL_FLOOR == 10 * np.finfo(float).eps
         for ode_tol in (1e-20, 0.99 * ODE_TOL_FLOOR):
             with pytest.raises(ValueError, match="double precision"):
-                integrate_loop(system, loops_g2.loops[0], ode_tol)
+                monodromy(system, loops_g2, ode_tol)
 
     def test_non_sl2_rejected(self, genus2_curve, loops_g2):
         gl2 = builtin_algebra("gl2")
         system = DifferentialSystem(genus2_curve, gl2, ExactMatrix.zeros(4, 2))
         with pytest.raises(ValueError):
-            integrate_loop(system, loops_g2.loops[0], 1e-12)
+            monodromy(system, loops_g2, 1e-12)
 
 
 class TestMonodromy:
@@ -250,9 +249,8 @@ class TestMonodromy:
         conj = conjugate_system(system, s)
         rep1 = monodromy(system, loops_g2, 1e-12)
         rep2 = monodromy(conj, loops_g2, 1e-12)
-        t1 = trace_vector(rep1).values
-        t2 = trace_vector(rep2).values
-        assert max(abs(a - b) for a, b in zip(t1, t2)) <= 1e-8
+        t1, t2 = trace_values([rep1, rep2])
+        assert np.max(np.abs(t1 - t2)) <= 1e-8
 
     def test_homotopy_invariance_midpoint_refinement(self, genus2_curve, loops_g2):
         system = small_system(genus2_curve, 3)
@@ -309,7 +307,7 @@ class TestMonodromy:
     def test_overflowed_relation_is_invalid_not_an_error(self, loops_g2):
         """A relation product that overflows has infinite residual: the
         representation is invalid, and no SVD is attempted on it."""
-        (rep,) = _representations(self._overflowing_letters(loops_g2), loops_g2)
+        (rep,) = _representations(self._overflowing_letters(loops_g2), loops_g2, (0, 0))
         assert all(np.isfinite(np.linalg.inv(m)).all() for m in rep.matrices)
         assert rep.relation_residual == math.inf
         assert rep.valid is False
@@ -317,19 +315,19 @@ class TestMonodromy:
     def test_overflowed_relation_prints_no_warning(self, loops_g2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (rep,) = _representations(self._overflowing_letters(loops_g2), loops_g2)
+            (rep,) = _representations(self._overflowing_letters(loops_g2), loops_g2, (0, 0))
         assert rep.valid is False
 
     def test_overflow_in_a_stack_stays_with_its_member(self, genus2_curve, loops_g2):
         """In a two-system stack only the overflowing member turns invalid;
         the other is bit for bit its own stack of one."""
         system = small_system(genus2_curve, 3)
-        letters = _letter_transports([NumericSystem.from_system(system)], loops_g2, 1e-12)
+        letters, _ = _letter_transports([NumericSystem.from_system(system)], loops_g2, 1e-12)
         stack = np.concatenate([self._overflowing_letters(loops_g2), letters])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bad, good = _representations(stack, loops_g2)
-        (alone,) = _representations(letters, loops_g2)
+            bad, good = _representations(stack, loops_g2, (0, 0))
+        (alone,) = _representations(letters, loops_g2, (0, 0))
         assert bad.relation_residual == math.inf and bad.valid is False
         assert good.valid
         assert good.to_json() == alone.to_json()
@@ -376,7 +374,7 @@ class TestStackedRepresentation:
         return monodromy_family(family, loops_g2, 1e-12)
 
     def test_family_matches_per_matrix_reference(self, family, family_reps, loops_g2):
-        letter_t = _letter_transports(family, loops_g2, 1e-12)
+        letter_t, _ = _letter_transports(family, loops_g2, 1e-12)
         words = standard_word_list(2)
         valid = [i for i, rep in enumerate(family_reps) if rep.valid]
         assert len(valid) == len(family_reps) - 1  # the stiff system misses the relation gate
@@ -392,7 +390,7 @@ class TestStackedRepresentation:
             if rep.valid:
                 ref = oracles.traces(mats, rep.loop_names, words)
                 assert tuple(stacked[i].tolist()) == ref, i
-                assert trace_vector(rep).values == ref, i
+                assert tuple(trace_values([rep])[0].tolist()) == ref, i
         _assert_same_rep(family_reps[0], family_reps[-2])
 
     def test_permuted_family_permutes_results(self, family, family_reps, loops_g2):
@@ -424,8 +422,8 @@ def _full_letters(systems, loops):
     lollipops in x, the reference for the composed letters."""
     letters = np.array(loops.letters)
     members = [(i, k, s) for i in range(len(systems)) for k in range(len(letters)) for s in _SHEETS]
-    full = _transport(np.tile(letters, (len(systems), 1)), _SHEETS, *_rows(systems, len(letters)),
-                      1e-12, members)
+    full, _, _ = _transport(np.tile(letters, (len(systems), 1)), *_rows(systems, len(letters)),
+                            1e-12, members)
     return full.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
 
 
@@ -512,8 +510,8 @@ class TestBatchedTransport:
         feet = diffsys.monodromy._feet
 
         def off_by_i(*args):
-            transports, y_feet = feet(*args)
-            return transports, y_feet * 1j
+            transports, y_feet, steps = feet(*args)
+            return transports, y_feet * 1j, steps
 
         monkeypatch.setattr(diffsys.monodromy, "_feet", off_by_i)
         with pytest.raises(IntegrationError, match=r"not \+-sqrt P\(u_f\)") as info:
@@ -527,7 +525,7 @@ class TestBatchedTransport:
         lollipop polygon in x (measured: 3.7e-13)."""
         coeff = ExactMatrix.from_rows([[es(1), es(Fraction(1, 2))], [es(0), es(0)], [es(0), es(0)]])
         system = NumericSystem.from_system(DifferentialSystem(genus2_curve, SL2, coeff))
-        letter_t = _letter_transports([system], loops_g2, 1e-12)[0]
+        letter_t = _letter_transports([system], loops_g2, 1e-12)[0][0]
         worst = 0.0
         for k, letter in enumerate(loops_g2.letters):
             for j, sheet in enumerate(_SHEETS):
@@ -563,7 +561,7 @@ class TestBatchedTransport:
         roots[0] = 0.7 * loops_g2.base_point + 0.3 * loops_g2.letters[1][1] + 1e-15j
         bad = NumericSystem(tuple(roots), zero.matrices)
         with pytest.raises(IntegrationError, match="underflow.*on segment 0 ") as info:
-            _feet(*_rows([zero, zero, bad], 1), loops_g2, 1e-12, {})
+            _feet(*_rows([zero, zero, bad], 1), loops_g2, 1e-12)
         assert info.value.member[:2] == (2, "letter 2")
         assert info.value.segment == 0
 
@@ -583,7 +581,7 @@ class TestBatchedTransport:
             roots = list(systems[0].roots)
             roots[j] += d
             systems.append(NumericSystem(tuple(roots), systems[0].matrices))
-        composed = _letter_transports(systems, loops, 1e-12)
+        composed, _ = _letter_transports(systems, loops, 1e-12)
         for i, (c, f) in enumerate(zip(composed, _full_letters(systems, loops))):
             dev = max(_rel_dev(a, b) for a, b in zip(c.reshape(-1, 2, 2), f.reshape(-1, 2, 2)))
             assert dev <= 1e-12, (i, dev)
@@ -597,10 +595,9 @@ class TestBatchedTransport:
         system = NumericSystem.from_system(small_system(genus3_curve, 1))
         letters = np.array(loops.letters)
         members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
-        record = {}
-        _transport(letters, _SHEETS, *_rows([system], len(letters)), 1e-12, members, record)
+        _, _, (full_accepted, _) = _transport(letters, *_rows([system], len(letters)), 1e-12, members)
         rep = monodromy(system, loops, 1e-12)
-        assert rep.to_json()["steps"]["accepted"] < record["steps"][0]
+        assert rep.to_json()["steps"]["accepted"] < full_accepted
         assert monodromy(system, loops, 1e-12).steps == rep.steps
         family = monodromy_family([system, small_system(genus3_curve, 2)], loops, 1e-12)
         assert family[0].steps == family[1].steps
@@ -614,13 +611,13 @@ class TestBatchedTransport:
         curve = HyperellipticCurve(tuple(es(j, im) for j, im in enumerate((1, -1, 0, 2, -1))))
         loops = build_loops(curve, 0.22)
         system = NumericSystem.from_system(small_system(curve, 1))
-        _, y_feet = _feet(*_rows([system], 1), loops, 1e-12, {})
+        _, y_feet, _ = _feet(*_rows([system], 1), loops, 1e-12)
         sheets = [loop_sheets(curve, Loop("edge", (k,), (loops.base_point, v[1]), (1, 1)))[-1]
                   for k, v in enumerate(loops.letters, start=1)]
         assert sheets == [-1, -1, 1, 1, 1]
         principal = [np.sqrt(np.prod(v[1] - np.array(system.roots))) for v in loops.letters]
         assert np.allclose(y_feet[0], np.multiply(sheets, principal), rtol=1e-13, atol=0)
-        composed = _letter_transports([system], loops, 1e-12)[0]
+        composed = _letter_transports([system], loops, 1e-12)[0][0]
         full = _full_letters([system], loops)[0]
         dev = max(_rel_dev(a, b) for a, b in zip(composed.reshape(-1, 2, 2), full.reshape(-1, 2, 2)))
         assert dev <= 1e-12, dev
@@ -716,7 +713,7 @@ class TestDOP853Transport:
         members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
         for seed in (2, 3, 9):
             system = NumericSystem.from_system(small_system(genus2_curve, seed))
-            letter_t = _transport(letters, _SHEETS, *_rows([system], len(letters)), 1e-12, members)
+            letter_t, _, _ = _transport(letters, *_rows([system], len(letters)), 1e-12, members)
             for loop, w in zip(loops_g2.loops, _words(letter_t[None], loops_g2)[0]):
                 ref = ExactMatrix.identity(2)
                 for i, k in enumerate(loop.word):
@@ -726,6 +723,15 @@ class TestDOP853Transport:
                 dev = max(max(abs(a.re - b.re), abs(a.im - b.im)) for a, b in parts)
                 size = max(max(abs(b.re), abs(b.im)) for _, b in parts)
                 assert dev <= Fraction(1, 10**17) * size, (seed, loop.name, float(dev / size))
+
+
+def _hand_built(mats, relation_residual=0.0):
+    """A genus-2 representation of the given matrices, with its per-letter
+    and step fields filled in as a sweep would."""
+    return MonodromyRepresentation(
+        tuple(np.array(m, dtype=complex) for m in mats), ("a1", "b1", "a2", "b2"),
+        relation_residual, (0.0,) * 4, (0.0,) * 5, (1.0,) * 5, (0, 0),
+    )
 
 
 class TestTraceVector:
@@ -738,32 +744,21 @@ class TestTraceVector:
             assert ("a1", "b1", "a2") in words
 
     def test_identity_rep(self, loops_g2):
-        mats = tuple(np.eye(2, dtype=complex) for _ in range(4))
-        rep = MonodromyRepresentation(
-            mats, ("a1", "b1", "a2", "b2"), 0.0, (0.0,) * 4
-        )
-        tv = trace_vector(rep)
-        assert all(abs(v - 2) <= 1e-14 for v in tv.values)
+        (values,) = trace_values([_hand_built([np.eye(2)] * 4)])
+        assert all(abs(v - 2) <= 1e-14 for v in values)
 
     def test_diagonal_rep(self):
         lam = 1.7 - 0.3j
         d = np.diag([lam, 1 / lam])
-        mats = (d, np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-        rep = MonodromyRepresentation(
-            mats, ("a1", "b1", "a2", "b2"), 0.0, (0.0,) * 4
-        )
-        tv = trace_vector(rep)
-        idx = tv.words.index(("a1",))
-        assert abs(tv.values[idx] - (lam + 1 / lam)) <= 1e-14
+        (values,) = trace_values([_hand_built([d, np.eye(2), np.eye(2), np.eye(2)])])
+        idx = standard_word_list(2).index(("a1",))
+        assert abs(values[idx] - (lam + 1 / lam)) <= 1e-14
 
     def test_invalid_rep_rejected(self):
-        mats = tuple(np.eye(2, dtype=complex) for _ in range(4))
-        bad = MonodromyRepresentation(
-            mats, ("a1", "b1", "a2", "b2"), 1e-3, (0.0,) * 4
-        )
+        bad = _hand_built([np.eye(2)] * 4, relation_residual=1e-3)
         assert not bad.valid
         with pytest.raises(InvalidRepresentationError):
-            trace_vector(bad)
+            trace_values([bad])
         with pytest.raises(InvalidRepresentationError):
             irreducibility_probe(bad)
 
@@ -771,33 +766,22 @@ class TestTraceVector:
         s = np.array([[1.2, 0.4j], [0.1, (1 + 0.04j) / 1.2]])
         s /= np.sqrt(np.linalg.det(s))
         conj_m = tuple(s @ m @ np.linalg.inv(s) for m in rep_g2.matrices)
-        rep2 = MonodromyRepresentation(
-            conj_m, rep_g2.loop_names, rep_g2.relation_residual,
-            rep_g2.det_residuals,
-        )
-        t1, t2 = trace_vector(rep_g2).values, trace_vector(rep2).values
-        assert max(abs(a - b) for a, b in zip(t1, t2)) <= 1e-8
+        rep2 = dataclasses.replace(rep_g2, matrices=conj_m)
+        t1, t2 = trace_values([rep_g2, rep2])
+        assert np.max(np.abs(t1 - t2)) <= 1e-8
 
 
 class TestIrreducibilityProbe:
-    def _rep(self, mats):
-        return MonodromyRepresentation(
-            tuple(np.array(m, dtype=complex) for m in mats),
-            ("a1", "b1", "a2", "b2"),
-            0.0,
-            (0.0,) * 4,
-        )
-
     def test_upper_triangular_found(self):
         mats = [np.array([[2.0, 1.0], [0, 0.5]]) for _ in range(4)]
-        v = irreducibility_probe(self._rep(mats))
+        v = irreducibility_probe(_hand_built(mats))
         assert not v.probably_irreducible
         w = np.array(v.witness)
         w = w / np.linalg.norm(w)
         assert abs(abs(w[0]) - 1) <= 1e-8 and abs(w[1]) <= 1e-8
 
     def test_identity_rep_found(self):
-        v = irreducibility_probe(self._rep([np.eye(2)] * 4))
+        v = irreducibility_probe(_hand_built([np.eye(2)] * 4))
         assert not v.probably_irreducible and v.witness is not None
 
     def test_generic_rep_irreducible(self, rep_g2):
@@ -809,7 +793,7 @@ class TestIrreducibilityProbe:
         s /= np.sqrt(np.linalg.det(s))
         si = np.linalg.inv(s)
         mats = [s @ np.array([[1.5, v], [0, 1 / 1.5]]) @ si for v in (1.0, 2.0, -0.5, 0.3)]
-        v = irreducibility_probe(self._rep(mats))
+        v = irreducibility_probe(_hand_built(mats))
         assert not v.probably_irreducible
         w = np.array(v.witness)
         target = s @ np.array([1.0, 0.0])
