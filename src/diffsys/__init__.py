@@ -12,7 +12,7 @@ Layers, bottom up:
 * :mod:`diffsys.systems` -- Lie-algebra tables, differential systems,
   dimension formulas;
 * :mod:`diffsys.monodromy` -- fundamental-group loops, batched adaptive
-  Runge-Kutta parallel transport with square-root sheet tracking, trace
+  Runge-Kutta parallel transport with closed-form sheet checks, trace
   coordinates;
 * :mod:`diffsys.immersion` -- finite-difference rank of the monodromy map on
   explicit coordinate slices;

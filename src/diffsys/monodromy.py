@@ -12,11 +12,11 @@ elementary loops with explicit conjugators) whose defining property is that
 
 so the surface-group relation holds by construction, not by accident of
 homology.  Each word has even length, hence lifts to a closed loop on the
-double cover.  Loops are assembled from their letters: clearance and the
-continuation of sqrt(f) are checked once per letter, every letter must end on
-the sheet opposite to its start, and a loop's vertices and per-vertex sheets
-are its letters' polylines and sheet profiles end to end, with the sign
-alternating from letter to letter.
+double cover.  Loops are assembled from their letters: clearance is checked
+once per letter, each letter's sheet profile is the closed-form continuation
+of sqrt(f) below, every letter must end on the sheet opposite to its start,
+and a loop's vertices and per-vertex sheets are its letters' polylines and
+sheet profiles end to end, with the sign alternating from letter to letter.
 
 Transport
 ---------
@@ -36,19 +36,21 @@ mixed scale 1 + max(|Y|, |Y_new|) (on 48 genus-2 and genus-3 systems,
 ode_tol itself fell short of the former 5(4) pair on a third, the tenth beat
 it on all).  An accepted step fails once an entry of Y passes 2**26 =
 eps^(-1/2), where rounding alone breaks det = 1, naming the member.
-y is continued by the square-root rule that loop construction uses too:
-every stage takes the root nearer to y at the start of the step, and
-acceptance requires |y_new - y_old| < |y_old|.  That sheet guard checks only
-the step's end point: with a zero connection the local error is 0 and steps
-grow, and a step that straddles a branch point has passed it.  A step the
-guard keeps rejecting ends in step-size underflow, naming the member, the
-segment, t and h.  As no stage depends on an earlier stage's y, each
-step computes its geometry (x, y and the connection at the eleven new
-points; stages 11 and 12 share t + h) in one pass per row; the other sheet's
-y and connection are exact negations and the guard ignores the sign, so one
-pass serves both sheets and changes no bit of any member's numbers.  The
-sweep also returns y at the last vertex and its (accepted, rejected) step
-counts.
+Sheets are decided in closed form: along a straight segment a -> b that
+misses every branch point, y(b) = y(a) prod_j sqrt((b - r_j) / (a - r_j))
+with principal roots, and every sweep's y at its end must match it.  Within
+a step every stage takes the root nearer to y at the step's start, and the
+sheet guard accepts only |y_new - y_old| < |y_old|; a step the guard keeps
+rejecting ends in step-size underflow, naming the member, the segment, t and
+h.  The guard is only a step guard: it sees a step's end point, and with a
+zero connection steps grow, so one that straddles a branch point can pass
+it; the end check then names the member.  As no stage depends on an earlier
+stage's y, each step computes its geometry (x, y and the connection at the
+eleven new points; stages 11 and 12 share t + h) in one pass per row; the
+other sheet's y and connection are exact negations and the guard ignores the
+sign, so one pass serves both sheets and changes no bit of any member's
+numbers.  The sweep also returns y at the last vertex and its (accepted,
+rejected) step counts.
 
 Who shares a sweep: ``monodromy`` is ``monodromy_family`` of its one
 system, and :mod:`diffsys.immersion` runs a center and its +delta and
@@ -264,9 +266,9 @@ class LoopSystem:
 
 # -- square-root continuation --------------------------------------------------
 #
-# One rule serves loop construction and transport alike: y = sqrt(f(x)) is
-# continued by taking, of the two roots, the one nearer to the previous value,
-# and a step is on its sheet only if it moved y by less than |y_old|.
+# The closed form of the module docstring, ``_continuation``, decides sheets:
+# loop profiles come from it and every sweep's end y is checked against it.
+# The kernel's nearer-root stages with ``_on_sheet`` are only its step guard.
 
 
 def _sqrt_f(x, root_rows):
@@ -276,6 +278,16 @@ def _sqrt_f(x, root_rows):
     for r in root_rows[1:]:
         prod *= x - r
     return np.sqrt(prod)
+
+
+def _continuation(a, b, root_rows):
+    """y(b) / y(a) along the straight segments a -> b, which must miss every
+    root: prod_j sqrt((b - r_j) / (a - r_j)) over the rows r_j of
+    ``root_rows``, principal roots, broadcast as in ``_sqrt_f``."""
+    out = np.sqrt((b - root_rows[0]) / (a - root_rows[0]))
+    for r in root_rows[1:]:
+        out = out * np.sqrt((b - r) / (a - r))
+    return out
 
 
 def _nearer_root(w, y_old):
@@ -288,34 +300,9 @@ def _on_sheet(y_new, y_old):
     return np.abs(y_new - y_old) < np.abs(y_old)
 
 
-_SQRT_CHUNK = 0.2  # initial step length of the dense continuation
-
-
-def _track_sqrt(paths, root_rows):
-    """Continue y = sqrt(f) along polylines ``paths`` (p, nvert) from the
-    principal root at their first vertex, by dense stepping; returns y
-    (p, nvert) at the vertices.  Each segment is subdivided until every step
-    passes the sheet guard."""
-    y = _sqrt_f(paths[:, 0], root_rows)
-    ys = [y]
-    for a, b in zip(paths.T, paths.T[1:]):
-        n = max(2, int(np.max(np.abs(b - a)) / _SQRT_CHUNK) + 1)
-        for _ in range(25):
-            yy = y
-            # every substep's root in one product: one call per root, not per substep
-            for w in _sqrt_f(a + (b - a) * np.arange(1, n + 1)[:, None] / n, root_rows):
-                cand = _nearer_root(w, yy)
-                if not _on_sheet(cand, yy).all():
-                    break
-                yy = cand
-            else:
-                break
-            n *= 2
-        else:
-            raise IntegrationError("square-root continuation failed to resolve")
-        y = yy
-        ys.append(y)
-    return np.array(ys).T
+def _sign(ratio):
+    """+-1, whichever is nearer to ``ratio``."""
+    return np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1)
 
 
 _SHEETS = (1, -1)  # each kernel row runs on both; a word's i-th letter starts on _SHEETS[i % 2]
@@ -379,9 +366,9 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     # sheet profile of every letter, started on the principal root at the base
     paths = np.array(letters)
     root_rows = np.array(roots)[:, None]
-    ys = _track_sqrt(paths, root_rows)
-    principal = _sqrt_f(paths.T, root_rows).T
-    profiles = np.where(np.abs(ys - principal) <= np.abs(ys + principal), 1, -1).tolist()
+    factors = _continuation(paths[:, :-1], paths[:, 1:], root_rows)
+    ys = np.cumprod(np.concatenate([_sqrt_f(paths[:, :1], root_rows), factors], axis=1), axis=1)
+    profiles = _sign(ys / _sqrt_f(paths, root_rows)).tolist()
     for k, profile in enumerate(profiles, start=1):
         if profile[-1] != -1:
             raise IntegrationError(f"letter {k} does not end on the opposite sheet")
@@ -502,7 +489,7 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 _GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
 _TINY = np.finfo(float).tiny  # a zero estimate over a zero denominator is 0, not NaN
-_SHEET_MATCH_TOL = 1e-8  # continued y over a principal root is +-1 to rounding
+_SHEET_MATCH_TOL = 1e-8  # a sweep's end y against the closed form, relative
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
@@ -745,19 +732,26 @@ def _letter_transports(systems, loops: LoopSystem, ode_tol: float):
     F(k,-s)^-1 V(k,s) F(k,s) from one sweep of base-line edges (``_feet``)
     and one of the turns V, u_f -> -u_f in the charts of ``_turn_charts``,
     their sheets matched at the foot by sqrt P(u_f) = y_foot scale / (2 b u_f),
-    and the (accepted, rejected) steps of the two sweeps, edges first."""
+    and the (accepted, rejected) steps of the two sweeps, edges first.  Each
+    turn's y at -u_f must be its y at u_f times the closed-form continuation
+    in the chart."""
     systems = [_coerce(s) for s in systems]
     roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
     matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
     chart_roots, coeffs, u_foot, factor = _turn_charts(roots, matrices, loops)  # guards first
     feet, y_feet, edge_steps = _feet(roots, matrices, loops, ode_tol)
-    ratio = y_feet.ravel() * factor / _sqrt_f(u_foot, chart_roots.T)
-    sigma = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1)
+    y_start = _sqrt_f(u_foot, chart_roots.T)
+    ratio = y_feet.ravel() * factor / y_start
+    sigma = _sign(ratio)
+    letter_ids = range(y_feet.shape[1])
     _name_first([(~(np.abs(ratio - sigma) <= _SHEET_MATCH_TOL).reshape(y_feet.shape),
-                  "its chart's y at the foot is not +-sqrt P(u_f)")], range(y_feet.shape[1]))
+                  "its chart's y at the foot is not +-sqrt P(u_f)")], letter_ids)
     members = [(i, f"letter {k + 1} turn", s) for i, k in np.ndindex(y_feet.shape) for s in _SHEETS]
-    turns, _, turn_steps = _transport(np.stack([u_foot, -u_foot], axis=1), chart_roots, coeffs,
-                                      ode_tol, members)
+    turns, y_end, turn_steps = _transport(np.stack([u_foot, -u_foot], axis=1), chart_roots, coeffs,
+                                          ode_tol, members)
+    y_closed = y_start * _continuation(u_foot, -u_foot, chart_roots.T)
+    _name_first([(~(np.abs(y_end / y_closed - 1) <= _SHEET_MATCH_TOL).reshape(y_feet.shape),
+                  "its turn's y at -u_f is off the closed-form continuation")], letter_ids)
     turns = np.where(sigma[:, None, None, None] > 0, turns, turns[:, ::-1]).reshape(feet.shape)
     # formed in extended precision and rounded once, as words are
     letters = (_sl2_inverses(feet[:, :, ::-1]) @ turns.astype(np.clongdouble) @ feet).astype(complex)
@@ -778,8 +772,9 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
     """Transports F (n, 2g+1, 2 sheets, 2, 2) in np.clongdouble from the base
     to each letter's foot, y (n, 2g+1) continued there from the principal
     root at the base, and the (accepted, rejected) steps of the one sweep of
-    one edge per foot off the base; y is chained along the edges, each link
-    y_end / sqrt f(foot) checked +-1."""
+    one edge per foot off the base.  The edges run along the base line, so
+    each foot's sheet is the closed-form continuation from the base, and each
+    edge's y at its foot must match it."""
     n, nl = roots.shape  # one letter per branch point
     feet = np.array([v[1] for v in loops.letters] + [loops.base_point])  # slot nl: the base
     offset = (feet - loops.base_point).real.tolist()  # the feet lie on the base line
@@ -793,18 +788,19 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
                                      roots.repeat(len(rows), 0), matrices.repeat(len(rows), 0),
                                      ode_tol, members)
     edges = edges.reshape(n, len(rows), len(_SHEETS), 2, 2)
-    principal = _sqrt_f(feet, roots.T[..., None])  # (n, nl + 1)
-    links = y_end.reshape(n, -1) / principal[:, rows]
-    signs = np.where(np.abs(links - 1) <= np.abs(links + 1), 1, -1)
-    _name_first([(~(np.abs(links - signs) <= _SHEET_MATCH_TOL), "its edge's y is not +-sqrt f")],
-                rows)
-    sheet = np.ones((n, nl + 1))  # y at each foot over sqrt f there, from the principal base
+    root_rows = roots.T[..., None]
+    principal = _sqrt_f(feet, root_rows)  # (n, nl + 1)
+    # y at each foot over sqrt f there, from the principal root at the base
+    sheet = _sign(principal[:, nl:] * _continuation(feet[nl], feet, root_rows) / principal)
+    starts = [parent[k] for k in rows]  # an edge's y starts on the principal root
+    y_closed = sheet[:, starts] * sheet[:, rows] * principal[:, rows]
+    _name_first([(~(np.abs(y_end.reshape(n, -1) / y_closed - 1) <= _SHEET_MATCH_TOL),
+                  "its edge's y at the foot is off the closed-form continuation")], rows)
     feet_t = np.broadcast_to(np.eye(2, dtype=np.clongdouble), (n, nl + 1, len(_SHEETS), 2, 2)).copy()
     for k in parent:  # by distance from the base: parents first
         j, p = rows.index(k), parent[k]
         flip = (sheet[:, p] < 0)[:, None, None, None]
         feet_t[:, k] = np.where(flip, edges[:, j, ::-1], edges[:, j]) @ feet_t[:, p]
-        sheet[:, k] = sheet[:, p] * signs[:, j]
     return feet_t[:, :nl], (sheet * principal)[:, :nl], steps
 
 

@@ -138,11 +138,15 @@ class TestBuildLoops:
             with pytest.raises(ValueError, match="clearance must be positive and finite"):
                 build_loops(genus2_curve, clearance)
 
-    @pytest.mark.parametrize("g", [2, 3, 4])
+    @pytest.mark.parametrize("g", [2, 3, 4, pytest.param((1, -1, 0, 2, -1), id="complex")])
     def test_sheets_match_whole_loop_continuation(self, g):
-        """Sheets assembled from letter profiles against an independent dense
-        continuation of sqrt(f) along each whole loop polyline."""
-        curve = HyperellipticCurve.from_integers(range(2 * g + 1))
+        """Sheets assembled from the letters' closed-form profiles against an
+        independent dense continuation of sqrt(f) along each whole loop
+        polyline: branch points 0..2g, and 0+i, 1-i, 2, 3+2i, 4-i."""
+        if isinstance(g, tuple):
+            curve = HyperellipticCurve(tuple(es(j, im) for j, im in enumerate(g)))
+        else:
+            curve = HyperellipticCurve.from_integers(range(2 * g + 1))
         for clearance in (0.22, 0.2):
             loops = build_loops(curve, clearance)
             for loop in loops.loops:
@@ -621,6 +625,33 @@ class TestBatchedTransport:
         full = _full_letters([system], loops)[0]
         dev = max(_rel_dev(a, b) for a, b in zip(composed.reshape(-1, 2, 2), full.reshape(-1, 2, 2)))
         assert dev <= 1e-12, dev
+
+    def test_edge_straddling_a_branch_point_is_named(self, genus2_curve, loops_g2):
+        """A branch point 1e-15 above the midpoint of the edge from the base to
+        letter 2's foot, zero system: the sweep's steps grow and one straddles
+        the branch point, passing the sheet guard, so y at the foot comes out
+        as minus the closed-form continuation, which the edge check names."""
+        zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
+        roots = list(zero.roots)
+        roots[0] = (loops_g2.base_point + loops_g2.letters[1][1]) / 2 + 1e-15j
+        bad = NumericSystem(tuple(roots), zero.matrices)
+        with pytest.raises(IntegrationError, match="edge's y at the foot is off the closed-form") as info:
+            _feet(*_rows([bad], 1), loops_g2, 1e-12)
+        assert info.value.member == (0, "letter 2", 1)
+
+    def test_turn_sheet_mismatch_is_named(self, genus2_curve, loops_g2, monkeypatch):
+        """A turn's y at -u_f must be its y at u_f times the closed-form
+        continuation in the chart: the turn sweep's y negated is named."""
+        transport = diffsys.monodromy._transport
+
+        def flipped_turns(vertices, roots, matrices, ode_tol, members):
+            t, y_end, steps = transport(vertices, roots, matrices, ode_tol, members)
+            return t, (-y_end if members[0][1].endswith("turn") else y_end), steps
+
+        monkeypatch.setattr(diffsys.monodromy, "_transport", flipped_turns)
+        with pytest.raises(IntegrationError, match="turn's y at -u_f is off the closed-form") as info:
+            monodromy(small_system(genus2_curve, 3), loops_g2, 1e-12)
+        assert info.value.member == (0, "letter 1", 1)
 
     def test_family_member_named_by_global_index(self, genus2_curve, loops_g2):
         """One shared sweep over several systems names a failing member by
