@@ -108,7 +108,6 @@ class SystCoordinates:
     curve: HyperellipticCurve
     system: DifferentialSystem
     loops: LoopSystem
-    clearance: float
     allow_singular_gauge_slice: bool = False
 
     def __post_init__(self):
@@ -151,7 +150,7 @@ class SystCoordinates:
         return {
             "curve": curve_to_json(self.curve),
             "system": system_to_json(self.system),
-            "clearance": self.clearance,
+            "clearance": self.loops.clearance,
             "frozen_entries": [list(e) for e in GAUGE_FROZEN_ENTRIES],
             "free_complex_parameters": self.free_complex_count,
             "allow_singular_gauge_slice": self.allow_singular_gauge_slice,
@@ -190,7 +189,7 @@ def make_center(
             continue
         if require_criterion and not criterion_injective(curve, system).holds:
             continue
-        return SystCoordinates(curve, system, loops, clearance)
+        return SystCoordinates(curve, system, loops)
     raise RuntimeError("failed to sample a regular center")
 
 
@@ -281,9 +280,9 @@ def _equilibrate(jac: np.ndarray) -> np.ndarray:
 def _check_step(center: SystCoordinates, base: NumericSystem, labels, fd_step: float):
     if not 0 < fd_step < math.inf:
         raise ValueError("fd_step must be positive and finite")
-    if fd_step > center.clearance / 4:
+    if fd_step > center.loops.clearance / 4:
         raise ValueError(
-            f"fd_step {fd_step} exceeds a quarter of the loop clearance {center.clearance}"
+            f"fd_step {fd_step} exceeds a quarter of the loop clearance {center.loops.clearance}"
         )
     # guard against branch collisions for every probed direction
     for kind, where in labels:

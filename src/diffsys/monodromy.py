@@ -12,11 +12,11 @@ elementary loops with explicit conjugators) whose defining property is that
 
 so the surface-group relation holds by construction, not by accident of
 homology.  Each word has even length, hence lifts to a closed loop on the
-double cover.  Loops are assembled from their letters: clearance is checked
-once per letter, each letter's sheet profile is the closed-form continuation
-of sqrt(f) below, every letter must end on the sheet opposite to its start,
-and a loop's vertices and per-vertex sheets are its letters' polylines and
-sheet profiles end to end, with the sign alternating from letter to letter.
+double cover.  A letter is construction data (branch point, radius, foot,
+south), checked by the one clearance rule ``_turn_guards``; a loop's vertices
+and per-vertex sheets are its letters' drawings (``_lollipop``) and their
+closed-form sheet profiles (below) end to end, the sign alternating from
+letter to letter, and every letter must end on the sheet opposite its start.
 
 Transport
 ---------
@@ -73,15 +73,16 @@ lam in the chart x = lam + b u^2 about the system's branch point lam inside
 the circle (b = south - lam), where dx / y is regular (``_turn_charts``);
 it is homotopic to the lollipop as long as no other branch point comes
 within 0.9 clearance of the circle or of the triangle (foot, south, lam),
-checked before either sweep.  So a family takes two sweeps on both sheets:
-the edges, the same for every system, and the turns, each in its system's
-own chart.  Letters and words are formed in extended precision
-(``np.clongdouble``) and rounded once; since every letter swaps the sheet,
-the i-th letter of a word starts on the principal sheet for even i and on
-the other for odd i.  Words, inverses, residuals, defects and norms are
-formed on arrays stacked over a sweep's systems, bit for bit the per-matrix
-results: numpy's array complex multiply and array ``abs`` round unlike its
-scalar ones, so determinants come from real parts and moduli from hypot.
+which ``build_loops`` checks on the curve and the sweep on every system
+(``_turn_guards``).  So a family takes two sweeps on both sheets: the edges,
+the same for every system, and the turns, each in its system's own chart.
+Letters and words are formed in extended precision (``np.clongdouble``) and
+rounded once; since every letter swaps the sheet, the i-th letter of a word
+starts on the principal sheet for even i and on the other for odd i.
+Words, inverses, residuals, defects and norms are formed on arrays stacked
+over a sweep's systems, bit for bit the per-matrix results: numpy's array
+complex multiply and array ``abs`` round unlike its scalar ones, so
+determinants come from real parts and moduli from hypot.
 
 Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
@@ -107,7 +108,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,10 +251,12 @@ class LoopSystem:
     clearance: float
     genus: int
     loops: tuple  # ordered a1, b1, ..., ag, bg
-    # lollipop polyline of letter k at index k - 1, base point to base point;
-    # all letters have the same vertex count (a foot on the base point stays
-    # as a zero-length segment), so they can share one batched sweep
-    letters: tuple
+    # letter k at index k - 1: its branch point (sorted), its circle's radius,
+    # its foot on the base line and its circle's south point
+    branch_points: tuple
+    radii: tuple
+    feet: tuple
+    souths: tuple
 
     def to_json(self):
         return {
@@ -312,9 +315,9 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     """Canonical loop system for an odd-model hyperelliptic curve.
 
     Requires branch points pairwise separated by more than twice the
-    clearance; every polyline vertex keeps at least the clearance from every
-    branch point, and this is re-validated on the final geometry of every
-    letter.
+    clearance, circles that fit outside the clearance ring, and letters that
+    pass ``_turn_guards`` on the curve's branch points; else
+    ``ClearanceError``, naming the first letter that fails the guards.
     """
     if not isinstance(curve, HyperellipticCurve):
         raise ValueError("loops are defined for hyperelliptic curves only")
@@ -348,23 +351,14 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     depth = max(3.0 * clearance, 0.12 * spread, 0.4)
     y_low = min(ims) - depth
     base = complex(0.5 * (max(res) + min(res)), y_low)
-
-    def lollipop(k):
-        lam, rad = roots[k - 1], radii[k - 1]
-        foot = complex(lam.real, y_low)
-        south = lam + rad * cmath.exp(-0.5j * math.pi)
-        circle = [
-            lam + rad * cmath.exp(1j * (-0.5 * math.pi + 2 * math.pi * m / _CIRCLE_SIDES))
-            for m in range(1, _CIRCLE_SIDES)
-        ]
-        # the circle closes on south exactly, and the way back is the stem reversed
-        return [base, foot, south] + circle + [south, foot, base]
-
-    letters = tuple(tuple(lollipop(k)) for k in range(1, n + 1))
-    for letter in letters:
-        _validate_clearance(letter, roots, clearance)
+    feet = tuple(complex(r.real, y_low) for r in roots)
+    souths = tuple(r + rad * cmath.exp(-0.5j * math.pi) for r, rad in zip(roots, radii))
+    letters = LoopSystem(base, clearance, g, (), tuple(roots), tuple(radii), feet, souths)
+    for bad, what in _turn_guards(np.array([roots]), letters)[2]:
+        if bad.any():
+            raise ClearanceError(f"clearance infeasible for letter {np.argmax(bad) + 1}: {what}")
     # sheet profile of every letter, started on the principal root at the base
-    paths = np.array(letters)
+    paths = np.array([_lollipop(letters, k) for k in range(1, n + 1)])
     root_rows = np.array(roots)[:, None]
     factors = _continuation(paths[:, :-1], paths[:, 1:], root_rows)
     ys = np.cumprod(np.concatenate([_sqrt_f(paths[:, :1], root_rows), factors], axis=1), axis=1)
@@ -372,10 +366,22 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     for k, profile in enumerate(profiles, start=1):
         if profile[-1] != -1:
             raise IntegrationError(f"letter {k} does not end on the opposite sheet")
-    loops = tuple(
-        Loop(name, word, *_join(word, letters, profiles)) for name, word in canonical_words(g)
-    )
-    return LoopSystem(base, clearance, g, loops, letters)
+    drawn = paths.tolist()
+    loops = tuple(Loop(nm, w, *_join(w, drawn, profiles)) for nm, w in canonical_words(g))
+    return replace(letters, loops=loops)
+
+
+def _lollipop(loops: LoopSystem, k):
+    """Letter k's polyline: base, foot, south, its circle as a 16-gon closing
+    on south exactly, and the stem back (zero-length segments stay, so every
+    letter has the same vertex count)."""
+    lam, rad = loops.branch_points[k - 1], loops.radii[k - 1]
+    base, foot, south = loops.base_point, loops.feet[k - 1], loops.souths[k - 1]
+    circle = [
+        lam + rad * cmath.exp(1j * (-0.5 * math.pi + 2 * math.pi * m / _CIRCLE_SIDES))
+        for m in range(1, _CIRCLE_SIDES)
+    ]
+    return [base, foot, south] + circle + [south, foot, base]
 
 
 _VERTEX_EPS = 1e-13  # polyline vertices closer than this are merged
@@ -392,27 +398,6 @@ def _join(word, letters, profiles):
                 vertices.append(v)
                 sheets.append(_SHEETS[i % 2] * p)
     return tuple(vertices), tuple(sheets)
-
-
-def _validate_clearance(vertices, roots, clearance):
-    for v in vertices:
-        for r in roots:
-            if abs(v - r) < clearance * (1 - 1e-9):
-                raise ClearanceError(
-                    f"polyline vertex {v:.4g} is within clearance of branch point {r:.4g}"
-                )
-    for a, b in zip(vertices, vertices[1:]):
-        d = b - a
-        L2 = d.real * d.real + d.imag * d.imag
-        if L2 == 0:
-            continue
-        for r in roots:
-            t = ((r - a).real * d.real + (r - a).imag * d.imag) / L2
-            t = min(1.0, max(0.0, t))
-            if abs(a + t * d - r) < 0.9 * clearance:
-                raise ClearanceError(
-                    f"polyline segment passes within clearance of branch point {r:.4g}"
-                )
 
 
 # -- numeric system -------------------------------------------------------------
@@ -776,7 +761,7 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
     each foot's sheet is the closed-form continuation from the base, and each
     edge's y at its foot must match it."""
     n, nl = roots.shape  # one letter per branch point
-    feet = np.array([v[1] for v in loops.letters] + [loops.base_point])  # slot nl: the base
+    feet = np.array(loops.feet + (loops.base_point,))  # slot nl: the base
     offset = (feet - loops.base_point).real.tolist()  # the feet lie on the base line
     parent, last = {}, [nl, nl]  # the nearest foot (or the base) on each side so far
     for k in np.argsort(np.abs(offset[:nl]), kind="stable").tolist():
@@ -805,38 +790,49 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
 
 
 def _triangle_distance(p, a, b, c):
-    """Distance of the points p from the triangles (a, b, c), broadcast; 0 inside."""
+    """Distance of the points p from the triangles (a, b, c), broadcast; 0
+    inside.  A zero-length edge, as when a foot is its south, gives the
+    distance to its point."""
     out, cross = np.inf, []
     for o, d in ((a, b - a), (b, c - b), (c, a - c)):
-        t = np.clip(((p - o) * d.conjugate()).real / np.abs(d) ** 2, 0, 1)
+        t = np.clip(((p - o) * d.conjugate()).real / np.maximum(np.abs(d) ** 2, _TINY), 0, 1)
         out = np.minimum(out, np.abs(o + t * d - p))
         cross.append(((p - o) * d.conjugate()).imag)
     return np.where((np.min(cross, axis=0) > 0) | (np.max(cross, axis=0) < 0), 0.0, out)
 
 
+def _turn_guards(roots, loops: LoopSystem):
+    """The clearance rule of the letters on n systems' ``roots`` (n, 2g+1):
+    lam (n, letters), each system's root nearest the letter's branch point,
+    the other roots (n, letters, 2g), and the (mask (n, letters), reason)
+    checks of ``_name_first`` (module docstring)."""
+    n, m = roots.shape
+    radii = np.array(loops.radii)
+    dist = np.abs(roots[:, None, :] - np.array(loops.branch_points)[:, None])  # (n, letters, roots)
+    own = dist.argmin(axis=-1)[..., None] == np.arange(m)
+    per_row = np.broadcast_to(roots[:, None], own.shape)
+    lam, others = per_row[own].reshape(n, m), per_row[~own].reshape(n, m, m - 1)
+    gap = np.minimum(dist[~own].reshape(others.shape) - radii[:, None],
+                     _triangle_distance(others, np.array(loops.feet)[:, None],
+                                        np.array(loops.souths)[:, None], lam[..., None]))
+    # another branch point may come as near as to a loop segment (0.9 clearance),
+    # so an fd step of up to clearance / 4 always passes
+    return lam, others, [((gap < 0.9 * loops.clearance).any(axis=-1), "another branch point "
+                          "inside or within the clearance of its circle or of its turn's triangle"),
+                         (dist[own].reshape(n, m) >= radii / _SEC, "no branch point inside its "
+                          "circle")]
+
+
 @np.errstate(all="ignore")  # rows that fail the guards may divide by zero
 def _turn_charts(roots, matrices, loops: LoopSystem):
     """Chart roots, coefficients, u_f and sqrt P(u_f) / y_foot of the turns,
-    row (i, k) for system i and letter k, after the turn guards (module
-    docstring).  f = b^(2g+1) u^2 P(u), P = prod_j (u^2 - (lam_j - lam) / b),
-    and the connection is N(u) du / sqrt P(u), N = 2 b^(1/2-g) sum_c M_c x^c."""
+    row (i, k) for system i and letter k, after the turn guards.  f = b^(2g+1)
+    u^2 P(u), P = prod_j (u^2 - (lam_j - lam) / b), and the connection is
+    N(u) du / sqrt P(u), N = 2 b^(1/2-g) sum_c M_c x^c."""
     (n, m), g = roots.shape, matrices.shape[1]
-    ring = np.array([v[2: 2 + _CIRCLE_SIDES] for v in loops.letters])
-    foot, south, centers = np.array([v[1] for v in loops.letters]), ring[:, 0], ring.mean(axis=1)
-    radii = np.abs(south - centers)
-    dist = np.abs(roots[:, None, :] - centers[:, None])  # (n, letters, roots)
-    own = dist.argmin(axis=-1)[..., None] == np.arange(m)  # lam: nearest the center
-    per_row = np.broadcast_to(roots[:, None], own.shape)
-    lam, others = per_row[own].reshape(n, -1), per_row[~own].reshape(n, len(ring), m - 1)
-    gap = np.minimum(dist[~own].reshape(others.shape) - radii[:, None],
-                     _triangle_distance(others, foot[:, None], south[:, None], lam[..., None]))
-    # another branch point may come as near as to a loop segment (0.9 clearance),
-    # so an fd step of up to clearance / 4 always passes
-    _name_first([((gap < 0.9 * loops.clearance).any(axis=-1), "another branch point inside or "
-                  "within the clearance of its circle or of its turn's triangle"),
-                 (dist[own].reshape(n, -1) >= radii / _SEC, "no branch point inside its circle")],
-                range(len(ring)))
-    lam, b = lam.ravel(), (south - lam).ravel()  # rows (system, letter)
+    lam, others, checks = _turn_guards(roots, loops)
+    _name_first(checks, range(m))
+    lam, b = lam.ravel(), (np.array(loops.souths) - lam).ravel()  # rows (system, letter)
     half = np.sqrt((others.reshape(len(lam), m - 1) - lam[:, None]) / b[:, None])
     scale = 2 * np.sqrt(b) / b**g  # 2 b^(1/2-g)
     # N_2d = scale b^d sum_{c >= d} C(c, d) lam^(c-d) M_c; odd coefficients are 0
@@ -845,8 +841,8 @@ def _turn_charts(roots, matrices, loops: LoopSystem):
     weights = binom * lam[:, None, None] ** np.maximum(c - c[:, None], 0)
     weights *= (scale[:, None] * b[:, None] ** c)[..., None]
     coeffs = np.zeros((len(lam), 2 * g - 1, 4), dtype=complex)
-    coeffs[:, ::2] = weights @ matrices.repeat(len(ring), axis=0).reshape(-1, g, 4)
-    u_foot = np.sqrt((np.tile(foot, n) - lam) / b)
+    coeffs[:, ::2] = weights @ matrices.repeat(m, axis=0).reshape(-1, g, 4)
+    u_foot = np.sqrt((np.tile(loops.feet, n) - lam) / b)
     return (np.concatenate([half, -half], axis=1), coeffs.reshape(len(lam), -1, 2, 2), u_foot,
             scale / (2 * b * u_foot))
 

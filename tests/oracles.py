@@ -3,9 +3,10 @@
 Nothing here reuses the code paths it checks: holomorphy comes from local
 valuations, multiplication ranks from point evaluation and SVD, periods from
 composite Gauss-Legendre quadrature, loop words from exact finite-field
-representations of the branch-loop group, exact ranks from sympy, and the
-stacked representation layer of the monodromy from products and norms taken
-one matrix at a time.  The one exception is the whole-loop transport, which
+representations of the branch-loop group, loop clearance from the polygon
+rule on drawn letters, exact ranks from sympy, and the stacked
+representation layer of the monodromy from products and norms taken one
+matrix at a time.  The one exception is the whole-loop transport, which
 runs the monodromy's own kernel, but along a loop's full polyline, circles
 included, with no edge, chart or letter product of its own.
 """
@@ -13,13 +14,14 @@ included, with no edge, chart or letter product of its own.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.legendre as leg
 import sympy
 
 from diffsys.curves import HyperellipticCurve, PlaneQuartic
-from diffsys.field import FloatMatrix, numeric_rank
+from diffsys.field import ExactScalar, FloatMatrix, numeric_rank
 from diffsys.monodromy import _SHEETS, _coerce, _transport
 
 # -- valuation oracle for hyperelliptic differentials --------------------------
@@ -214,6 +216,52 @@ def loop_sheets(curve, loop, chunk=0.05):
         p = cmath.sqrt(f(b))
         sheets.append(1 if abs(y - p) <= abs(y + p) else -1)
     return sheets
+
+
+# -- polygon clearance reference ------------------------------------------------
+
+
+def polygon_clear(vertices, roots, clearance):
+    """The polygon clearance rule that loops were once built by: every vertex
+    of the polyline at least the clearance from every branch point (to 1e-9,
+    relative), every segment at least 0.9 of it.  The reference for the one
+    rule of ``build_loops``, the turn guards of its letters."""
+    for v in vertices:
+        for r in roots:
+            if abs(v - r) < clearance * (1 - 1e-9):
+                return False
+    for a, b in zip(vertices, vertices[1:]):
+        d = b - a
+        L2 = d.real * d.real + d.imag * d.imag
+        if L2 == 0:
+            continue
+        for r in roots:
+            t = ((r - a).real * d.real + (r - a).imag * d.imag) / L2
+            t = min(1.0, max(0.0, t))
+            if abs(a + t * d - r) < 0.9 * clearance:
+                return False
+    return True
+
+
+CLEARANCES = (0.22, 0.2, 0.1, 0.05)
+
+
+def clearance_curves(count=40, seed=0):
+    """Curves for the clearance census: branch points 0..2g for genus 2 to 5,
+    0+i, 1-i, 2, 3+2i, 4-i, and ``count`` seeded configurations of 5, 7 or 9
+    distinct rational points, real parts in tenths of [-3, 3] and imaginary
+    parts in tenths of [-1.5, 1.5]."""
+    curves = [HyperellipticCurve.from_integers(range(2 * g + 1)) for g in range(2, 6)]
+    curves.append(HyperellipticCurve(tuple(ExactScalar.of(j, im)
+                                           for j, im in enumerate((1, -1, 0, 2, -1)))))
+    rng = random.Random(seed)
+    while len(curves) < count + 5:
+        n = rng.choice((5, 7, 9))
+        points = {(rng.randint(-30, 30), rng.randint(-15, 15)) for _ in range(n)}
+        if len(points) == n:
+            curves.append(HyperellipticCurve(tuple(
+                ExactScalar.of(Fraction(a, 10), Fraction(b, 10)) for a, b in sorted(points))))
+    return curves
 
 
 # -- exact finite-field check of loop words --------------------------------------

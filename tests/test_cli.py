@@ -259,6 +259,17 @@ class TestMonodromyCommand:
     def test_quartic_rejected(self, capsys):
         assert run_cli(["monodromy", "--quartic", "fermat"]) == 1
 
+    def test_blocked_letter_exit1(self, tmp_path, capsys):
+        """Branch points 0, 1, 2, 3, 2+i: the stem of letter 4 passes branch
+        point 2, a configuration error that names the letter."""
+        points = [[re, 1, im, 1] for re, im in ((0, 0), (1, 0), (2, 0), (3, 0), (2, 1))]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"model": "hyperelliptic", "branch_points": points}))
+        assert run_cli(["monodromy", "--curve-json", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: clearance infeasible for letter 4: another branch point" in err
+        assert "system" not in err
+
     def test_numerical_failure_exit2(self, tmp_path, capsys):
         # overflow-scale coefficients make the transport non-finite
         code = run_cli(

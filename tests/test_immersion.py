@@ -57,15 +57,15 @@ class TestCenterConstruction:
             sample_system(curve, SL2, seed=1, coefficient_bound=5), es(Fraction(1, 8))
         )
         with pytest.raises(ValueError):
-            SystCoordinates(curve, system, loops, 0.22)
+            SystCoordinates(curve, system, loops)
 
     def test_singular_slice_rejected_by_default(self):
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
         loops = build_loops(curve, 0.22)
         zero = DifferentialSystem(curve, SL2, ExactMatrix.zeros(3, 2))
         with pytest.raises(ValueError):
-            SystCoordinates(curve, zero, loops, 0.22)
-        center = SystCoordinates(curve, zero, loops, 0.22, allow_singular_gauge_slice=True)
+            SystCoordinates(curve, zero, loops)
+        center = SystCoordinates(curve, zero, loops, allow_singular_gauge_slice=True)
         assert center.free_complex_count == 6
 
     def test_frozen_entries_documented(self):
@@ -106,7 +106,7 @@ class TestImmersionExperiment:
         with pytest.raises(ValueError):
             immersion_experiment(good_center, fd_step=0.0)
         with pytest.raises(ValueError):
-            immersion_experiment(good_center, fd_step=good_center.clearance)
+            immersion_experiment(good_center, fd_step=good_center.loops.clearance)
         with pytest.raises(ValueError, match="fd_step"):
             immersion_experiment(good_center, math.nan)
 
@@ -124,9 +124,9 @@ class TestImmersionExperiment:
         )
         system = DifferentialSystem(curve, SL2, coeff)
         with pytest.raises(ValueError):
-            SystCoordinates(curve, system, loops, 0.22)
+            SystCoordinates(curve, system, loops)
         center = SystCoordinates(
-            curve, system, loops, 0.22, allow_singular_gauge_slice=True
+            curve, system, loops, allow_singular_gauge_slice=True
         )
         report = immersion_experiment(center, fd_step=1e-5)
         assert report.status == "out_of_hypothesis"
@@ -186,7 +186,7 @@ class TestFdLadder:
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
         loops = build_loops(curve, 0.22)
         zero = DifferentialSystem(curve, SL2, ExactMatrix.zeros(3, 2))
-        center = SystCoordinates(curve, zero, loops, 0.22, allow_singular_gauge_slice=True)
+        center = SystCoordinates(curve, zero, loops, allow_singular_gauge_slice=True)
         report = immersion_experiment(center, fd_step=1e-4)
         assert report.status == "out_of_hypothesis"
         assert "branch" in report.per_block_column_norms
@@ -218,8 +218,6 @@ class TestConjugationInvariance:
     def test_rank_invariant_under_gauge_conjugation(self, good_center, good_report):
         s = ExactMatrix.from_rows([[es(2), es(1)], [es(3), es(2)]])
         conj = conjugate_system(good_center.system, s)
-        center2 = SystCoordinates(
-            good_center.curve, conj, good_center.loops, good_center.clearance
-        )
+        center2 = SystCoordinates(good_center.curve, conj, good_center.loops)
         report2 = immersion_experiment(center2, fd_step=1e-5)
         assert report2.estimated_rank == good_report.estimated_rank == 6

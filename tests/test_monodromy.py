@@ -32,6 +32,7 @@ from diffsys.monodromy import (
     _SHEETS,
     _feet,
     _letter_transports,
+    _lollipop,
     _representations,
     _transport,
     _words,
@@ -152,12 +153,60 @@ class TestBuildLoops:
             for loop in loops.loops:
                 assert list(loop.sheets) == loop_sheets(curve, loop), (g, clearance, loop.name)
 
+    def test_clearance_rule_matches_polygon_oracle(self, monkeypatch):
+        """build_loops refuses a curve at a clearance exactly where its
+        separation or radius rule refuses it or where the polygon oracle
+        refuses a letter it would have drawn (the turn guards patched to
+        hand over the letters instead), on the census curves of
+        ``oracles.clearance_curves`` at every clearance of the census."""
+
+        class Drawn(Exception):
+            pass
+
+        def hand_over(roots, letters):
+            raise Drawn(letters)
+
+        outcomes = {"built": 0, "radius rule": 0, "polygon oracle": 0}
+        for curve in oracles.clearance_curves():
+            roots = curve.float_roots()
+            for clearance in oracles.CLEARANCES:
+                with monkeypatch.context() as m:
+                    m.setattr(diffsys.monodromy, "_turn_guards", hand_over)
+                    try:
+                        build_loops(curve, clearance)
+                    except ClearanceError:
+                        expected = "radius rule"
+                    except Drawn as drawn:
+                        letters = drawn.args[0]
+                        clear = all(oracles.polygon_clear(_lollipop(letters, k), roots, clearance)
+                                    for k in range(1, len(roots) + 1))
+                        expected = "built" if clear else "polygon oracle"
+                try:
+                    build_loops(curve, clearance)
+                    built = True
+                except ClearanceError:
+                    built = False
+                assert built == (expected == "built"), (curve.branch_points, clearance, expected)
+                outcomes[expected] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    @pytest.mark.parametrize("clearance", [0.22, 0.05])
+    def test_blocked_letter_is_named(self, clearance):
+        """Branch points 0, 1, 2, 3, 2+i: the stem of letter 4 (2+i) passes
+        branch point 2 at every clearance; the error names the letter and no
+        system."""
+        curve = HyperellipticCurve(tuple(es(*z) for z in ((0,), (1,), (2,), (3,), (2, 1))))
+        with pytest.raises(ClearanceError, match="letter 4: another branch point") as info:
+            build_loops(curve, clearance)
+        assert "system" not in str(info.value)
+
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_letters_return_along_their_stem(self, g):
         """A letter's way back is its stem reversed, from a circle that closes
         on south (vertex 2) exactly: letter transports sweep the stem once."""
         loops = build_loops(HyperellipticCurve.from_integers(range(2 * g + 1)), 0.22)
-        for k, letter in enumerate(loops.letters, start=1):
+        for k in range(1, 2 * g + 2):
+            letter = _lollipop(loops, k)
             assert letter[-3:] == letter[2::-1], k
             assert letter[2 + _CIRCLE_SIDES] == letter[2], k
 
@@ -306,7 +355,7 @@ class TestMonodromy:
         """Letter transports diag(1e50, 1e-50) on both sheets: each word of at
         most four letters stays finite, the relation product overflows."""
         letter = np.diag([1e50, 1e-50]).astype(complex)
-        return np.array(np.broadcast_to(letter, (1, len(loops.letters), 2, 2, 2)))
+        return np.array(np.broadcast_to(letter, (1, len(loops.radii), 2, 2, 2)))
 
     def test_overflowed_relation_is_invalid_not_an_error(self, loops_g2):
         """A relation product that overflows has infinite residual: the
@@ -340,7 +389,7 @@ class TestMonodromy:
 
     def test_involution_defects_reported(self, loops_g2, rep_g2):
         defects = rep_g2.to_json()["involution_defects"]
-        assert len(defects) == 2 * loops_g2.genus + 1 == len(loops_g2.letters)
+        assert len(defects) == 2 * loops_g2.genus + 1 == len(loops_g2.radii)
         assert all(0 <= d <= 1e-10 for d in defects)
 
     def test_letter_norms_reported(self, loops_g2, rep_g2):
@@ -421,10 +470,15 @@ def _rows(systems, per_system):
             np.array([s.matrices for s in systems]).repeat(per_system, 0))
 
 
+def _drawn_letters(loops):
+    """Every letter's lollipop polyline, stacked (2g+1, vertices)."""
+    return np.array([_lollipop(loops, k) for k in range(1, len(loops.radii) + 1)])
+
+
 def _full_letters(systems, loops):
     """Letter transports (n, 2g+1, 2 sheets, 2, 2) from one sweep of the whole
     lollipops in x, the reference for the composed letters."""
-    letters = np.array(loops.letters)
+    letters = _drawn_letters(loops)
     members = [(i, k, s) for i in range(len(systems)) for k in range(len(letters)) for s in _SHEETS]
     full, _, _ = _transport(np.tile(letters, (len(systems), 1)), *_rows(systems, len(letters)),
                             1e-12, members)
@@ -447,7 +501,7 @@ class TestBatchedTransport:
         which runs before any half-turn is swept (no segment, no step)."""
         good = NumericSystem.from_system(small_system(genus2_curve, 3))
         roots = list(good.roots)
-        roots[0] = loops_g2.letters[1][6]  # a vertex of the second letter's circle
+        roots[0] = _lollipop(loops_g2, 2)[6]  # a vertex of the second letter's circle
         bad = NumericSystem(tuple(roots), good.matrices)
         with pytest.raises(IntegrationError, match="within the clearance of its circle") as info:
             monodromy_family([good, good, bad], loops_g2, 1e-12)
@@ -462,7 +516,7 @@ class TestBatchedTransport:
         guard sees that side); behind two systems with identical rows, the
         error names it."""
         zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
-        a, b = loops_g2.letters[1][6], loops_g2.letters[1][7]
+        a, b = _lollipop(loops_g2, 2)[6:8]
         roots = list(zero.roots)
         roots[0] = (a + b) / 2 + 1e-15j * (b - a) / abs(b - a)
         bad = NumericSystem(tuple(roots), zero.matrices)
@@ -493,6 +547,23 @@ class TestBatchedTransport:
         with pytest.raises(IntegrationError, match=what) as info:
             monodromy_family([good, good, bad], loops_g2, 1e-12)
         assert info.value.member == (2, f"letter {letter}", 1)
+
+    def test_zero_length_stem_is_guarded(self):
+        """Branch points 0, 3/2, 3, 9/2, 9/4 + 3/2 i at clearance 0.22: letter
+        2 (3/2) is the lowest and its radius is the base depth, so its foot is
+        its south.  Root 0 moved to 0.645 lies 0.195 from letter 2's circle,
+        within 0.9 clearance (0.198), and the zero-length stem must not hide
+        it from the guard."""
+        curve = HyperellipticCurve(tuple(es(*z) for z in (
+            (0,), (Fraction(3, 2),), (3,), (Fraction(9, 2),), (Fraction(9, 4), Fraction(3, 2)))))
+        loops = build_loops(curve, 0.22)
+        assert loops.feet[1] == loops.souths[1]
+        roots = list(curve.float_roots())
+        roots[0] = 0.645
+        zero = NumericSystem(tuple(roots), np.zeros((2, 2, 2), dtype=complex))
+        with pytest.raises(IntegrationError, match="within the clearance of its circle") as info:
+            monodromy_family([zero], loops, 1e-12)
+        assert info.value.member == (0, "letter 2", 1)
 
     def test_guard_admits_the_largest_fd_branch_step(self, genus2_curve):
         """At clearance 0.441 the circles have the smallest radius that
@@ -531,7 +602,7 @@ class TestBatchedTransport:
         system = NumericSystem.from_system(DifferentialSystem(genus2_curve, SL2, coeff))
         letter_t = _letter_transports([system], loops_g2, 1e-12)[0][0]
         worst = 0.0
-        for k, letter in enumerate(loops_g2.letters):
+        for k, letter in enumerate(_drawn_letters(loops_g2).tolist()):
             for j, sheet in enumerate(_SHEETS):
                 path = Loop("letter", (k + 1,), letter, (sheet,) * len(letter))
                 pred = cmath.exp(loop_integral(genus2_curve, path, [1.0, 0.5]))
@@ -546,7 +617,7 @@ class TestBatchedTransport:
         south, lam): a branch point 1e-15 off letter 3's segment fails the turn
         guard, which runs before any sweep (no segment, no step)."""
         zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
-        a, b = loops_g2.letters[2][1], loops_g2.letters[2][2]
+        a, b = loops_g2.feet[2], loops_g2.souths[2]
         roots = list(zero.roots)
         roots[0] = (a + b) / 2 + 1e-15j * (b - a) / abs(b - a)
         bad = NumericSystem(tuple(roots), zero.matrices)
@@ -562,7 +633,7 @@ class TestBatchedTransport:
         naming the member."""
         zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
         roots = list(zero.roots)
-        roots[0] = 0.7 * loops_g2.base_point + 0.3 * loops_g2.letters[1][1] + 1e-15j
+        roots[0] = 0.7 * loops_g2.base_point + 0.3 * loops_g2.feet[1] + 1e-15j
         bad = NumericSystem(tuple(roots), zero.matrices)
         with pytest.raises(IntegrationError, match="underflow.*on segment 0 ") as info:
             _feet(*_rows([zero, zero, bad], 1), loops_g2, 1e-12)
@@ -597,7 +668,7 @@ class TestBatchedTransport:
         shared sweeps."""
         loops = build_loops(genus3_curve, 0.22)
         system = NumericSystem.from_system(small_system(genus3_curve, 1))
-        letters = np.array(loops.letters)
+        letters = _drawn_letters(loops)
         members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
         _, _, (full_accepted, _) = _transport(letters, *_rows([system], len(letters)), 1e-12, members)
         rep = monodromy(system, loops, 1e-12)
@@ -616,10 +687,10 @@ class TestBatchedTransport:
         loops = build_loops(curve, 0.22)
         system = NumericSystem.from_system(small_system(curve, 1))
         _, y_feet, _ = _feet(*_rows([system], 1), loops, 1e-12)
-        sheets = [loop_sheets(curve, Loop("edge", (k,), (loops.base_point, v[1]), (1, 1)))[-1]
-                  for k, v in enumerate(loops.letters, start=1)]
+        sheets = [loop_sheets(curve, Loop("edge", (k,), (loops.base_point, foot), (1, 1)))[-1]
+                  for k, foot in enumerate(loops.feet, start=1)]
         assert sheets == [-1, -1, 1, 1, 1]
-        principal = [np.sqrt(np.prod(v[1] - np.array(system.roots))) for v in loops.letters]
+        principal = [np.sqrt(np.prod(foot - np.array(system.roots))) for foot in loops.feet]
         assert np.allclose(y_feet[0], np.multiply(sheets, principal), rtol=1e-13, atol=0)
         composed = _letter_transports([system], loops, 1e-12)[0][0]
         full = _full_letters([system], loops)[0]
@@ -633,7 +704,7 @@ class TestBatchedTransport:
         as minus the closed-form continuation, which the edge check names."""
         zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
         roots = list(zero.roots)
-        roots[0] = (loops_g2.base_point + loops_g2.letters[1][1]) / 2 + 1e-15j
+        roots[0] = (loops_g2.base_point + loops_g2.feet[1]) / 2 + 1e-15j
         bad = NumericSystem(tuple(roots), zero.matrices)
         with pytest.raises(IntegrationError, match="edge's y at the foot is off the closed-form") as info:
             _feet(*_rows([bad], 1), loops_g2, 1e-12)
@@ -693,7 +764,7 @@ class TestDOP853Transport:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         system = NumericSystem.from_system(small_system(genus2_curve, 5))
         roots = np.array(system.roots)
-        vertices = loops_g2.letters[4]
+        vertices = _lollipop(loops_g2, 5)
 
         def rhs(t, z, v, d):
             x, y = v + d * t, z[4]
@@ -740,7 +811,7 @@ class TestDOP853Transport:
         def exact_matrix(m):
             return ExactMatrix.from_rows([[exact(z) for z in row] for row in m])
 
-        letters = np.array(loops_g2.letters)
+        letters = _drawn_letters(loops_g2)
         members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
         for seed in (2, 3, 9):
             system = NumericSystem.from_system(small_system(genus2_curve, seed))
