@@ -174,7 +174,8 @@ def make_center(
     ``scale`` multiplies the sampled integer coefficients; small scales keep
     monodromy matrices moderate, which the finite-difference noise floor
     rewards.  With ``require_criterion`` the sampled system must also pass
-    the exact injectivity criterion.
+    the exact injectivity criterion.  ``ValueError`` when none of
+    ``_CENTER_TRIES`` samples qualifies (as with ``coefficient_bound`` 0).
     """
     curve = HyperellipticCurve.from_integers(branch)
     lie = builtin_algebra("sl2")
@@ -190,7 +191,7 @@ def make_center(
         if require_criterion and not criterion_injective(curve, system).holds:
             continue
         return SystCoordinates(curve, system, loops)
-    raise RuntimeError("failed to sample a regular center")
+    raise ValueError("failed to sample a regular center")
 
 
 @dataclass(frozen=True)

@@ -21,36 +21,36 @@ letter to letter, and every letter must end on the sheet opposite its start.
 Transport
 ---------
 One kernel solves dY = (sum_j B_j omega_j) Y in a single numpy sweep for a
-batch of *rows*, each a numeric system and a polyline (all with the same
-vertex count), run on both sheets; a (row, sheet) pair is a *member*,
-starting from y = sheet * sqrt(f(x)) at its first vertex.  The sweep runs
-the Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
-ODEs I, II.10; twelve stages, the last of which holds the step's solution,
-whose slope starts the next step) with one step sequence in the segment
-parameter, shared by all members: a step is accepted when the largest local
-error in the batch is within tolerance and every member passes the sheet
-guard, and the next step size follows from that largest error (factor 0.9
-err^(-1/8) within [0.2, 6]).  An entry's local error is the combined
-estimate h |e5|^2 / hypot(|e5|, |e3| / 10), held to ode_tol / 10 in the
-mixed scale 1 + max(|Y|, |Y_new|) (on 48 genus-2 and genus-3 systems,
-ode_tol itself fell short of the former 5(4) pair on a third, the tenth beat
-it on all).  An accepted step fails once an entry of Y passes 2**26 =
-eps^(-1/2), where rounding alone breaks det = 1, naming the member.
+batch of *rows*, each a numeric system and one straight segment a -> b, run
+on both sheets; a (row, sheet) pair is a *member*, starting from
+y = sheet * sqrt(f(x)) at a.  The sweep runs the Dormand-Prince 8(5,3) pair
+DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10; twelve stages, the
+last of which holds the step's solution, whose slope starts the next step)
+with one step sequence in the segment parameter, shared by all members: a
+step is accepted when the largest local error in the batch is within
+tolerance and every member passes the sheet guard, and the next step size
+follows from that largest error (factor 0.9 err^(-1/8) within [0.2, 6]).
+An entry's local error is the combined estimate h |e5|^2 / hypot(|e5|,
+|e3| / 10), held to ode_tol / 10 in the mixed scale 1 + max(|Y|, |Y_new|)
+(on 48 genus-2 and genus-3 systems, ode_tol itself fell short of the former
+5(4) pair on a third, the tenth beat it on all).  An accepted step fails
+once an entry of Y passes 2**26 = eps^(-1/2), where rounding alone breaks
+det = 1, naming the member.
 Sheets are decided in closed form: along a straight segment a -> b that
 misses every branch point, y(b) = y(a) prod_j sqrt((b - r_j) / (a - r_j))
-with principal roots, and every sweep's y at its end must match it.  Within
-a step every stage takes the root nearer to y at the step's start, and the
+with principal roots, and after the sweep every row's y at b must match it
+(to ``_SHEET_MATCH_TOL``), else its member on sheet +1 is named.  Within a
+step every stage takes the root nearer to y at the step's start, and the
 sheet guard accepts only |y_new - y_old| < |y_old|; a step the guard keeps
-rejecting ends in step-size underflow, naming the member, the segment, t and
-h.  The guard is only a step guard: it sees a step's end point, and with a
-zero connection steps grow, so one that straddles a branch point can pass
-it; the end check then names the member.  As no stage depends on an earlier
+rejecting ends in step-size underflow, naming the member, t and h.  The
+guard is only a step guard: it sees a step's end point, and with a zero
+connection steps grow, so one that straddles a branch point can pass it;
+the end check then names the member.  As no stage depends on an earlier
 stage's y, each step computes its geometry (x, y and the connection at the
 eleven new points; stages 11 and 12 share t + h) in one pass per row; the
 other sheet's y and connection are exact negations and the guard ignores the
 sign, so one pass serves both sheets and changes no bit of any member's
-numbers.  The sweep also returns y at the last vertex and its (accepted,
-rejected) step counts.
+numbers.  The sweep also returns its (accepted, rejected) step counts.
 
 Who shares a sweep: ``monodromy`` is ``monodromy_family`` of its one
 system, and :mod:`diffsys.immersion` runs a center and its +delta and
@@ -143,14 +143,13 @@ class IntegrationError(RuntimeError):
     """Adaptive stepping failed (step underflow, step budget, non-finite values).
 
     Failures inside the transport name the batch member at fault as
-    ``member`` = (system index, path, starting sheet), with the ``segment``
-    index, the segment parameter ``t`` and the step ``h``.
+    ``member`` = (system index, path, starting sheet), with the path
+    parameter ``t`` and the step ``h``.
     """
 
-    def __init__(self, message, member=None, segment=None, t=None, h=None):
+    def __init__(self, message, member=None, t=None, h=None):
         super().__init__(message)
         self.member = member
-        self.segment = segment
         self.t = t
         self.h = h
 
@@ -270,8 +269,9 @@ class LoopSystem:
 # -- square-root continuation --------------------------------------------------
 #
 # The closed form of the module docstring, ``_continuation``, decides sheets:
-# loop profiles come from it and every sweep's end y is checked against it.
-# The kernel's nearer-root stages with ``_on_sheet`` are only its step guard.
+# loop profiles and the feet's sheets come from it, and the kernel checks
+# every row's end y against it.  The kernel's nearer-root stages with
+# ``_on_sheet`` are only its step guard.
 
 
 def _sqrt_f(x, root_rows):
@@ -341,8 +341,8 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
         rad = min(0.45 * sep_k, 3.0 * clearance)
         if rad < clearance * _SEC:
             raise ClearanceError(
-                "clearance infeasible: no circle radius fits between the clearance "
-                f"ring and the neighbours of branch point {k}"
+                f"clearance infeasible for letter {k + 1}: no circle radius fits between the "
+                "clearance ring and its branch point's neighbours"
             )
         radii.append(rad)
     res = [r.real for r in roots]
@@ -474,31 +474,31 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 _GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
 _TINY = np.finfo(float).tiny  # a zero estimate over a zero denominator is 0, not NaN
-_SHEET_MATCH_TOL = 1e-8  # a sweep's end y against the closed form, relative
+_SHEET_MATCH_TOL = 1e-8  # a row's end y against the closed form, relative
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
-def _transport(vertices, roots, matrices, ode_tol, members):
+def _transport(starts, ends, roots, matrices, ode_tol, members):
     """Forward transports (r, 2, 2, 2) of r rows, each run on both sheets, in
-    one sweep, with y (r,) continued to the last vertex on the principal
-    sheet and the sweep's (accepted, rejected) step counts.
+    one sweep, and the sweep's (accepted, rejected) step counts.
 
-    Row i runs along the polyline ``vertices[i]`` with branch points
-    ``roots[i]`` and matrices ``matrices[i]`` (stacked (r, m) and (r, g, 2, 2)),
-    once from each start y = sheet * principal sqrt(f), sheet in ``_SHEETS``;
-    the connection form is (sum_c M_c x^c) dx / y with M_c from
-    ``systems.coefficient_matrices``.  ``members[2 * i + j]`` = (system index,
-    path, starting sheet) names row i on sheet j in errors.  The local
-    error is mixed absolute/relative at ``ode_tol / 10``; a new segment
-    rescales the carried step by the ratio of the longest row segments.
+    Row i runs along the straight segment ``starts[i]`` -> ``ends[i]`` with
+    branch points ``roots[i]`` and matrices ``matrices[i]`` (stacked (r, m)
+    and (r, g, 2, 2)), once from each start y = sheet * principal sqrt(f),
+    sheet in ``_SHEETS``; the connection form is (sum_c M_c x^c) dx / y with
+    M_c from ``systems.coefficient_matrices``.  ``members[2 * i + j]`` =
+    (system index, path, starting sheet) names row i on sheet j in errors.
+    The local error is mixed absolute/relative at ``ode_tol / 10``.  Each
+    row's y at its end must be the closed-form continuation of its start,
+    else the row's member on sheet +1 is named.
     """
     if not 0 < ode_tol < math.inf:
         raise ValueError("ode_tol must be positive and finite")
     if ode_tol < ODE_TOL_FLOOR:
         raise ValueError(f"ode_tol {ode_tol:.3g} is below 10 eps: double precision cannot hold it")
-    r, nvert = vertices.shape
+    r = len(starts)
     ns = len(_SHEETS)
-    path = np.ascontiguousarray(vertices.T)  # (nvert, r)
+    delta = ends - starts
     root_rows = np.ascontiguousarray(np.asarray(roots, dtype=complex).T)
     # coeffs[c, 0, j] = column j of M_c, shape (2, 1, r), so that
     # M @ state = column 0 * row 0 of state + column 1 * row 1 of state
@@ -510,7 +510,7 @@ def _transport(vertices, roots, matrices, ode_tol, members):
     conn = np.empty((11, 2, 2, 1, ns, r), dtype=complex)  # per new node, for every member
     signs = np.array(_SHEETS, dtype=float)[:, None]
 
-    def geometry(x, delta, y_prev):
+    def geometry(x, y_prev):
         """conn[:k] at the k points x (k, r); returns y (k, r), continued from
         y_prev on the principal sheet.  The other sheet negates y, so conn."""
         y = _nearer_root(_sqrt_f(x, root_rows), y_prev)
@@ -529,7 +529,7 @@ def _transport(vertices, roots, matrices, ode_tol, members):
     Y, K = YK[0], YK[1:]
     Y[0, 0] = Y[1, 1] = 1.0
     abs_Y = np.abs(Y)
-    y_ref = _sqrt_f(path[0], root_rows)
+    y_start = _sqrt_f(starts, root_rows)
     hA = np.ones((12, 13))  # column 0 weighs Y; the rest is h times the Butcher rows
     states = np.empty((2, 2 * n))  # stages 1..11 share row 0; row 1 is stage 12, Y_new
     state, Y_new = states.view(complex).reshape((2,) + Y.shape)
@@ -545,87 +545,77 @@ def _transport(vertices, roots, matrices, ode_tol, members):
     ]
     nodes = _C[1:12]
     tol = ode_tol / 10
-    h = 0.01
+    h, t = 0.01, 0.0
     nsteps = accepted = 0
-    prev_len = None
     culprit = 0  # member behind the latest rejection
-    seg, t = 0, 0.0
 
     def fail(what, i):
         member = members[i]
         raise IntegrationError(
             f"{what} for system {member[0]}, {member[1]}, start sheet {member[2]:+d} "
-            f"on segment {seg} at t={t:.6g}, h={h:.3g}",
-            member=member, segment=seg, t=t, h=h,
+            f"at t={t:.6g}, h={h:.3g}",
+            member=member, t=t, h=h,
         )
 
     def by_member(a):
         """Per-member maxima of an entrywise array, in member order (row, sheet)."""
         return a.reshape(4, ns, r).max(axis=0).T
 
-    for seg in range(nvert - 1):
-        v = path[seg]
-        delta = path[seg + 1] - v
-        seg_len = float(np.max(np.abs(delta)))
-        if seg_len == 0:
+    y_ref = y_start
+    geometry(starts[None], y_ref)
+    np.add(*np.multiply(conn[0], Y[:, None], out=prods), out=K[0])
+    while 1.0 - t >= 1e-13:  # a smaller rest is float residue, below tolerance
+        if nsteps > _MAX_STEPS:
+            fail("step budget exhausted", culprit)
+        h = min(h, 1.0 - t)
+        if h < _MIN_STEP:
+            fail("step-size underflow (path too close to a branch point?)", culprit)
+        y_new = geometry(starts + delta * (t + nodes * h)[:, None], y_ref)[-1]
+        np.multiply(h, _A, out=hA[:, 1:])
+        for row, terms, st_real, st, c, out in stages:
+            np.matmul(row, terms, out=st_real)
+            np.add(*np.multiply(c, st[:, None], out=prods), out=out)
+        # combined estimate h |e5|^2 / hypot(|e5|, |e3| / 10) per entry,
+        # scaled by tol * (1 + max(|Y|, |Y_new|)); NaN propagates
+        np.matmul(_E, YK_real[1:13], out=est_real)
+        a5, a3 = np.abs(est)
+        np.abs(Y_new, out=abs_new)
+        den = np.hypot(a5, 0.1 * a3) * (1.0 + np.maximum(abs_Y, abs_new))
+        rel_err = a5 * a5 / np.maximum(den, _TINY)
+        err = float(rel_err.max()) * h / tol
+        nsteps += 1
+        if not math.isfinite(err):
+            culprit = int(np.argmin(np.isfinite(by_member(rel_err))))
+            h *= 0.1
             continue
-        if prev_len is not None:
-            h *= prev_len / seg_len
-        prev_len = seg_len
-        t = 0.0
-        h = min(max(h, 1e-6), 1.0)
-        geometry(v[None], delta, y_ref)
-        np.add(*np.multiply(conn[0], Y[:, None], out=prods), out=K[0])
-
-        while t < 1.0:
-            if 1.0 - t < 1e-13:
-                break  # float residue of the parameter interval, below tolerance
-            if nsteps > _MAX_STEPS:
-                fail("step budget exhausted", culprit)
-            h = min(h, 1.0 - t)
-            if h < _MIN_STEP:
-                fail("step-size underflow (path too close to a branch point?)", culprit)
-            y_new = geometry(v + delta * (t + nodes * h)[:, None], delta, y_ref)[-1]
-            np.multiply(h, _A, out=hA[:, 1:])
-            for row, terms, st_real, st, c, out in stages:
-                np.matmul(row, terms, out=st_real)
-                np.add(*np.multiply(c, st[:, None], out=prods), out=out)
-            # combined estimate h |e5|^2 / hypot(|e5|, |e3| / 10) per entry,
-            # scaled by tol * (1 + max(|Y|, |Y_new|)); NaN propagates
-            np.matmul(_E, YK_real[1:13], out=est_real)
-            a5, a3 = np.abs(est)
-            np.abs(Y_new, out=abs_new)
-            den = np.hypot(a5, 0.1 * a3) * (1.0 + np.maximum(abs_Y, abs_new))
-            rel_err = a5 * a5 / np.maximum(den, _TINY)
-            err = float(rel_err.max()) * h / tol
-            nsteps += 1
-            if not math.isfinite(err):
-                culprit = int(np.argmin(np.isfinite(by_member(rel_err))))
-                h *= 0.1
-                continue
-            guard = _on_sheet(y_new, y_ref)  # per row: negating y leaves the test unchanged
-            sheet_ok = bool(guard.all())
-            if err <= 1.0 and sheet_ok:
-                t += h
-                accepted += 1
-                Y[...] = Y_new
-                abs_Y, abs_new = abs_new, abs_Y
-                if float(abs_Y.max()) > _GROWTH_CAP:
-                    fail("transport entry above 2**26",
-                         int(np.argmax(by_member(abs_Y))))
-                y_ref = y_new
-                K[0] = K[12]
-                h *= 6.0 if err == 0.0 else min(6.0, 0.9 * err**-0.125)
-            elif sheet_ok:
-                culprit = int(np.argmax(by_member(rel_err)))
-                h *= min(0.9, max(0.2, 0.9 * err**-0.125))
-            else:
-                culprit = int(np.argmin(guard)) * ns  # the row's first sheet
-                h *= 0.5
+        guard = _on_sheet(y_new, y_ref)  # per row: negating y leaves the test unchanged
+        sheet_ok = bool(guard.all())
+        if err <= 1.0 and sheet_ok:
+            t += h
+            accepted += 1
+            Y[...] = Y_new
+            abs_Y, abs_new = abs_new, abs_Y
+            if float(abs_Y.max()) > _GROWTH_CAP:
+                fail("transport entry above 2**26",
+                     int(np.argmax(by_member(abs_Y))))
+            y_ref = y_new
+            K[0] = K[12]
+            h *= 6.0 if err == 0.0 else min(6.0, 0.9 * err**-0.125)
+        elif sheet_ok:
+            culprit = int(np.argmax(by_member(rel_err)))
+            h *= min(0.9, max(0.2, 0.9 * err**-0.125))
+        else:
+            culprit = int(np.argmin(guard)) * ns  # the row's first sheet
+            h *= 0.5
     finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
     if not finite.all():
         fail("non-finite transport values", int(np.argmin(finite)))
-    return np.ascontiguousarray(Y.transpose(3, 2, 0, 1)), y_ref, (accepted, nsteps - accepted)
+    y_closed = y_start * _continuation(starts, ends, root_rows)
+    on_sheet = np.abs(y_ref / y_closed - 1) <= _SHEET_MATCH_TOL
+    if not on_sheet.all():
+        fail("y at the path's end is off the closed-form continuation",
+             int(np.argmin(on_sheet)) * ns)
+    return np.ascontiguousarray(Y.transpose(3, 2, 0, 1)), (accepted, nsteps - accepted)
 
 
 # -- monodromy representation ----------------------------------------------------
@@ -717,39 +707,31 @@ def _letter_transports(systems, loops: LoopSystem, ode_tol: float):
     F(k,-s)^-1 V(k,s) F(k,s) from one sweep of base-line edges (``_feet``)
     and one of the turns V, u_f -> -u_f in the charts of ``_turn_charts``,
     their sheets matched at the foot by sqrt P(u_f) = y_foot scale / (2 b u_f),
-    and the (accepted, rejected) steps of the two sweeps, edges first.  Each
-    turn's y at -u_f must be its y at u_f times the closed-form continuation
-    in the chart."""
+    and the (accepted, rejected) steps of the two sweeps, edges first."""
     systems = [_coerce(s) for s in systems]
     roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
     matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
     chart_roots, coeffs, u_foot, factor = _turn_charts(roots, matrices, loops)  # guards first
     feet, y_feet, edge_steps = _feet(roots, matrices, loops, ode_tol)
-    y_start = _sqrt_f(u_foot, chart_roots.T)
-    ratio = y_feet.ravel() * factor / y_start
+    ratio = y_feet.ravel() * factor / _sqrt_f(u_foot, chart_roots.T)
     sigma = _sign(ratio)
-    letter_ids = range(y_feet.shape[1])
     _name_first([(~(np.abs(ratio - sigma) <= _SHEET_MATCH_TOL).reshape(y_feet.shape),
-                  "its chart's y at the foot is not +-sqrt P(u_f)")], letter_ids)
+                  "its chart's y at the foot is not +-sqrt P(u_f)")])
     members = [(i, f"letter {k + 1} turn", s) for i, k in np.ndindex(y_feet.shape) for s in _SHEETS]
-    turns, y_end, turn_steps = _transport(np.stack([u_foot, -u_foot], axis=1), chart_roots, coeffs,
-                                          ode_tol, members)
-    y_closed = y_start * _continuation(u_foot, -u_foot, chart_roots.T)
-    _name_first([(~(np.abs(y_end / y_closed - 1) <= _SHEET_MATCH_TOL).reshape(y_feet.shape),
-                  "its turn's y at -u_f is off the closed-form continuation")], letter_ids)
+    turns, turn_steps = _transport(u_foot, -u_foot, chart_roots, coeffs, ode_tol, members)
     turns = np.where(sigma[:, None, None, None] > 0, turns, turns[:, ::-1]).reshape(feet.shape)
     # formed in extended precision and rounded once, as words are
     letters = (_sl2_inverses(feet[:, :, ::-1]) @ turns.astype(np.clongdouble) @ feet).astype(complex)
     return letters, (edge_steps, turn_steps)
 
 
-def _name_first(checks, letters):
-    """Raise for the first of the (mask, what) ``checks`` over (system, column)
-    that any row fails, naming its first row; column j is letter ``letters[j]`` + 1."""
+def _name_first(checks):
+    """Raise for the first of the (mask, what) ``checks`` over (system, letter)
+    that any entry fails, naming its first failing system and letter."""
     for bad, what in checks:
         if bad.any():
-            i, j = divmod(int(np.argmax(bad)), bad.shape[1])
-            k = letters[j] + 1
+            i, k = divmod(int(np.argmax(bad)), bad.shape[1])
+            k += 1
             raise IntegrationError(f"system {i}, letter {k}: {what}", member=(i, f"letter {k}", 1))
 
 
@@ -758,8 +740,7 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
     to each letter's foot, y (n, 2g+1) continued there from the principal
     root at the base, and the (accepted, rejected) steps of the one sweep of
     one edge per foot off the base.  The edges run along the base line, so
-    each foot's sheet is the closed-form continuation from the base, and each
-    edge's y at its foot must match it."""
+    each foot's sheet is the closed-form continuation from the base."""
     n, nl = roots.shape  # one letter per branch point
     feet = np.array(loops.feet + (loops.base_point,))  # slot nl: the base
     offset = (feet - loops.base_point).real.tolist()  # the feet lie on the base line
@@ -769,18 +750,14 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
             parent[k], last[offset[k] > 0] = last[offset[k] > 0], k
     rows = sorted(parent)  # edge rows in member order, sheets against their start's sqrt f
     members = [(i, f"letter {k + 1}", s) for i in range(n) for k in rows for s in _SHEETS]
-    edges, y_end, steps = _transport(np.tile(feet[[[parent[k], k] for k in rows]], (n, 1)),
-                                     roots.repeat(len(rows), 0), matrices.repeat(len(rows), 0),
-                                     ode_tol, members)
+    edges, steps = _transport(np.tile(feet[[parent[k] for k in rows]], n), np.tile(feet[rows], n),
+                              roots.repeat(len(rows), 0), matrices.repeat(len(rows), 0),
+                              ode_tol, members)
     edges = edges.reshape(n, len(rows), len(_SHEETS), 2, 2)
     root_rows = roots.T[..., None]
     principal = _sqrt_f(feet, root_rows)  # (n, nl + 1)
     # y at each foot over sqrt f there, from the principal root at the base
     sheet = _sign(principal[:, nl:] * _continuation(feet[nl], feet, root_rows) / principal)
-    starts = [parent[k] for k in rows]  # an edge's y starts on the principal root
-    y_closed = sheet[:, starts] * sheet[:, rows] * principal[:, rows]
-    _name_first([(~(np.abs(y_end.reshape(n, -1) / y_closed - 1) <= _SHEET_MATCH_TOL),
-                  "its edge's y at the foot is off the closed-form continuation")], rows)
     feet_t = np.broadcast_to(np.eye(2, dtype=np.clongdouble), (n, nl + 1, len(_SHEETS), 2, 2)).copy()
     for k in parent:  # by distance from the base: parents first
         j, p = rows.index(k), parent[k]
@@ -831,7 +808,7 @@ def _turn_charts(roots, matrices, loops: LoopSystem):
     N(u) du / sqrt P(u), N = 2 b^(1/2-g) sum_c M_c x^c."""
     (n, m), g = roots.shape, matrices.shape[1]
     lam, others, checks = _turn_guards(roots, loops)
-    _name_first(checks, range(m))
+    _name_first(checks)
     lam, b = lam.ravel(), (np.array(loops.souths) - lam).ravel()  # rows (system, letter)
     half = np.sqrt((others.reshape(len(lam), m - 1) - lam[:, None]) / b[:, None])
     scale = 2 * np.sqrt(b) / b**g  # 2 b^(1/2-g)

@@ -6,9 +6,11 @@ composite Gauss-Legendre quadrature, loop words from exact finite-field
 representations of the branch-loop group, loop clearance from the polygon
 rule on drawn letters, exact ranks from sympy, and the stacked
 representation layer of the monodromy from products and norms taken one
-matrix at a time.  The one exception is the whole-loop transport, which
-runs the monodromy's own kernel, but along a loop's full polyline, circles
-included, with no edge, chart or letter product of its own.
+matrix at a time.  The one exception is the whole-polyline transport, which
+runs the monodromy's own kernel on every segment of a polyline, circles
+included, with no edge, chart or letter product of its own, and chains the
+segments by its own dense square-root continuation, not the monodromy's
+closed form.
 """
 
 import cmath
@@ -160,9 +162,7 @@ def theta_products(curve, basis1, w_coords_list):
 _NODES, _WEIGHTS = leg.leggauss(24)
 
 
-def _f_of(curve):
-    roots = curve.float_roots()
-
+def _f_of(roots):
     def f(x):
         acc = 1 + 0j
         for r in roots:
@@ -181,7 +181,7 @@ def _nearer_sqrt(f, x, y):
 def loop_integral(curve, loop, numer_coeffs, chunk=0.05):
     """Integral of (sum c_i x^i) dx / y along a loop polyline, by composite
     Gauss-Legendre with dense square-root continuation."""
-    f = _f_of(curve)
+    f = _f_of(curve.float_roots())
     y = cmath.sqrt(f(loop.vertices[0]))
     if loop.sheets[0] < 0:
         y = -y
@@ -203,13 +203,19 @@ def loop_integral(curve, loop, numer_coeffs, chunk=0.05):
 
 
 def loop_sheets(curve, loop, chunk=0.05):
-    """Sheet of y = sqrt(f) at every vertex of a whole loop polyline, against
-    the principal root: +1 at the first vertex, then dense continuation with
-    the nearer-root rule of ``loop_integral``, never split into letters."""
-    f = _f_of(curve)
-    y = cmath.sqrt(f(loop.vertices[0]))
+    """Sheet of y = sqrt(f) at every vertex of a whole loop polyline, never
+    split into letters (``vertex_sheets``)."""
+    return vertex_sheets(curve.float_roots(), loop.vertices, chunk)
+
+
+def vertex_sheets(roots, vertices, chunk=0.05):
+    """Sheet of y = sqrt(f), f = prod (x - r) over ``roots``, at every vertex
+    of a polyline, against the principal root: +1 at the first vertex, then
+    dense continuation with the nearer-root rule of ``loop_integral``."""
+    f = _f_of(roots)
+    y = cmath.sqrt(f(vertices[0]))
     sheets = [1]
-    for a, b in zip(loop.vertices, loop.vertices[1:]):
+    for a, b in zip(vertices, vertices[1:]):
         n = max(2, int(abs(b - a) / chunk) + 1)
         for m in range(1, n + 1):
             y = _nearer_sqrt(f, a + (b - a) * m / n, y)
@@ -343,19 +349,45 @@ def word_is_trivial_upstairs(words_product, n_letters, trials=8, seed=7):
     return True
 
 
-# -- whole-loop transport reference ----------------------------------------------
+# -- whole-polyline transport reference ------------------------------------------
+
+
+def polyline_transports(systems, polylines, ode_tol):
+    """Forward transports (n, p, 2 sheets, 2, 2) of n systems along each of p
+    polylines, from each start sheet of ``_SHEETS`` at the first vertex, and
+    the (accepted, rejected) steps of the one kernel sweep behind them.
+
+    Every segment of every polyline is a row of that sweep for every system,
+    run on both sheets.  A polyline's transport chains its segments' members,
+    each taken on the sheet that ``vertex_sheets`` reaches at the segment's
+    start."""
+    systems = [_coerce(s) for s in systems]
+    rows = [(i, p, j) for i in range(len(systems)) for p, line in enumerate(polylines)
+            for j in range(len(line) - 1)]
+    members = [(i, f"polyline {p} segment {j}", s) for i, p, j in rows for s in _SHEETS]
+    segments, steps = _transport(
+        np.array([polylines[p][j] for _, p, j in rows], dtype=complex),
+        np.array([polylines[p][j + 1] for _, p, j in rows], dtype=complex),
+        np.array([systems[i].roots for i, _, _ in rows]),
+        np.array([systems[i].matrices for i, _, _ in rows]), ode_tol, members)
+    out = np.empty((len(systems), len(polylines), len(_SHEETS), 2, 2), dtype=complex)
+    out[...] = np.eye(2)
+    profiles = {}  # systems often share their roots
+    for (i, p, j), segment in zip(rows, segments):
+        key = (systems[i].roots, p)
+        if key not in profiles:
+            profiles[key] = vertex_sheets(systems[i].roots, polylines[p])
+        for m, s in enumerate(_SHEETS):
+            out[i, p, m] = segment[_SHEETS.index(s * profiles[key][j])] @ out[i, p, m]
+    return out, steps
 
 
 def integrate_loop(system, loop, ode_tol):
-    """Forward 2x2 transport around one whole loop: one kernel row along the
-    loop's full polyline, run on both sheets, read on the sheet of its first
-    vertex.  The whole-word reference for the letter products of
-    ``monodromy``."""
-    system = _coerce(system)
-    members = [(0, f"loop {loop.name}", s) for s in _SHEETS]
-    forward, _, _ = _transport(np.array([loop.vertices], dtype=complex), [system.roots],
-                               system.matrices[None], ode_tol, members)
-    return forward[0, _SHEETS.index(loop.sheets[0])]
+    """Forward 2x2 transport around one whole loop, read on the sheet of its
+    first vertex (``polyline_transports``).  The whole-word reference for the
+    letter products of ``monodromy``."""
+    forward, _ = polyline_transports([system], [loop.vertices], ode_tol)
+    return forward[0, 0, _SHEETS.index(loop.sheets[0])]
 
 
 # -- per-matrix representation reference -------------------------------------------

@@ -387,6 +387,12 @@ class TestImmersionCommand:
         assert run_cli(["immersion", "--fd-steps", "nan,1e-5,1e-6"]) == 1
         assert "--fd-steps must be positive and finite" in capsys.readouterr().err
 
+    def test_no_regular_center_exit1(self, capsys):
+        """--bound 0 samples only the zero system, whose gauge slice is never
+        regular: a configuration error, not a traceback."""
+        assert run_cli(["immersion", "--bound", "0", "--fd-steps", "1e-5"]) == 1
+        assert "cannot build immersion center: failed to sample" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_arguments(self, tmp_path):

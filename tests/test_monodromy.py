@@ -129,6 +129,14 @@ class TestBuildLoops:
         with pytest.raises(ClearanceError):
             build_loops(curve, clearance=0.5)
 
+    def test_radius_rule_names_the_letter(self):
+        """Branch points 0, 2, 3, 4, 5 at clearance 0.45: letter 2's radius,
+        0.45 times the distance 1 to its neighbour, does not clear the ring,
+        and the error counts letters from 1, as the turn guards do."""
+        curve = HyperellipticCurve.from_integers([0, 2, 3, 4, 5])
+        with pytest.raises(ClearanceError, match="infeasible for letter 2: no circle radius"):
+            build_loops(curve, clearance=0.45)
+
     def test_even_model_rejected(self):
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4, 5])
         with pytest.raises(ValueError):
@@ -476,13 +484,10 @@ def _drawn_letters(loops):
 
 
 def _full_letters(systems, loops):
-    """Letter transports (n, 2g+1, 2 sheets, 2, 2) from one sweep of the whole
-    lollipops in x, the reference for the composed letters."""
-    letters = _drawn_letters(loops)
-    members = [(i, k, s) for i in range(len(systems)) for k in range(len(letters)) for s in _SHEETS]
-    full, _, _ = _transport(np.tile(letters, (len(systems), 1)), *_rows(systems, len(letters)),
-                            1e-12, members)
-    return full.reshape(len(systems), len(letters), len(_SHEETS), 2, 2)
+    """Letter transports (n, 2g+1, 2 sheets, 2, 2) from one sweep of every
+    segment of the whole lollipops in x, the reference for the composed
+    letters."""
+    return oracles.polyline_transports(systems, _drawn_letters(loops), 1e-12)[0]
 
 
 class TestBatchedTransport:
@@ -508,7 +513,7 @@ class TestBatchedTransport:
         err = info.value
         assert err.member[:2] == (2, "letter 2")
         assert "system 2, letter 2" in str(err)
-        assert err.segment is None and err.h is None
+        assert err.t is None and err.h is None
 
     def test_sheet_guard_culprit_is_named(self, genus2_curve, loops_g2):
         """A system with a branch point 1e-15 off a side of letter 2's circle
@@ -624,7 +629,7 @@ class TestBatchedTransport:
         with pytest.raises(IntegrationError, match="of its turn's triangle") as info:
             monodromy_family([zero, zero, bad], loops_g2, 1e-12)
         assert info.value.member == (2, "letter 3", 1)
-        assert info.value.segment is None
+        assert info.value.t is None
 
     def test_edge_guard_culprit_is_named(self, genus2_curve, loops_g2):
         """No guard covers the base line: a branch point 1e-15 off the edge
@@ -635,10 +640,10 @@ class TestBatchedTransport:
         roots = list(zero.roots)
         roots[0] = 0.7 * loops_g2.base_point + 0.3 * loops_g2.feet[1] + 1e-15j
         bad = NumericSystem(tuple(roots), zero.matrices)
-        with pytest.raises(IntegrationError, match="underflow.*on segment 0 ") as info:
+        with pytest.raises(IntegrationError, match="underflow.* at t=") as info:
             _feet(*_rows([zero, zero, bad], 1), loops_g2, 1e-12)
         assert info.value.member[:2] == (2, "letter 2")
-        assert info.value.segment == 0
+        assert 0 < info.value.t < 1
 
     @pytest.mark.parametrize("genus", [2, 3])
     def test_stem_once_letters_match_full_letter_sweep(self, genus):
@@ -661,18 +666,31 @@ class TestBatchedTransport:
             dev = max(_rel_dev(a, b) for a, b in zip(c.reshape(-1, 2, 2), f.reshape(-1, 2, 2)))
             assert dev <= 1e-12, (i, dev)
 
-    def test_stem_once_sweep_takes_fewer_steps(self, genus3_curve):
-        """Genus-3 seed 1 against a full-letter sweep of the same system
-        (measured: 51 accepted steps, 18 on edges and 33 on turns, against
-        179); the counts are deterministic and family members report their
-        shared sweeps."""
+    def test_stem_once_sweep_takes_fewer_steps(self, monkeypatch, genus3_curve):
+        """Genus-3 seed 1: the kernel work of the two sweeps, rows times
+        accepted steps, against one sweep of every segment of the whole
+        letters (measured: 6 x 18 + 7 x 33 = 339 against 140 x 46 = 6440);
+        the counts are deterministic and family members report their shared
+        sweeps."""
         loops = build_loops(genus3_curve, 0.22)
         system = NumericSystem.from_system(small_system(genus3_curve, 1))
         letters = _drawn_letters(loops)
-        members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
-        _, _, (full_accepted, _) = _transport(letters, *_rows([system], len(letters)), 1e-12, members)
-        rep = monodromy(system, loops, 1e-12)
-        assert rep.to_json()["steps"]["accepted"] < full_accepted
+        _, (full_accepted, _) = oracles.polyline_transports([system], letters, 1e-12)
+        full_work = letters.size - len(letters), full_accepted
+        sweeps = []
+        transport = diffsys.monodromy._transport
+
+        def recorded(starts, *args):
+            transports, steps = transport(starts, *args)
+            sweeps.append((len(starts), steps[0]))
+            return transports, steps
+
+        with monkeypatch.context() as m:
+            m.setattr(diffsys.monodromy, "_transport", recorded)
+            rep = monodromy(system, loops, 1e-12)
+        assert [rows for rows, _ in sweeps] == [6, 7]
+        assert rep.to_json()["steps"]["accepted"] == sum(accepted for _, accepted in sweeps)
+        assert sum(rows * accepted for rows, accepted in sweeps) < math.prod(full_work)
         assert monodromy(system, loops, 1e-12).steps == rep.steps
         family = monodromy_family([system, small_system(genus3_curve, 2)], loops, 1e-12)
         assert family[0].steps == family[1].steps
@@ -706,23 +724,35 @@ class TestBatchedTransport:
         roots = list(zero.roots)
         roots[0] = (loops_g2.base_point + loops_g2.feet[1]) / 2 + 1e-15j
         bad = NumericSystem(tuple(roots), zero.matrices)
-        with pytest.raises(IntegrationError, match="edge's y at the foot is off the closed-form") as info:
+        with pytest.raises(IntegrationError, match="end is off the closed-form continuation") as info:
             _feet(*_rows([bad], 1), loops_g2, 1e-12)
         assert info.value.member == (0, "letter 2", 1)
 
     def test_turn_sheet_mismatch_is_named(self, genus2_curve, loops_g2, monkeypatch):
-        """A turn's y at -u_f must be its y at u_f times the closed-form
-        continuation in the chart: the turn sweep's y negated is named."""
-        transport = diffsys.monodromy._transport
+        """Every kernel row's y at its end must be the closed-form continuation
+        of its start: with the closed form negated on the chart rows u_f ->
+        -u_f, the first turn member on sheet +1 is named."""
+        continuation = diffsys.monodromy._continuation
 
-        def flipped_turns(vertices, roots, matrices, ode_tol, members):
-            t, y_end, steps = transport(vertices, roots, matrices, ode_tol, members)
-            return t, (-y_end if members[0][1].endswith("turn") else y_end), steps
+        def negated_on_turns(a, b, root_rows):
+            out = continuation(a, b, root_rows)
+            return -out if np.array_equal(b, -a) else out
 
-        monkeypatch.setattr(diffsys.monodromy, "_transport", flipped_turns)
-        with pytest.raises(IntegrationError, match="turn's y at -u_f is off the closed-form") as info:
+        monkeypatch.setattr(diffsys.monodromy, "_continuation", negated_on_turns)
+        with pytest.raises(IntegrationError, match="end is off the closed-form continuation") as info:
             monodromy(small_system(genus2_curve, 3), loops_g2, 1e-12)
-        assert info.value.member == (0, "letter 1", 1)
+        assert info.value.member == (0, "letter 1 turn", 1)
+
+    def test_zero_length_row_is_the_identity(self, genus2_curve, loops_g2):
+        """A row whose start is its end, swept beside an edge of the base line,
+        transports by the identity on both sheets and passes the end check."""
+        system = NumericSystem.from_system(small_system(genus2_curve, 3))
+        foot, base = loops_g2.feet[1], loops_g2.base_point
+        members = [(0, path, s) for path in ("still", "edge") for s in _SHEETS]
+        transports, (accepted, _) = _transport(np.array([foot, base]), np.array([foot, foot]),
+                                               *_rows([system], 2), 1e-12, members)
+        assert np.array_equal(transports[0], np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert accepted > 0 and not np.allclose(transports[1], np.eye(2))
 
     def test_family_member_named_by_global_index(self, genus2_curve, loops_g2):
         """One shared sweep over several systems names a failing member by
@@ -734,7 +764,7 @@ class TestBatchedTransport:
         with pytest.raises(IntegrationError) as info:
             monodromy_family([ok, bad, ok], loops_g2, 1e-10)
         assert info.value.member == (1, "letter 1", 1)
-        assert info.value.segment == 0
+        assert info.value.t is not None
 
     def test_family_members_match_lone_runs(self, genus2_curve, loops_g2):
         """The non-stiff members of a shared sweep that also carries a stiff
@@ -799,7 +829,7 @@ class TestDOP853Transport:
         with pytest.raises(IntegrationError, match=r"above 2\*\*26") as info:
             monodromy(system, loops_g2, 1e-12)
         assert info.value.member == (0, "letter 4", -1)
-        assert info.value.segment == 0
+        assert 0 < info.value.t < 1
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
     def test_word_products_exact_to_extended_precision(self, genus2_curve, loops_g2):
@@ -811,11 +841,9 @@ class TestDOP853Transport:
         def exact_matrix(m):
             return ExactMatrix.from_rows([[exact(z) for z in row] for row in m])
 
-        letters = _drawn_letters(loops_g2)
-        members = [(0, k, s) for k in range(len(letters)) for s in _SHEETS]
         for seed in (2, 3, 9):
             system = NumericSystem.from_system(small_system(genus2_curve, seed))
-            letter_t, _, _ = _transport(letters, *_rows([system], len(letters)), 1e-12, members)
+            letter_t = _full_letters([system], loops_g2)[0]
             for loop, w in zip(loops_g2.loops, _words(letter_t[None], loops_g2)[0]):
                 ref = ExactMatrix.identity(2)
                 for i, k in enumerate(loop.word):
