@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -158,7 +159,8 @@ def _write(args, text: str) -> None:
 
 
 def _write_report(args, payload) -> None:
-    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # one line: without indent, json uses its C encoder
+    _write(args, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _write_csv(args, rows) -> None:
@@ -322,6 +324,7 @@ def _add_common(p):
     p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffsys",

@@ -40,17 +40,20 @@ Sheets are decided in closed form: along a straight segment a -> b that
 misses every branch point, y(b) = y(a) prod_j sqrt((b - r_j) / (a - r_j))
 with principal roots, and after the sweep every row's y at b must match it
 (to ``_SHEET_MATCH_TOL``), else its member on sheet +1 is named.  Within a
-step every stage takes the root nearer to y at the step's start, and the
+step every stage takes the root w = +-sqrt f nearer to y at the step's start,
+-w where Re(w conj y) < 0 (|w - y|^2 - |w + y|^2 = -4 Re(w conj y)), and the
 sheet guard accepts only |y_new - y_old| < |y_old|; a step the guard keeps
 rejecting ends in step-size underflow, naming the member, t and h.  The
 guard is only a step guard: it sees a step's end point, and with a zero
 connection steps grow, so one that straddles a branch point can pass it;
 the end check then names the member.  As no stage depends on an earlier
 stage's y, each step computes its geometry (x, y and the connection at the
-eleven new points; stages 11 and 12 share t + h) in one pass per row; the
-other sheet's y and connection are exact negations and the guard ignores the
-sign, so one pass serves both sheets and changes no bit of any member's
-numbers.  The sweep also returns its (accepted, rejected) step counts.
+eleven new points; stages 11 and 12 share t + h) in one pass over all rows,
+f as one difference over a leading roots axis and one product reduce over
+it; the other sheet's y and connection are exact negations and the guard
+ignores the sign, so one pass serves both sheets and changes no bit of any
+member's numbers.  The sweep also returns its (accepted, rejected) step
+counts.
 
 Who shares a sweep: ``monodromy`` is ``monodromy_family`` of its one
 system, and :mod:`diffsys.immersion` runs a center and its +delta and
@@ -276,11 +279,14 @@ class LoopSystem:
 
 def _sqrt_f(x, root_rows):
     """Principal sqrt(f(x)), f = prod (x - r) over the rows r of ``root_rows``
-    (broadcast against ``x``), one root at a time: no (x, roots) temporary."""
-    prod = x - root_rows[0]
-    for r in root_rows[1:]:
-        prod *= x - r
-    return np.sqrt(prod)
+    (broadcast against ``x``): one subtract over a leading roots axis and one
+    reduce, which multiplies left to right, one root at a time.  The C-order
+    difference keeps the roots axis outermost, so the reduce runs numpy's
+    array multiply, bit for bit the root-by-root product (from transposed
+    roots its scalar reduce loop rounds unlike it)."""
+    pad = (1,) * (np.ndim(x) + 1 - root_rows.ndim)
+    lead = root_rows.reshape(len(root_rows), *pad, *root_rows.shape[1:])
+    return np.sqrt(np.multiply.reduce(np.subtract(x, lead, order="C")))
 
 
 def _continuation(a, b, root_rows):
@@ -294,8 +300,10 @@ def _continuation(a, b, root_rows):
 
 
 def _nearer_root(w, y_old):
-    """Of the roots +-w, the one nearer to y_old."""
-    return np.where(np.abs(w - y_old) > np.abs(w + y_old), -w, w)
+    """Of the roots +-w, the one nearer to y_old, written over w:
+    |w - y_old|^2 - |w + y_old|^2 = -4 Re(w conj(y_old)), so -w where that
+    real part is negative."""
+    return np.negative(w, out=w, where=(w * y_old.conjugate()).real < 0)
 
 
 def _on_sheet(y_new, y_old):
@@ -505,8 +513,7 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
     coeffs = np.asarray(matrices, dtype=complex).transpose(1, 3, 2, 0)
     coeffs = np.ascontiguousarray(coeffs[:, None, :, :, None, :])
     # Member arrays are (..., sheet, row): rows innermost keep the inner loops
-    # long (sheets innermost made them length 2), and per-row geometry keeps
-    # a whole fd ladder's temporaries under numpy's 256 KB elision threshold.
+    # long (sheets innermost made them length 2).
     conn = np.empty((11, 2, 2, 1, ns, r), dtype=complex)  # per new node, for every member
     signs = np.array(_SHEETS, dtype=float)[:, None]
 
@@ -535,11 +542,16 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
     state, Y_new = states.view(complex).reshape((2,) + Y.shape)
     est_real = np.empty((2, 2 * n))
     est = est_real.view(complex).reshape((2,) + Y.shape)  # e5 and e3 over h
-    abs_new = np.empty_like(abs_Y)
+    abs_est = np.empty((2,) + Y.shape)  # |e5| and |e3|
+    a5, a3 = abs_est
+    abs_new, den, rel_err = np.empty((3,) + Y.shape)
+    # M @ state is the sum of the two halves of prods (see coeffs)
     prods = np.empty((2,) + Y.shape, dtype=complex)
-    # per stage: its row, the terms it weighs, its state, its connection
-    # (stage 12 reuses stage 11's point) and its slope
-    outs = [(states[0], state)] * 11 + [(states[1], Y_new)]
+    prod_0, prod_1 = prods
+    # per stage: its row, the terms it weighs, its state (real, and as the
+    # right factor of prods), its connection (stage 12 reuses stage 11's
+    # point) and its slope
+    outs = [(states[0], state[:, None])] * 11 + [(states[1], Y_new[:, None])]
     stages = [
         (hA[i, : i + 2], YK_real[: i + 2], *outs[i], conn[min(i, 10)], K[i + 1]) for i in range(12)
     ]
@@ -574,14 +586,17 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
         np.multiply(h, _A, out=hA[:, 1:])
         for row, terms, st_real, st, c, out in stages:
             np.matmul(row, terms, out=st_real)
-            np.add(*np.multiply(c, st[:, None], out=prods), out=out)
+            np.multiply(c, st, out=prods)
+            np.add(prod_0, prod_1, out=out)
         # combined estimate h |e5|^2 / hypot(|e5|, |e3| / 10) per entry,
         # scaled by tol * (1 + max(|Y|, |Y_new|)); NaN propagates
         np.matmul(_E, YK_real[1:13], out=est_real)
-        a5, a3 = np.abs(est)
+        np.abs(est, out=abs_est)
         np.abs(Y_new, out=abs_new)
-        den = np.hypot(a5, 0.1 * a3) * (1.0 + np.maximum(abs_Y, abs_new))
-        rel_err = a5 * a5 / np.maximum(den, _TINY)
+        np.hypot(a5, np.multiply(0.1, a3, out=den), out=den)
+        den *= np.add(1.0, np.maximum(abs_Y, abs_new, out=rel_err), out=rel_err)
+        np.maximum(den, _TINY, out=den)
+        np.divide(np.multiply(a5, a5, out=rel_err), den, out=rel_err)
         err = float(rel_err.max()) * h / tol
         nsteps += 1
         if not math.isfinite(err):

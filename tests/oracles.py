@@ -4,9 +4,10 @@ Nothing here reuses the code paths it checks: holomorphy comes from local
 valuations, multiplication ranks from point evaluation and SVD, periods from
 composite Gauss-Legendre quadrature, loop words from exact finite-field
 representations of the branch-loop group, loop clearance from the polygon
-rule on drawn letters, exact ranks from sympy, and the stacked
-representation layer of the monodromy from products and norms taken one
-matrix at a time.  The one exception is the whole-polyline transport, which
+rule on drawn letters, exact ranks from sympy, the kernel's square roots
+from products taken one root at a time and its nearer roots from the two
+distances, and the stacked representation layer of the monodromy from
+products and norms taken one matrix at a time.  The one exception is the whole-polyline transport, which
 runs the monodromy's own kernel on every segment of a polyline, circles
 included, with no edge, chart or letter product of its own, and chains the
 segments by its own dense square-root continuation, not the monodromy's
@@ -352,24 +353,33 @@ def word_is_trivial_upstairs(words_product, n_letters, trials=8, seed=7):
 # -- whole-polyline transport reference ------------------------------------------
 
 
-def polyline_transports(systems, polylines, ode_tol):
+def polyline_transports(systems, polylines, ode_tol, kinds=None):
     """Forward transports (n, p, 2 sheets, 2, 2) of n systems along each of p
     polylines, from each start sheet of ``_SHEETS`` at the first vertex, and
-    the (accepted, rejected) steps of the one kernel sweep behind them.
+    the (rows, (accepted, rejected)) of each kernel sweep behind them.
 
-    Every segment of every polyline is a row of that sweep for every system,
-    run on both sheets.  A polyline's transport chains its segments' members,
-    each taken on the sheet that ``vertex_sheets`` reaches at the segment's
-    start."""
+    Every segment of every polyline is a row for every system, run on both
+    sheets.  Rows share one sweep, or, given ``kinds`` (one per segment
+    position; the polylines then have one length), one sweep per kind, so
+    that short segments do not take the steps of the hardest one.  A
+    polyline's transport chains its segments' members, each taken on the
+    sheet that ``vertex_sheets`` reaches at the segment's start."""
     systems = [_coerce(s) for s in systems]
     rows = [(i, p, j) for i in range(len(systems)) for p, line in enumerate(polylines)
             for j in range(len(line) - 1)]
-    members = [(i, f"polyline {p} segment {j}", s) for i, p, j in rows for s in _SHEETS]
-    segments, steps = _transport(
-        np.array([polylines[p][j] for _, p, j in rows], dtype=complex),
-        np.array([polylines[p][j + 1] for _, p, j in rows], dtype=complex),
-        np.array([systems[i].roots for i, _, _ in rows]),
-        np.array([systems[i].matrices for i, _, _ in rows]), ode_tol, members)
+    kind_of = [None if kinds is None else kinds[j] for _, _, j in rows]
+    segments = np.empty((len(rows), len(_SHEETS), 2, 2), dtype=complex)
+    sweeps = []
+    for kind in dict.fromkeys(kind_of):
+        picked = [n for n, k in enumerate(kind_of) if k == kind]
+        part = [rows[n] for n in picked]
+        members = [(i, f"polyline {p} segment {j}", s) for i, p, j in part for s in _SHEETS]
+        segments[picked], steps = _transport(
+            np.array([polylines[p][j] for _, p, j in part], dtype=complex),
+            np.array([polylines[p][j + 1] for _, p, j in part], dtype=complex),
+            np.array([systems[i].roots for i, _, _ in part]),
+            np.array([systems[i].matrices for i, _, _ in part]), ode_tol, members)
+        sweeps.append((len(part), steps))
     out = np.empty((len(systems), len(polylines), len(_SHEETS), 2, 2), dtype=complex)
     out[...] = np.eye(2)
     profiles = {}  # systems often share their roots
@@ -379,7 +389,7 @@ def polyline_transports(systems, polylines, ode_tol):
             profiles[key] = vertex_sheets(systems[i].roots, polylines[p])
         for m, s in enumerate(_SHEETS):
             out[i, p, m] = segment[_SHEETS.index(s * profiles[key][j])] @ out[i, p, m]
-    return out, steps
+    return out, sweeps
 
 
 def integrate_loop(system, loop, ode_tol):
@@ -388,6 +398,24 @@ def integrate_loop(system, loop, ode_tol):
     letter products of ``monodromy``."""
     forward, _ = polyline_transports([system], [loop.vertices], ode_tol)
     return forward[0, 0, _SHEETS.index(loop.sheets[0])]
+
+
+# -- square-root references -----------------------------------------------------------
+
+
+def sqrt_f_by_root(x, root_rows):
+    """Principal sqrt(f(x)), f = prod (x - r) over the rows r of ``root_rows``
+    broadcast against ``x``, multiplied into one array one root at a time:
+    the product that the monodromy's ``_sqrt_f`` must equal bit for bit."""
+    prod = x - root_rows[0]
+    for r in root_rows[1:]:
+        prod *= x - r
+    return np.sqrt(prod)
+
+
+def nearer_root_by_distance(w, y_old):
+    """Of the roots +-w, the one nearer to y_old, by comparing the distances."""
+    return np.where(np.abs(w - y_old) > np.abs(w + y_old), -w, w)
 
 
 # -- per-matrix representation reference -------------------------------------------

@@ -462,3 +462,37 @@ def test_sampling_flag_with_system_json_exit1(tmp_path, capsys, subcommand, flag
     assert code == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calls_share_one_parser_but_no_state(tmp_path, capsys):
+    """``main`` reuses one parser per process; what one call gave, a later
+    call does not see: its seed, or a sampling flag that --system-json
+    refuses."""
+    from diffsys.cli import build_parser
+    from diffsys.curves import HyperellipticCurve
+    from diffsys.systems import builtin_algebra, sample_system, system_to_json
+
+    assert build_parser() is build_parser()
+    out = tmp_path / "report.json"
+    argv = ["criterion", "--branch-points", "0,1,2,3,4", "--out", str(out)]
+    seeds = []
+    for extra in (["--seed", "3"], []):
+        assert run_cli(argv + extra) == 0
+        seeds.append(json.loads(out.read_text())["config"]["seed"])
+    assert seeds == [3, 0]
+    curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
+    system = sample_system(curve, builtin_algebra("sl2"), seed=1, coefficient_bound=2)
+    spath = tmp_path / "system.json"
+    spath.write_text(json.dumps(system_to_json(system)))
+    assert run_cli(argv + ["--scale", "1/2"]) == 0
+    assert run_cli(argv + ["--system-json", str(spath)]) == 0
+    assert "cannot be used with" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["config"]["system"] == system_to_json(system)
+
+
+def test_report_is_one_line_of_sorted_keys(tmp_path):
+    """A report is one line of JSON with sorted keys, the payload as parsed."""
+    out = tmp_path / "dims.json"
+    assert run_cli(["dims", "--genus", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"

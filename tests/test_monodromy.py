@@ -33,7 +33,9 @@ from diffsys.monodromy import (
     _feet,
     _letter_transports,
     _lollipop,
+    _nearer_root,
     _representations,
+    _sqrt_f,
     _transport,
     _words,
 )
@@ -484,10 +486,14 @@ def _drawn_letters(loops):
 
 
 def _full_letters(systems, loops):
-    """Letter transports (n, 2g+1, 2 sheets, 2, 2) from one sweep of every
+    """Letter transports (n, 2g+1, 2 sheets, 2, 2) from sweeps of every
     segment of the whole lollipops in x, the reference for the composed
-    letters."""
-    return oracles.polyline_transports(systems, _drawn_letters(loops), 1e-12)[0]
+    letters: the base-line edges, the first and last segments, in one sweep,
+    and the stems and circles in another, so that their rows do not take the
+    edges' steps (measured at genus 3: 9 against 58)."""
+    letters = _drawn_letters(loops)
+    kinds = ["edge"] + ["turn"] * (letters.shape[1] - 3) + ["edge"]
+    return oracles.polyline_transports(systems, letters, 1e-12, kinds)[0]
 
 
 class TestBatchedTransport:
@@ -652,8 +658,8 @@ class TestBatchedTransport:
         sweep of the whole lollipops in x, per letter member, on one family:
         seeds 1..10 (criterion 6's at genus 2) and seed 1 with each branch
         point moved by 1e-4 and by 1e-4 i, whose turns run about moved
-        centers (measured: 5.8e-14 and 4.4e-14 at genus 2 and 3, partners 9.5e-15
-        and 1.8e-14)."""
+        centers (measured: 1.6e-14 and 3.0e-14 at genus 2 and 3, partners 5.2e-15
+        and 1.0e-14)."""
         curve = HyperellipticCurve.from_integers(range(2 * genus + 1))
         loops = build_loops(curve, 0.22)
         systems = [NumericSystem.from_system(small_system(curve, seed)) for seed in range(1, 11)]
@@ -675,7 +681,7 @@ class TestBatchedTransport:
         loops = build_loops(genus3_curve, 0.22)
         system = NumericSystem.from_system(small_system(genus3_curve, 1))
         letters = _drawn_letters(loops)
-        _, (full_accepted, _) = oracles.polyline_transports([system], letters, 1e-12)
+        _, [(_, (full_accepted, _))] = oracles.polyline_transports([system], letters, 1e-12)
         full_work = letters.size - len(letters), full_accepted
         sweeps = []
         transport = diffsys.monodromy._transport
@@ -700,7 +706,7 @@ class TestBatchedTransport:
         sign between the base (letter 3's foot) and letter 2's foot.  y at
         each foot, chained along the edges, is the oracle's dense
         continuation of sqrt f along the base line, and the composed letters
-        match a full-letter sweep (measured: 6.2e-14)."""
+        match a full-letter sweep (measured: 2.7e-14)."""
         curve = HyperellipticCurve(tuple(es(j, im) for j, im in enumerate((1, -1, 0, 2, -1))))
         loops = build_loops(curve, 0.22)
         system = NumericSystem.from_system(small_system(curve, 1))
@@ -787,6 +793,42 @@ class TestDOP853Transport:
         assert np.array_equal(_E, np.array([coefficients.E5[:12], coefficients.E3[:12]]))
         # the estimators give the FSAL stage no weight, so dropping it loses nothing
         assert coefficients.E5[12] == coefficients.E3[12] == 0.0
+
+    @pytest.mark.parametrize("roots_shape, x_shape, transposed", [
+        ((7, 6), (11, 6), False),  # genus-3 edges: 7 roots, 6 rows, a step's 11 points
+        ((7, 6), (6,), False),  # the same rows' starts
+        ((12, 7), (11, 7), False),  # genus-3 turns: 12 chart roots, 7 rows
+        ((5, 292), (11, 292), False),  # a genus-2 ladder's edges
+        ((8, 365), (11, 365), False),  # and its turns
+        ((8, 365), (365,), True),  # its feet in the charts, roots stacked per row
+        ((7, 3, 1), (8,), True),  # three systems' feet, roots stacked per system
+        ((7, 1), (7, 21), False),  # the letters' sheet profiles
+    ])
+    def test_sqrt_f_is_the_root_by_root_product(self, roots_shape, x_shape, transposed):
+        """``_sqrt_f`` equals the product taken one root at a time, bit for
+        bit, on seeded inputs shaped as each caller passes them: the sweeps'
+        roots contiguous, the feet's transposed."""
+        rng = np.random.default_rng(math.prod(roots_shape) + math.prod(x_shape))
+
+        def sample(shape):
+            return rng.uniform(-1, 7, shape) + 1j * rng.uniform(-2, 2, shape)
+
+        roots = sample(roots_shape[::-1]).T if transposed else sample(roots_shape)
+        x = sample(x_shape)
+        got, ref = _sqrt_f(x, roots), oracles.sqrt_f_by_root(x, roots)
+        assert got.shape == ref.shape
+        assert (got == ref).all()
+
+    def test_nearer_root_is_the_nearer_by_distance(self):
+        """The sign of Re(w conj y_old) picks the root that comparing |w -
+        y_old| with |w + y_old| picks, on seeded pairs away from ties."""
+        rng = np.random.default_rng(19)
+        w = rng.normal(size=(11, 365)) + 1j * rng.normal(size=(11, 365))
+        y_old = rng.normal(size=365) + 1j * rng.normal(size=365)
+        away = np.abs((w * y_old.conjugate()).real) > 1e-9 * np.abs(w) * np.abs(y_old)
+        assert away.mean() > 0.99
+        got = _nearer_root(w.copy(), y_old)
+        assert (got == oracles.nearer_root_by_distance(w, y_old))[away].all()
 
     def test_letter_transport_matches_scipy_dop853(self, genus2_curve, loops_g2):
         """One letter on both sheets against solve_ivp, which carries y as a
