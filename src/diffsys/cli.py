@@ -184,7 +184,7 @@ def _cmd_dims(args):
         raise ConfigError("--genus must be >= 2")
     lie = builtin_algebra(args.algebra)
     report = dimension_report(args.genus, lie)
-    config = {"genus": args.genus, "algebra": args.algebra, "seed": args.seed}
+    config = {"genus": args.genus, "algebra": args.algebra}
     _write_report(args, _report("dims", config, report.to_json()))
     return 0
 
@@ -192,7 +192,7 @@ def _cmd_dims(args):
 def _cmd_noether(args):
     curve = _curve_from_args(args)
     verdict = noether_check(curve)
-    config = {"curve": curve_to_json(curve), "seed": args.seed}
+    config = {"curve": curve_to_json(curve)}
     _write_report(args, _report("noether", config, verdict.to_json()))
     return 0
 
@@ -316,9 +316,10 @@ def _add_format(p):
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _add_common(p):
+def _add_common(p, seeded=True):
     p.add_argument("--out", help="report path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0, action=_Given)
+    if seeded:  # dims and noether draw nothing, so they take no seed
+        p.add_argument("--seed", type=int, default=0, action=_Given)
     # kept so that existing command lines still parse; every subcommand
     # runs in one thread
     p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
@@ -336,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="dimension formulas for the moduli spaces")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--algebra", default="sl2", choices=["sl2", "gl2", "sl3"])
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("noether", help="surjectivity of the full multiplication map")
     _add_curve_args(p)
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_noether)
 
     p = sub.add_parser("lazarsfeld", help="random-subspace surjectivity scan")

@@ -98,17 +98,6 @@ class HyperellipticCurve:
     def float_roots(self) -> list[complex]:
         return [p.to_complex() for p in self.branch_points]
 
-    def f_coefficients(self) -> tuple:
-        """Monic f(x) = prod (x - lambda_k), ascending exact coefficients."""
-        coeffs = [ONE]
-        for lam in self.branch_points:
-            nxt = [ZERO] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - lam * c
-            coeffs = nxt
-        return tuple(coeffs)
-
 
 @dataclass(frozen=True)
 class PlaneQuartic:

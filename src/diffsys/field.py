@@ -1,14 +1,16 @@
 """Exact Gaussian-rational scalars and matrices, with rank in two regimes.
 
-Every rank claim in this package reduces to one of two kernels:
+Every exact rank, independent subset and solve in this package runs one
+elimination, ``_echelon``: fraction-free (Bareiss) elimination.  Each row is
+cleared of denominators in integer arithmetic; the integer matrix is then
+eliminated over Z with plain ints when every entry is real, and over the
+Gaussian integers Z[i] otherwise.  No tolerance, no rounding.  Its pivots
+give ``exact_rank`` (their number, the rank over Q(i)), ``exact_pivots``
+(the columns independent of the columns before them) and ``exact_solve``
+(back substitution on the echelon rows).
 
-* ``exact_rank`` -- fraction-free (Bareiss) elimination.  Each row is
-  cleared of denominators in integer arithmetic; the integer matrix is then
-  eliminated over Z with plain ints when every entry is real, and over the
-  Gaussian integers Z[i] otherwise.  No tolerance, no rounding; the answer is
-  the rank over Q(i).
-* ``numeric_rank`` -- singular values of a complex double matrix with a
-  relative threshold.
+The numeric regime, ``numeric_rank``, counts the singular values of a
+complex double matrix above a relative threshold.
 
 Matrices here are small (tens of rows), so exactness is cheap.
 """
@@ -27,7 +29,9 @@ __all__ = [
     "ExactMatrix",
     "FloatMatrix",
     "SingularValueError",
+    "exact_pivots",
     "exact_rank",
+    "exact_solve",
     "numeric_rank",
 ]
 
@@ -233,7 +237,7 @@ class FloatMatrix:
         return np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
 
 
-# -- exact rank (Bareiss over Z or the Gaussian integers) --------------------
+# -- exact elimination (Bareiss over Z or the Gaussian integers) -------------
 
 
 def _z_divexact(a: int, b: int) -> int:
@@ -268,17 +272,22 @@ _INTEGERS = (0, 1, operator.mul, operator.sub, _z_divexact)
 _GAUSSIAN_INTEGERS = ((0, 0), (1, 0), _gi_mul, _gi_sub, _gi_divexact)
 
 
-def exact_rank(m: ExactMatrix) -> int:
-    """Rank of ``m`` over Q(i), by fraction-free elimination.
+def _echelon(m: ExactMatrix):
+    """Fraction-free row echelon form of ``m``: ``(rows, pivots, real)``.
 
-    Each row is scaled by the lcm of its denominators (rank-preserving), in
+    Each row is scaled by the lcm of its denominators (a row operation), in
     integer arithmetic.  Bareiss two-step elimination then runs over Z when
-    every scaled entry is real and over the Gaussian integers otherwise, so
-    intermediate entries stay polynomially bounded.  Every division is exact
-    and checked: a remainder raises ``ArithmeticError``.
+    every scaled entry is real (``real``; entries are ints) and over the
+    Gaussian integers otherwise (entries are (re, im) pairs), so intermediate
+    entries stay polynomially bounded.  Every division is exact and checked:
+    a remainder raises ``ArithmeticError``.
+
+    ``pivots`` lists the pivot columns in order; ``rows[r]`` is the echelon
+    row of ``pivots[r]``.  Its entries from ``pivots[r]`` on are final; those
+    before it are not updated and read as zero.
     """
     if m.rows == 0 or m.cols == 0:
-        return 0
+        return [], [], True
     work = []
     for i in range(m.rows):
         row = m.row(i)
@@ -289,6 +298,7 @@ def exact_rank(m: ExactMatrix) -> int:
     work = [[re for re, _ in row] for row in work] if real else work
     zero, prev, mul, sub, divexact = _INTEGERS if real else _GAUSSIAN_INTEGERS
     nrows, ncols = m.rows, m.cols
+    pivots = []
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if work[i][c] != zero), None)
@@ -306,10 +316,48 @@ def exact_rank(m: ExactMatrix) -> int:
                 for a, b in zip(row[c + 1 :], top[c + 1 :])
             ]
         prev = piv
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return work, pivots, real
+
+
+def exact_rank(m: ExactMatrix) -> int:
+    """Rank of ``m`` over Q(i): the number of pivots of ``_echelon``."""
+    return len(_echelon(m)[1])
+
+
+def exact_pivots(m: ExactMatrix) -> list:
+    """The columns of ``m`` that are independent of the columns before them,
+    in order: the first maximal independent subset of its columns."""
+    return _echelon(m)[1]
+
+
+def exact_solve(columns, target) -> tuple:
+    """The x with sum_k x_k * columns[k] = target, over Q(i).
+
+    Back substitution on the echelon form of [columns | target].  Raises
+    ``ArithmeticError`` when the columns are dependent (x is not unique) or
+    target lies outside their span (no x exists).
+    """
+    n = len(columns)
+    aug = ExactMatrix.from_rows([*(c[r] for c in columns), t] for r, t in enumerate(target))
+    rows, pivots, real = _echelon(aug)
+    if pivots[-1:] == [n]:
+        raise ArithmeticError("target does not lie in the span of the columns")
+    if len(pivots) < n:
+        raise ArithmeticError("dependent columns: the solution is not unique")
+    # the pivots are 0..n-1, so echelon row k has its pivot in column k
+    scalar = ExactScalar.of if real else lambda z: ExactScalar.of(*z)
+    x = [ZERO] * n
+    for k in reversed(range(n)):
+        row = [scalar(e) for e in rows[k][k:]]
+        acc = row[-1]
+        for j in range(k + 1, n):
+            acc = acc - row[j - k] * x[j]
+        x[k] = acc / row[0]
+    return tuple(x)
 
 
 # -- numeric rank -------------------------------------------------------------

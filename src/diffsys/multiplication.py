@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .curves import DifferentialBasis, canonical_basis, curve_to_json
-from .field import ExactMatrix, ExactScalar, ZERO, ONE, exact_rank
+from .field import ExactMatrix, ExactScalar, ZERO, ONE, exact_pivots, exact_rank
 
 __all__ = [
     "SubspaceSelection",
@@ -71,23 +71,8 @@ class MultiplicationMatrix:
     product of weight-1 basis element ``i`` with W generator ``j``.
     """
 
-    curve: object
-    domain_description: str
     matrix: ExactMatrix
     rank: int
-
-    @property
-    def corank(self) -> int:
-        return self.matrix.rows - self.rank
-
-    def to_json(self):
-        return {
-            "curve": curve_to_json(self.curve),
-            "domain": self.domain_description,
-            "rows": self.matrix.rows,
-            "cols": self.matrix.cols,
-            "rank": self.rank,
-        }
 
 
 def theta_matrix(curve, w: SubspaceSelection) -> MultiplicationMatrix:
@@ -110,12 +95,7 @@ def theta_matrix(curve, w: SubspaceSelection) -> MultiplicationMatrix:
             columns.append(col)
     entries = tuple(col[r] for r in range(nrows) for col in columns)
     mat = ExactMatrix(nrows, len(columns), entries)
-    desc = (
-        "full H0(K) (x) H0(K)"
-        if w.dimension == len(w.ambient)
-        else f"H0(K) (x) W, dim W = {w.dimension}"
-    )
-    return MultiplicationMatrix(curve, desc, mat, exact_rank(mat))
+    return MultiplicationMatrix(mat, exact_rank(mat))
 
 
 def full_subspace(curve) -> SubspaceSelection:
@@ -249,17 +229,10 @@ class CriterionVerdict:
 
 
 def exact_row_basis(vectors) -> list:
-    """A maximal exactly-independent subset of the given coordinate vectors."""
-    chosen = []
-    rank = 0
-    for v in vectors:
-        if all(c.is_zero() for c in v):
-            continue
-        candidate = chosen + [tuple(v)]
-        if exact_rank(ExactMatrix.from_rows(candidate)) > rank:
-            chosen = candidate
-            rank += 1
-    return chosen
+    """The first maximal exactly-independent subset of the given coordinate
+    vectors, in order: the pivot columns of the vectors taken as columns."""
+    vectors = [tuple(v) for v in vectors]
+    return [vectors[k] for k in exact_pivots(ExactMatrix.from_rows(vectors).transpose())]
 
 
 def criterion_injective(curve, system) -> CriterionVerdict:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .curves import curve_from_json, curve_to_json
-from .field import ExactMatrix, ExactScalar, ZERO, ONE, exact_rank
+from .field import ExactMatrix, ExactScalar, ZERO, exact_rank, exact_solve
 
 __all__ = [
     "LieAlgebraData",
@@ -34,37 +34,6 @@ __all__ = [
     "system_to_json",
     "system_from_json",
 ]
-
-
-def _exact_solve(columns, target):
-    """Solve sum_k x_k * columns[k] = target exactly; unique solution assumed."""
-    n = len(target)
-    m = len(columns)
-    aug = [[columns[k][r] for k in range(m)] + [target[r]] for r in range(n)]
-    piv_rows = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = ONE / pr[c]
-        aug[r] = [v * inv for v in pr]
-        for i in range(n):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append((r, c))
-        r += 1
-    x = [ZERO] * m
-    for row, col in piv_rows:
-        x[col] = aug[row][m]
-    # consistency: rows beyond the pivots must have zero target
-    for i in range(r, n):
-        if not aug[i][m].is_zero():
-            raise ArithmeticError("bracket does not lie in the basis span")
-    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -124,7 +93,8 @@ class LieAlgebraData:
         return tuple(out)
 
     def to_json(self):
-        if self.name in _BUILTIN_CACHE:
+        builtin = _BUILTIN_CACHE.get(self.name)
+        if builtin is not None and builtin.structure_constants == self.structure_constants:
             return self.name
         return {
             "name": self.name,
@@ -148,7 +118,7 @@ def _structure_from_rep(name, mats):
         plane = []
         for j in range(n):
             bracket = _mat_sub(mats[i].matmul(mats[j]), mats[j].matmul(mats[i]))
-            plane.append(list(_exact_solve(columns, tuple(bracket.entries))))
+            plane.append(list(exact_solve(columns, tuple(bracket.entries))))
         table.append(plane)
     return LieAlgebraData.from_structure_constants(name, table, rep_matrices=tuple(mats))
 
@@ -372,7 +342,7 @@ def conjugate_system(system: DifferentialSystem, s: ExactMatrix) -> Differential
     )
     columns = [tuple(m.entries) for m in lie.rep_matrices]
     new_cols = [
-        _exact_solve(columns, tuple(s.matmul(m).matmul(s_inv).entries))
+        exact_solve(columns, tuple(s.matmul(m).matmul(s_inv).entries))
         for m in mats
     ]
     g = len(new_cols)

@@ -4,7 +4,8 @@ Nothing here reuses the code paths it checks: holomorphy comes from local
 valuations, multiplication ranks from point evaluation and SVD, periods from
 composite Gauss-Legendre quadrature, loop words from exact finite-field
 representations of the branch-loop group, loop clearance from the polygon
-rule on drawn letters, exact ranks from sympy, the kernel's square roots
+rule on drawn letters, exact ranks, pivots and solves from sympy, the
+first independent subset by a greedy sympy-rank loop, the kernel's square roots
 from products taken one root at a time and its nearer roots from the two
 distances, and the stacked representation layer of the monodromy from
 products and norms taken one matrix at a time.  The one exception is the whole-polyline transport, which
@@ -24,7 +25,7 @@ import numpy.polynomial.legendre as leg
 import sympy
 
 from diffsys.curves import HyperellipticCurve, PlaneQuartic
-from diffsys.field import ExactScalar, FloatMatrix, numeric_rank
+from diffsys.field import ExactMatrix, ExactScalar, FloatMatrix, numeric_rank
 from diffsys.monodromy import _SHEETS, _coerce, _transport
 
 # -- valuation oracle for hyperelliptic differentials --------------------------
@@ -481,20 +482,61 @@ def traces(mats, names, words):
     return tuple(values)
 
 
-# -- sympy exact-rank oracle -------------------------------------------------------
+# -- sympy exact-rank, pivot and solve oracles ----------------------------------
+
+
+def _sympy_scalar(e):
+    return sympy.Rational(e.re.numerator, e.re.denominator) + sympy.I * sympy.Rational(
+        e.im.numerator, e.im.denominator
+    )
+
+
+def _exact_scalar(v):
+    re, im = sympy.Rational(sympy.re(v)), sympy.Rational(sympy.im(v))
+    return ExactScalar.of(Fraction(re.p, re.q), Fraction(im.p, im.q))
+
+
+def _sympy_matrix(exact_matrix):
+    return sympy.Matrix(
+        exact_matrix.rows, exact_matrix.cols, [_sympy_scalar(e) for e in exact_matrix.entries]
+    )
 
 
 def sympy_rank(exact_matrix):
-    rows = []
-    for i in range(exact_matrix.rows):
-        row = []
-        for j in range(exact_matrix.cols):
-            e = exact_matrix.get(i, j)
-            row.append(
-                sympy.Rational(e.re.numerator, e.re.denominator)
-                + sympy.I * sympy.Rational(e.im.numerator, e.im.denominator)
-            )
-        rows.append(row)
-    if not rows or not rows[0]:
+    if exact_matrix.rows == 0 or exact_matrix.cols == 0:
         return 0
-    return sympy.Matrix(rows).rank()
+    return _sympy_matrix(exact_matrix).rank()
+
+
+def sympy_pivots(exact_matrix):
+    """Pivot columns of sympy's reduced row echelon form."""
+    if exact_matrix.rows == 0 or exact_matrix.cols == 0:
+        return []
+    return list(_sympy_matrix(exact_matrix).rref()[1])
+
+
+def sympy_solve(columns, target):
+    """The x with sum_k x_k * columns[k] = target, as exact scalars, from
+    sympy's Gauss-Jordan solve; None when x is not unique.  sympy raises
+    ValueError when no x exists."""
+    a = sympy.Matrix(len(target), len(columns), lambda r, k: _sympy_scalar(columns[k][r]))
+    b = sympy.Matrix([_sympy_scalar(t) for t in target])
+    x, params = a.gauss_jordan_solve(b)
+    if params.shape[0]:
+        return None
+    return tuple(_exact_scalar(v) for v in x)
+
+
+def greedy_row_basis(vectors):
+    """The first maximal independent subset of ``vectors``, in order: keep a
+    vector when it raises the (sympy) rank of the vectors kept so far."""
+    chosen = []
+    rank = 0
+    for v in vectors:
+        if all(c.is_zero() for c in v):
+            continue
+        candidate = chosen + [tuple(v)]
+        if sympy_rank(ExactMatrix.from_rows(candidate)) > rank:
+            chosen = candidate
+            rank += 1
+    return chosen

@@ -430,6 +430,12 @@ class TestConfigFile:
         assert report["config"]["fd_steps"] == [1e-4, 1e-5, 1e-6]
         assert report["result"]["ranks"] == [6, 6, 6]
 
+    def test_dims_and_noether_take_no_seed(self, capsys):
+        """Neither draws anything, so a seed would be accepted and ignored."""
+        assert run_cli(["dims", "--genus", "2", "--seed", "1"]) == 1
+        assert run_cli(["noether", "--quartic", "klein", "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_config_boolean_or_object_exit1(self, tmp_path, capsys):
         for value in (True, {"value": 2}, None):
             cfg = tmp_path / "bad.json"

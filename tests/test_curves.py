@@ -47,14 +47,6 @@ class TestCurveConstruction:
         with pytest.raises(CurveError):
             HyperellipticCurve.from_integers([0, 1, 2])
 
-    def test_f_expansion(self):
-        c = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
-        coeffs = c.f_coefficients()
-        # f(x) = x(x-1)(x-2)(x-3)(x-4) = x^5 - 10x^4 + 35x^3 - 50x^2 + 24x
-        expected = [0, 24, -50, 35, -10, 1]
-        assert [c_.re for c_ in coeffs] == [Fraction(v) for v in expected]
-        assert all(c_.im == 0 for c_ in coeffs)
-
     def test_user_quartic_needs_assertion(self):
         form = {(4, 0, 0): es(1), (0, 4, 0): es(1), (0, 0, 4): es(1), (1, 1, 2): es(3)}
         with pytest.raises(CurveError):

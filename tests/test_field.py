@@ -11,11 +11,13 @@ from diffsys.field import (
     FloatMatrix,
     _gi_divexact,
     _z_divexact,
+    exact_pivots,
     exact_rank,
+    exact_solve,
     numeric_rank,
 )
 
-from oracles import sympy_rank
+from oracles import sympy_pivots, sympy_rank, sympy_solve
 
 
 def es(re, im=0):
@@ -161,6 +163,80 @@ class TestExactRank:
         rows = [list(m.row(i)) for i in range(4)]
         rng.shuffle(rows)
         assert exact_rank(ExactMatrix.from_rows(rows)) == exact_rank(m)
+
+
+def _columns(m):
+    return [tuple(m.get(i, j) for i in range(m.rows)) for j in range(m.cols)]
+
+
+def _deficient(rng, make, rows, cols, rank):
+    """A seeded matrix of rank at most ``rank`` with a zero column and a
+    repeated column inserted at seeded places."""
+    columns = _columns(make(rng, rows, rank, mag=7).matmul(make(rng, rank, cols, mag=7)))
+    columns.insert(rng.randint(0, len(columns)), (es(0),) * rows)
+    columns.insert(rng.randint(0, len(columns)), rng.choice(columns))
+    return ExactMatrix.from_rows(columns).transpose()
+
+
+class TestExactPivots:
+    @pytest.mark.parametrize("make", [random_real_matrix, random_exact_matrix])
+    def test_match_sympy_rref(self, make):
+        rng = random.Random(31)
+        for _ in range(20):
+            n, k = rng.randint(1, 5), rng.randint(1, 5)
+            for m in (make(rng, n, k, mag=9), _deficient(rng, make, n, k, rng.randint(0, 3))):
+                pivots = exact_pivots(m)
+                assert pivots == sympy_pivots(m)
+                assert len(pivots) == exact_rank(m)
+
+    def test_degenerate_shapes(self):
+        assert exact_pivots(ExactMatrix.zeros(0, 3)) == []
+        assert exact_pivots(ExactMatrix.zeros(3, 0)) == []
+        assert exact_pivots(ExactMatrix.zeros(2, 2)) == []
+
+
+class TestExactSolve:
+    @pytest.mark.parametrize("make", [random_real_matrix, random_exact_matrix])
+    def test_matches_sympy(self, make):
+        rng = random.Random(37)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            columns = _columns(make(rng, n, rng.randint(1, n), mag=9))
+            x = _columns(make(rng, len(columns), 1, mag=9))[0]
+            target = tuple(
+                sum((xk * c[i] for xk, c in zip(x, columns)), es(0)) for i in range(n)
+            )
+            assert exact_solve(columns, target) == sympy_solve(columns, target) == x
+
+    @pytest.mark.parametrize("make", [random_real_matrix, random_exact_matrix])
+    def test_raises_on_dependent_columns(self, make):
+        rng = random.Random(41)
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            m = _deficient(rng, make, n, rng.randint(1, 3), rng.randint(1, 2))
+            columns = _columns(m)
+            target = columns[-1]
+            assert sympy_solve(columns, target) is None
+            with pytest.raises(ArithmeticError, match="dependent"):
+                exact_solve(columns, target)
+
+    @pytest.mark.parametrize("make", [random_real_matrix, random_exact_matrix])
+    def test_raises_outside_the_span(self, make):
+        rng = random.Random(43)
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            # the columns end in 0 and the target in 1
+            columns = [c + (es(0),) for c in _columns(make(rng, n - 1, rng.randint(1, n), mag=9))]
+            target = _columns(make(rng, n - 1, 1, mag=9))[0] + (es(1),)
+            with pytest.raises(ValueError, match="no solution"):
+                sympy_solve(columns, target)
+            with pytest.raises(ArithmeticError, match="span"):
+                exact_solve(columns, target)
+
+    def test_no_columns(self):
+        assert exact_solve([], (es(0), es(0))) == ()
+        with pytest.raises(ArithmeticError, match="span"):
+            exact_solve([], (es(0), es(1)))
 
 
 def _random_unimodular(rng, n):

@@ -26,7 +26,7 @@ from diffsys.multiplication import (
 )
 from diffsys.systems import DifferentialSystem, builtin_algebra, sample_system
 
-from oracles import evaluation_rank, theta_products
+from oracles import evaluation_rank, greedy_row_basis, theta_products
 
 
 def es(re, im=0):
@@ -407,3 +407,29 @@ class TestExactRowBasis:
     def test_skips_zero_rows(self):
         rows = [(es(0), es(0)), (es(1), es(1))]
         assert len(exact_row_basis(rows)) == 1
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_matches_greedy_oracle(self, gaussian):
+        """The first independent subset, in order, on seeded vectors among
+        which are zero vectors, repeats and combinations of earlier ones."""
+        rng = random.Random(47)
+
+        def scalar(bound):
+            return es(rng.randint(-bound, bound), rng.randint(-bound, bound) if gaussian else 0)
+
+        for _ in range(25):
+            g = rng.randint(1, 5)
+            vectors = []
+            for _ in range(rng.randint(1, 7)):
+                kind = rng.randrange(4) if vectors else 0
+                if kind == 0:
+                    v = tuple(scalar(3) for _ in range(g))
+                elif kind == 1:
+                    v = (es(0),) * g
+                elif kind == 2:
+                    v = rng.choice(vectors)
+                else:
+                    a, b, c = rng.choice(vectors), rng.choice(vectors), scalar(2)
+                    v = tuple(x + c * y for x, y in zip(a, b))
+                vectors.append(v)
+            assert exact_row_basis(vectors) == greedy_row_basis(vectors)

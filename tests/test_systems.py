@@ -228,6 +228,18 @@ class TestSystemSerialization:
         assert t.lie.name == "my_sl2"
         assert t.lie.structure_constants == sl2.structure_constants
 
+    def test_roundtrip_user_table_named_like_a_builtin(self, genus2_curve):
+        """A table named "sl2" with other structure constants is written in
+        full, so it does not read back as the built-in."""
+        sl2 = builtin_algebra("sl2")
+        doubled = [[[c * es(2) for c in r] for r in p] for p in sl2.structure_constants]
+        custom = LieAlgebraData.from_structure_constants("sl2", doubled)
+        s = DifferentialSystem(genus2_curve, custom, ExactMatrix.zeros(3, 2))
+        t = system_from_json(json.loads(json.dumps(system_to_json(s))))
+        assert t.lie.name == "sl2"
+        assert t.lie.structure_constants == custom.structure_constants != sl2.structure_constants
+        assert sl2.to_json() == "sl2"
+
 
 class TestCoefficientMatrices:
     def test_sl2_layout(self, genus2_curve):
