@@ -5,8 +5,8 @@ Layers, bottom up:
 
 * :mod:`diffsys.field` -- exact Gaussian-rational matrices with fraction-free
   rank, and numeric rank via singular values;
-* :mod:`diffsys.curves` -- hyperelliptic and plane-quartic models with exact
-  monomial bases of differentials and quadratic differentials;
+* :mod:`diffsys.curves` -- hyperelliptic and plane-quartic models and the
+  index table of products of their monomial bases of differentials;
 * :mod:`diffsys.multiplication` -- multiplication-map matrices and the
   surjectivity/injectivity criteria built from their exact ranks;
 * :mod:`diffsys.systems` -- Lie-algebra tables, differential systems,

@@ -189,11 +189,6 @@ class ExactMatrix:
                 out.append(acc)
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
-    def to_float(self) -> "FloatMatrix":
-        return FloatMatrix(
-            self.rows, self.cols, tuple(e.to_complex() for e in self.entries)
-        )
-
     def to_json(self):
         return {
             "rows": self.rows,
@@ -366,8 +361,8 @@ def exact_solve(columns, target) -> tuple:
 _SVD_ATTEMPTS = 2  # SVD tries, alternating the matrix and its conjugate transpose
 
 
-def numeric_rank(m: FloatMatrix, rel_tol: float = 1e-10):
-    """Numeric rank and singular values of ``m``.
+def numeric_rank(a: np.ndarray, rel_tol: float = 1e-10):
+    """Numeric rank and singular values of the 2-d array ``a``.
 
     Returns ``(rank, singular_values)`` where rank counts the singular values
     above ``rel_tol * sigma_max`` (0 when the matrix is zero or empty); the
@@ -378,9 +373,10 @@ def numeric_rank(m: FloatMatrix, rel_tol: float = 1e-10):
     """
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
-    if m.rows == 0 or m.cols == 0:
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    if a.size == 0:
         return 0, []
-    a = m.to_numpy()
     last_err = None
     for attempt in range(_SVD_ATTEMPTS):
         try:
@@ -393,7 +389,7 @@ def numeric_rank(m: FloatMatrix, rel_tol: float = 1e-10):
             f"SVD failed to converge after {_SVD_ATTEMPTS} attempts"
         ) from last_err
     values = [float(x) for x in s]
-    smax = values[0] if values else 0.0
+    smax = values[0]
     if smax == 0.0:
         return 0, values
     rank = sum(1 for x in values if x > rel_tol * smax)

@@ -370,11 +370,10 @@ def _report(center, fd_step, cols, verdict, probe, center_rep, status):
         jac[0::2, j] = col.real
         jac[1::2, j] = col.imag
 
-    fm = FloatMatrix.from_numpy(jac.astype(complex))
-    _, raw_sigma = numeric_rank(fm, rel_tol=_RANK_REL_FLOOR)
-    _, sigma = numeric_rank(
-        FloatMatrix.from_numpy(_equilibrate(jac).astype(complex)), rel_tol=_RANK_REL_FLOOR
-    )
+    raw = jac.astype(complex)
+    fm = FloatMatrix.from_numpy(raw)
+    _, raw_sigma = numeric_rank(raw, rel_tol=_RANK_REL_FLOOR)
+    _, sigma = numeric_rank(_equilibrate(jac).astype(complex), rel_tol=_RANK_REL_FLOOR)
     real_rank, gap_ratio = _gap_rank(sigma)
     even = real_rank % 2 == 0
 

@@ -10,11 +10,11 @@ its matrix:
 * the injectivity criterion for a differential system, evaluated through
   the span of its contraction image.
 
-The map is bilinear, so the g^2 products of weight-1 basis pairs fix every
-theta matrix on a curve: each basis forms them once, as its product table
-(``DifferentialBasis.products``), and a column is a linear combination of
-table entries.  ``canonical_basis`` is memoized per curve, so every scan
-trial, Noether check and criterion on a curve shares one table.
+The map is bilinear, and the product of weight-1 basis elements i and j is
+the single weight-2 basis element ``product_slots(curve)[i][j]``.  So a
+column of a theta matrix is a W generator's coordinates placed at the slots
+of one table row: no product of differentials is formed, and no arithmetic
+is done.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .curves import DifferentialBasis, canonical_basis, curve_to_json
+from .curves import Curve, curve_to_json, product_slots
 from .field import ExactMatrix, ExactScalar, ZERO, ONE, exact_pivots, exact_rank
 
 __all__ = [
@@ -41,15 +41,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubspaceSelection:
-    """A subspace of the weight-1 space, spanned by exact coordinate vectors."""
+    """A subspace of the weight-1 space of ``curve``, spanned by exact
+    coordinate vectors over its monomial basis."""
 
-    ambient: DifferentialBasis
-    generators: tuple  # tuple of coordinate tuples over the ambient basis
+    curve: Curve
+    generators: tuple  # tuple of coordinate tuples over the weight-1 basis
 
     def __post_init__(self):
-        g = len(self.ambient)
+        g = self.curve.genus
         if any(len(v) != g for v in self.generators):
-            raise ValueError("generator length does not match ambient basis")
+            raise ValueError("generator length does not match the genus")
         if self.generators:
             mat = ExactMatrix.from_rows(self.generators)
             if exact_rank(mat) != len(self.generators):
@@ -76,35 +77,33 @@ class MultiplicationMatrix:
 
 
 def theta_matrix(curve, w: SubspaceSelection) -> MultiplicationMatrix:
-    """Multiplication restricted to H0(K) (x) W, with exact rank certificate.
-
-    The map is bilinear, so column (i, w) is sum_j w_j * P[i][j], read from
-    the product table P = ``w.ambient.products`` that the ambient basis forms
-    once; no product of differentials is formed per column.
-    """
-    if w.ambient.curve != curve:
+    """Multiplication restricted to H0(K) (x) W, with exact rank certificate."""
+    if w.curve != curve:
         raise ValueError("subspace W lies on a different curve")
-    nrows = 3 * curve.genus - 3
-    columns = []
-    for products in w.ambient.products:
-        for coords in w.generators:
-            col = [ZERO] * nrows
-            for c, entries in zip(coords, products):
-                for r, v in entries:  # a row's first term is stored, not added to ZERO
-                    col[r] = c * v if col[r] is ZERO else col[r] + c * v
-            columns.append(col)
-    entries = tuple(col[r] for r in range(nrows) for col in columns)
-    mat = ExactMatrix(nrows, len(columns), entries)
+    return _theta(curve, w.generators)
+
+
+def _theta(curve, generators) -> MultiplicationMatrix:
+    """Column (i, j) holds generator j's coordinate l at row
+    ``product_slots(curve)[i][l]``.  A row of the table has distinct slots,
+    so every entry is one coordinate, never a sum."""
+    g, k = curve.genus, len(generators)
+    nrows, ncols = 3 * g - 3, g * k
+    entries = [ZERO] * (nrows * ncols)
+    for i, slots in enumerate(product_slots(curve)):
+        for j, coords in enumerate(generators):
+            for r, c in zip(slots, coords):
+                entries[r * ncols + i * k + j] = c
+    mat = ExactMatrix(nrows, ncols, tuple(entries))
     return MultiplicationMatrix(mat, exact_rank(mat))
 
 
 def full_subspace(curve) -> SubspaceSelection:
-    basis = canonical_basis(curve)
-    g = len(basis)
+    g = curve.genus
     gens = tuple(
         tuple(ONE if i == j else ZERO for j in range(g)) for i in range(g)
     )
-    return SubspaceSelection(basis, gens)
+    return SubspaceSelection(curve, gens)
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,8 @@ _COORD_BOUND = 10  # scan coordinates are integers in [-10, 10]
 _DRAW_TRIES = 200  # draws before a scan trial gives up on independence
 
 
-def _draw_subspace(basis, w_dim, rng):
-    g = len(basis)
+def _draw_subspace(curve, w_dim, rng):
+    g = curve.genus
     for _ in range(_DRAW_TRIES):
         rows = [
             [rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(g)]
@@ -165,7 +164,7 @@ def _draw_subspace(basis, w_dim, rng):
         ]
         gens = tuple(tuple(ExactScalar.of(v) for v in row) for row in rows)
         try:
-            return rows, SubspaceSelection(basis, gens)
+            return rows, SubspaceSelection(curve, gens)
         except ValueError:  # dependent draw: rows have length g by construction
             continue
     raise RuntimeError("failed to draw an independent random subspace")
@@ -194,14 +193,13 @@ def lazarsfeld_scan(
     g = curve.genus
     if w_dim < 1 or w_dim > g:
         raise ValueError(f"w_dim must lie in 1..{g}")
-    basis = canonical_basis(curve)
     target = 3 * g - 3
 
     successes = 0
     failures = []
     everything = []
     for t in range(trials):
-        rows, w = _draw_subspace(basis, w_dim, random.Random(f"{seed}:{t}"))
+        rows, w = _draw_subspace(curve, w_dim, random.Random(f"{seed}:{t}"))
         rank = theta_matrix(curve, w).rank
         if rank == target:
             successes += 1
@@ -251,8 +249,6 @@ def criterion_injective(curve, system) -> CriterionVerdict:
     v_basis = exact_row_basis(rows)
     if not v_basis:
         return CriterionVerdict(False, 0, 0)
-    basis = canonical_basis(curve)
-    w = SubspaceSelection(basis, tuple(v_basis))
-    theta = theta_matrix(curve, w)
+    theta = _theta(curve, v_basis)  # rows chosen independent: no SubspaceSelection check
     target = 3 * curve.genus - 3
-    return CriterionVerdict(theta.rank == target, w.dimension, theta.rank)
+    return CriterionVerdict(theta.rank == target, len(v_basis), theta.rank)

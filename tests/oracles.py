@@ -1,8 +1,9 @@
 """Independent oracles used across the test suite.
 
 Nothing here reuses the code paths it checks: holomorphy comes from local
-valuations, multiplication ranks from point evaluation and SVD, periods from
-composite Gauss-Legendre quadrature, loop words from exact finite-field
+valuations, theta matrices from the documented monomials multiplied as
+polynomials or forms, multiplication ranks from point evaluation and SVD,
+periods from composite Gauss-Legendre quadrature, loop words from exact finite-field
 representations of the branch-loop group, loop clearance from the polygon
 rule on drawn letters, exact ranks, pivots and solves from sympy, the
 first independent subset by a greedy sympy-rank loop, the kernel's square roots
@@ -25,7 +26,7 @@ import numpy.polynomial.legendre as leg
 import sympy
 
 from diffsys.curves import HyperellipticCurve, PlaneQuartic
-from diffsys.field import ExactMatrix, ExactScalar, FloatMatrix, numeric_rank
+from diffsys.field import ExactMatrix, ExactScalar, numeric_rank
 from diffsys.monodromy import _SHEETS, _coerce, _transport
 
 # -- valuation oracle for hyperelliptic differentials --------------------------
@@ -141,22 +142,106 @@ def evaluation_rank(curve, differentials, rel_tol=1e-10, seed=1234):
                 )
                 row.append(val)
             rows.append(row)
-    mat = FloatMatrix.from_numpy(np.array(rows, dtype=complex))
-    rank, _ = numeric_rank(mat, rel_tol)
+    rank, _ = numeric_rank(np.array(rows, dtype=complex), rel_tol)
     return rank
 
 
-def theta_products(curve, basis1, w_coords_list):
-    """(numer, denom_class) pairs for all products basis x W, in matrix column order."""
-    from diffsys.curves import combine, multiply
+# -- monomial bases and their products ----------------------------------------
+#
+# The documented bases, written out here rather than read from diffsys: a
+# differential is (numerator, denominator class).  Hyperelliptic numerators
+# are ascending x-coefficient tuples over "y" or "y2"; quartic numerators are
+# ((exponents, coefficient), ...) over "adj" (weight 1) or "adj2" (weight 2).
 
-    w_els = [combine(basis1, coords) for coords in w_coords_list]
-    out = []
-    for el in basis1.elements:
-        for wel in w_els:
-            prod = multiply(el, wel, curve)
-            out.append((prod.numerator, prod.denom_class))
+_LINEAR = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_QUADRATIC = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_ZERO, _ONE = ExactScalar.of(0), ExactScalar.of(1)
+
+
+def _x_power(i):
+    return (_ZERO,) * i + (_ONE,)
+
+
+def weight1_monomials(curve):
+    """x^i dx/y for 0 <= i < g, or the linear forms x, y, z."""
+    if isinstance(curve, HyperellipticCurve):
+        return [(_x_power(i), "y") for i in range(curve.genus)]
+    return [(((e, _ONE),), "adj") for e in _LINEAR]
+
+
+def weight2_monomials(curve):
+    """x^i dx^2/y^2 for 0 <= i <= 2g-2, then x^j dx^2/y for 0 <= j <= g-3; or
+    the quadratic forms x^2, y^2, z^2, xy, xz, yz."""
+    if isinstance(curve, HyperellipticCurve):
+        g = curve.genus
+        return [(_x_power(i), "y2") for i in range(2 * g - 1)] + [
+            (_x_power(j), "y") for j in range(g - 2)
+        ]
+    return [(((e, _ONE),), "adj2") for e in _QUADRATIC]
+
+
+def _terms(numer, denom_class):
+    """The nonzero monomial terms as ((class, monomial), coefficient) pairs."""
+    pairs = enumerate(numer) if denom_class in ("y", "y2") else numer
+    return [((denom_class, m), c) for m, c in pairs if not c.is_zero()]
+
+
+def _combination(basis, coords):
+    acc = {}
+    for c, (numer, denom_class) in zip(coords, basis):
+        for key, v in _terms(numer, denom_class):
+            acc[key] = acc.get(key, _ZERO) + c * v
+    return acc
+
+
+def _multiply(a, b):
+    """Product of two weight-1 differentials given as {(class, monomial): c}:
+    polynomials in x over y * y = y^2, or forms over adj * adj = adj2."""
+    out = {}
+    for (cls, m1), c1 in a.items():
+        for (_, m2), c2 in b.items():
+            if cls == "y":
+                key = ("y2", m1 + m2)
+            else:
+                key = ("adj2", tuple(p + q for p, q in zip(m1, m2)))
+            out[key] = out.get(key, _ZERO) + c1 * c2
     return out
+
+
+def _products(curve, w_coords):
+    basis = weight1_monomials(curve)
+    ws = [_combination(basis, coords) for coords in w_coords]
+    return [_multiply(dict(_terms(*b)), w) for b in basis for w in ws]
+
+
+def theta_products(curve, w_coords):
+    """The products basis_i * W_j in theta-matrix column order (i * dim W + j)
+    as (numerator, denominator class) pairs, multiplied as polynomials or
+    forms from this module's own monomials."""
+    out = []
+    for product in _products(curve, w_coords):
+        if isinstance(curve, HyperellipticCurve):
+            numer = [_ZERO] * (2 * curve.genus - 1)
+            for (_, i), c in product.items():
+                numer[i] = c
+            out.append((tuple(numer), "y2"))
+        else:
+            out.append((tuple((e, c) for (_, e), c in product.items()), "adj2"))
+    return out
+
+
+def theta_columns(curve, w_coords):
+    """``theta_products`` written in the weight-2 monomial basis: one exact
+    coordinate column per product.  A term outside the basis fails."""
+    index = {_terms(*m)[0][0]: r for r, m in enumerate(weight2_monomials(curve))}
+    columns = []
+    for product in _products(curve, w_coords):
+        col = [_ZERO] * len(index)
+        for key, c in product.items():
+            assert key in index, f"product term {key} lies outside the weight-2 basis"
+            col[index[key]] = col[index[key]] + c
+        columns.append(tuple(col))
+    return columns
 
 
 # -- quadrature period oracle ---------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diffsys.curves import HyperellipticCurve, PlaneQuartic, canonical_basis
+from diffsys.curves import HyperellipticCurve, PlaneQuartic
 from diffsys.field import ExactMatrix, ExactScalar, exact_rank
 from diffsys.immersion import fd_step_ladder, make_center
 from diffsys.monodromy import Loop, build_loops, monodromy, trace_values
@@ -295,8 +295,7 @@ def test_criterion_8_oracle_equivalence():
     ok = True
     mismatches = 0
     for idx, (curve, w_coords, rank) in enumerate(_ORACLE_INSTANCES):
-        basis = canonical_basis(curve)
-        prods = theta_products(curve, basis, w_coords)
+        prods = theta_products(curve, w_coords)
         orank = evaluation_rank(curve, prods, rel_tol=1e-10, seed=idx)
         if orank != rank:
             mismatches += 1

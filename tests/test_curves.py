@@ -5,24 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffsys import curves
 from diffsys.curves import (
     CurveError,
-    Differential,
-    DifferentialBasis,
     HyperellipticCurve,
-    MembershipError,
     PlaneQuartic,
-    canonical_basis,
-    combine,
     curve_from_json,
     curve_to_json,
-    express_in_basis,
-    multiply,
-    quadratic_basis,
+    product_slots,
 )
 from diffsys.field import ExactMatrix, ExactScalar, exact_rank
 
-from oracles import hyperelliptic_vanishing_order
+from oracles import (
+    hyperelliptic_vanishing_order,
+    theta_columns,
+    weight1_monomials,
+    weight2_monomials,
+)
 
 
 def es(re, im=0):
@@ -60,38 +59,46 @@ class TestCurveConstruction:
         assert curve_to_json(q)["smoothness_asserted"] is True
 
 
+def unit_vectors(g):
+    return [tuple(es(1) if k == i else es(0) for k in range(g)) for i in range(g)]
+
+
+def oracle_slot(curve, i, j):
+    """The weight-2 row of basis_i * basis_j read from the oracle's product."""
+    col = theta_columns(curve, [unit_vectors(curve.genus)[j]])[i]
+    (row,) = [r for r, c in enumerate(col) if not c.is_zero()]
+    assert col[row] == es(1)
+    return row
+
+
 class TestCanonicalBasis:
     def test_genus2_elements(self, genus2_curve):
-        basis = canonical_basis(genus2_curve)
-        assert len(basis) == 2
-        assert [el.numerator for el in basis.elements] == [(es(1),), (es(0), es(1))]
-        assert all(el.denom_class == "y" for el in basis.elements)
+        assert product_slots(genus2_curve) == ((0, 1), (1, 2))
 
     def test_counts_match_genus(self, genus3_curve, fermat_quartic):
-        assert len(canonical_basis(genus3_curve)) == 3
-        assert len(canonical_basis(fermat_quartic)) == 3
+        for curve in (genus3_curve, fermat_quartic):
+            assert len(product_slots(curve)) == 3
+            assert len(weight1_monomials(curve)) == 3
 
     def test_holomorphy_by_valuation_oracle_g2(self, genus2_curve):
-        basis = canonical_basis(genus2_curve)
-        for el in basis.elements:
+        for numer, denom_class in weight1_monomials(genus2_curve):
             for lam in genus2_curve.branch_points:
                 assert (
-                    hyperelliptic_vanishing_order(genus2_curve, el.numerator, "y", 1, lam)
+                    hyperelliptic_vanishing_order(genus2_curve, numer, denom_class, 1, lam)
                     >= 0
                 )
             assert (
                 hyperelliptic_vanishing_order(
-                    genus2_curve, el.numerator, "y", 1, "infinity"
+                    genus2_curve, numer, denom_class, 1, "infinity"
                 )
                 >= 0
             )
 
     def test_holomorphy_by_valuation_oracle_g3(self, genus3_curve):
-        basis = canonical_basis(genus3_curve)
-        for el in basis.elements:
+        for numer, denom_class in weight1_monomials(genus3_curve):
             for place in list(genus3_curve.branch_points) + ["infinity"]:
                 assert (
-                    hyperelliptic_vanishing_order(genus3_curve, el.numerator, "y", 1, place)
+                    hyperelliptic_vanishing_order(genus3_curve, numer, denom_class, 1, place)
                     >= 0
                 )
 
@@ -105,120 +112,110 @@ class TestCanonicalBasis:
 
 class TestQuadraticBasis:
     def test_genus2_all_y2(self, genus2_curve):
-        basis = quadratic_basis(genus2_curve)
-        assert len(basis) == 3
-        assert all(el.denom_class == "y2" for el in basis.elements)
+        monomials = weight2_monomials(genus2_curve)
+        assert len(monomials) == 3
+        assert all(denom_class == "y2" for _, denom_class in monomials)
 
     def test_genus3_split(self, genus3_curve):
-        basis = quadratic_basis(genus3_curve)
-        assert len(basis) == 6
-        classes = [el.denom_class for el in basis.elements]
+        classes = [denom_class for _, denom_class in weight2_monomials(genus3_curve)]
         assert classes == ["y2"] * 5 + ["y"]
+        # products of weight-1 elements never reach the dx^2/y part
+        assert max(max(row) for row in product_slots(genus3_curve)) == 4
 
     def test_quartic_count(self, fermat_quartic):
-        assert len(quadratic_basis(fermat_quartic)) == 6
+        assert len(weight2_monomials(fermat_quartic)) == 6
+        assert {s for row in product_slots(fermat_quartic) for s in row} == set(range(6))
 
     def test_holomorphy_by_valuation_oracle(self, genus3_curve):
-        basis = quadratic_basis(genus3_curve)
-        for el in basis.elements:
+        for numer, denom_class in weight2_monomials(genus3_curve):
             for place in list(genus3_curve.branch_points) + ["infinity"]:
                 order = hyperelliptic_vanishing_order(
-                    genus3_curve, el.numerator, el.denom_class, 2, place
+                    genus3_curve, numer, denom_class, 2, place
                 )
                 assert order >= 0
 
     def test_dimension_counts_g2_to_g6(self):
         for g in range(2, 7):
-            curve = HyperellipticCurve.from_integers(range(2 * g + 1))
-            assert len(canonical_basis(curve)) == g
-            assert len(quadratic_basis(curve)) == 3 * g - 3
+            for n in (2 * g + 1, 2 * g + 2):
+                curve = HyperellipticCurve.from_integers(range(n))
+                slots = product_slots(curve)
+                assert len(slots) == g and all(len(row) == g for row in slots)
+                assert all(0 <= s < 3 * g - 3 for row in slots for s in row)
+                assert len(weight1_monomials(curve)) == g
+                assert len(weight2_monomials(curve)) == 3 * g - 3
 
-    def test_exact_independence(self, genus3_curve):
-        basis = quadratic_basis(genus3_curve)
-        from diffsys.curves import _element_coordinates
-
-        mat = ExactMatrix.from_rows(
-            [_element_coordinates(el, genus3_curve) for el in basis.elements]
-        )
-        assert exact_rank(mat) == len(basis)
+    def test_exact_independence(self, genus3_curve, klein_quartic):
+        """The g^2 oracle products span exactly the rows the table names, and
+        a row of the table never names one slot twice."""
+        for curve in (genus3_curve, klein_quartic):
+            slots = product_slots(curve)
+            products = theta_columns(curve, unit_vectors(curve.genus))
+            named = {s for row in slots for s in row}
+            assert exact_rank(ExactMatrix.from_rows(products)) == len(named)
+            assert all(len(set(row)) == len(row) for row in slots)
 
     def test_built_once_per_curve(self, genus3_curve, fermat_quartic):
         for curve in (genus3_curve, fermat_quartic):
-            assert quadratic_basis(curve) is quadratic_basis(curve)
+            assert product_slots(curve) is product_slots(curve)
         equal = HyperellipticCurve(tuple(genus3_curve.branch_points))
-        assert quadratic_basis(equal) is quadratic_basis(genus3_curve)
+        assert product_slots(equal) is product_slots(genus3_curve)
+        even = HyperellipticCurve.from_integers(range(8))
+        assert product_slots(even) is product_slots(genus3_curve)
+        assert product_slots(PlaneQuartic.klein()) is product_slots(fermat_quartic)
 
     def test_memo_is_bounded(self):
-        from diffsys.curves import _BASES, _BASES_MAX
-
-        for k in range(_BASES_MAX + 5):
-            quadratic_basis(HyperellipticCurve.from_integers([0, 1, 2, 3, 5 + k]))
-        assert len(_BASES) == _BASES_MAX
-
-    def test_dependent_basis_rejected(self, genus3_curve):
-        els = list(quadratic_basis(genus3_curve).elements)
-        els[-1] = Differential(els[0].numerator, "y2", 2)
-        with pytest.raises(CurveError, match="not exactly independent"):
-            DifferentialBasis(genus3_curve, 2, tuple(els))
+        """One table per (model, genus), however many curves ask for it."""
+        before = curves._slot_table.cache_info().currsize
+        for k in range(69):
+            product_slots(HyperellipticCurve.from_integers([0, 1, 2, 3, 5 + k]))
+            product_slots(HyperellipticCurve.from_integers([0, 1, 2, 3, 4, 6 + k]))
+        assert curves._slot_table.cache_info().currsize <= before + 1
 
 
 class TestExpressInBasis:
+    """The table against the oracle's products, and a few entries by hand."""
+
     def test_monomial_product_g2(self, genus2_curve):
-        b1 = canonical_basis(genus2_curve)
-        b2 = quadratic_basis(genus2_curve)
-        prod = multiply(b1.elements[0], b1.elements[1], genus2_curve)
-        coords = express_in_basis(prod.numerator, prod.denom_class, b2)
-        assert coords == (es(0), es(1), es(0))
+        # (dx/y) * (x dx/y) = x dx^2/y^2, the second weight-2 element
+        assert product_slots(genus2_curve)[0][1] == 1 == oracle_slot(genus2_curve, 0, 1)
 
     def test_square_g3(self, genus3_curve):
-        b1 = canonical_basis(genus3_curve)
-        b2 = quadratic_basis(genus3_curve)
-        prod = multiply(b1.elements[1], b1.elements[1], genus3_curve)
-        coords = express_in_basis(prod.numerator, prod.denom_class, b2)
-        assert coords == (es(0), es(0), es(1), es(0), es(0), es(0))
+        assert product_slots(genus3_curve)[1][1] == 2 == oracle_slot(genus3_curve, 1, 1)
 
     def test_quartic_xy(self, fermat_quartic):
-        b1 = canonical_basis(fermat_quartic)
-        b2 = quadratic_basis(fermat_quartic)
-        prod = multiply(b1.elements[0], b1.elements[1], fermat_quartic)
-        coords = express_in_basis(prod.numerator, prod.denom_class, b2)
         # xy is the fourth monomial in the documented order
-        assert coords == (es(0), es(0), es(0), es(1), es(0), es(0))
+        assert product_slots(fermat_quartic)[0][1] == 3 == oracle_slot(fermat_quartic, 0, 1)
 
     def test_reassembly_roundtrip(self, genus3_curve):
+        """Coordinates of w1 * w2 assembled from the table, reassembled through
+        the weight-2 monomials, give the polynomial product of w1 and w2."""
         rng = random.Random(3)
-        b1 = canonical_basis(genus3_curve)
-        b2 = quadratic_basis(genus3_curve)
         c1 = [es(rng.randint(-5, 5)) for _ in range(3)]
         c2 = [es(rng.randint(-5, 5)) for _ in range(3)]
-        w1, w2 = combine(b1, c1), combine(b1, c2)
-        prod = multiply(w1, w2, genus3_curve)
-        coords = express_in_basis(prod.numerator, prod.denom_class, b2)
-        # rebuild the numerator from the coordinates and compare
-        rebuilt = [es(0)] * max(len(prod.numerator), 5)
-        for coeff, el in zip(coords, b2.elements):
-            if el.denom_class != "y2":
+        coords = [es(0)] * 6
+        for a, slots in zip(c1, product_slots(genus3_curve)):
+            for r, b in zip(slots, c2):
+                coords[r] = coords[r] + a * b
+        rebuilt = [es(0)] * 5
+        for coeff, (numer, denom_class) in zip(coords, weight2_monomials(genus3_curve)):
+            if denom_class != "y2":
                 assert coeff.is_zero()
                 continue
-            for i, c in enumerate(el.numerator):
-                rebuilt[i] = rebuilt[i] + coeff * c
-        trimmed = tuple(rebuilt[: len(prod.numerator)])
-        assert trimmed == tuple(prod.numerator)
-
-    def test_membership_failure_carries_residual(self, genus2_curve):
-        b2 = quadratic_basis(genus2_curve)
-        too_big = (es(0), es(0), es(0), es(1))  # degree 3 > 2g-2 = 2
-        with pytest.raises(MembershipError) as err:
-            express_in_basis(too_big, "y2", b2)
-        assert err.value.residual
+            for k, c in enumerate(numer):
+                rebuilt[k] = rebuilt[k] + coeff * c
+        product = [es(0)] * 5  # (sum c1_i x^i) (sum c2_j x^j) over y^2
+        for i, a in enumerate(c1):
+            for j, b in enumerate(c2):
+                product[i + j] = product[i + j] + a * b
+        assert rebuilt == product
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_basis_invariants_random_curves(data):
     """Any valid branch configuration gives dim H0(K) = g, dim H0(K^2) = 3g-3,
-    and every weight-1 element is holomorphic at all places by the valuation
-    oracle."""
+    every weight-1 element is holomorphic at all places by the valuation
+    oracle, and the product table agrees with the oracle's products."""
     g = data.draw(st.integers(2, 5))
     odd = data.draw(st.booleans())
     npts = 2 * g + 1 + (0 if odd else 1)
@@ -232,12 +229,13 @@ def test_basis_invariants_random_curves(data):
     )
     curve = HyperellipticCurve(tuple(ExactScalar.of(p) for p in pts))
     assert curve.genus == g
-    b1 = canonical_basis(curve)
-    b2 = quadratic_basis(curve)
-    assert len(b1) == g and len(b2) == 3 * g - 3
-    for el in b1.elements:
+    b1 = weight1_monomials(curve)
+    assert len(b1) == g and len(weight2_monomials(curve)) == 3 * g - 3
+    for numer, denom_class in b1:
         for place in list(curve.branch_points) + ["infinity"]:
-            assert hyperelliptic_vanishing_order(curve, el.numerator, "y", 1, place) >= 0
+            assert hyperelliptic_vanishing_order(curve, numer, denom_class, 1, place) >= 0
+    slots = product_slots(curve)
+    assert all(slots[i][j] == oracle_slot(curve, i, j) for i in range(g) for j in range(g))
 
 
 class TestSerialization:

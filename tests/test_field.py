@@ -254,24 +254,27 @@ def _random_unimodular(rng, n):
 
 class TestNumericRank:
     def test_identity(self):
-        rank, sv = numeric_rank(ExactMatrix.identity(2).to_float(), 1e-10)
+        rank, sv = numeric_rank(ExactMatrix.identity(2).to_numpy(), 1e-10)
         assert rank == 2 and sv == [1.0, 1.0]
 
     def test_threshold_definition(self):
-        m = FloatMatrix(2, 2, (1.0, 0.0, 0.0, 1e-14))
-        rank, _ = numeric_rank(m, 1e-10)
+        rank, _ = numeric_rank(np.array([[1.0, 0.0], [0.0, 1e-14]]), 1e-10)
         assert rank == 1
 
     def test_zero_matrix(self):
-        rank, sv = numeric_rank(FloatMatrix(2, 2, (0.0,) * 4), 1e-10)
+        rank, sv = numeric_rank(np.zeros((2, 2)), 1e-10)
         assert rank == 0
 
     def test_empty(self):
-        assert numeric_rank(FloatMatrix(0, 3, ()), 1e-10) == (0, [])
+        assert numeric_rank(np.zeros((0, 3)), 1e-10) == (0, [])
+
+    def test_not_2d_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            numeric_rank(np.ones(3), 1e-10)
 
     def test_rel_tol_validation(self):
         with pytest.raises(ValueError):
-            numeric_rank(FloatMatrix(1, 1, (1.0,)), 0.0)
+            numeric_rank(np.ones((1, 1)), 0.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -281,8 +284,7 @@ class TestNumericRank:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         b = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
-        m = FloatMatrix.from_numpy(a @ b)
-        rank, sv = numeric_rank(m, 1e-10)
+        rank, sv = numeric_rank(a @ b, 1e-10)
         assert rank == 6
         assert sv == sorted(sv, reverse=True)
 
@@ -293,7 +295,7 @@ class TestNumericRank:
             a = random_exact_matrix(rng, 6, r, mag=5)
             b = random_exact_matrix(rng, r, 6, mag=5)
             m = a.matmul(b)
-            nrank, _ = numeric_rank(m.to_float(), 1e-10)
+            nrank, _ = numeric_rank(m.to_numpy(), 1e-10)
             assert nrank == exact_rank(m)
 
 
@@ -314,7 +316,7 @@ def test_numeric_matches_exact_rank_property(data):
             )
         )
     m = ExactMatrix(rows, cols, tuple(entries))
-    nrank, _ = numeric_rank(m.to_float(), 1e-10)
+    nrank, _ = numeric_rank(m.to_numpy(), 1e-10)
     assert nrank == exact_rank(m)
 
 

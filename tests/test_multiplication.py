@@ -3,17 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffsys import curves
-from diffsys.curves import (
-    Differential,
-    DifferentialBasis,
-    HyperellipticCurve,
-    PlaneQuartic,
-    canonical_basis,
-    express_in_basis,
-    multiply,
-    quadratic_basis,
-)
+from diffsys import curves, field, multiplication
+from diffsys.curves import HyperellipticCurve, PlaneQuartic, product_slots
 from diffsys.field import ExactMatrix, ExactScalar, exact_rank
 from diffsys.multiplication import (
     SubspaceSelection,
@@ -26,7 +17,7 @@ from diffsys.multiplication import (
 )
 from diffsys.systems import DifferentialSystem, builtin_algebra, sample_system
 
-from oracles import evaluation_rank, greedy_row_basis, theta_products
+from oracles import evaluation_rank, greedy_row_basis, theta_columns, theta_products
 
 
 def es(re, im=0):
@@ -34,12 +25,11 @@ def es(re, im=0):
 
 
 def unit_subspace(curve, indices):
-    basis = canonical_basis(curve)
-    g = len(basis)
+    g = curve.genus
     gens = tuple(
         tuple(es(1) if j == i else es(0) for j in range(g)) for i in indices
     )
-    return SubspaceSelection(basis, gens)
+    return SubspaceSelection(curve, gens)
 
 
 class TestThetaMatrix:
@@ -59,28 +49,22 @@ class TestThetaMatrix:
         assert theta.rank == 6
 
     def test_column_contract(self, genus3_curve):
-        """Column (i, j) is express_in_basis of the product basis_i * W_j."""
-        basis1 = canonical_basis(genus3_curve)
-        basis2 = quadratic_basis(genus3_curve)
+        """Column (i, j) holds the weight-2 coordinates of basis_i * W_j."""
         w = unit_subspace(genus3_curve, [0, 2])
         theta = theta_matrix(genus3_curve, w)
-        from diffsys.curves import combine
-
-        for i, el in enumerate(basis1.elements):
-            for j, coords in enumerate(w.generators):
+        expected = theta_columns(genus3_curve, w.generators)
+        for i in range(3):
+            for j in range(w.dimension):
                 col = i * w.dimension + j
-                prod = multiply(el, combine(basis1, coords), genus3_curve)
-                expected = express_in_basis(prod.numerator, prod.denom_class, basis2)
                 actual = tuple(
                     theta.matrix.get(r, col) for r in range(theta.matrix.rows)
                 )
-                assert actual == expected
+                assert actual == expected[col]
 
     def test_dependent_generators_rejected(self, genus2_curve):
-        basis = canonical_basis(genus2_curve)
         with pytest.raises(ValueError):
             SubspaceSelection(
-                basis, ((es(1), es(2)), (es(2), es(4)))
+                genus2_curve, ((es(1), es(2)), (es(2), es(4)))
             )
 
     def test_rank_recomputation_idempotent(self, genus2_curve):
@@ -96,29 +80,30 @@ def gaussian_rational(rng):
     return ExactScalar.of(re, im)
 
 
-def random_subspace(basis, rng):
-    g = len(basis)
+def random_subspace(curve, rng):
+    g = curve.genus
     while True:
         gens = tuple(
             tuple(gaussian_rational(rng) for _ in range(g))
             for _ in range(rng.randint(1, g))
         )
         try:
-            return SubspaceSelection(basis, gens)
+            return SubspaceSelection(curve, gens)
         except ValueError:
             continue
 
 
-def assert_matches_oracle(curve, w):
-    """Every entry of theta_matrix equals combine -> multiply -> express_in_basis."""
+def oracle_mismatches(curve, w):
+    """Entries where theta_matrix differs from the oracle's product columns."""
     theta = theta_matrix(curve, w)
-    basis2 = quadratic_basis(curve)
-    prods = theta_products(curve, w.ambient, w.generators)
-    assert (theta.matrix.rows, theta.matrix.cols) == (len(basis2), len(prods))
-    for col, (numer, denom_class) in enumerate(prods):
-        expected = express_in_basis(numer, denom_class, basis2)
-        assert tuple(theta.matrix.get(r, col) for r in range(theta.matrix.rows)) == expected
-    return theta
+    columns = theta_columns(curve, w.generators)
+    assert (theta.matrix.rows, theta.matrix.cols) == (3 * curve.genus - 3, len(columns))
+    return [
+        (r, col)
+        for col, expected in enumerate(columns)
+        for r in range(theta.matrix.rows)
+        if theta.matrix.get(r, col) != expected[r]
+    ]
 
 
 TABLE_CURVES = {
@@ -134,36 +119,24 @@ TABLE_CURVES = {
 }
 
 
-def scaled(el, s):
-    if el.denom_class == "y":
-        return Differential(tuple(s * c for c in el.numerator), "y", 1)
-    return Differential(tuple((e, s * c) for e, c in el.numerator), "adj", 1)
-
-
 class TestProductTable:
     @pytest.mark.parametrize("name", sorted(TABLE_CURVES))
     def test_table_matches_oracle(self, name):
         curve = TABLE_CURVES[name]
         rng = random.Random(name)
         for _ in range(3):
-            assert_matches_oracle(curve, random_subspace(canonical_basis(curve), rng))
+            assert oracle_mismatches(curve, random_subspace(curve, rng)) == []
 
     @pytest.mark.parametrize("name", ["hyperelliptic-g3-odd", "hyperelliptic-g4-even", "klein"])
-    def test_non_canonical_ambient_has_its_own_table(self, name):
+    def test_swapped_slots_fail_the_oracle(self, name, monkeypatch):
+        """The oracle sees a table with two slots of one row swapped."""
         curve = TABLE_CURVES[name]
-        rng = random.Random(f"permuted {name}")
-        canonical = canonical_basis(curve)
-        order = list(range(len(canonical)))
-        rng.shuffle(order)
-        other = DifferentialBasis(
-            curve, 1, tuple(scaled(canonical.elements[i], gaussian_rational(rng)) for i in order)
-        )
-        w = random_subspace(canonical, rng)
-        moved = SubspaceSelection(other, w.generators)
-        before = assert_matches_oracle(curve, w)
-        after = assert_matches_oracle(curve, moved)
-        assert other.products is not canonical.products
-        assert after.matrix != before.matrix
+        w = random_subspace(curve, random.Random(f"swapped {name}"))
+        table = [list(row) for row in product_slots(curve)]
+        table[1][0], table[1][2] = table[1][2], table[1][0]
+        swapped = tuple(tuple(row) for row in table)
+        monkeypatch.setattr(multiplication, "product_slots", lambda c: swapped)
+        assert oracle_mismatches(curve, w)
 
     def test_w_from_another_hyperelliptic_curve_rejected(self):
         source = HyperellipticCurve.from_integers(range(7))
@@ -177,69 +150,46 @@ class TestProductTable:
         with pytest.raises(ValueError, match="different curve"):
             theta_matrix(fermat_quartic, w)
 
-    def test_products_formed_once_per_curve(self, monkeypatch):
-        """Deterministic mechanism count: g^2 products on first use, none after."""
-        monkeypatch.setattr(curves, "_BASES", {})
-        calls = []
-        real_multiply = curves.multiply
-        monkeypatch.setattr(
-            curves, "multiply", lambda *args: calls.append(args) or real_multiply(*args)
-        )
+    def test_products_formed_once_per_curve(self):
+        """Deterministic mechanism count: one table per (model, genus), built
+        on first use and shared by every scan, Noether check and criterion."""
+        curves._slot_table.cache_clear()
         curve = HyperellipticCurve.from_integers([0, 2, 3, 5, 7, 11, 13, 17, 19])
-        g = curve.genus
         lazarsfeld_scan(curve, trials=20, w_dim=3, seed=1)
-        first_use = len(calls)
-        assert 0 < first_use <= g * g
+        assert curves._slot_table.cache_info().misses == 1
         lazarsfeld_scan(curve, trials=20, w_dim=3, seed=2)
-        noether_check(curve)
+        noether_check(HyperellipticCurve.from_integers(range(10)))
         system = sample_system(curve, builtin_algebra("sl2"), seed=3, coefficient_bound=5)
         criterion_injective(curve, system)
-        assert len(calls) == first_use
-        assert canonical_basis(curve) is canonical_basis(curve)
+        assert curves._slot_table.cache_info().misses == 1
 
 
 class TestProductProperties:
-    def test_symmetry(self, genus3_curve):
-        basis = canonical_basis(genus3_curve)
-        b2 = quadratic_basis(genus3_curve)
-        for i in range(3):
-            for j in range(3):
-                pij = multiply(basis.elements[i], basis.elements[j], genus3_curve)
-                pji = multiply(basis.elements[j], basis.elements[i], genus3_curve)
-                assert express_in_basis(
-                    pij.numerator, pij.denom_class, b2
-                ) == express_in_basis(pji.numerator, pji.denom_class, b2)
+    def test_symmetry(self, genus3_curve, klein_quartic):
+        for curve in (genus3_curve, klein_quartic):
+            slots = product_slots(curve)
+            assert all(slots[i][j] == slots[j][i] for i in range(3) for j in range(3))
 
     def test_bilinearity(self, genus2_curve):
+        """The column of a W generator a*e_0 + b*e_1 is a times the column of
+        e_0 plus b times the column of e_1."""
         rng = random.Random(7)
-        basis = canonical_basis(genus2_curve)
-        b2 = quadratic_basis(genus2_curve)
-        from diffsys.curves import combine
-
         a, b = es(rng.randint(-9, 9)), es(rng.randint(-9, 9))
-        om, eta, xi = basis.elements[0], basis.elements[1], basis.elements[0]
-        lhs = multiply(
-            combine(basis, (a, b)),  # a*omega_0 + b*omega_1
-            xi,
-            genus2_curve,
-        )
-        lhs_coords = express_in_basis(lhs.numerator, lhs.denom_class, b2)
-        p0 = multiply(om, xi, genus2_curve)
-        p1 = multiply(eta, xi, genus2_curve)
-        c0 = express_in_basis(p0.numerator, p0.denom_class, b2)
-        c1 = express_in_basis(p1.numerator, p1.denom_class, b2)
-        rhs = tuple(a * x + b * y for x, y in zip(c0, c1))
-        assert lhs_coords == rhs
+        combined = theta_matrix(genus2_curve, SubspaceSelection(genus2_curve, ((a, b),)))
+        units = theta_matrix(genus2_curve, unit_subspace(genus2_curve, [0, 1]))
+        for i in range(2):
+            for r in range(3):
+                expected = a * units.matrix.get(r, 2 * i) + b * units.matrix.get(r, 2 * i + 1)
+                assert combined.matrix.get(r, i) == expected
 
     def test_monotonicity_nested_subspaces(self, genus3_curve):
         rng = random.Random(11)
-        basis = canonical_basis(genus3_curve)
         for _ in range(5):
             v1 = tuple(es(rng.randint(-5, 5)) for _ in range(3))
             v2 = tuple(es(rng.randint(-5, 5)) for _ in range(3))
             try:
-                small = SubspaceSelection(basis, (v1,))
-                big = SubspaceSelection(basis, (v1, v2))
+                small = SubspaceSelection(genus3_curve, (v1,))
+                big = SubspaceSelection(genus3_curve, (v1, v2))
             except ValueError:
                 continue
             assert (
@@ -285,33 +235,30 @@ class TestEvaluationOracle:
 
     def test_full_domain_g2_g3(self, genus2_curve, genus3_curve):
         for curve in (genus2_curve, genus3_curve):
-            basis = canonical_basis(curve)
             w = full_subspace(curve)
             theta = theta_matrix(curve, w)
-            prods = theta_products(curve, basis, w.generators)
+            prods = theta_products(curve, w.generators)
             assert evaluation_rank(curve, prods) == theta.rank
 
     def test_full_domain_quartics(self, fermat_quartic, klein_quartic):
         for curve in (fermat_quartic, klein_quartic):
-            basis = canonical_basis(curve)
             w = full_subspace(curve)
             theta = theta_matrix(curve, w)
-            prods = theta_products(curve, basis, w.generators)
+            prods = theta_products(curve, w.generators)
             assert evaluation_rank(curve, prods) == theta.rank
 
     def test_random_subspaces(self, genus3_curve):
         rng = random.Random(13)
-        basis = canonical_basis(genus3_curve)
         for trial in range(5):
             gens = tuple(
                 tuple(es(rng.randint(-5, 5)) for _ in range(3)) for _ in range(2)
             )
             try:
-                w = SubspaceSelection(basis, gens)
+                w = SubspaceSelection(genus3_curve, gens)
             except ValueError:
                 continue
             theta = theta_matrix(genus3_curve, w)
-            prods = theta_products(genus3_curve, basis, w.generators)
+            prods = theta_products(genus3_curve, w.generators)
             assert evaluation_rank(genus3_curve, prods, seed=trial) == theta.rank
 
 
@@ -340,10 +287,9 @@ class TestLazarsfeldScan:
 
     def test_failure_witness_replays(self, genus3_curve):
         report = lazarsfeld_scan(genus3_curve, trials=3, w_dim=3, seed=9)
-        basis = canonical_basis(genus3_curve)
         for _, gens in report.failure_witnesses:
             w = SubspaceSelection(
-                basis, tuple(tuple(es(v) for v in row) for row in gens)
+                genus3_curve, tuple(tuple(es(v) for v in row) for row in gens)
             )
             assert theta_matrix(genus3_curve, w).rank < 6
 
@@ -386,6 +332,16 @@ class TestCriterion:
             system = sample_system(genus2_curve, sl2, seed=seed, coefficient_bound=4)
             v = criterion_injective(genus2_curve, system)
             assert v.v_dimension == min(exact_rank(system.coefficients), 2)
+
+    def test_one_elimination_of_v(self, genus2_curve, monkeypatch):
+        """One elimination picks V's rows and one ranks theta: the chosen rows
+        are not eliminated again to check their independence."""
+        system = sample_system(genus2_curve, builtin_algebra("sl2"), seed=4, coefficient_bound=5)
+        calls = []
+        echelon = field._echelon
+        monkeypatch.setattr(field, "_echelon", lambda m: calls.append(m) or echelon(m))
+        verdict = criterion_injective(genus2_curve, system)
+        assert verdict.v_dimension == 2 and len(calls) == 2
 
     def test_wrong_curve_rejected(self, genus2_curve, genus3_curve):
         sl2 = builtin_algebra("sl2")
