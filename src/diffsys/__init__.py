@@ -3,8 +3,9 @@ numerical monodromy / immersion experiments for rank-2 differential systems.
 
 Layers, bottom up:
 
-* :mod:`diffsys.field` -- exact Gaussian-rational matrices with fraction-free
-  rank, and numeric rank via singular values;
+* :mod:`diffsys.field` -- exact Gaussian-rational matrices with one
+  fraction-free integer elimination (Gaussian ones realified), and numeric
+  rank via singular values;
 * :mod:`diffsys.curves` -- hyperelliptic and plane-quartic models and the
   index table of products of their monomial bases of differentials;
 * :mod:`diffsys.multiplication` -- multiplication-map matrices and the

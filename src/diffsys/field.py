@@ -1,13 +1,13 @@
 """Exact Gaussian-rational scalars and matrices, with rank in two regimes.
 
 Every exact rank, independent subset and solve in this package runs one
-elimination, ``_echelon``: fraction-free (Bareiss) elimination.  Each row is
-cleared of denominators in integer arithmetic; the integer matrix is then
-eliminated over Z with plain ints when every entry is real, and over the
-Gaussian integers Z[i] otherwise.  No tolerance, no rounding.  Its pivots
-give ``exact_rank`` (their number, the rank over Q(i)), ``exact_pivots``
-(the columns independent of the columns before them) and ``exact_solve``
-(back substitution on the echelon rows).
+elimination, ``_echelon``: fraction-free (Bareiss) elimination of an integer
+matrix in plain ints, each row cleared of denominators.  A matrix with a
+non-real entry is realified (a + bi becomes [[a, -b], [b, a]]): its pivots
+come in pairs, at about eight times the work of a real matrix of its shape.
+No tolerance, no rounding.  The pivots give ``exact_rank`` (their number,
+the rank over Q(i)), ``exact_pivots`` (the columns independent of the
+columns before them) and ``exact_solve`` (back substitution).
 
 The numeric regime, ``numeric_rank``, counts the singular values of a
 complex double matrix above a relative threshold.
@@ -17,8 +17,8 @@ Matrices here are small (tens of rows), so exactness is cheap.
 
 from __future__ import annotations
 
+import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,10 +41,10 @@ class SingularValueError(RuntimeError):
 
 
 def _to_fraction(x) -> Fraction:
+    if isinstance(x, int):  # before Fraction, whose ABC isinstance check is slow
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
@@ -216,10 +216,8 @@ class FloatMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
-        for e in self.entries:
-            c = complex(e)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("non-finite entry in FloatMatrix")
+        if not all(map(cmath.isfinite, self.entries)):
+            raise ValueError("non-finite entry in FloatMatrix")
 
     @staticmethod
     def from_numpy(a: np.ndarray) -> "FloatMatrix":
@@ -232,127 +230,123 @@ class FloatMatrix:
         return np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
 
 
-# -- exact elimination (Bareiss over Z or the Gaussian integers) -------------
+# -- exact elimination (one integer Bareiss loop) ----------------------------
 
 
-def _z_divexact(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
+def _cleared(v) -> tuple:
+    """The ``ExactScalar`` vector ``v`` times the lcm of its denominators, as
+    two integer lists: real parts and imaginary parts."""
+    scale = math.lcm(*(e.re.denominator for e in v), *(e.im.denominator for e in v))
+    re = [e.re.numerator * (scale // e.re.denominator) for e in v]
+    return re, [e.im.numerator * (scale // e.im.denominator) for e in v]
+
+
+def _integer_matrix(pairs) -> tuple:
+    """``(rows, real)``: the integer matrix that ``_echelon`` takes for the
+    rows re + i im of ``pairs``.  That is the real parts when every
+    imaginary part is 0, and otherwise the realified matrix: each entry
+    a + bi becomes the 2x2 block [[a, -b], [b, a]]."""
+    if not any(any(im) for _, im in pairs):
+        return [re for re, _ in pairs], True
+    out = []
+    for re, im in pairs:
+        out.append([x for a, b in zip(re, im) for x in (a, -b)])
+        out.append([x for a, b in zip(re, im) for x in (b, a)])
+    return out, False
+
+
+def _divide_exact(values, d) -> list:
+    """The quotients ``values[k] / d``; a remainder raises ``ArithmeticError``."""
+    quotients = [v // d for v in values]
+    if [q * d for q in quotients] != values:
         raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
+    return quotients
 
 
-def _gi_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _echelon(rows):
+    """Fraction-free row echelon form of the integer matrix ``rows`` (a list
+    of int lists, eliminated in place): ``(rows, pivots)``.
 
-
-def _gi_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gi_divexact(a, b):
-    # (a / b) for Gaussian integers when the division is exact.
-    n = b[0] * b[0] + b[1] * b[1]
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    qr, rr = divmod(re, n)
-    qi, ri = divmod(im, n)
-    if rr or ri:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return (qr, qi)
-
-
-# the rings of the elimination: zero, one, product, difference, checked exact division
-_INTEGERS = (0, 1, operator.mul, operator.sub, _z_divexact)
-_GAUSSIAN_INTEGERS = ((0, 0), (1, 0), _gi_mul, _gi_sub, _gi_divexact)
-
-
-def _echelon(m: ExactMatrix):
-    """Fraction-free row echelon form of ``m``: ``(rows, pivots, real)``.
-
-    Each row is scaled by the lcm of its denominators (a row operation), in
-    integer arithmetic.  Bareiss two-step elimination then runs over Z when
-    every scaled entry is real (``real``; entries are ints) and over the
-    Gaussian integers otherwise (entries are (re, im) pairs), so intermediate
-    entries stay polynomially bounded.  Every division is exact and checked:
-    a remainder raises ``ArithmeticError``.
+    Bareiss two-step elimination, so intermediate entries stay polynomially
+    bounded.  The division by the previous pivot is exact and checked once
+    per row (``_divide_exact``).  A realified Gaussian matrix
+    (``_integer_matrix``) has pivot pairs (2j, 2j + 1), one per pivot j over Q(i).
 
     ``pivots`` lists the pivot columns in order; ``rows[r]`` is the echelon
     row of ``pivots[r]``.  Its entries from ``pivots[r]`` on are final; those
     before it are not updated and read as zero.
     """
-    if m.rows == 0 or m.cols == 0:
-        return [], [], True
-    work = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = math.lcm(*(e.re.denominator for e in row), *(e.im.denominator for e in row))
-        work.append([(e.re.numerator * (scale // e.re.denominator),
-                      e.im.numerator * (scale // e.im.denominator)) for e in row])
-    real = not any(im for row in work for _, im in row)
-    work = [[re for re, _ in row] for row in work] if real else work
-    zero, prev, mul, sub, divexact = _INTEGERS if real else _GAUSSIAN_INTEGERS
-    nrows, ncols = m.rows, m.cols
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c] != zero), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
-        piv = top[c]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        piv = rows[r][c]
+        tail = rows[r][c + 1 :]
         for i in range(r + 1, nrows):
-            row = work[i]
+            row = rows[i]
             lead = row[c]
             # column c is never read again, so only the columns after it move
-            row[c + 1 :] = [
-                divexact(sub(mul(a, piv), mul(lead, b)), prev)
-                for a, b in zip(row[c + 1 :], top[c + 1 :])
-            ]
+            if lead:
+                new = [a * piv - lead * b for a, b in zip(row[c + 1 :], tail)]
+            else:
+                new = [a * piv for a in row[c + 1 :]]
+            row[c + 1 :] = new if prev == 1 else _divide_exact(new, prev)
         prev = piv
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return work, pivots, real
+    return rows, pivots
+
+
+def _pivots(pairs) -> list:
+    """The pivot columns over Q(i) of the integer rows re + i im of ``pairs``."""
+    rows, real = _integer_matrix(pairs)
+    pivots = _echelon(rows)[1]
+    return pivots if real else [p // 2 for p in pivots[::2]]
 
 
 def exact_rank(m: ExactMatrix) -> int:
     """Rank of ``m`` over Q(i): the number of pivots of ``_echelon``."""
-    return len(_echelon(m)[1])
+    return len(_pivots([_cleared(m.row(i)) for i in range(m.rows)]))
 
 
 def exact_pivots(m: ExactMatrix) -> list:
     """The columns of ``m`` that are independent of the columns before them,
     in order: the first maximal independent subset of its columns."""
-    return _echelon(m)[1]
+    return _pivots([_cleared(m.row(i)) for i in range(m.rows)])
 
 
 def exact_solve(columns, target) -> tuple:
     """The x with sum_k x_k * columns[k] = target, over Q(i).
 
-    Back substitution on the echelon form of [columns | target].  Raises
-    ``ArithmeticError`` when the columns are dependent (x is not unique) or
-    target lies outside their span (no x exists).
+    Back substitution on the echelon form of [columns | target], each row
+    cleared of denominators.  Raises ``ArithmeticError`` when the columns
+    are dependent (x is not unique) or target lies outside their span (no x
+    exists).
     """
     n = len(columns)
-    aug = ExactMatrix.from_rows([*(c[r] for c in columns), t] for r, t in enumerate(target))
-    rows, pivots, real = _echelon(aug)
-    if pivots[-1:] == [n]:
+    augmented = [_cleared([*(c[r] for c in columns), t]) for r, t in enumerate(target)]
+    rows, real = _integer_matrix(augmented)
+    rows, pivots = _echelon(rows)
+    size = n if real else 2 * n  # integer columns of the unknowns
+    if pivots and pivots[-1] >= size:
         raise ArithmeticError("target does not lie in the span of the columns")
-    if len(pivots) < n:
+    if len(pivots) < size:
         raise ArithmeticError("dependent columns: the solution is not unique")
-    # the pivots are 0..n-1, so echelon row k has its pivot in column k
-    scalar = ExactScalar.of if real else lambda z: ExactScalar.of(*z)
-    x = [ZERO] * n
-    for k in reversed(range(n)):
-        row = [scalar(e) for e in rows[k][k:]]
-        acc = row[-1]
-        for j in range(k + 1, n):
-            acc = acc - row[j - k] * x[j]
-        x[k] = acc / row[0]
-    return tuple(x)
+    # the pivots are 0..size-1, so echelon row k has its pivot in column k;
+    # unknown k is x[k] (real) or x[2k] + i x[2k+1] (realified)
+    x = [_Q0] * size
+    for k in reversed(range(size)):
+        row = rows[k]
+        x[k] = (row[size] - sum(row[j] * x[j] for j in range(k + 1, size))) / Fraction(row[k])
+    parts = zip(x, [_Q0] * n) if real else zip(x[::2], x[1::2])
+    return tuple(ExactScalar(re, im) for re, im in parts)
 
 
 # -- numeric rank -------------------------------------------------------------

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffsys import field
 from diffsys.field import (
     ExactMatrix,
     ExactScalar,
     FloatMatrix,
-    _gi_divexact,
-    _z_divexact,
+    _cleared,
+    _divide_exact,
+    _echelon,
+    _integer_matrix,
     exact_pivots,
     exact_rank,
     exact_solve,
@@ -149,13 +152,25 @@ class TestExactRank:
             m = random_real_matrix(rng, n, r, mag=9).matmul(random_real_matrix(rng, r, k, mag=9))
             assert exact_rank(m) == sympy_rank(m) <= r
 
-    def test_divisions_are_checked_on_both_rings(self):
-        assert _z_divexact(-12, 4) == -3
-        assert _gi_divexact((-2, 6), (1, 1)) == (2, 4)
-        with pytest.raises(ArithmeticError):
-            _z_divexact(7, 2)
-        with pytest.raises(ArithmeticError):
-            _gi_divexact((1, 0), (1, 1))
+    def test_divisions_are_checked_on_both_rings(self, monkeypatch):
+        """One checked exact division per row: it returns exact quotients and
+        raises on a remainder, and real and realified Gaussian rows both
+        take it."""
+        assert _divide_exact([-12, 8, 0], 4) == [-3, 2, 0]
+        assert _divide_exact([12, -8], -4) == [-3, 2]
+        for values, d in (([7], 2), ([8, 6, -7], 2), ([3, 5], -3)):
+            with pytest.raises(ArithmeticError, match="inexact"):
+                _divide_exact(values, d)
+        divisors = []
+        monkeypatch.setattr(
+            field, "_divide_exact", lambda v, d: divisors.append(d) or _divide_exact(v, d)
+        )
+        real = ExactMatrix.from_rows([[es(2), es(1), es(3)], [es(1), es(4), es(1)], [es(5), es(1), es(2)]])
+        gaussian = ExactMatrix.from_rows([[es(2, 1), es(1)], [es(1), es(0, 3)]])
+        for m in (real, gaussian):
+            divisors.clear()
+            assert exact_rank(m) == sympy_rank(m)
+            assert divisors and 1 not in divisors
 
     def test_invariance_under_permutation(self):
         rng = random.Random(19)
@@ -237,6 +252,60 @@ class TestExactSolve:
         assert exact_solve([], (es(0), es(0))) == ()
         with pytest.raises(ArithmeticError, match="span"):
             exact_solve([], (es(0), es(1)))
+
+
+def _gaussian_deficient(seed, count):
+    """Seeded rank-deficient Gaussian matrices, at least one entry non-real."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        m = _deficient(rng, random_exact_matrix, n, k, rng.randint(1, 4))
+        if any(e.im for e in m.entries):
+            out.append(m)
+    return out
+
+
+class TestGaussianRealified:
+    """A Gaussian matrix is eliminated realified (a + bi as [[a, -b], [b, a]]);
+    ranks, pivots and solves are checked against sympy over Q(i)."""
+
+    def test_rank_and_pivots_match_sympy(self):
+        for m in _gaussian_deficient(47, 60):
+            pivots = exact_pivots(m)
+            assert pivots == sympy_pivots(m)
+            assert exact_rank(m) == sympy_rank(m) == len(pivots) < m.cols
+
+    def test_realified_pivots_come_in_pairs(self):
+        for m in _gaussian_deficient(53, 60):
+            rows, real = _integer_matrix([_cleared(m.row(i)) for i in range(m.rows)])
+            assert not real and (len(rows), len(rows[0])) == (2 * m.rows, 2 * m.cols)
+            pivots = _echelon(rows)[1]
+            assert pivots[::2] == [2 * p for p in exact_pivots(m)]
+            assert pivots[1::2] == [p + 1 for p in pivots[::2]]
+
+    def test_i_times_a_column_is_dependent(self):
+        """c and i c are independent over R but not over Q(i)."""
+        c = (es(1, 2), es(-3), es(0, 1))
+        ic = tuple(es(0, 1) * e for e in c)
+        m = ExactMatrix.from_rows(zip(c, ic, (es(1), es(0), es(0))))
+        assert exact_pivots(m) == sympy_pivots(m) == [0, 2]
+        assert exact_solve([c], ic) == (es(0, 1),)
+        with pytest.raises(ArithmeticError, match="dependent"):
+            exact_solve([c, ic], c)
+        with pytest.raises(ArithmeticError, match="span"):
+            exact_solve([c], (es(1), es(0), es(0)))
+
+    def test_solve_gives_target_back(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            a = random_exact_matrix(rng, n, rng.randint(1, n), mag=9)
+            x = random_exact_matrix(rng, a.cols, 1, mag=9)
+            target = a.matmul(x)
+            solution = exact_solve(_columns(a), target.entries)
+            assert solution == x.entries
+            assert a.matmul(ExactMatrix(a.cols, 1, solution)) == target
 
 
 def _random_unimodular(rng, n):
@@ -323,7 +392,7 @@ def test_numeric_matches_exact_rank_property(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_rank_of_real_matrix_unchanged_by_factor_i(data):
-    """i*M has the rank of M; M is eliminated over Z and i*M over Z[i]."""
+    """i*M has the rank of M; M is eliminated as it is and i*M realified."""
     rows = data.draw(st.integers(1, 6))
     cols = data.draw(st.integers(1, 6))
     rank = data.draw(st.integers(0, min(rows, cols)))

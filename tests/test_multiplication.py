@@ -17,7 +17,7 @@ from diffsys.multiplication import (
 )
 from diffsys.systems import DifferentialSystem, builtin_algebra, sample_system
 
-from oracles import evaluation_rank, greedy_row_basis, theta_columns, theta_products
+from oracles import evaluation_rank, greedy_row_basis, sympy_rank, theta_columns, theta_products
 
 
 def es(re, im=0):
@@ -127,6 +127,24 @@ class TestProductTable:
         for _ in range(3):
             assert oracle_mismatches(curve, random_subspace(curve, rng)) == []
 
+    @pytest.mark.parametrize("name", ["hyperelliptic-g2-even", "hyperelliptic-g4-odd", "fermat"])
+    def test_gaussian_rank_matches_sympy(self, name):
+        """Gaussian-rational W: theta is ranked realified, against sympy's
+        rank of the same matrix over Q(i)."""
+        curve = TABLE_CURVES[name]
+        rng = random.Random(f"rank {name}")
+        for _ in range(3):
+            theta = theta_matrix(curve, random_subspace(curve, rng))
+            assert theta.rank == sympy_rank(theta.matrix) == exact_rank(theta.matrix)
+
+    def test_imaginary_generators_rank_like_real_ones(self, genus3_curve, klein_quartic):
+        """i W has the rank of W, so the imaginary parts reach the elimination."""
+        for curve in (genus3_curve, klein_quartic):
+            for indices in ([0], [0, 2], [0, 1, 2]):
+                w = unit_subspace(curve, indices)
+                iw = SubspaceSelection(curve, tuple(tuple(es(0, 1) * c for c in v) for v in w.generators))
+                assert theta_matrix(curve, iw).rank == theta_matrix(curve, w).rank > 0
+
     @pytest.mark.parametrize("name", ["hyperelliptic-g3-odd", "hyperelliptic-g4-even", "klein"])
     def test_swapped_slots_fail_the_oracle(self, name, monkeypatch):
         """The oracle sees a table with two slots of one row swapped."""
@@ -219,6 +237,18 @@ class TestNoether:
     def test_quartics_surjective(self, fermat_quartic, klein_quartic):
         assert noether_check(fermat_quartic).surjective
         assert noether_check(klein_quartic).surjective
+
+    def test_one_elimination_per_check(self, monkeypatch, fermat_quartic, klein_quartic):
+        """Theta is built from the unit generators directly: the g x g identity
+        is not eliminated to check that they are independent."""
+        calls = []
+        echelon = field._echelon
+        monkeypatch.setattr(field, "_echelon", lambda m: calls.append(m) or echelon(m))
+        hyperelliptic = [HyperellipticCurve.from_integers(range(2 * g + 1)) for g in range(2, 7)]
+        for curve in hyperelliptic + [fermat_quartic, klein_quartic]:
+            calls.clear()
+            noether_check(curve)
+            assert len(calls) == 1
 
     def test_even_degree_model_rank_checks(self):
         """Even-degree hyperelliptic models are supported for rank checks."""
