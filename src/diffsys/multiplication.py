@@ -14,7 +14,8 @@ The map is bilinear, and the product of weight-1 basis elements i and j is
 the single weight-2 basis element ``product_slots(curve)[i][j]``.  So a
 column of a theta matrix is a W generator's coordinates placed at the slots
 of one table row: no product of differentials is formed, and no arithmetic
-is done.
+is done.  Ranks are taken on integers: a scan keeps its drawn integer rows
+end to end, and other verdicts clear each generator of denominators once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .curves import Curve, curve_to_json, product_slots
 from . import field
-from .field import ExactMatrix, ExactScalar, ZERO, ONE, exact_pivots, exact_rank
+from .field import ExactMatrix, ZERO, exact_rank
 
 __all__ = [
     "SubspaceSelection",
@@ -81,34 +82,34 @@ def theta_matrix(curve, w: SubspaceSelection) -> MultiplicationMatrix:
     """Multiplication restricted to H0(K) (x) W, with exact rank certificate."""
     if w.curve != curve:
         raise ValueError("subspace W lies on a different curve")
-    return _theta(curve, w.generators)
+    rank = _theta_rank(curve, [field._cleared(v) for v in w.generators])
+    return MultiplicationMatrix(ExactMatrix.from_rows(_placed(curve, w.generators, ZERO)), rank)
 
 
-def _theta(curve, generators) -> MultiplicationMatrix:
-    """Column (i, j) holds generator j's coordinate l at row
-    ``product_slots(curve)[i][l]``.  A row of the table has distinct slots,
-    so every entry is one coordinate, never a sum.  The rank is taken with
-    each generator cleared of denominators once: a column scaling."""
+def _placed(curve, generators, zero) -> list:
+    """Theta's rows as lists: column (i, j) holds generator j's coordinate l
+    at row ``product_slots(curve)[i][l]``.  A row of the table has distinct
+    slots, so every entry is one coordinate, never a sum."""
     g, k = curve.genus, len(generators)
-    nrows, ncols = 3 * g - 3, g * k
-    cleared = [field._cleared(v) for v in generators]
-    entries = [ZERO] * (nrows * ncols)
-    pairs = [([0] * ncols, [0] * ncols) for _ in range(nrows)]  # (re, im) integer rows
+    rows = [[zero] * (g * k) for _ in range(3 * g - 3)]
     for i, slots in enumerate(product_slots(curve)):
-        for col, (coords, (re, im)) in enumerate(zip(generators, cleared), i * k):
-            for r, c, a, b in zip(slots, coords, re, im):
-                entries[r * ncols + col] = c
-                pairs[r][0][col], pairs[r][1][col] = a, b
-    mat = ExactMatrix(nrows, ncols, tuple(entries))
-    return MultiplicationMatrix(mat, len(field._pivots(pairs)))
+        for col, coords in enumerate(generators, i * k):
+            for r, c in zip(slots, coords):
+                rows[r][col] = c
+    return rows
 
 
-def _units(g) -> tuple:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(g)) for i in range(g))
+def _theta_rank(curve, pairs) -> int:
+    """Rank of theta over Q(i) for generators given as integer (re, im)
+    lists, each cleared of denominators: a column scaling, which keeps the
+    rank.  An empty imaginary list places nothing: it reads as zero."""
+    rows = _placed(curve, [a for a, _ in pairs], 0)
+    return len(field._pivots(list(zip(rows, _placed(curve, [b for _, b in pairs], 0)))))
 
 
 def full_subspace(curve) -> SubspaceSelection:
-    return SubspaceSelection(curve, _units(curve.genus))
+    units = ExactMatrix.identity(curve.genus)
+    return SubspaceSelection(curve, tuple(units.row(i) for i in range(units.rows)))
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,9 @@ class NoetherVerdict:
 
 def noether_check(curve) -> NoetherVerdict:
     """Surjectivity verdict for multiplication on the full domain."""
-    theta = _theta(curve, _units(curve.genus))  # unit generators: no independence check
-    target = 3 * curve.genus - 3
-    return NoetherVerdict(theta.rank == target, theta.rank, target - theta.rank)
+    g = curve.genus
+    rank = _theta_rank(curve, [([int(i == j) for j in range(g)], ()) for i in range(g)])
+    return NoetherVerdict(rank == 3 * g - 3, rank, 3 * g - 3 - rank)
 
 
 @dataclass(frozen=True)
@@ -160,33 +161,26 @@ _COORD_BOUND = 10  # scan coordinates are integers in [-10, 10]
 _DRAW_TRIES = 200  # draws before a scan trial gives up on independence
 
 
-def _draw_subspace(curve, w_dim, rng):
-    g = curve.genus
+def _draw_subspace(g, w_dim, rng) -> list:
+    """``w_dim`` integer rows of length ``g``, redrawn until independent: the
+    rank of one ``field._echelon`` run on a copy of the rows."""
     for _ in range(_DRAW_TRIES):
-        rows = [
-            [rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(g)]
-            for _ in range(w_dim)
-        ]
-        gens = tuple(tuple(ExactScalar.of(v) for v in row) for row in rows)
-        try:
-            return rows, SubspaceSelection(curve, gens)
-        except ValueError:  # dependent draw: rows have length g by construction
-            continue
+        rows = [[rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(g)] for _ in range(w_dim)]
+        if len(field._echelon([row[:] for row in rows])[1]) == w_dim:
+            return rows
     raise RuntimeError("failed to draw an independent random subspace")
 
 
 def lazarsfeld_scan(
-    curve,
-    trials: int,
-    w_dim: int = 3,
-    seed: int = 0,
-    store_all: bool = False,
+    curve, trials: int, w_dim: int = 3, seed: int = 0, store_all: bool = False
 ) -> ScanReport:
     """Randomized surjectivity scan over ``trials`` seeded subspaces W.
 
     Coordinates are integers in [-10, 10] from per-trial generators derived
-    from the master seed, so single trials replay independently.  Trials run
-    one after another in the calling thread: the exact arithmetic is pure
+    from the master seed, so single trials replay independently.  They stay
+    integers end to end, through both eliminations (independence, then the
+    theta rank): a trial builds no exact scalar or matrix.  Trials run one
+    after another in the calling thread: the exact arithmetic is pure
     Python and holds the interpreter lock, so threads would not overlap.
     Failures are recorded with their W; genericity means they are expected
     never on non-hyperelliptic targets and always on hyperelliptic ones of
@@ -200,21 +194,18 @@ def lazarsfeld_scan(
         raise ValueError(f"w_dim must lie in 1..{g}")
     target = 3 * g - 3
 
-    successes = 0
     failures = []
     everything = []
     for t in range(trials):
-        rows, w = _draw_subspace(curve, w_dim, random.Random(f"{seed}:{t}"))
-        rank = theta_matrix(curve, w).rank
-        if rank == target:
-            successes += 1
-        else:
-            failures.append((t, tuple(tuple(r) for r in rows)))
+        rows = _draw_subspace(g, w_dim, random.Random(f"{seed}:{t}"))
+        rank = _theta_rank(curve, [(row, ()) for row in rows])
+        witness = tuple(map(tuple, rows))
+        if rank != target:
+            failures.append((t, witness))
         if store_all:
-            everything.append((t, tuple(tuple(r) for r in rows), rank))
-    return ScanReport(
-        curve, trials, w_dim, seed, successes, tuple(failures), tuple(everything)
-    )
+            everything.append((t, witness, rank))
+    successes = trials - len(failures)
+    return ScanReport(curve, trials, w_dim, seed, successes, tuple(failures), tuple(everything))
 
 
 @dataclass(frozen=True)
@@ -231,11 +222,20 @@ class CriterionVerdict:
         }
 
 
+def _independent(pairs) -> list:
+    """Indices of the first maximal independent subset of the vectors
+    re + i im of ``pairs``, in order: the pivot columns of the vectors taken
+    as columns.  Scaling a column keeps the pivots, so each vector may be
+    cleared of denominators on its own."""
+    n = len(pairs[0][0]) if pairs else 0
+    return field._pivots([([a[c] for a, _ in pairs], [b[c] for _, b in pairs]) for c in range(n)])
+
+
 def exact_row_basis(vectors) -> list:
     """The first maximal exactly-independent subset of the given coordinate
-    vectors, in order: the pivot columns of the vectors taken as columns."""
+    vectors, in order."""
     vectors = [tuple(v) for v in vectors]
-    return [vectors[k] for k in exact_pivots(ExactMatrix.from_rows(vectors).transpose())]
+    return [vectors[k] for k in _independent([field._cleared(v) for v in vectors])]
 
 
 def criterion_injective(curve, system) -> CriterionVerdict:
@@ -245,15 +245,15 @@ def criterion_injective(curve, system) -> CriterionVerdict:
     the verdict holds exactly when multiplication restricted to H0(K) (x) V
     surjects onto the quadratic differentials.  The verdict carries both
     dim V and the achieved rank so hyperelliptic obstructions and
-    too-small-V failures stay distinguishable.
+    too-small-V failures stay distinguishable.  Each coefficient row is
+    cleared once, for both eliminations: V's basis, then the theta rank.
     """
     if system.curve != curve:
         raise ValueError("system is attached to a different curve")
     coeff = system.coefficients
-    rows = [coeff.row(i) for i in range(coeff.rows)]
-    v_basis = exact_row_basis(rows)
+    pairs = [field._cleared(coeff.row(i)) for i in range(coeff.rows)]
+    v_basis = [pairs[k] for k in _independent(pairs)]
     if not v_basis:
         return CriterionVerdict(False, 0, 0)
-    theta = _theta(curve, v_basis)  # rows chosen independent: no SubspaceSelection check
-    target = 3 * curve.genus - 3
-    return CriterionVerdict(theta.rank == target, len(v_basis), theta.rank)
+    rank = _theta_rank(curve, v_basis)  # rows chosen independent: no second check
+    return CriterionVerdict(rank == 3 * curve.genus - 3, len(v_basis), rank)

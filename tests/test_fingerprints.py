@@ -2,9 +2,9 @@
 
 The exact side is integer and rational arithmetic only, so these digests do
 not depend on the machine: any changed bit of a structure constant, a gauge
-conjugation, a criterion verdict or a theta matrix changes them.  The first
-three are the digests that the CI step "Exact-side counts and fingerprints"
-prints.
+conjugation, a criterion verdict, a theta matrix or a scan's draws and ranks
+changes them.  The first three are the digests that the CI step "Exact-side
+counts and fingerprints" prints.
 """
 
 import hashlib
@@ -14,7 +14,12 @@ from fractions import Fraction
 
 from diffsys.curves import HyperellipticCurve, PlaneQuartic
 from diffsys.field import ExactMatrix, ExactScalar
-from diffsys.multiplication import SubspaceSelection, criterion_injective, theta_matrix
+from diffsys.multiplication import (
+    SubspaceSelection,
+    criterion_injective,
+    lazarsfeld_scan,
+    theta_matrix,
+)
 from diffsys.systems import builtin_algebra, conjugate_system, sample_system
 
 
@@ -88,3 +93,17 @@ def test_theta_matrices():
             out.append([theta.matrix.to_json(), theta.rank])
     assert len(out) == 40
     assert sha(out) == "70de7a0815be59443cf105e217d0806f426812fd092cd52890f2e074c0f7c9a6"
+
+
+def test_scans():
+    """Every draw and rank of 8-trial scans on the benchmark's five scan
+    curves (Fermat, Klein, hyperelliptic 0..2g for g = 3, 4, 5), seeds 0..3."""
+    scan_curves = [PlaneQuartic.fermat(), PlaneQuartic.klein()] + [
+        HyperellipticCurve.from_integers(range(2 * g + 1)) for g in (3, 4, 5)
+    ]
+    witnesses = [
+        lazarsfeld_scan(curve, trials=8, w_dim=3, seed=seed, store_all=True).all_witnesses
+        for curve in scan_curves
+        for seed in range(4)
+    ]
+    assert sha(witnesses) == "57e2fe04abcde16add7eaa8d510982dbf3560beea9a96594b9ccaa9725bc24a1"

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+import sympy
 
 from diffsys import curves, field, multiplication
 from diffsys.curves import HyperellipticCurve, PlaneQuartic, product_slots
@@ -322,6 +324,70 @@ class TestLazarsfeldScan:
                 genus3_curve, tuple(tuple(es(v) for v in row) for row in gens)
             )
             assert theta_matrix(genus3_curve, w).rank < 6
+
+    def test_integers_end_to_end(self, monkeypatch):
+        """A trial builds no exact scalar and clears nothing.  It runs one
+        elimination per draw (independence) and one per trial (theta); the
+        draws are replayed from the trial seeds with sympy's rank."""
+        curve = HyperellipticCurve.from_integers(range(11))
+        trials, draws = 20, 0
+        for t in range(trials):
+            rng = random.Random(f"0:{t}")
+            while True:
+                draws += 1
+                rows = [[rng.randint(-10, 10) for _ in range(5)] for _ in range(3)]
+                if sympy.Matrix(rows).rank() == 3:
+                    break
+        calls = {"_cleared": 0, "of": 0, "_echelon": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_cleared", "_echelon"):
+            monkeypatch.setattr(field, name, counted(name, getattr(field, name)))
+        monkeypatch.setattr(field.ExactScalar, "of", staticmethod(counted("of", field.ExactScalar.of)))
+        lazarsfeld_scan(curve, trials=trials, w_dim=3, seed=0)
+        assert calls == {"_cleared": 0, "of": 0, "_echelon": draws + trials}
+
+
+class PlantedRng:
+    """Stands in for ``random.Random``: whatever the seed, ``randint`` hands
+    out the planted coordinates in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, lo, hi):
+        value = next(self.values)
+        assert lo <= value <= hi
+        return value
+
+
+class TestScanDraws:
+    """The draw of a scan trial, with planted coordinates: a dependent draw
+    is drawn again, up to 200 draws."""
+
+    def scan(self, monkeypatch, curve, rng):
+        monkeypatch.setattr(multiplication, "random", SimpleNamespace(Random=lambda seed: rng))
+        return lazarsfeld_scan(curve, trials=1, w_dim=2, seed=0, store_all=True)
+
+    def test_dependent_draw_is_drawn_again(self, monkeypatch, genus3_curve):
+        dependent = [1, -2, 3, 2, -4, 6]  # row 2 is 2 x row 1
+        independent = [1, -2, 3, 0, 5, -7]
+        rng = PlantedRng(dependent + independent)
+        report = self.scan(monkeypatch, genus3_curve, rng)
+        assert report.all_witnesses[0][1] == ((1, -2, 3), (0, 5, -7))
+        assert next(rng.values, None) is None  # exactly two draws
+
+    def test_two_hundred_dependent_draws_raise(self, monkeypatch, genus3_curve):
+        rng = PlantedRng([1, -2, 3, 2, -4, 6] * 200)
+        with pytest.raises(RuntimeError, match="^failed to draw an independent random subspace$"):
+            self.scan(monkeypatch, genus3_curve, rng)
+        assert next(rng.values, None) is None  # all 200 draws, and a 201st would not raise this
 
 
 class TestCriterion:
