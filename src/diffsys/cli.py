@@ -8,8 +8,8 @@ report alone suffices to replay the run.  Reports are written atomically
 Exit codes: 0 the run completed (negative mathematical verdicts are still
 data, not errors), 1 the configuration failed validation or the output
 could not be written, 2 a numerical computation failed (integration, a
-representation that misses its validity gates, or singular-value
-breakdown).
+representation that misses its validity gates, or a singular-value or
+eigenvalue iteration that does not converge).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .curves import (
     curve_from_json,
     curve_to_json,
 )
-from .field import ExactScalar, SingularValueError
+from .field import ExactScalar
 from .immersion import fd_step_ladder, immersion_experiment, make_center
 from .monodromy import (
     ClearanceError,
@@ -71,6 +71,11 @@ def _parse_rational(text: str) -> Fraction:
         raise ConfigError(f"cannot parse rational {text!r}: {err}") from None
 
 
+def _rationals(text: str) -> list:
+    """The comma-separated rationals of a flag; empty fields are skipped."""
+    return [_parse_rational(v) for v in text.split(",") if v.strip()]
+
+
 def _curve_from_args(args) -> object:
     sources = [
         args.branch_points is not None,
@@ -82,7 +87,7 @@ def _curve_from_args(args) -> object:
             "specify exactly one of --branch-points, --quartic, --curve-json"
         )
     if args.branch_points is not None:
-        values = [_parse_rational(v) for v in args.branch_points.split(",") if v.strip()]
+        values = _rationals(args.branch_points)
         if len(values) < 5:
             raise ConfigError("--branch-points needs at least 5 values (genus >= 2)")
         try:
@@ -271,7 +276,9 @@ def _cmd_immersion(args):
     steps = [float(s) for s in args.fd_steps.split(",") if s.strip()]
     if not steps or not all(0 < s < math.inf for s in steps):
         raise ConfigError("--fd-steps must be positive and finite")
-    branch = [_parse_rational(v) for v in args.branch_points.split(",")] if args.branch_points else [0, 1, 2, 3, 4]
+    if args.format == "csv" and len(steps) > 1:
+        raise ConfigError("--format csv takes a single --fd-steps value")
+    branch = _rationals(args.branch_points) if args.branch_points else [0, 1, 2, 3, 4]
     try:
         center = make_center(
             seed=args.seed,
@@ -290,16 +297,12 @@ def _cmd_immersion(args):
     }
     if len(steps) == 1:
         report = immersion_experiment(center, steps[0], ode_tol)
+        if args.format == "csv":
+            _write_csv(args, [("index", "singular_value"), *enumerate(report.singular_values, 1)])
+            return 0
         result = report.to_json()
-        sv = report.singular_values
     else:
-        ladder = fd_step_ladder(center, steps, ode_tol)
-        result = ladder.to_json()
-        sv = ladder.reports[0].singular_values
-    if args.format == "csv":
-        rows = [("index", "singular_value")] + [(i + 1, s) for i, s in enumerate(sv)]
-        _write_csv(args, rows)
-        return 0
+        result = fd_step_ladder(center, steps, ode_tol).to_json()
     result["loops"] = center.loops.to_json()
     _write_report(args, _report("immersion", config, result))
     return 0
@@ -312,7 +315,7 @@ def _add_curve_args(p):
 
 
 def _add_format(p):
-    # CSV covers only the lazarsfeld tally and the immersion singular-value table
+    # CSV covers only the lazarsfeld tally and one immersion step's singular values
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
@@ -441,7 +444,7 @@ def main(argv=None) -> int:
         # argparse exits itself on --help (0) and on bad usage; bad usage is
         # a configuration error under this tool's exit-code contract
         return 0 if err.code in (0, None) else 1
-    except (IntegrationError, InvalidRepresentationError, SingularValueError, LinAlgError) as err:
+    except (IntegrationError, InvalidRepresentationError, LinAlgError) as err:
         print(f"diffsys: numerical failure: {err}", file=sys.stderr)
         return 2
     except (ConfigError, ClearanceError, CurveError, ValueError) as err:

@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational scalars and matrices, with rank in two regimes.
+"""Exact Gaussian-rational scalars and matrices, and their exact elimination.
 
 Every exact rank, independent subset and solve in this package runs one
 elimination, ``_echelon``: fraction-free (Bareiss) elimination of an integer
@@ -9,15 +9,11 @@ No tolerance, no rounding.  The pivots give ``exact_rank`` (their number,
 the rank over Q(i)), ``exact_pivots`` (the columns independent of the
 columns before them) and ``exact_solve`` (back substitution).
 
-The numeric regime, ``numeric_rank``, counts the singular values of a
-complex double matrix above a relative threshold.
-
 Matrices here are small (tens of rows), so exactness is cheap.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,17 +23,10 @@ import numpy as np
 __all__ = [
     "ExactScalar",
     "ExactMatrix",
-    "FloatMatrix",
-    "SingularValueError",
     "exact_pivots",
     "exact_rank",
     "exact_solve",
-    "numeric_rank",
 ]
-
-
-class SingularValueError(RuntimeError):
-    """The SVD iteration failed to converge within the attempt budget."""
 
 
 def _to_fraction(x) -> Fraction:
@@ -205,31 +194,6 @@ class ExactMatrix:
         )
 
 
-@dataclass(frozen=True)
-class FloatMatrix:
-    """Row-major complex double matrix; all entries must be finite."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-        if not all(map(cmath.isfinite, self.entries)):
-            raise ValueError("non-finite entry in FloatMatrix")
-
-    @staticmethod
-    def from_numpy(a: np.ndarray) -> "FloatMatrix":
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return FloatMatrix(a.shape[0], a.shape[1], tuple(complex(x) for x in a.ravel()))
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
-
-
 # -- exact elimination (one integer Bareiss loop) ----------------------------
 
 
@@ -348,43 +312,3 @@ def exact_solve(columns, target) -> tuple:
     parts = zip(x, [_Q0] * n) if real else zip(x[::2], x[1::2])
     return tuple(ExactScalar(re, im) for re, im in parts)
 
-
-# -- numeric rank -------------------------------------------------------------
-
-
-_SVD_ATTEMPTS = 2  # SVD tries, alternating the matrix and its conjugate transpose
-
-
-def numeric_rank(a: np.ndarray, rel_tol: float = 1e-10):
-    """Numeric rank and singular values of the 2-d array ``a``.
-
-    Returns ``(rank, singular_values)`` where rank counts the singular values
-    above ``rel_tol * sigma_max`` (0 when the matrix is zero or empty); the
-    default threshold is 1e-10 relative to the largest singular value.  If
-    the LAPACK iteration fails to converge, the computation is retried on the
-    conjugate transpose (``_SVD_ATTEMPTS`` tries in all) and then reported as a
-    :class:`SingularValueError` rather than returning a silently wrong rank.
-    """
-    if not 0 < rel_tol < 1:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    if a.size == 0:
-        return 0, []
-    last_err = None
-    for attempt in range(_SVD_ATTEMPTS):
-        try:
-            s = np.linalg.svd(a if attempt % 2 == 0 else a.conj().T, compute_uv=False)
-            break
-        except np.linalg.LinAlgError as err:  # pragma: no cover - rare
-            last_err = err
-    else:  # pragma: no cover - rare
-        raise SingularValueError(
-            f"SVD failed to converge after {_SVD_ATTEMPTS} attempts"
-        ) from last_err
-    values = [float(x) for x in s]
-    smax = values[0]
-    if smax == 0.0:
-        return 0, values
-    rank = sum(1 for x in values if x > rel_tol * smax)
-    return rank, values

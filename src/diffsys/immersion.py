@@ -36,11 +36,14 @@ the gap analysis the Jacobian is therefore equilibrated: the two real
 columns of each complex parameter share one normalizing factor, as do the
 two real rows of each trace, which is a diffeomorphic change of chart on
 either side and keeps the paired structure intact.  The raw spectrum is
-reported alongside.
+reported alongside.  Both spectra are the singular values of real arrays,
+and the rank is read from the equilibrated one by the gap rule alone
+(``_gap_rank``); the report keeps the Jacobian as a ``FloatMatrix``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import HyperellipticCurve, curve_to_json
-from .field import ExactMatrix, ExactScalar, FloatMatrix, exact_rank, numeric_rank
+from .field import ExactMatrix, ExactScalar, exact_rank
 from .multiplication import CriterionVerdict, criterion_injective
 from .monodromy import (
     IntegrationError,
@@ -68,6 +71,7 @@ from .systems import DifferentialSystem, builtin_algebra, sample_system, scale_s
 __all__ = [
     "GAUGE_FROZEN_ENTRIES",
     "SystCoordinates",
+    "FloatMatrix",
     "ImmersionReport",
     "LadderReport",
     "make_center",
@@ -158,7 +162,7 @@ class SystCoordinates:
 
 
 _CENTER_TRIES = 64  # system samples before a center gives up on regularity
-_RANK_REL_FLOOR = 1e-6  # detection floor of the gap rule and numeric ranks, relative to sigma_1
+_RANK_REL_FLOOR = 1e-6  # detection floor of the gap rule, relative to sigma_1
 
 
 def make_center(
@@ -192,6 +196,31 @@ def make_center(
             continue
         return SystCoordinates(curve, system, loops)
     raise ValueError("failed to sample a regular center")
+
+
+@dataclass(frozen=True)
+class FloatMatrix:
+    """Row-major complex double matrix; all entries must be finite."""
+
+    rows: int
+    cols: int
+    entries: tuple
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match shape")
+        if not all(map(cmath.isfinite, self.entries)):
+            raise ValueError("non-finite entry in FloatMatrix")
+
+    @staticmethod
+    def from_numpy(a: np.ndarray) -> "FloatMatrix":
+        a = np.asarray(a, dtype=complex)
+        if a.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        return FloatMatrix(a.shape[0], a.shape[1], tuple(complex(x) for x in a.ravel()))
+
+    def to_numpy(self) -> np.ndarray:
+        return np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -370,10 +399,8 @@ def _report(center, fd_step, cols, verdict, probe, center_rep, status):
         jac[0::2, j] = col.real
         jac[1::2, j] = col.imag
 
-    raw = jac.astype(complex)
-    fm = FloatMatrix.from_numpy(raw)
-    _, raw_sigma = numeric_rank(raw, rel_tol=_RANK_REL_FLOOR)
-    _, sigma = numeric_rank(_equilibrate(jac).astype(complex), rel_tol=_RANK_REL_FLOOR)
+    raw_sigma = np.linalg.svd(jac, compute_uv=False).tolist()
+    sigma = np.linalg.svd(_equilibrate(jac), compute_uv=False).tolist()
     real_rank, gap_ratio = _gap_rank(sigma)
     even = real_rank % 2 == 0
 
@@ -384,9 +411,9 @@ def _report(center, fd_step, cols, verdict, probe, center_rep, status):
         "coeff": [float(x) for x in col_norms[nbranch:]],
     }
     return ImmersionReport(
-        jacobian=fm,
-        singular_values=tuple(float(s) for s in sigma),
-        raw_singular_values=tuple(float(s) for s in raw_sigma),
+        jacobian=FloatMatrix.from_numpy(jac),
+        singular_values=tuple(sigma),
+        raw_singular_values=tuple(raw_sigma),
         estimated_rank=real_rank // 2,
         real_rank=real_rank,
         rank_even=even,

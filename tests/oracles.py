@@ -2,9 +2,10 @@
 
 Nothing here reuses the code paths it checks: holomorphy comes from local
 valuations, theta matrices from the documented monomials multiplied as
-polynomials or forms, multiplication ranks from point evaluation and SVD,
-periods from composite Gauss-Legendre quadrature, loop words from exact finite-field
-representations of the branch-loop group, loop clearance from the polygon
+polynomials or forms, multiplication ranks from point evaluation and an
+SVD rank of its own (``svd_rank``), periods from composite Gauss-Legendre
+quadrature, loop words from exact finite-field representations of the
+branch-loop group, loop clearance from the polygon
 rule on drawn letters, exact ranks, pivots and solves from sympy, the
 first independent subset by a greedy sympy-rank loop, the kernel's square roots
 from products taken one root at a time and its nearer roots from the two
@@ -26,7 +27,7 @@ import numpy.polynomial.legendre as leg
 import sympy
 
 from diffsys.curves import HyperellipticCurve, PlaneQuartic
-from diffsys.field import ExactMatrix, ExactScalar, numeric_rank
+from diffsys.field import ExactMatrix, ExactScalar
 from diffsys.monodromy import _SHEETS, _coerce, _transport
 
 # -- valuation oracle for hyperelliptic differentials --------------------------
@@ -142,8 +143,13 @@ def evaluation_rank(curve, differentials, rel_tol=1e-10, seed=1234):
                 )
                 row.append(val)
             rows.append(row)
-    rank, _ = numeric_rank(np.array(rows, dtype=complex), rel_tol)
-    return rank
+    return svd_rank(np.array(rows, dtype=complex), rel_tol)
+
+
+def svd_rank(a, rel_tol):
+    """The number of singular values of ``a`` above ``rel_tol`` times the largest."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > rel_tol * s.max(initial=0.0)))
 
 
 # -- monomial bases and their products ----------------------------------------

@@ -381,6 +381,32 @@ class TestImmersionCommand:
         assert report["config"]["center"]["free_complex_parameters"] == 6
         assert "loops" in report["result"]
 
+    def test_csv_with_several_steps_exit1(self, tmp_path, capsys):
+        """The CSV table holds one spectrum, so a ladder cannot be written
+        as CSV: exit 1 before any transport, and no file."""
+        out = tmp_path / "imm.csv"
+        argv = ["immersion", "--fd-steps", "1e-4,1e-5,1e-6", "--format", "csv", "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert "--format csv takes a single --fd-steps value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_svd_failure_exit2(self, tmp_path, capsys, monkeypatch):
+        """A LinAlgError from the SVD of the Jacobian is a numerical failure."""
+        svd, calls = np.linalg.svd, []
+
+        def no_convergence(a, *args, **kwargs):
+            if np.shape(a)[-2:] != (2, 2):  # the transport's 2x2 norm stacks still converge
+                calls.append(np.shape(a))
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        out = tmp_path / "imm.json"
+        assert run_cli(["immersion", "--seed", "1", "--fd-steps", "1e-4", "--out", str(out)]) == 2
+        assert calls == [(18, 12)]
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_fd_steps_exit1(self, capsys):
         assert run_cli(["immersion", "--fd-steps", "0"]) == 1
         assert run_cli(["immersion", "--fd-steps=-1e-4"]) == 1
@@ -494,6 +520,28 @@ def test_calls_share_one_parser_but_no_state(tmp_path, capsys):
     assert run_cli(argv + ["--system-json", str(spath)]) == 0
     assert "cannot be used with" not in capsys.readouterr().err
     assert json.loads(out.read_text())["config"]["system"] == system_to_json(system)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["noether"],
+        ["lazarsfeld", "--trials", "2", "--w-dim", "2"],
+        ["criterion"],
+        ["monodromy"],
+        ["immersion", "--fd-steps", "1e-4"],
+    ],
+)
+def test_trailing_comma_in_branch_points(tmp_path, argv):
+    """Every subcommand skips the empty field after a trailing comma and
+    writes the report it writes without the comma."""
+    reports = []
+    for points in ("0,1,2,3,4,", "0,1,2,3,4"):
+        out = tmp_path / "report.json"
+        assert run_cli(argv + ["--branch-points", points, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        reports.append((report["config"], report["result"]))
+    assert reports[0] == reports[1]
 
 
 def test_report_is_one_line_of_sorted_keys(tmp_path):

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import diffsys.immersion
 from diffsys.curves import HyperellipticCurve
 from diffsys.field import ExactMatrix, ExactScalar
 from diffsys.immersion import (
     GAUGE_FROZEN_ENTRIES,
+    FloatMatrix,
     SystCoordinates,
     _perturbed,
     fd_step_ladder,
@@ -15,7 +17,12 @@ from diffsys.immersion import (
     immersion_experiment,
     make_center,
 )
-from diffsys.monodromy import NumericSystem, build_loops
+from diffsys.monodromy import (
+    IntegrationError,
+    InvalidRepresentationError,
+    NumericSystem,
+    build_loops,
+)
 from diffsys.systems import (
     DifferentialSystem,
     builtin_algebra,
@@ -147,6 +154,70 @@ class TestImmersionExperiment:
         mask = np.abs(a) > 1e-6
         rel = np.abs(a[mask] - b[mask]) / np.abs(a[mask])
         assert float(rel.max()) <= 0.01
+
+
+class TestFloatMatrix:
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError):
+            FloatMatrix(1, 2, (1.0, complex("nan")))
+
+
+class TestFailingPartner:
+    """A failure of batch member k >= 1 is reported under its probe.  The
+    probes follow the documented batch order: step by step, label by label,
+    delta along 1 then along i, each as a +delta, -delta pair."""
+
+    STEPS = (1e-4, 1e-5, 1e-6)
+
+    @staticmethod
+    def named(center, steps, k):
+        labels = center.parameter_labels()
+        step, j = divmod(k - 1, 4 * len(labels))
+        delta = steps[step] * (1 + 0j, 1j)[j // 2 % 2]
+        return f"finite-difference direction {labels[j // 4]} (step {delta}) failed: "
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 24, 31, 72])
+    def test_integration_failure_names_its_direction(self, good_center, monkeypatch, k):
+        cause = IntegrationError("step underflow", member=(k, "letter 2", 1))
+
+        def failing(systems, loops, ode_tol):
+            raise cause
+
+        monkeypatch.setattr(diffsys.immersion, "monodromy_family", failing)
+        with pytest.raises(IntegrationError) as info:
+            fd_step_ladder(good_center, self.STEPS)
+        assert str(info.value) == self.named(good_center, self.STEPS, k) + "step underflow"
+        assert info.value.__cause__ is cause
+
+    @pytest.mark.parametrize("member", [(0, "letter 1", 1), None])
+    def test_center_failure_is_raised_unchanged(self, good_center, monkeypatch, member):
+        cause = IntegrationError("step underflow", member=member)
+
+        def failing(systems, loops, ode_tol):
+            raise cause
+
+        monkeypatch.setattr(diffsys.immersion, "monodromy_family", failing)
+        with pytest.raises(IntegrationError) as info:
+            fd_step_ladder(good_center, self.STEPS)
+        assert info.value is cause
+
+    @pytest.mark.parametrize("index", [0, 1, 30, 71])
+    def test_invalid_partner_names_its_direction(self, good_center, good_report, monkeypatch, index):
+        cause = InvalidRepresentationError("relation residual 1", index=index)
+
+        def family(systems, loops, ode_tol):
+            return [good_report.center_rep] * len(systems)
+
+        def invalid(reps):
+            raise cause
+
+        monkeypatch.setattr(diffsys.immersion, "monodromy_family", family)
+        monkeypatch.setattr(diffsys.immersion, "trace_values", invalid)
+        with pytest.raises(IntegrationError) as info:
+            fd_step_ladder(good_center, self.STEPS)
+        named = self.named(good_center, self.STEPS, index + 1)
+        assert str(info.value) == named + "relation residual 1"
+        assert info.value.__cause__ is cause
 
 
 class TestPerturbed:
