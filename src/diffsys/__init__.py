@@ -4,8 +4,7 @@ numerical monodromy / immersion experiments for rank-2 differential systems.
 Layers, bottom up:
 
 * :mod:`diffsys.field` -- exact Gaussian-rational matrices with one
-  fraction-free integer elimination (Gaussian ones realified), and numeric
-  rank via singular values;
+  fraction-free integer elimination (Gaussian ones realified);
 * :mod:`diffsys.curves` -- hyperelliptic and plane-quartic models and the
   index table of products of their monomial bases of differentials;
 * :mod:`diffsys.multiplication` -- multiplication-map matrices and the

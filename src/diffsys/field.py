@@ -1,13 +1,15 @@
 """Exact Gaussian-rational scalars and matrices, and their exact elimination.
 
 Every exact rank, independent subset and solve in this package runs one
-elimination, ``_echelon``: fraction-free (Bareiss) elimination of an integer
-matrix in plain ints, each row cleared of denominators.  A matrix with a
+elimination, ``_echelon``: fraction-free primitive-row elimination of an
+integer matrix in plain ints, each row cleared of denominators.  Only the
+rows a pivot reaches are rewritten, each divided by its content, so no
+entry grows past its fraction-free (Bareiss) counterpart.  A matrix with a
 non-real entry is realified (a + bi becomes [[a, -b], [b, a]]): its pivots
 come in pairs, at about eight times the work of a real matrix of its shape.
 No tolerance, no rounding.  The pivots give ``exact_rank`` (their number,
-the rank over Q(i)), ``exact_pivots`` (the columns independent of the
-columns before them) and ``exact_solve`` (back substitution).
+the rank over Q(i)), ``_pivots`` (the columns independent of the columns
+before them) and ``exact_solve`` (back substitution).
 
 Matrices here are small (tens of rows), so exactness is cheap.
 """
@@ -23,7 +25,6 @@ import numpy as np
 __all__ = [
     "ExactScalar",
     "ExactMatrix",
-    "exact_pivots",
     "exact_rank",
     "exact_solve",
 ]
@@ -146,10 +147,6 @@ class ExactMatrix:
             n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))
         )
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, (ZERO,) * (rows * cols))
-
     def get(self, i: int, j: int) -> ExactScalar:
         return self.entries[i * self.cols + j]
 
@@ -158,13 +155,6 @@ class ExactMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return np.array([e.to_complex() for e in self.entries]).reshape(self.rows, self.cols)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -194,7 +184,7 @@ class ExactMatrix:
         )
 
 
-# -- exact elimination (one integer Bareiss loop) ----------------------------
+# -- exact elimination (one integer primitive-row loop) ----------------------
 
 
 def _cleared(v) -> tuple:
@@ -231,10 +221,14 @@ def _echelon(rows):
     """Fraction-free row echelon form of the integer matrix ``rows`` (a list
     of int lists, eliminated in place): ``(rows, pivots)``.
 
-    Bareiss two-step elimination, so intermediate entries stay polynomially
-    bounded.  The division by the previous pivot is exact and checked once
-    per row (``_divide_exact``).  A realified Gaussian matrix
-    (``_integer_matrix``) has pivot pairs (2j, 2j + 1), one per pivot j over Q(i).
+    Primitive-row elimination: at each pivot, a row below with a nonzero
+    lead becomes ``piv * row - lead * pivot_row``, divided by its content
+    (the gcd of its entries; the one checked exact division,
+    ``_divide_exact``).  A row with a zero lead is left as it is.  Each row
+    stays a nonzero multiple of its Bareiss row, so swaps and pivots are
+    Bareiss's, and a rewritten row is primitive: no entry exceeds its
+    Bareiss counterpart.  A realified Gaussian matrix (``_integer_matrix``)
+    has pivot pairs (2j, 2j + 1), one per pivot j over Q(i).
 
     ``pivots`` lists the pivot columns in order; ``rows[r]`` is the echelon
     row of ``pivots[r]``.  Its entries from ``pivots[r]`` on are final; those
@@ -242,7 +236,6 @@ def _echelon(rows):
     """
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
-    prev = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -254,13 +247,10 @@ def _echelon(rows):
         for i in range(r + 1, nrows):
             row = rows[i]
             lead = row[c]
-            # column c is never read again, so only the columns after it move
-            if lead:
+            if lead:  # column c is never read again, so only the columns after it move
                 new = [a * piv - lead * b for a, b in zip(row[c + 1 :], tail)]
-            else:
-                new = [a * piv for a in row[c + 1 :]]
-            row[c + 1 :] = new if prev == 1 else _divide_exact(new, prev)
-        prev = piv
+                content = math.gcd(*new)
+                row[c + 1 :] = new if content < 2 else _divide_exact(new, content)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -278,12 +268,6 @@ def _pivots(pairs) -> list:
 def exact_rank(m: ExactMatrix) -> int:
     """Rank of ``m`` over Q(i): the number of pivots of ``_echelon``."""
     return len(_pivots([_cleared(m.row(i)) for i in range(m.rows)]))
-
-
-def exact_pivots(m: ExactMatrix) -> list:
-    """The columns of ``m`` that are independent of the columns before them,
-    in order: the first maximal independent subset of its columns."""
-    return _pivots([_cleared(m.row(i)) for i in range(m.rows)])
 
 
 def exact_solve(columns, target) -> tuple:

@@ -102,9 +102,14 @@ def _placed(curve, generators, zero) -> list:
 def _theta_rank(curve, pairs) -> int:
     """Rank of theta over Q(i) for generators given as integer (re, im)
     lists, each cleared of denominators: a column scaling, which keeps the
-    rank.  An empty imaginary list places nothing: it reads as zero."""
+    rank.  The imaginary theta is placed only when some generator has a
+    nonzero imaginary part; otherwise every row reads as real."""
     rows = _placed(curve, [a for a, _ in pairs], 0)
-    return len(field._pivots(list(zip(rows, _placed(curve, [b for _, b in pairs], 0)))))
+    if any(any(b) for _, b in pairs):
+        ims = _placed(curve, [b for _, b in pairs], 0)
+    else:
+        ims = [()] * len(rows)
+    return len(field._pivots(list(zip(rows, ims))))
 
 
 def full_subspace(curve) -> SubspaceSelection:

@@ -26,7 +26,6 @@ __all__ = [
     "builtin_algebra",
     "coefficient_matrices",
     "conjugate_system",
-    "contract",
     "dyad_detect",
     "dimension_report",
     "sample_system",
@@ -189,22 +188,6 @@ class DifferentialSystem:
                 f"coefficient matrix must be {self.lie.dimension}x{g}, got "
                 f"{self.coefficients.rows}x{self.coefficients.cols}"
             )
-
-
-def contract(system: DifferentialSystem, functional) -> tuple:
-    """Apply a linear functional on g to the system: sum_j f_j * row_j."""
-    functional = list(functional)
-    if len(functional) != system.lie.dimension:
-        raise ValueError("functional length must equal the algebra dimension")
-    g = system.curve.genus
-    out = [ZERO] * g
-    for j, fj in enumerate(functional):
-        if fj.is_zero():
-            continue
-        row = system.coefficients.row(j)
-        for i in range(g):
-            out[i] = out[i] + fj * row[i]
-    return tuple(out)
 
 
 @dataclass(frozen=True)

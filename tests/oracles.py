@@ -631,3 +631,54 @@ def greedy_row_basis(vectors):
             chosen = candidate
             rank += 1
     return chosen
+
+
+# -- reference elimination --------------------------------------------------
+# The one-step Bareiss loop that ``field._echelon`` replaced, kept verbatim
+# but for the name of its own checked division: ``_echelon``'s pivots must
+# equal these, and each of its pivot rows must be a multiple of the row here.
+
+
+def _bareiss_divide(values, d) -> list:
+    """The quotients ``values[k] / d``; a remainder raises ``ArithmeticError``."""
+    quotients = [v // d for v in values]
+    if [q * d for q in quotients] != values:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return quotients
+
+
+def bareiss_echelon(rows):
+    """Fraction-free row echelon form of the integer matrix ``rows`` (a list
+    of int lists, eliminated in place): ``(rows, pivots)``, by one-step
+    Bareiss elimination (Bareiss 1968, Math. Comp. 22): every row below a
+    pivot is rescaled and divided by the previous pivot, exactly.
+
+    ``rows[r]`` is the echelon row of ``pivots[r]``; its entries from
+    ``pivots[r]`` on are final, those before it are stale.
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        piv = rows[r][c]
+        tail = rows[r][c + 1 :]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            lead = row[c]
+            # column c is never read again, so only the columns after it move
+            if lead:
+                new = [a * piv - lead * b for a, b in zip(row[c + 1 :], tail)]
+            else:
+                new = [a * piv for a in row[c + 1 :]]
+            row[c + 1 :] = new if prev == 1 else _bareiss_divide(new, prev)
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffsys import field
+from diffsys.curves import HyperellipticCurve
 from diffsys.field import (
     ExactMatrix,
     ExactScalar,
@@ -13,16 +15,27 @@ from diffsys.field import (
     _divide_exact,
     _echelon,
     _integer_matrix,
-    exact_pivots,
+    _pivots,
     exact_rank,
     exact_solve,
 )
+from diffsys.multiplication import _placed
 
-from oracles import svd_rank, sympy_pivots, sympy_rank, sympy_solve
+from oracles import bareiss_echelon, svd_rank, sympy_pivots, sympy_rank, sympy_solve
 
 
 def es(re, im=0):
     return ExactScalar.of(re, im)
+
+
+def zeros(rows, cols):
+    return ExactMatrix(rows, cols, (es(0),) * (rows * cols))
+
+
+def pivots_of(m):
+    """The columns of ``m`` independent of the columns before them, as every
+    exact independent subset in the package takes them."""
+    return _pivots([_cleared(m.row(i)) for i in range(m.rows)])
 
 
 def random_exact_matrix(rng, rows, cols, mag=100):
@@ -94,11 +107,11 @@ class TestExactRank:
         assert exact_rank(ExactMatrix.identity(2)) == 2
 
     def test_zero(self):
-        assert exact_rank(ExactMatrix.zeros(3, 3)) == 0
+        assert exact_rank(zeros(3, 3)) == 0
 
     def test_degenerate_shapes(self):
-        assert exact_rank(ExactMatrix.zeros(0, 5)) == 0
-        assert exact_rank(ExactMatrix.zeros(5, 0)) == 0
+        assert exact_rank(zeros(0, 5)) == 0
+        assert exact_rank(zeros(5, 0)) == 0
 
     def test_rank_one(self):
         m = ExactMatrix.from_rows(
@@ -115,7 +128,7 @@ class TestExactRank:
         rng = random.Random(5)
         for _ in range(25):
             m = random_exact_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), mag=9)
-            assert exact_rank(m) == exact_rank(m.transpose())
+            assert exact_rank(m) == exact_rank(ExactMatrix.from_rows(_columns(m)))
 
     def test_against_sympy_oracle(self):
         rng = random.Random(11)
@@ -188,24 +201,26 @@ def _deficient(rng, make, rows, cols, rank):
     columns = _columns(make(rng, rows, rank, mag=7).matmul(make(rng, rank, cols, mag=7)))
     columns.insert(rng.randint(0, len(columns)), (es(0),) * rows)
     columns.insert(rng.randint(0, len(columns)), rng.choice(columns))
-    return ExactMatrix.from_rows(columns).transpose()
+    return ExactMatrix.from_rows(zip(*columns))
 
 
 class TestExactPivots:
+    """``field._pivots``, which picks every exact independent subset."""
+
     @pytest.mark.parametrize("make", [random_real_matrix, random_exact_matrix])
     def test_match_sympy_rref(self, make):
         rng = random.Random(31)
         for _ in range(20):
             n, k = rng.randint(1, 5), rng.randint(1, 5)
             for m in (make(rng, n, k, mag=9), _deficient(rng, make, n, k, rng.randint(0, 3))):
-                pivots = exact_pivots(m)
+                pivots = pivots_of(m)
                 assert pivots == sympy_pivots(m)
                 assert len(pivots) == exact_rank(m)
 
     def test_degenerate_shapes(self):
-        assert exact_pivots(ExactMatrix.zeros(0, 3)) == []
-        assert exact_pivots(ExactMatrix.zeros(3, 0)) == []
-        assert exact_pivots(ExactMatrix.zeros(2, 2)) == []
+        assert pivots_of(zeros(0, 3)) == []
+        assert pivots_of(zeros(3, 0)) == []
+        assert pivots_of(zeros(2, 2)) == []
 
 
 class TestExactSolve:
@@ -270,7 +285,7 @@ class TestGaussianRealified:
 
     def test_rank_and_pivots_match_sympy(self):
         for m in _gaussian_deficient(47, 60):
-            pivots = exact_pivots(m)
+            pivots = pivots_of(m)
             assert pivots == sympy_pivots(m)
             assert exact_rank(m) == sympy_rank(m) == len(pivots) < m.cols
 
@@ -279,7 +294,7 @@ class TestGaussianRealified:
             rows, real = _integer_matrix([_cleared(m.row(i)) for i in range(m.rows)])
             assert not real and (len(rows), len(rows[0])) == (2 * m.rows, 2 * m.cols)
             pivots = _echelon(rows)[1]
-            assert pivots[::2] == [2 * p for p in exact_pivots(m)]
+            assert pivots[::2] == [2 * p for p in pivots_of(m)]
             assert pivots[1::2] == [p + 1 for p in pivots[::2]]
 
     def test_i_times_a_column_is_dependent(self):
@@ -287,7 +302,7 @@ class TestGaussianRealified:
         c = (es(1, 2), es(-3), es(0, 1))
         ic = tuple(es(0, 1) * e for e in c)
         m = ExactMatrix.from_rows(zip(c, ic, (es(1), es(0), es(0))))
-        assert exact_pivots(m) == sympy_pivots(m) == [0, 2]
+        assert pivots_of(m) == sympy_pivots(m) == [0, 2]
         assert exact_solve([c], ic) == (es(0, 1),)
         with pytest.raises(ArithmeticError, match="dependent"):
             exact_solve([c, ic], c)
@@ -304,6 +319,94 @@ class TestGaussianRealified:
             solution = exact_solve(_columns(a), target.entries)
             assert solution == x.entries
             assert a.matmul(ExactMatrix(a.cols, 1, solution)) == target
+
+
+def _assert_primitive_bareiss_rows(rows):
+    """``_echelon`` against the Bareiss loop it replaced, on a copy of the
+    integer matrix ``rows``: the same pivots; each pivot row, from its pivot
+    on, a nonzero rational multiple of the Bareiss row and no larger entry by
+    entry; and every rewritten row of content 1.  Rows are eliminated in
+    place, so a row whose values differ from its input row was rewritten."""
+    ours = [row[:] for row in rows]
+    inputs = {id(row): row[:] for row in ours}
+    ours, pivots = _echelon(ours)
+    reference, reference_pivots = bareiss_echelon([row[:] for row in rows])
+    assert pivots == reference_pivots
+    for r, p in enumerate(pivots):
+        mine, theirs = ours[r][p:], reference[r][p:]
+        ratio = Fraction(theirs[0], mine[0])
+        assert [ratio * a for a in mine] == theirs
+        assert all(abs(a) <= abs(b) for a, b in zip(mine, theirs))
+        if ours[r] != inputs[id(ours[r])]:
+            assert math.gcd(*mine) == 1
+    return pivots
+
+
+def _planted_theta_rows(rng, g):
+    """Theta of a random W of dimension 1..g on a hyperelliptic curve of
+    genus g, as integer rows: the W generators, read as polynomials of degree
+    below g, share a planted factor of degree 0..g-2 and an integer factor."""
+    curve = HyperellipticCurve.from_integers(range(2 * g + 1))
+    degree = rng.randint(0, g - 2)
+    factor = [rng.randint(-4, 4) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2])]
+    generators = []
+    for _ in range(rng.randint(1, g)):
+        cofactor = [rng.randint(-9, 9) for _ in range(g - degree)]
+        product = [0] * g
+        for i, a in enumerate(factor):
+            for j, b in enumerate(cofactor):
+                product[i + j] += a * b
+        scale = rng.choice([1, 2, 6])
+        generators.append([scale * c for c in product])
+    return _placed(curve, generators, 0)
+
+
+_entry = st.one_of(st.just(0), st.integers(-30, 30))
+
+
+class TestPrimitiveRowElimination:
+    """``_echelon`` rewrites only the rows a pivot reaches, each divided by
+    its content; the one-step Bareiss loop is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dense_integer_matrices(self, data):
+        nrows, ncols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        rows = [data.draw(st.lists(_entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+        if nrows > 2 and data.draw(st.booleans()):  # a planted dependent row
+            a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        _assert_primitive_bareiss_rows(rows)
+
+    def test_banded_theta_with_planted_factors(self):
+        rng = random.Random(61)
+        for g in range(3, 7):
+            for _ in range(25):
+                rows = _planted_theta_rows(rng, g)
+                assert len(_assert_primitive_bareiss_rows(rows)) <= 2 * g - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_realified_gaussian_matrices(self, data):
+        nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        pairs = [
+            tuple(data.draw(st.lists(_entry, min_size=ncols, max_size=ncols)) for _ in range(2))
+            for _ in range(nrows)
+        ]
+        pairs[0][1][0] = data.draw(st.integers(1, 30))  # one entry is not real
+        if data.draw(st.booleans()):  # i times the first row: dependent over Q(i) only
+            re, im = pairs[0]
+            pairs.append(([-b for b in im], list(re)))
+        rows, real = _integer_matrix(pairs)
+        assert not real
+        pivots = _assert_primitive_bareiss_rows(rows)
+        assert pivots[1::2] == [p + 1 for p in pivots[::2]]
+
+    def test_zero_lead_row_keeps_its_values(self):
+        rows, pivots = _echelon([[2, 1, 3], [0, 5, 1], [4, 1, 2]])
+        assert pivots == [0, 1, 2]
+        assert rows[1] == [0, 5, 1]  # the Bareiss loop makes it [0, 10, 2]
+        assert bareiss_echelon([[2, 1, 3], [0, 5, 1], [4, 1, 2]])[0][1][1:] == [10, 2]
 
 
 def _random_unimodular(rng, n):

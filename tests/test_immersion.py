@@ -69,7 +69,7 @@ class TestCenterConstruction:
     def test_singular_slice_rejected_by_default(self):
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
         loops = build_loops(curve, 0.22)
-        zero = DifferentialSystem(curve, SL2, ExactMatrix.zeros(3, 2))
+        zero = DifferentialSystem(curve, SL2, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         with pytest.raises(ValueError):
             SystCoordinates(curve, zero, loops)
         center = SystCoordinates(curve, zero, loops, allow_singular_gauge_slice=True)
@@ -256,7 +256,7 @@ class TestFdLadder:
         numerically zero there: both blocks, not just the branch block."""
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
         loops = build_loops(curve, 0.22)
-        zero = DifferentialSystem(curve, SL2, ExactMatrix.zeros(3, 2))
+        zero = DifferentialSystem(curve, SL2, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         center = SystCoordinates(curve, zero, loops, allow_singular_gauge_slice=True)
         report = immersion_experiment(center, fd_step=1e-4)
         assert report.status == "out_of_hypothesis"

@@ -223,7 +223,7 @@ class TestBuildLoops:
 
 class TestIntegrateLoop:
     def test_zero_system_identity(self, genus2_curve, loops_g2):
-        system = DifferentialSystem(genus2_curve, SL2, ExactMatrix.zeros(3, 2))
+        system = DifferentialSystem(genus2_curve, SL2, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         for loop in loops_g2.loops:
             Y = integrate_loop(system, loop, 1e-12)
             assert np.allclose(Y, np.eye(2), atol=1e-14)
@@ -286,14 +286,14 @@ class TestIntegrateLoop:
 
     def test_non_sl2_rejected(self, genus2_curve, loops_g2):
         gl2 = builtin_algebra("gl2")
-        system = DifferentialSystem(genus2_curve, gl2, ExactMatrix.zeros(4, 2))
+        system = DifferentialSystem(genus2_curve, gl2, ExactMatrix.from_rows([[es(0)] * 2] * 4))
         with pytest.raises(ValueError):
             monodromy(system, loops_g2, 1e-12)
 
 
 class TestMonodromy:
     def test_zero_system_trivial_rep(self, genus2_curve, loops_g2):
-        system = DifferentialSystem(genus2_curve, SL2, ExactMatrix.zeros(3, 2))
+        system = DifferentialSystem(genus2_curve, SL2, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         rep = monodromy(system, loops_g2, 1e-12)
         assert rep.relation_residual <= 1e-14
         for m in rep.matrices:

@@ -184,6 +184,56 @@ class TestProductTable:
         assert curves._slot_table.cache_info().misses == 1
 
 
+class TestThetaRank:
+    """``_theta_rank`` places the imaginary theta only when some generator
+    has a nonzero imaginary part."""
+
+    def test_real_generators_place_theta_once(
+        self, monkeypatch, genus2_curve, genus3_curve, klein_quartic
+    ):
+        calls = []
+        placed = multiplication._placed
+        monkeypatch.setattr(multiplication, "_placed", lambda *a: calls.append(a) or placed(*a))
+        system = sample_system(genus2_curve, builtin_algebra("sl2"), seed=4, coefficient_bound=5)
+        runs = [lambda: criterion_injective(genus2_curve, system)]
+        for curve in (genus3_curve, klein_quartic):
+            runs += [
+                lambda c=curve: lazarsfeld_scan(c, trials=1, w_dim=2, seed=0),
+                lambda c=curve: noether_check(c),
+            ]
+        for run in runs:
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    def test_gaussian_criterion_realifies(self, monkeypatch, genus2_curve):
+        """A Gaussian coefficient places both thetas, is ranked realified, and
+        its rank matches sympy's rank of the oracle's columns over Q(i)."""
+        sl2 = builtin_algebra("sl2")
+        realified, placed = [], []
+        integer_matrix, place = field._integer_matrix, multiplication._placed
+
+        def counted_integer_matrix(pairs):
+            rows, real = integer_matrix(pairs)
+            realified.append(not real)
+            return rows, real
+
+        monkeypatch.setattr(field, "_integer_matrix", counted_integer_matrix)
+        monkeypatch.setattr(multiplication, "_placed", lambda *a: placed.append(a) or place(*a))
+        for seed in range(6):
+            coeff = sample_system(genus2_curve, sl2, seed=seed, coefficient_bound=5).coefficients
+            entries = (coeff.entries[0] + es(0, seed + 1),) + coeff.entries[1:]
+            coeff = ExactMatrix(coeff.rows, coeff.cols, entries)
+            system = DifferentialSystem(genus2_curve, sl2, coeff)
+            realified.clear()
+            placed.clear()
+            verdict = criterion_injective(genus2_curve, system)
+            v = greedy_row_basis(system.coefficients.row(i) for i in range(coeff.rows))
+            columns = theta_columns(genus2_curve, v)
+            assert verdict.theta_v_rank == sympy_rank(ExactMatrix.from_rows(columns))
+            assert realified == [True, True] and len(placed) == 2
+
+
 class TestProductProperties:
     def test_symmetry(self, genus3_curve, klein_quartic):
         for curve in (genus3_curve, klein_quartic):
@@ -410,7 +460,7 @@ class TestCriterion:
 
     def test_zero_system(self, genus2_curve):
         sl2 = builtin_algebra("sl2")
-        system = DifferentialSystem(genus2_curve, sl2, ExactMatrix.zeros(3, 2))
+        system = DifferentialSystem(genus2_curve, sl2, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         v = criterion_injective(genus2_curve, system)
         assert not v.holds and v.v_dimension == 0 and v.theta_v_rank == 0
 

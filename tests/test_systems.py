@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from diffsys.systems import (
     builtin_algebra,
     coefficient_matrices,
     conjugate_system,
-    contract,
     dimension_report,
     dyad_detect,
     sample_system,
@@ -75,48 +73,6 @@ class TestBuiltinAlgebras:
             builtin_algebra("e8")
 
 
-class TestContract:
-    def test_dyad_contraction(self, genus2_curve):
-        sl2 = builtin_algebra("sl2")
-        # delta = E (x) (3 omega_0 + omega_1)
-        coeff = ExactMatrix.from_rows(
-            [[es(0), es(0)], [es(3), es(1)], [es(0), es(0)]]
-        )
-        system = DifferentialSystem(genus2_curve, sl2, coeff)
-        out = contract(system, (es(0), es(5), es(0)))
-        assert out == (es(15), es(5))
-
-    def test_zero_functional(self, genus2_curve):
-        sl2 = builtin_algebra("sl2")
-        system = sample_system(genus2_curve, sl2, seed=2, coefficient_bound=4)
-        assert contract(system, (es(0),) * 3) == (es(0), es(0))
-
-    def test_dual_functional_picks_row(self, genus2_curve):
-        sl2 = builtin_algebra("sl2")
-        system = sample_system(genus2_curve, sl2, seed=3, coefficient_bound=4)
-        row_e = system.coefficients.row(1)
-        assert contract(system, (es(0), es(1), es(0))) == tuple(row_e)
-
-    def test_linearity(self, genus2_curve):
-        rng = random.Random(1)
-        sl2 = builtin_algebra("sl2")
-        system = sample_system(genus2_curve, sl2, seed=9, coefficient_bound=5)
-        h = tuple(es(rng.randint(-4, 4)) for _ in range(3))
-        k = tuple(es(rng.randint(-4, 4)) for _ in range(3))
-        a, b = es(3), es(-2)
-        combo = tuple(a * x + b * y for x, y in zip(h, k))
-        lhs = contract(system, combo)
-        ch, ck = contract(system, h), contract(system, k)
-        rhs = tuple(a * x + b * y for x, y in zip(ch, ck))
-        assert lhs == rhs
-
-    def test_length_mismatch(self, genus2_curve):
-        sl2 = builtin_algebra("sl2")
-        system = sample_system(genus2_curve, sl2, seed=0, coefficient_bound=1)
-        with pytest.raises(ValueError):
-            contract(system, (es(1), es(0)))
-
-
 class TestDyadDetect:
     def test_dyad(self, genus2_curve):
         sl2 = builtin_algebra("sl2")
@@ -126,7 +82,7 @@ class TestDyadDetect:
 
     def test_zero_is_dyad(self, genus2_curve):
         sl2 = builtin_algebra("sl2")
-        v = dyad_detect(DifferentialSystem(genus2_curve, sl2, ExactMatrix.zeros(3, 2)))
+        v = dyad_detect(DifferentialSystem(genus2_curve, sl2, ExactMatrix.from_rows([[es(0)] * 2] * 3)))
         assert v.is_dyad and v.rank_of_coefficients == 0
 
     def test_rank2_not_dyad(self, genus2_curve):
@@ -204,7 +160,7 @@ class TestSampling:
     def test_shape_validation(self, genus2_curve):
         sl2 = builtin_algebra("sl2")
         with pytest.raises(ValueError):
-            DifferentialSystem(genus2_curve, sl2, ExactMatrix.zeros(3, 3))
+            DifferentialSystem(genus2_curve, sl2, ExactMatrix.from_rows([[es(0)] * 3] * 3))
 
 
 class TestSystemSerialization:
@@ -222,7 +178,7 @@ class TestSystemSerialization:
         custom = LieAlgebraData.from_structure_constants(
             "my_sl2", [[list(r) for r in p] for p in sl2.structure_constants]
         )
-        s = DifferentialSystem(genus2_curve, custom, ExactMatrix.zeros(3, 2))
+        s = DifferentialSystem(genus2_curve, custom, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         data = json.loads(json.dumps(system_to_json(s)))
         t = system_from_json(data)
         assert t.lie.name == "my_sl2"
@@ -234,7 +190,7 @@ class TestSystemSerialization:
         sl2 = builtin_algebra("sl2")
         doubled = [[[c * es(2) for c in r] for r in p] for p in sl2.structure_constants]
         custom = LieAlgebraData.from_structure_constants("sl2", doubled)
-        s = DifferentialSystem(genus2_curve, custom, ExactMatrix.zeros(3, 2))
+        s = DifferentialSystem(genus2_curve, custom, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         t = system_from_json(json.loads(json.dumps(system_to_json(s))))
         assert t.lie.name == "sl2"
         assert t.lie.structure_constants == custom.structure_constants != sl2.structure_constants
