@@ -16,7 +16,7 @@ Layers, bottom up:
   coordinates;
 * :mod:`diffsys.immersion` -- finite-difference rank of the monodromy map on
   explicit coordinate slices;
-* :mod:`diffsys.cli` -- batch subcommands writing replayable JSON reports.
+* :mod:`diffsys.cli` -- batch subcommands writing one JSON report per run.
 """
 
 __version__ = "0.1.0"

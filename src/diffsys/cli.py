@@ -1,8 +1,8 @@
 """Batch command-line entry point.
 
 One verification task per process invocation; every run writes a single
-machine-readable report that echoes the fully resolved configuration, so a
-report alone suffices to replay the run.  Reports are written atomically
+machine-readable report that echoes the fully resolved configuration (only
+a ``dims`` config is also a ``--config`` file).  Reports are written atomically
 (temp file in the target directory, then rename).
 
 Exit codes: 0 the run completed (negative mathematical verdicts are still
@@ -76,6 +76,18 @@ def _rationals(text: str) -> list:
     return [_parse_rational(v) for v in text.split(",") if v.strip()]
 
 
+# what malformed JSON data raises in the curve and system loaders
+_MALFORMED = (OSError, ValueError, LookupError, TypeError, AttributeError, ZeroDivisionError)
+
+
+def _load_json(path, flag, loader):
+    try:
+        with open(path) as fh:
+            return loader(json.load(fh))
+    except _MALFORMED as err:
+        raise ConfigError(f"{flag} invalid: {err}") from None
+
+
 def _curve_from_args(args) -> object:
     sources = [
         args.branch_points is not None,
@@ -100,11 +112,7 @@ def _curve_from_args(args) -> object:
         if args.quartic == "klein":
             return PlaneQuartic.klein()
         raise ConfigError("--quartic must be fermat or klein")
-    try:
-        with open(args.curve_json) as fh:
-            return curve_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, CurveError, KeyError) as err:
-        raise ConfigError(f"--curve-json invalid: {err}") from None
+    return _load_json(args.curve_json, "--curve-json", curve_from_json)
 
 
 class _Given(argparse.Action):
@@ -121,11 +129,7 @@ def _system_from_args(args, curve):
         unused = [f"--{n}" for n in ("scale", "bound", "algebra", "seed") if n in given]
         if unused:
             raise ConfigError(f"{', '.join(unused)} cannot be used with --system-json")
-        try:
-            with open(args.system_json) as fh:
-                system = system_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
-            raise ConfigError(f"--system-json invalid: {err}") from None
+        system = _load_json(args.system_json, "--system-json", system_from_json)
         if system.curve != curve:
             raise ConfigError("system curve does not match the requested curve")
         return system

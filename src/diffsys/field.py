@@ -35,8 +35,6 @@ def _to_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 

@@ -307,23 +307,16 @@ def _equilibrate(jac: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_step(center: SystCoordinates, base: NumericSystem, labels, fd_step: float):
+def _check_step(center: SystCoordinates, fd_step: float):
+    # no collision check: build_loops keeps branch points over 2 * clearance
+    # apart, so a move of 2 * fd_step <= clearance / 2 reaches none, and the
+    # turn guards refuse another root within 0.9 clearance of a letter's circle
     if not 0 < fd_step < math.inf:
         raise ValueError("fd_step must be positive and finite")
     if fd_step > center.loops.clearance / 4:
         raise ValueError(
             f"fd_step {fd_step} exceeds a quarter of the loop clearance {center.loops.clearance}"
         )
-    # guard against branch collisions for every probed direction
-    for kind, where in labels:
-        if kind != "branch":
-            continue
-        roots = list(base.roots)
-        for other in roots[:where] + roots[where + 1 :]:
-            if abs(roots[where] - other) <= 2 * fd_step:
-                raise ValueError(
-                    f"fd_step {fd_step} would collide branch point {where} with a neighbour"
-                )
 
 
 def _experiments(center: SystCoordinates, steps, ode_tol):
@@ -331,27 +324,31 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
 
     The batch holds the center and, for every step, the +delta and -delta
     systems of each real direction, so all columns of all steps share one
-    step sequence (internal numerical differentiation).  A failing
-    perturbed system is reported under its direction and step.
+    step sequence (internal numerical differentiation).  The batch order
+    (step, label, delta along 1 then i, +delta then -delta) makes the
+    perturbed traces one (steps, directions, 2, words) block; the central
+    differences of all of it are one expression, and step k's (directions,
+    words) slice is its report's columns.  A failing perturbed system is
+    reported under its direction and step.
     """
-    g = center.genus
-    labels = center.parameter_labels()
     base = NumericSystem.from_system(center.system)
     rho = np.array([m.to_numpy() for m in center.system.lie.rep_matrices])
     for fd_step in steps:
-        _check_step(center, base, labels, fd_step)
+        _check_step(center, fd_step)
 
-    directions = [(label, delta) for label in labels for delta in (1.0 + 0j, 1j)]
-    systems = [base]
-    probes = []  # (step, label, delta) per perturbed system, in batch order from 1
-    for fd_step in steps:
-        for label, unit in directions:
-            delta = fd_step * unit
-            systems += [_perturbed(base, rho, label, delta), _perturbed(base, rho, label, -delta)]
-            probes += [(fd_step, label, delta)] * 2
+    # (step, label, delta) per direction, in batch order
+    probes = [
+        (fd_step, label, fd_step * unit)
+        for fd_step in steps
+        for label in center.parameter_labels()
+        for unit in (1.0 + 0j, 1j)
+    ]
+    systems = [base] + [
+        _perturbed(base, rho, label, d) for _, label, delta in probes for d in (delta, -delta)
+    ]
 
     def direction_failed(index, err):
-        _, label, delta = probes[index - 1]
+        _, label, delta = probes[(index - 1) // 2]
         return IntegrationError(
             f"finite-difference direction {label} (step {delta}) failed: {err}"
         )
@@ -366,7 +363,7 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
         raise direction_failed(err.member[0], err) from err
     center_rep = reps[0]
     probe = irreducibility_probe(center_rep)
-    if g >= 3:
+    if center.genus >= 3:
         status = "exploratory"
     elif not probe.probably_irreducible or not verdict.holds:
         status = "out_of_hypothesis"
@@ -378,26 +375,21 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
     except InvalidRepresentationError as err:
         raise direction_failed(err.index + 1, err) from err
 
-    reports = []
-    for k, fd_step in enumerate(steps):
-        first = 2 * len(directions) * k
-        cols = [
-            (traces[first + 2 * j] - traces[first + 2 * j + 1]) / (2 * fd_step)
-            for j in range(len(directions))
-        ]
-        reports.append(
-            _report(center, fd_step, cols, verdict, probe, center_rep, status)
-        )
-    return reports
+    pairs = traces.reshape(len(steps), len(probes) // len(steps), 2, -1)
+    cols = (pairs[:, :, 0] - pairs[:, :, 1]) / (2 * np.array(steps))[:, None, None]
+    return [
+        _report(center, fd_step, block, verdict, probe, center_rep, status)
+        for fd_step, block in zip(steps, cols)
+    ]
 
 
 def _report(center, fd_step, cols, verdict, probe, center_rep, status):
+    """The report of one step; ``cols`` is its (directions, words) block."""
     g = center.genus
     words = standard_word_list(g)
-    jac = np.zeros((2 * len(words), len(cols)), dtype=float)
-    for j, col in enumerate(cols):
-        jac[0::2, j] = col.real
-        jac[1::2, j] = col.imag
+    jac = np.empty((2 * len(words), len(cols)))
+    jac[0::2] = cols.real.T
+    jac[1::2] = cols.imag.T
 
     raw_sigma = np.linalg.svd(jac, compute_uv=False).tolist()
     sigma = np.linalg.svd(_equilibrate(jac), compute_uv=False).tolist()
@@ -406,10 +398,7 @@ def _report(center, fd_step, cols, verdict, probe, center_rep, status):
 
     nbranch = 2 * (2 * g - 1)
     col_norms = np.linalg.norm(jac, axis=0)
-    blocks = {
-        "branch": [float(x) for x in col_norms[:nbranch]],
-        "coeff": [float(x) for x in col_norms[nbranch:]],
-    }
+    blocks = {"branch": col_norms[:nbranch].tolist(), "coeff": col_norms[nbranch:].tolist()}
     return ImmersionReport(
         jacobian=FloatMatrix.from_numpy(jac),
         singular_values=tuple(sigma),
@@ -433,8 +422,8 @@ def immersion_experiment(
 ) -> ImmersionReport:
     """Central finite differences of the trace chart at one center.
 
-    Aborts when a perturbed curve would collide branch points or break the
-    frozen-loop validity radius; the offending direction is named in the
+    ``fd_step`` is at most a quarter of the loop clearance; a perturbed
+    system that fails its transport is named by its direction in the
     error.  One column per real coordinate; the center and every perturbed
     system are transported in one batch.
     """
@@ -473,14 +462,7 @@ def fd_step_ladder(center: SystCoordinates, steps, ode_tol: float = 1e-12) -> La
         raise ValueError("fd ladder must span at least two orders of magnitude")
     reports = tuple(_experiments(center, steps, ode_tol))
     ranks = tuple(r.estimated_rank for r in reports)
-    dev = 0.0
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            si = np.array(reports[i].singular_values)
-            sj = np.array(reports[j].singular_values)
-            n = min(len(si), len(sj))
-            if n == 0:
-                continue
-            scale = max(si[0], sj[0], 1e-300)
-            dev = max(dev, float(np.max(np.abs(si[:n] - sj[:n])) / scale))
+    sigma = np.array([r.singular_values for r in reports])  # (steps, 2 * labels)
+    scale = np.maximum(np.maximum.outer(sigma[:, 0], sigma[:, 0]), 1e-300)
+    dev = float(np.max(np.abs(sigma[:, None] - sigma[None]).max(axis=2) / scale))
     return LadderReport(steps, reports, ranks, len(set(ranks)) == 1, dev)

@@ -192,8 +192,6 @@ def _inv(word):
 
 def _prefix_word(j):
     """Prefix product P_j of the elementary loops, as a reduced letter tuple."""
-    if j == 0:
-        return ()
     if j % 2 == 1:
         return tuple(range(1, j + 2))
     return tuple(range(1, j + 2)) + (1,)

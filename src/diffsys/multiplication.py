@@ -62,9 +62,6 @@ class SubspaceSelection:
     def dimension(self) -> int:
         return len(self.generators)
 
-    def to_json(self):
-        return [[c.to_json() for c in v] for v in self.generators]
-
 
 @dataclass(frozen=True)
 class MultiplicationMatrix:

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,18 @@ from diffsys.cli import main
 
 def run_cli(args):
     return main(list(args))
+
+
+def diagonal_system_json():
+    """H (x^0/4 - x^1/8 + x^2/8) dx/y on the genus-3 curve 0..6, as JSON."""
+    from diffsys.curves import HyperellipticCurve
+    from diffsys.field import ExactMatrix, ExactScalar
+    from diffsys.systems import DifferentialSystem, builtin_algebra, system_to_json
+
+    h = [ExactScalar.of(Fraction(n, 8)) for n in (2, -1, 1)]
+    coefficients = ExactMatrix.from_rows([h, [ExactScalar.of(0)] * 3, [ExactScalar.of(0)] * 3])
+    curve = HyperellipticCurve.from_integers(range(7))
+    return system_to_json(DifferentialSystem(curve, builtin_algebra("sl2"), coefficients))
 
 
 class TestDims:
@@ -111,6 +124,13 @@ class TestLazarsfeld:
         assert code == 1
         assert "cannot write output" in capsys.readouterr().err
         assert list(tmp_path.glob(".diffsys-*.tmp")) == []
+
+    def test_zero_trials_exit1(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        argv = ["lazarsfeld", "--branch-points", "0,1,2,3,4", "--trials", "0", "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert "--trials must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_w_dim_validation(self, capsys):
         assert run_cli(
@@ -221,6 +241,19 @@ class TestMonodromyCommand:
         assert run_cli(argv + ["--ode-tol", "1e-10", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["system"] == system_to_json(system)
+
+    def test_reducible_system_json(self, tmp_path):
+        """The diagonal system H (x^0/4 - x^1/8 + x^2/8) dx/y has the common
+        eigenvector e_1, and the report names it as the witness."""
+        out = tmp_path / "mono.json"
+        spath = tmp_path / "system.json"
+        spath.write_text(json.dumps(diagonal_system_json()))
+        argv = ["monodromy", "--branch-points", "0,1,2,3,4,5,6", "--system-json", str(spath)]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["irreducibility"] == {
+            "verdict": "common_eigenvector_found",
+            "witness": [[1.0, 0.0], [0.0, 0.0]],
+        }
 
     def test_zero_ode_tol_exit1(self, capsys):
         """Zero, NaN and infinity are refused before any transport runs."""
@@ -550,3 +583,43 @@ def test_report_is_one_line_of_sorted_keys(tmp_path):
     assert run_cli(["dims", "--genus", "2", "--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def _first_entry(value):
+    """The diagonal system's JSON with its first coefficient entry replaced."""
+    data = diagonal_system_json()
+    data["coefficients"]["entries"][0] = value
+    return data
+
+
+def _curve(first):
+    """Genus-2 curve JSON whose first branch point is ``first``."""
+    return {"model": "hyperelliptic", "branch_points": [first] + [[k, 1, 0, 1] for k in range(1, 5)]}
+
+
+@pytest.mark.parametrize(
+    "argv, flag, body",
+    [
+        pytest.param(["noether"], "--curve-json", _curve([1, 0, 0, 1]), id="curve-zero-denominator"),
+        pytest.param(["noether"], "--curve-json", {"model": "hyperelliptic", "branch_points": 5},
+                     id="curve-branch-points-not-a-list"),
+        pytest.param(["noether"], "--curve-json", _curve(["1", 1, 0, 1]), id="curve-string-numerator"),
+        pytest.param(["noether"], "--curve-json", [_curve([0, 1, 0, 1])], id="curve-top-level-list"),
+        *(
+            pytest.param([sub, "--branch-points", "0,1,2,3,4,5,6"], "--system-json",
+                         _first_entry(entry),
+                         id=f"{sub}-{fault}")
+            for sub in ("criterion", "monodromy")
+            for fault, entry in (("zero-denominator", [1, 0, 0, 1]), ("string-numerator", ["1", 4, 0, 1]))
+        ),
+    ],
+)
+def test_malformed_json_exit1(tmp_path, capsys, argv, flag, body):
+    """Malformed data in a --curve-json or --system-json file is a
+    configuration error naming the flag, and no report is written."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    out = tmp_path / "report.json"
+    assert run_cli(argv + [flag, str(path), "--out", str(out)]) == 1
+    assert f"configuration error: {flag} invalid" in capsys.readouterr().err
+    assert not out.exists()

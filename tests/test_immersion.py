@@ -11,6 +11,7 @@ from diffsys.immersion import (
     GAUGE_FROZEN_ENTRIES,
     FloatMatrix,
     SystCoordinates,
+    _check_step,
     _perturbed,
     fd_step_ladder,
     gauge_slice_regular,
@@ -218,6 +219,40 @@ class TestFailingPartner:
         named = self.named(good_center, self.STEPS, index + 1)
         assert str(info.value) == named + "relation residual 1"
         assert info.value.__cause__ is cause
+
+
+class TestNoBranchCollision:
+    """``_check_step`` has no collision check: on centers from ``make_center``
+    every step it accepts moves a branch point by less than the distance
+    that would bring it within 2 * step of another one."""
+
+    @pytest.mark.parametrize(
+        "branch, clearance",
+        [
+            ((0, 1, 2, 3, 4), 0.22),
+            ((0, 1, 2, 3, 4), 0.4),
+            ((0, 1, -1, 2, Fraction(1, 2)), 0.22),
+            ((0, 1, Fraction(3, 2), -2, 5), 0.05),
+            ((0, 1, 2, 3, 4, 5, 6), 0.2),
+        ],
+    )
+    def test_accepted_steps_keep_roots_apart(self, branch, clearance):
+        center = make_center(seed=3, branch=branch, clearance=clearance)
+        base = NumericSystem.from_system(center.system)
+        rho = np.array([m.to_numpy() for m in SL2.rep_matrices])
+        largest = clearance / 4
+        with pytest.raises(ValueError, match="quarter of the loop clearance"):
+            _check_step(center, math.nextafter(largest, math.inf))
+        for step in (largest, largest / 3, 1e-4, 1e-6):
+            _check_step(center, step)
+            for label in center.parameter_labels():
+                if label[0] != "branch":
+                    continue
+                for delta in (step, -step, 1j * step, -1j * step):
+                    roots = _perturbed(base, rho, label, delta).roots
+                    moved = roots[label[1]]
+                    others = roots[: label[1]] + roots[label[1] + 1 :]
+                    assert min(abs(moved - other) for other in others) > 2 * step
 
 
 class TestPerturbed:
