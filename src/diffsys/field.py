@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "FloatRangeError",
     "ExactScalar",
     "ExactMatrix",
     "exact_rank",
@@ -36,6 +37,10 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+class FloatRangeError(ValueError):
+    """An exact value lies beyond the range of double precision."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,12 @@ class ExactScalar:
         return self.re == 0 and self.im == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        try:
+            return complex(self.re) + 1j * complex(self.im)
+        except OverflowError:  # the one conversion to floats names what does not fit
+            text = repr(self)
+            text = text if len(text) <= 40 else text[:40] + "..."
+            raise FloatRangeError(f"{text} lies beyond double range") from None
 
     def to_json(self) -> list[int]:
         return [

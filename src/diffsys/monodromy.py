@@ -4,32 +4,33 @@ Loops
 -----
 ``build_loops`` realizes a canonical generating system a_1, b_1, ..., a_g, b_g
 of the fundamental group, based below the branch locus.  Each generator is a
-word in elementary "lollipop" loops around single branch points; the words
-come from an exact presentation-level construction (prefix products of the
-elementary loops with explicit conjugators) whose defining property is that
+word in elementary "lollipop" loops around single branch points, written
+in closed form (``canonical_words``), whose defining property is that
 
     [a_1, b_1] [a_2, b_2] ... [a_g, b_g] = 1     exactly in pi_1,
 
 so the surface-group relation holds by construction, not by accident of
-homology.  Each word has even length, hence lifts to a closed loop on the
-double cover.  A letter is construction data (branch point, radius, foot,
-south), checked by the one clearance rule ``_turn_guards``; a loop's vertices
-and per-vertex sheets are its letters' drawings (``_lollipop``) and their
-closed-form sheet profiles (below) end to end, the sign alternating from
-letter to letter, and every letter must end on the sheet opposite its start.
+homology (the tests check it in exact involution representations).  Each
+word has even length, hence lifts to a closed loop on the double cover.  A
+letter is construction data (branch point, radius, foot, south), checked by
+the one clearance rule ``_turn_guards``; a loop's vertices and per-vertex
+sheets are its letters' drawings (``_lollipop``) and their closed-form
+sheet profiles (below) end to end, the sign alternating from letter to
+letter, and every letter must end on the sheet opposite its start.
 
 Transport
 ---------
 One kernel solves dY = (sum_j B_j omega_j) Y in a single numpy sweep for a
-batch of *rows*, each a numeric system and one straight segment a -> b, run
-on both sheets; a (row, sheet) pair is a *member*, starting from
-y = sheet * sqrt(f(x)) at a.  The sweep runs the Dormand-Prince 8(5,3) pair
-DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10; twelve stages, the
-last of which holds the step's solution, whose slope starts the next step)
-with one step sequence in the segment parameter, shared by all members: a
-step is accepted when the largest local error in the batch is within
-tolerance and every member passes the sheet guard, and the next step size
-follows from that largest error (factor 0.9 err^(-1/8) within [0.2, 6]).
+batch of *rows*, each a numeric system, one straight segment a -> b and a
+start y there, run on both sheets; a (row, sheet) pair is a *member*,
+starting from sheet * w, w the root of f(a) nearer to the row's start y.
+The sweep runs the Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett &
+Wanner, Solving ODEs I, II.10; twelve stages, the last of which holds the
+step's solution, whose slope starts the next step) with one step sequence
+in the segment parameter, shared by all members: a step is accepted when
+the largest local error in the batch is within tolerance and every member
+passes the sheet guard, and the next step size follows from that largest
+error (factor 0.9 err^(-1/8) within [0.2, 6]).
 An entry's local error is the combined estimate h |e5|^2 / hypot(|e5|,
 |e3| / 10), held to ode_tol / 10 in the mixed scale 1 + max(|Y|, |Y_new|)
 (on 48 genus-2 and genus-3 systems, ode_tol itself fell short of the former
@@ -38,13 +39,16 @@ once an entry of Y passes 2**26 = eps^(-1/2), where rounding alone breaks
 det = 1, naming the member.
 Sheets are decided in closed form: along a straight segment a -> b that
 misses every branch point, y(b) = y(a) prod_j sqrt((b - r_j) / (a - r_j))
-with principal roots, and after the sweep every row's y at b must match it
-(to ``_SHEET_MATCH_TOL``), else its member on sheet +1 is named.  Within a
-step every stage takes the root w = +-sqrt f nearer to y at the step's start,
--w where Re(w conj y) < 0 (|w - y|^2 - |w + y|^2 = -4 Re(w conj y)), and the
-sheet guard accepts only |y_new - y_old| < |y_old|; a step the guard keeps
-rejecting ends in step-size underflow, naming the member, t and h.  The
-guard is only a step guard: it sees a step's end point, and with a zero
+with principal roots.  Callers continue y so from the base; a row's start
+y must be +-sqrt f(a) before the first step and its y at b the closed form
+from w after the last (both to ``_SHEET_MATCH_TOL``), else its member on
+sheet +1 is named.  Within a step every stage takes the root w = +-sqrt f nearer to y
+at the step's start, -w where Re(w conj y) < 0 (|w - y|^2 - |w + y|^2 =
+-4 Re(w conj y)), and the sheet guard accepts only |y_new - y_old| <
+|y_old|; a step the guard keeps rejecting ends in step-size underflow,
+naming the member, t, h and why its latest step was rejected (a
+non-finite error estimate, the local error or the sheet guard).  The guard
+is only a step guard: it sees a step's end point, and with a zero
 connection steps grow, so one that straddles a branch point can pass it;
 the end check then names the member.  As no stage depends on an earlier
 stage's y, each step computes its geometry (x, y and the connection at the
@@ -79,9 +83,11 @@ within 0.9 clearance of the circle or of the triangle (foot, south, lam),
 which ``build_loops`` checks on the curve and the sweep on every system
 (``_turn_guards``).  So a family takes two sweeps on both sheets: the edges,
 the same for every system, and the turns, each in its system's own chart.
+Edges and turns start from the y continued from the principal root at the
+base (a turn from sqrt P(u_f) in its chart), so no member is reordered.
 Letters and words are formed in extended precision (``np.clongdouble``) and
 rounded once; since every letter swaps the sheet, the i-th letter of a word
-starts on the principal sheet for even i and on the other for odd i.
+starts on sheet +1 for even i and on the other for odd i.
 Words, inverses, residuals, defects and norms are formed on arrays stacked
 over a sweep's systems, bit for bit the per-matrix results: numpy's array
 complex multiply and array ``abs`` round unlike its scalar ones, so
@@ -143,11 +149,11 @@ class ClearanceError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive stepping failed (step underflow, step budget, non-finite values).
+    """Transport failed (start or end y off its sheet, step underflow, step budget, growth).
 
     Failures inside the transport name the batch member at fault as
-    ``member`` = (system index, path, starting sheet), with the path
-    parameter ``t`` and the step ``h``.
+    ``member`` = (system index, path, starting sheet against the y continued
+    from the base), with the path parameter ``t`` and the step ``h``.
     """
 
     def __init__(self, message, member=None, t=None, h=None):
@@ -172,54 +178,26 @@ class InvalidRepresentationError(ValueError):
 # -- canonical generator words -------------------------------------------------
 
 
-def _reduce(word):
-    out = []
-    for k in word:
-        if out and out[-1] == k:
-            out.pop()
-        else:
-            out.append(k)
-    return tuple(out)
-
-
-def _cat(*words):
-    return _reduce([k for w in words for k in w])
-
-
-def _inv(word):
-    return tuple(reversed(word))
-
-
-def _prefix_word(j):
-    """Prefix product P_j of the elementary loops, as a reduced letter tuple."""
-    if j % 2 == 1:
-        return tuple(range(1, j + 2))
-    return tuple(range(1, j + 2)) + (1,)
-
-
 def canonical_words(g: int) -> list:
     """Loop words [(natural name, letters)] in order a1, b1, ..., ag, bg.
 
     Letters are 1-based indices of branch points in sorted order; every
-    letter is an involution upstairs, so words carry no signs.  The
+    letter is an involution upstairs, so words carry no signs.  Handle h,
+    j = g + 1 - h, conjugates x_j = (2j, ..., 1) and y_j = (1, ..., 2j-1,
+    2j+1) by c = (4, 5, ..., 2j-1), the product of the x_m y_m = (2m, 2m+1)
+    of the handles before it; the last handle is (1, 2, 3, 1), (2, 1).  The
     commutator product over handles in this order is exactly trivial.
     """
-    xs = {1: _prefix_word(2)}
-    ys = {1: _inv(_prefix_word(1))}
-    bs = {}
-    for j in range(2, g + 1):
-        xs[j] = _inv(_prefix_word(2 * j - 1))
-        ys[j] = _cat(_prefix_word(2 * j - 2), _inv(_prefix_word(2 * j)), _prefix_word(2 * j - 1))
-        bs[j] = _cat(xs[j], ys[j])
     out = []
-    handle = 0
-    for j in range(g, 0, -1):
-        handle += 1
-        conj = ()
-        for m in range(2, j):
-            conj = _cat(conj, bs[m])
-        out.append((f"a{handle}", _cat(conj, xs[j], _inv(conj))))
-        out.append((f"b{handle}", _cat(conj, ys[j], _inv(conj))))
+    for h in range(1, g + 1):
+        j = g + 1 - h
+        c = tuple(range(4, 2 * j))
+        if j == 1:
+            a, b = (1, 2, 3, 1), (2, 1)
+        else:
+            a = c + tuple(range(2 * j, 0, -1)) + c[::-1]
+            b = c + tuple(range(1, 2 * j)) + (2 * j + 1,) + c[::-1]
+        out += [(f"a{h}", a), (f"b{h}", b)]
     return out
 
 
@@ -309,11 +287,6 @@ def _on_sheet(y_new, y_old):
     return np.abs(y_new - y_old) < np.abs(y_old)
 
 
-def _sign(ratio):
-    """+-1, whichever is nearer to ``ratio``."""
-    return np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1)
-
-
 _SHEETS = (1, -1)  # each kernel row runs on both; a word's i-th letter starts on _SHEETS[i % 2]
 
 
@@ -368,7 +341,8 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     root_rows = np.array(roots)[:, None]
     factors = _continuation(paths[:, :-1], paths[:, 1:], root_rows)
     ys = np.cumprod(np.concatenate([_sqrt_f(paths[:, :1], root_rows), factors], axis=1), axis=1)
-    profiles = _sign(ys / _sqrt_f(paths, root_rows)).tolist()
+    ratio = ys / _sqrt_f(paths, root_rows)
+    profiles = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1).tolist()  # the nearer sign
     for k, profile in enumerate(profiles, start=1):
         if profile[-1] != -1:
             raise IntegrationError(f"letter {k} does not end on the opposite sheet")
@@ -480,23 +454,25 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 2_000_000
 _GROWTH_CAP = 2.0**26  # eps**-1/2: past it rounding alone breaks det = 1
 _TINY = np.finfo(float).tiny  # a zero estimate over a zero denominator is 0, not NaN
-_SHEET_MATCH_TOL = 1e-8  # a row's end y against the closed form, relative
+_SHEET_MATCH_TOL = 1e-8  # relative: a row's start y to +-sqrt f, its end y to the closed form
 
 
 @np.errstate(all="ignore")  # overflow and NaN are handled by the step control
-def _transport(starts, ends, roots, matrices, ode_tol, members):
+def _transport(starts, ends, y_starts, roots, matrices, ode_tol, members):
     """Forward transports (r, 2, 2, 2) of r rows, each run on both sheets, in
     one sweep, and the sweep's (accepted, rejected) step counts.
 
     Row i runs along the straight segment ``starts[i]`` -> ``ends[i]`` with
     branch points ``roots[i]`` and matrices ``matrices[i]`` (stacked (r, m)
-    and (r, g, 2, 2)), once from each start y = sheet * principal sqrt(f),
-    sheet in ``_SHEETS``; the connection form is (sum_c M_c x^c) dx / y with
-    M_c from ``systems.coefficient_matrices``.  ``members[2 * i + j]`` =
-    (system index, path, starting sheet) names row i on sheet j in errors.
-    The local error is mixed absolute/relative at ``ode_tol / 10``.  Each
-    row's y at its end must be the closed-form continuation of its start,
-    else the row's member on sheet +1 is named.
+    and (r, g, 2, 2)), once from each start y = sheet * w, sheet in
+    ``_SHEETS`` and w the root of f nearer to ``y_starts[i]``; the
+    connection form is (sum_c M_c x^c) dx / y with M_c from
+    ``systems.coefficient_matrices``.  ``members[2 * i + j]`` = (system
+    index, path, starting sheet) names row i on sheet j in errors.  The
+    local error is mixed absolute/relative at ``ode_tol / 10``.  Each row's
+    ``y_starts`` must be +-sqrt f to ``_SHEET_MATCH_TOL``, and its y at its
+    end the closed-form continuation of w, else the row's member on sheet
+    +1 is named.
     """
     if not 0 < ode_tol < math.inf:
         raise ValueError("ode_tol must be positive and finite")
@@ -517,7 +493,7 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
 
     def geometry(x, y_prev):
         """conn[:k] at the k points x (k, r); returns y (k, r), continued from
-        y_prev on the principal sheet.  The other sheet negates y, so conn."""
+        y_prev on sheet +1.  The other sheet negates y, so conn."""
         y = _nearer_root(_sqrt_f(x, root_rows), y_prev)
         m = coeffs[-1]
         for c in coeffs[-2::-1]:
@@ -534,7 +510,6 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
     Y, K = YK[0], YK[1:]
     Y[0, 0] = Y[1, 1] = 1.0
     abs_Y = np.abs(Y)
-    y_start = _sqrt_f(starts, root_rows)
     hA = np.ones((12, 13))  # column 0 weighs Y; the rest is h times the Butcher rows
     states = np.empty((2, 2 * n))  # stages 1..11 share row 0; row 1 is stage 12, Y_new
     state, Y_new = states.view(complex).reshape((2,) + Y.shape)
@@ -557,7 +532,7 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
     tol = ode_tol / 10
     h, t = 0.01, 0.0
     nsteps = accepted = 0
-    culprit = 0  # member behind the latest rejection
+    culprit, why = 0, "none"  # member behind the latest rejection, and why it was rejected
 
     def fail(what, i):
         member = members[i]
@@ -571,15 +546,17 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
         """Per-member maxima of an entrywise array, in member order (row, sheet)."""
         return a.reshape(4, ns, r).max(axis=0).T
 
-    y_ref = y_start
-    geometry(starts[None], y_ref)
+    y_ref = y_start = geometry(starts[None], y_starts)[0]
+    off = ~(np.abs(y_starts / y_start - 1) <= _SHEET_MATCH_TOL)
+    if off.any():
+        fail("y at the path's start is not +-sqrt f", int(np.argmax(off)) * ns)
     np.add(*np.multiply(conn[0], Y[:, None], out=prods), out=K[0])
     while 1.0 - t >= 1e-13:  # a smaller rest is float residue, below tolerance
         if nsteps > _MAX_STEPS:
-            fail("step budget exhausted", culprit)
+            fail(f"step budget exhausted (latest rejection: {why})", culprit)
         h = min(h, 1.0 - t)
         if h < _MIN_STEP:
-            fail("step-size underflow (path too close to a branch point?)", culprit)
+            fail(f"step-size underflow (latest rejection: {why})", culprit)
         y_new = geometry(starts + delta * (t + nodes * h)[:, None], y_ref)[-1]
         np.multiply(h, _A, out=hA[:, 1:])
         for row, terms, st_real, st, c, out in stages:
@@ -599,6 +576,7 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
         nsteps += 1
         if not math.isfinite(err):
             culprit = int(np.argmin(np.isfinite(by_member(rel_err))))
+            why = "non-finite error estimate"
             h *= 0.1
             continue
         guard = _on_sheet(y_new, y_ref)  # per row: negating y leaves the test unchanged
@@ -609,20 +587,17 @@ def _transport(starts, ends, roots, matrices, ode_tol, members):
             Y[...] = Y_new
             abs_Y, abs_new = abs_new, abs_Y
             if float(abs_Y.max()) > _GROWTH_CAP:
-                fail("transport entry above 2**26",
-                     int(np.argmax(by_member(abs_Y))))
+                fail("transport entry above 2**26", int(np.argmax(by_member(abs_Y))))
             y_ref = y_new
             K[0] = K[12]
             h *= 6.0 if err == 0.0 else min(6.0, 0.9 * err**-0.125)
         elif sheet_ok:
-            culprit = int(np.argmax(by_member(rel_err)))
+            culprit, why = int(np.argmax(by_member(rel_err))), "local error"
             h *= min(0.9, max(0.2, 0.9 * err**-0.125))
         else:
             culprit = int(np.argmin(guard)) * ns  # the row's first sheet
+            why = "sheet guard: path too close to a branch point?"
             h *= 0.5
-    finite = np.isfinite(Y).reshape(4, ns, r).all(axis=0).T
-    if not finite.all():
-        fail("non-finite transport values", int(np.argmin(finite)))
     y_closed = y_start * _continuation(starts, ends, root_rows)
     on_sheet = np.abs(y_ref / y_closed - 1) <= _SHEET_MATCH_TOL
     if not on_sheet.all():
@@ -719,41 +694,30 @@ def _letter_transports(systems, loops: LoopSystem, ode_tol: float):
     """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``,
     F(k,-s)^-1 V(k,s) F(k,s) from one sweep of base-line edges (``_feet``)
     and one of the turns V, u_f -> -u_f in the charts of ``_turn_charts``,
-    their sheets matched at the foot by sqrt P(u_f) = y_foot scale / (2 b u_f),
-    and the (accepted, rejected) steps of the two sweeps, edges first."""
+    each started from the foot's y in its chart, sqrt P(u_f) = y_foot scale /
+    (2 b u_f), and the (accepted, rejected) steps of the two sweeps, edges
+    first."""
     systems = [_coerce(s) for s in systems]
     roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
     matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
     chart_roots, coeffs, u_foot, factor = _turn_charts(roots, matrices, loops)  # guards first
     feet, y_feet, edge_steps = _feet(roots, matrices, loops, ode_tol)
-    ratio = y_feet.ravel() * factor / _sqrt_f(u_foot, chart_roots.T)
-    sigma = _sign(ratio)
-    _name_first([(~(np.abs(ratio - sigma) <= _SHEET_MATCH_TOL).reshape(y_feet.shape),
-                  "its chart's y at the foot is not +-sqrt P(u_f)")])
     members = [(i, f"letter {k + 1} turn", s) for i, k in np.ndindex(y_feet.shape) for s in _SHEETS]
-    turns, turn_steps = _transport(u_foot, -u_foot, chart_roots, coeffs, ode_tol, members)
-    turns = np.where(sigma[:, None, None, None] > 0, turns, turns[:, ::-1]).reshape(feet.shape)
+    turns, turn_steps = _transport(u_foot, -u_foot, y_feet.ravel() * factor, chart_roots, coeffs,
+                                   ode_tol, members)
     # formed in extended precision and rounded once, as words are
-    letters = (_sl2_inverses(feet[:, :, ::-1]) @ turns.astype(np.clongdouble) @ feet).astype(complex)
+    turns = turns.reshape(feet.shape).astype(np.clongdouble)
+    letters = (_sl2_inverses(feet[:, :, ::-1]) @ turns @ feet).astype(complex)
     return letters, (edge_steps, turn_steps)
-
-
-def _name_first(checks):
-    """Raise for the first of the (mask, what) ``checks`` over (system, letter)
-    that any entry fails, naming its first failing system and letter."""
-    for bad, what in checks:
-        if bad.any():
-            i, k = divmod(int(np.argmax(bad)), bad.shape[1])
-            k += 1
-            raise IntegrationError(f"system {i}, letter {k}: {what}", member=(i, f"letter {k}", 1))
 
 
 def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
     """Transports F (n, 2g+1, 2 sheets, 2, 2) in np.clongdouble from the base
     to each letter's foot, y (n, 2g+1) continued there from the principal
     root at the base, and the (accepted, rejected) steps of the one sweep of
-    one edge per foot off the base.  The edges run along the base line, so
-    each foot's sheet is the closed-form continuation from the base."""
+    one edge per foot off the base, each started from its parent foot's y.
+    The edges run along the base line, so y at each foot is the closed-form
+    continuation from the base."""
     n, nl = roots.shape  # one letter per branch point
     feet = np.array(loops.feet + (loops.base_point,))  # slot nl: the base
     offset = (feet - loops.base_point).real.tolist()  # the feet lie on the base line
@@ -761,22 +725,20 @@ def _feet(roots, matrices, loops: LoopSystem, ode_tol: float):
     for k in np.argsort(np.abs(offset[:nl]), kind="stable").tolist():
         if offset[k] != 0:
             parent[k], last[offset[k] > 0] = last[offset[k] > 0], k
-    rows = sorted(parent)  # edge rows in member order, sheets against their start's sqrt f
-    members = [(i, f"letter {k + 1}", s) for i in range(n) for k in rows for s in _SHEETS]
-    edges, steps = _transport(np.tile(feet[[parent[k] for k in rows]], n), np.tile(feet[rows], n),
-                              roots.repeat(len(rows), 0), matrices.repeat(len(rows), 0),
-                              ode_tol, members)
-    edges = edges.reshape(n, len(rows), len(_SHEETS), 2, 2)
+    rows = sorted(parent)  # edge rows in member order
+    parents = [parent[k] for k in rows]
     root_rows = roots.T[..., None]
-    principal = _sqrt_f(feet, root_rows)  # (n, nl + 1)
-    # y at each foot over sqrt f there, from the principal root at the base
-    sheet = _sign(principal[:, nl:] * _continuation(feet[nl], feet, root_rows) / principal)
+    y_feet = _sqrt_f(feet[nl], root_rows) * _continuation(feet[nl], feet, root_rows)  # (n, nl + 1)
+    members = [(i, f"letter {k + 1}", s) for i in range(n) for k in rows for s in _SHEETS]
+    edges, steps = _transport(np.tile(feet[parents], n), np.tile(feet[rows], n),
+                              y_feet[:, parents].ravel(), roots.repeat(len(rows), 0),
+                              matrices.repeat(len(rows), 0), ode_tol, members)
+    edges = edges.reshape(n, len(rows), len(_SHEETS), 2, 2)
     feet_t = np.broadcast_to(np.eye(2, dtype=np.clongdouble), (n, nl + 1, len(_SHEETS), 2, 2)).copy()
     for k in parent:  # by distance from the base: parents first
         j, p = rows.index(k), parent[k]
-        flip = (sheet[:, p] < 0)[:, None, None, None]
-        feet_t[:, k] = np.where(flip, edges[:, j, ::-1], edges[:, j]) @ feet_t[:, p]
-    return feet_t[:, :nl], (sheet * principal)[:, :nl], steps
+        feet_t[:, k] = edges[:, j] @ feet_t[:, p]
+    return feet_t[:, :nl], y_feet[:, :nl], steps
 
 
 def _triangle_distance(p, a, b, c):
@@ -795,7 +757,7 @@ def _turn_guards(roots, loops: LoopSystem):
     """The clearance rule of the letters on n systems' ``roots`` (n, 2g+1):
     lam (n, letters), each system's root nearest the letter's branch point,
     the other roots (n, letters, 2g), and the (mask (n, letters), reason)
-    checks of ``_name_first`` (module docstring)."""
+    checks, in the order their failures are named (module docstring)."""
     n, m = roots.shape
     radii = np.array(loops.radii)
     dist = np.abs(roots[:, None, :] - np.array(loops.branch_points)[:, None])  # (n, letters, roots)
@@ -816,12 +778,17 @@ def _turn_guards(roots, loops: LoopSystem):
 @np.errstate(all="ignore")  # rows that fail the guards may divide by zero
 def _turn_charts(roots, matrices, loops: LoopSystem):
     """Chart roots, coefficients, u_f and sqrt P(u_f) / y_foot of the turns,
-    row (i, k) for system i and letter k, after the turn guards.  f = b^(2g+1)
-    u^2 P(u), P = prod_j (u^2 - (lam_j - lam) / b), and the connection is
-    N(u) du / sqrt P(u), N = 2 b^(1/2-g) sum_c M_c x^c."""
+    row (i, k) for system i and letter k, after the turn guards, which name
+    the first failing system and letter.  f = b^(2g+1) u^2 P(u), P = prod_j
+    (u^2 - (lam_j - lam) / b), and the connection is N(u) du / sqrt P(u),
+    N = 2 b^(1/2-g) sum_c M_c x^c."""
     (n, m), g = roots.shape, matrices.shape[1]
     lam, others, checks = _turn_guards(roots, loops)
-    _name_first(checks)
+    for bad, what in checks:
+        if bad.any():
+            i, k = divmod(int(np.argmax(bad)), m)
+            name = f"letter {k + 1}"
+            raise IntegrationError(f"system {i}, {name}: {what}", member=(i, name, 1))
     lam, b = lam.ravel(), (np.array(loops.souths) - lam).ravel()  # rows (system, letter)
     half = np.sqrt((others.reshape(len(lam), m - 1) - lam[:, None]) / b[:, None])
     scale = 2 * np.sqrt(b) / b**g  # 2 b^(1/2-g)
@@ -888,23 +855,14 @@ def monodromy_family(systems, loops: LoopSystem, ode_tol: float) -> list:
 def standard_word_list(g: int) -> tuple:
     """The documented trace word list: 2g singles, the g handle products
     a_i b_i, the mixed triple a1 b1 a2, then deterministic pair padding
-    (a_i a_j, then b_i b_j, then a_i b_j for i < j) up to 6g - 3 entries."""
-    names = [f"{k}{i}" for i in range(1, g + 1) for k in ("a", "b")]
-    words = [(nm,) for nm in names]
+    (a_i a_j, then b_i b_j for i < j) up to 6g - 3 entries: the 3g + 1 words
+    before it and its g (g - 1) pairs always reach that, as (g - 2)^2 >= 0."""
+    words = [(f"{k}{i}",) for i in range(1, g + 1) for k in ("a", "b")]
     words += [(f"a{i}", f"b{i}") for i in range(1, g + 1)]
     words.append(("a1", "b1", "a2"))
-    padding = []
-    padding += [(f"a{i}", f"a{j}") for i in range(1, g + 1) for j in range(i + 1, g + 1)]
-    padding += [(f"b{i}", f"b{j}") for i in range(1, g + 1) for j in range(i + 1, g + 1)]
-    padding += [
-        (f"a{i}", f"b{j}") for i in range(1, g + 1) for j in range(1, g + 1) if i != j
-    ]
-    target = 6 * g - 3
-    for w in padding:
-        if len(words) >= target:
-            break
-        words.append(w)
-    return tuple(words)
+    for k in ("a", "b"):
+        words += [(f"{k}{i}", f"{k}{j}") for i in range(1, g + 1) for j in range(i + 1, g + 1)]
+    return tuple(words[: 6 * g - 3])
 
 
 def _require_valid(rep: MonodromyRepresentation, index=None) -> None:

@@ -12,9 +12,9 @@ from products taken one root at a time and its nearer roots from the two
 distances, and the stacked representation layer of the monodromy from
 products and norms taken one matrix at a time.  The one exception is the whole-polyline transport, which
 runs the monodromy's own kernel on every segment of a polyline, circles
-included, with no edge, chart or letter product of its own, and chains the
-segments by its own dense square-root continuation, not the monodromy's
-closed form.
+included, with no edge, chart or letter product of its own, and starts each
+segment on the sheet of its own dense square-root continuation, not the
+monodromy's closed form.
 """
 
 import cmath
@@ -453,12 +453,21 @@ def polyline_transports(systems, polylines, ode_tol, kinds=None):
     Every segment of every polyline is a row for every system, run on both
     sheets.  Rows share one sweep, or, given ``kinds`` (one per segment
     position; the polylines then have one length), one sweep per kind, so
-    that short segments do not take the steps of the hardest one.  A
-    polyline's transport chains its segments' members, each taken on the
-    sheet that ``vertex_sheets`` reaches at the segment's start."""
+    that short segments do not take the steps of the hardest one.  Each
+    segment starts from the sheet that ``vertex_sheets`` reaches at its
+    start, times sqrt f there, so a polyline's transport chains its
+    segments' members on one start sheet."""
     systems = [_coerce(s) for s in systems]
     rows = [(i, p, j) for i in range(len(systems)) for p, line in enumerate(polylines)
             for j in range(len(line) - 1)]
+    profiles = {}  # systems often share their roots
+    y_starts = []
+    for i, p, j in rows:
+        key = (systems[i].roots, p)
+        if key not in profiles:
+            profiles[key] = vertex_sheets(systems[i].roots, polylines[p])
+        y_starts.append(profiles[key][j] * cmath.sqrt(_f_of(systems[i].roots)(polylines[p][j])))
+    y_starts = np.array(y_starts)
     kind_of = [None if kinds is None else kinds[j] for _, _, j in rows]
     segments = np.empty((len(rows), len(_SHEETS), 2, 2), dtype=complex)
     sweeps = []
@@ -468,19 +477,14 @@ def polyline_transports(systems, polylines, ode_tol, kinds=None):
         members = [(i, f"polyline {p} segment {j}", s) for i, p, j in part for s in _SHEETS]
         segments[picked], steps = _transport(
             np.array([polylines[p][j] for _, p, j in part], dtype=complex),
-            np.array([polylines[p][j + 1] for _, p, j in part], dtype=complex),
+            np.array([polylines[p][j + 1] for _, p, j in part], dtype=complex), y_starts[picked],
             np.array([systems[i].roots for i, _, _ in part]),
             np.array([systems[i].matrices for i, _, _ in part]), ode_tol, members)
         sweeps.append((len(part), steps))
     out = np.empty((len(systems), len(polylines), len(_SHEETS), 2, 2), dtype=complex)
     out[...] = np.eye(2)
-    profiles = {}  # systems often share their roots
-    for (i, p, j), segment in zip(rows, segments):
-        key = (systems[i].roots, p)
-        if key not in profiles:
-            profiles[key] = vertex_sheets(systems[i].roots, polylines[p])
-        for m, s in enumerate(_SHEETS):
-            out[i, p, m] = segment[_SHEETS.index(s * profiles[key][j])] @ out[i, p, m]
+    for (i, p, _), segment in zip(rows, segments):
+        out[i, p] = segment @ out[i, p]
     return out, sweeps
 
 

@@ -623,3 +623,31 @@ def test_malformed_json_exit1(tmp_path, capsys, argv, flag, body):
     assert run_cli(argv + [flag, str(path), "--out", str(out)]) == 1
     assert f"configuration error: {flag} invalid" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        pytest.param(["monodromy", "--branch-points", "0,1,2,3,1e400"], None, id="monodromy-branch-point"),
+        pytest.param(["immersion", "--branch-points", "0,1,2,3,1e400"], None, id="immersion-branch-point"),
+        pytest.param(["monodromy", "--branch-points", "0,1,2,3,4", "--scale", "1e400"], None,
+                     id="monodromy-scale"),
+        pytest.param(["monodromy", "--branch-points", "0,1,2,3,4,5,6", "--system-json"],
+                     _first_entry([10**400, 1, 0, 1]), id="monodromy-system-json"),
+        pytest.param(["monodromy", "--curve-json"], _curve([10**400, 1, 0, 1]), id="monodromy-curve-json"),
+    ],
+)
+def test_beyond_double_range_exit1(tmp_path, capsys, argv, body):
+    """A rational beyond double range, which the exact subcommands take, is a
+    configuration error where the numeric ones convert it: named, exit 1,
+    and no report is written."""
+    if body is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(body))
+        argv = argv + [str(path)]
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("diffsys: configuration error: ")
+    assert err.endswith(" 1" + "0" * 39 + "... lies beyond double range\n")
+    assert not out.exists()

@@ -80,6 +80,16 @@ class TestExactScalar:
                 with pytest.raises(ZeroDivisionError):
                     a / zero
 
+    def test_beyond_double_range_is_named(self):
+        """A part beyond double range is a ValueError naming the value, not an
+        OverflowError; a part below it rounds to zero."""
+        for x in (es(10**400), es(1, -(10**400)), es(Fraction(10**400, 3))):
+            with pytest.raises(ValueError) as info:
+                x.to_complex()
+            assert isinstance(info.value, field.FloatRangeError)
+            assert str(info.value) == repr(x)[:40] + "... lies beyond double range"
+        assert es(Fraction(1, 10**400), 2).to_complex() == 2j
+
 
 _rational = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 50))
 # about half the parts are exact zeros, so real x real, real x complex and

@@ -90,7 +90,7 @@ class TestCanonicalWords:
     def test_surface_relation_exact(self):
         """The commutator product of the words is trivial in pi_1, verified in
         exact involution representations over a large prime field."""
-        for g in range(2, 7):
+        for g in range(2, 11):
             words = dict(canonical_words(g))
             product = []
             for i in range(1, g + 1):
@@ -480,6 +480,11 @@ def _rows(systems, per_system):
             np.array([s.matrices for s in systems]).repeat(per_system, 0))
 
 
+def _principal(system, x):
+    """Principal sqrt f of ``system`` at the points ``x``."""
+    return np.sqrt(np.prod(np.asarray(x)[:, None] - np.array(system.roots), axis=1))
+
+
 def _drawn_letters(loops):
     """Every letter's lollipop polyline, stacked (2g+1, vertices)."""
     return np.array([_lollipop(loops, k) for k in range(1, len(loops.radii) + 1)])
@@ -591,8 +596,9 @@ class TestBatchedTransport:
         assert all(rep.valid for rep in monodromy_family(family, loops, 1e-12))
 
     def test_half_turn_sheet_mismatch_is_named(self, genus2_curve, loops_g2, monkeypatch):
-        """A turn chart's y at the foot must be +-sqrt P(u_f): a foot y off by
-        a factor i matches no sheet, and the first such member is named."""
+        """A turn starts from the foot's y in its chart, which must be +-sqrt
+        P(u_f): a foot y off by a factor i matches no sheet, and the kernel's
+        start check names the first such member."""
         feet = diffsys.monodromy._feet
 
         def off_by_i(*args):
@@ -600,9 +606,9 @@ class TestBatchedTransport:
             return transports, y_feet * 1j, steps
 
         monkeypatch.setattr(diffsys.monodromy, "_feet", off_by_i)
-        with pytest.raises(IntegrationError, match=r"not \+-sqrt P\(u_f\)") as info:
+        with pytest.raises(IntegrationError, match=r"start is not \+-sqrt f") as info:
             monodromy(small_system(genus2_curve, 3), loops_g2, 1e-12)
-        assert info.value.member == (0, "letter 1", 1)
+        assert info.value.member == (0, "letter 1 turn", 1)
 
     def test_abelian_half_turns_vs_quadrature(self, genus2_curve, loops_g2):
         """delta = H (x) omega: each letter, composed from its edges to the
@@ -755,10 +761,40 @@ class TestBatchedTransport:
         system = NumericSystem.from_system(small_system(genus2_curve, 3))
         foot, base = loops_g2.feet[1], loops_g2.base_point
         members = [(0, path, s) for path in ("still", "edge") for s in _SHEETS]
-        transports, (accepted, _) = _transport(np.array([foot, base]), np.array([foot, foot]),
-                                               *_rows([system], 2), 1e-12, members)
+        starts = np.array([foot, base])
+        transports, (accepted, _) = _transport(starts, np.array([foot, foot]),
+                                               _principal(system, starts), *_rows([system], 2),
+                                               1e-12, members)
         assert np.array_equal(transports[0], np.broadcast_to(np.eye(2), (2, 2, 2)))
         assert accepted > 0 and not np.allclose(transports[1], np.eye(2))
+
+    def test_edge_start_sheet_mismatch_is_named(self, genus2_curve, loops_g2):
+        """An edge row's start y must be +-sqrt f: off by a factor i it
+        matches no sheet, and the start check names the row's member on
+        sheet +1 before any step."""
+        system = NumericSystem.from_system(small_system(genus2_curve, 3))
+        starts = np.full(2, loops_g2.base_point)
+        members = [(0, f"letter {k}", s) for k in (2, 4) for s in _SHEETS]
+        with pytest.raises(IntegrationError, match=r"start is not \+-sqrt f") as info:
+            _transport(starts, np.array([loops_g2.feet[1], loops_g2.feet[3]]),
+                       _principal(system, starts) * [1, 1j], *_rows([system], 2), 1e-12, members)
+        assert info.value.member == (0, "letter 4", 1)
+        assert info.value.t == 0
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 1e200])
+    def test_non_finite_estimate_is_named(self, genus2_curve, loops_g2, entry):
+        """Matrices of NaN, inf or 1e200 entries make every error estimate of
+        their row non-finite, so the steps shrink to underflow; the error
+        names that row, behind a good one, and that cause."""
+        good = NumericSystem.from_system(small_system(genus2_curve, 3))
+        bad = NumericSystem(good.roots, np.full((2, 2, 2), entry, dtype=complex))
+        starts = np.full(2, loops_g2.base_point)
+        members = [(i, "letter 2", s) for i in (0, 1) for s in _SHEETS]
+        with pytest.raises(IntegrationError, match=r"^step-size underflow \(latest rejection: "
+                           r"non-finite error estimate\)") as info:
+            _transport(starts, np.full(2, loops_g2.feet[1]), _principal(good, starts),
+                       *_rows([good, bad], 1), 1e-12, members)
+        assert info.value.member == (1, "letter 2", 1)
 
     def test_family_member_named_by_global_index(self, genus2_curve, loops_g2):
         """One shared sweep over several systems names a failing member by
