@@ -106,12 +106,10 @@ def _curve_from_args(args) -> object:
             return HyperellipticCurve(tuple(ExactScalar.of(v) for v in values))
         except CurveError as err:
             raise ConfigError(f"--branch-points invalid: {err}") from None
-    if args.quartic is not None:
-        if args.quartic == "fermat":
-            return PlaneQuartic.fermat()
-        if args.quartic == "klein":
-            return PlaneQuartic.klein()
-        raise ConfigError("--quartic must be fermat or klein")
+    if args.quartic == "fermat":
+        return PlaneQuartic.fermat()
+    if args.quartic == "klein":
+        return PlaneQuartic.klein()
     return _load_json(args.curve_json, "--curve-json", curve_from_json)
 
 

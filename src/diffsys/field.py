@@ -176,6 +176,13 @@ class ExactMatrix:
                 out.append(acc)
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
+    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in subtraction")
+        return ExactMatrix(
+            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
+        )
+
     def to_json(self):
         return {
             "rows": self.rows,

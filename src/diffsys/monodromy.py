@@ -290,13 +290,15 @@ def _on_sheet(y_new, y_old):
 _SHEETS = (1, -1)  # each kernel row runs on both; a word's i-th letter starts on _SHEETS[i % 2]
 
 
+@np.errstate(all="ignore")  # a letter too small for double precision is refused below
 def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     """Canonical loop system for an odd-model hyperelliptic curve.
 
     Requires branch points pairwise separated by more than twice the
-    clearance, circles that fit outside the clearance ring, and letters that
-    pass ``_turn_guards`` on the curve's branch points; else
-    ``ClearanceError``, naming the first letter that fails the guards.
+    clearance, circles that fit outside the clearance ring, letters that
+    pass ``_turn_guards`` on the curve's branch points, circles whose
+    vertices stay more than ``_VERTEX_EPS`` apart and finite sheet
+    profiles; else ``ClearanceError``, naming the first letter that fails.
     """
     if not isinstance(curve, HyperellipticCurve):
         raise ValueError("loops are defined for hyperelliptic curves only")
@@ -333,15 +335,19 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     feet = tuple(complex(r.real, y_low) for r in roots)
     souths = tuple(r + rad * cmath.exp(-0.5j * math.pi) for r, rad in zip(roots, radii))
     letters = LoopSystem(base, clearance, g, (), tuple(roots), tuple(radii), feet, souths)
-    for bad, what in _turn_guards(np.array([roots]), letters)[2]:
-        if bad.any():
-            raise ClearanceError(f"clearance infeasible for letter {np.argmax(bad) + 1}: {what}")
     # sheet profile of every letter, started on the principal root at the base
     paths = np.array([_lollipop(letters, k) for k in range(1, n + 1)])
     root_rows = np.array(roots)[:, None]
     factors = _continuation(paths[:, :-1], paths[:, 1:], root_rows)
     ys = np.cumprod(np.concatenate([_sqrt_f(paths[:, :1], root_rows), factors], axis=1), axis=1)
     ratio = ys / _sqrt_f(paths, root_rows)
+    sides = np.abs(np.diff(paths[:, 2 : 3 + _CIRCLE_SIDES], axis=1))  # its 16-gon sides
+    for bad, what in [*_turn_guards(np.array([roots]), letters)[2],
+                      ((sides <= _VERTEX_EPS).any(axis=1), "its circle has vertices within "
+                       f"{_VERTEX_EPS:g} of each other, which the loop polylines merge"),
+                      (~np.isfinite(ratio).all(axis=1), "its sheet profile is not finite")]:
+        if bad.any():
+            raise ClearanceError(f"clearance infeasible for letter {np.argmax(bad) + 1}: {what}")
     profiles = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1).tolist()  # the nearer sign
     for k, profile in enumerate(profiles, start=1):
         if profile[-1] != -1:

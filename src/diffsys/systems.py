@@ -4,14 +4,19 @@ A differential system pairs a curve with an element of g (x) H0(K),
 stored as an exact (dim g) x (genus) coefficient matrix: entry (j, i) is the
 coefficient of Lie basis element j on the i-th basis differential.
 
-Built-in algebras (sl2, gl2, sl3) are generated from explicit integer matrix
-representations, so their structure constants are computed rather than
-transcribed.  Antisymmetry and the Jacobi identity are verified exactly for
-any table, built-in or user-supplied.
+The built-in algebras (sl2, gl2, sl3) come from one table of integer
+matrices, their defining representations (``_BASES``).  One exact
+coordinate solve over those matrices gives both the structure constants
+(the coordinates of each commutator) and a constant gauge conjugation
+(the coordinates of S M S^-1), for a defining representation of any size.
+Antisymmetry and the Jacobi identity are verified exactly for any table,
+built-in or user-supplied; d is the dimension of [g, g] and c that of the
+center, the kernel of ad.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -49,30 +54,26 @@ class LieAlgebraData:
     @staticmethod
     def from_structure_constants(name, table, rep_matrices=None) -> "LieAlgebraData":
         n = len(table)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    anti = table[i][j][k] + table[j][i][k]
-                    if not anti.is_zero():
-                        raise ValueError("structure constants are not antisymmetric")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        acc = ZERO
-                        for m in range(n):
-                            acc = acc + table[j][k][m] * table[i][m][l]
-                            acc = acc + table[k][i][m] * table[j][m][l]
-                            acc = acc + table[i][j][m] * table[k][m][l]
-                        if not acc.is_zero():
-                            raise ValueError("Jacobi identity fails exactly")
-        bracket_rows = [
-            tuple(table[i][j][k] for k in range(n))
-            for i in range(n)
-            for j in range(n)
-        ]
-        d = exact_rank(ExactMatrix.from_rows(bracket_rows)) if bracket_rows else 0
-        return LieAlgebraData(name, n, d, n - d, _freeze_table(table), rep_matrices)
+        pairs = itertools.combinations_with_replacement(range(n), 2)  # i <= j
+        for (i, j), k in itertools.product(pairs, range(n)):
+            if not (table[i][j][k] + table[j][i][k]).is_zero():
+                raise ValueError("structure constants are not antisymmetric")
+        # given antisymmetry, the cyclic Jacobi sum is alternating in (i, j, k),
+        # so it vanishes on repeated indices and one order per triple decides
+        # it: sum_m c[b][c][m] c[a][m] over (a, b, c) cyclic, zero terms skipped
+        for i, j, k in itertools.combinations(range(n), 3):
+            acc = [ZERO] * n
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, t in enumerate(table[b][c]):
+                    if not t.is_zero():
+                        acc = [x + t * y for x, y in zip(acc, table[a][m])]
+            if not all(x.is_zero() for x in acc):
+                raise ValueError("Jacobi identity fails exactly")
+        table = tuple(tuple(map(tuple, plane)) for plane in table)
+        d = exact_rank(ExactMatrix.from_rows(row for plane in table for row in plane))
+        # the center is the kernel of ad: the u with sum_i u_i table[i] = 0
+        ad = ExactMatrix.from_rows([c for row in plane for c in row] for plane in table)
+        return LieAlgebraData(name, n, d, n - exact_rank(ad), table, rep_matrices)
 
     def bracket(self, u, v) -> tuple:
         """Coordinates of [u, v] for coordinate vectors u, v."""
@@ -104,72 +105,44 @@ class LieAlgebraData:
         }
 
 
-def _freeze_table(table):
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+def _coordinates(mats, m) -> tuple:
+    """The coordinates of the matrix ``m`` over the basis ``mats``, exactly."""
+    return exact_solve([b.entries for b in mats], m.entries)
 
 
 def _structure_from_rep(name, mats):
     """Structure constants from explicit matrix representatives."""
-    n = len(mats)
-    columns = [tuple(m.entries) for m in mats]
-    table = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            bracket = _mat_sub(mats[i].matmul(mats[j]), mats[j].matmul(mats[i]))
-            plane.append(list(exact_solve(columns, tuple(bracket.entries))))
-        table.append(plane)
+    table = [[_coordinates(mats, a.matmul(b) - b.matmul(a)) for b in mats] for a in mats]
     return LieAlgebraData.from_structure_constants(name, table, rep_matrices=tuple(mats))
 
 
-def _mat_sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(
-        a.rows, a.cols, tuple(x - y for x, y in zip(a.entries, b.entries))
-    )
+def _unit(n, r, c):
+    return tuple(tuple(int((i, j) == (r, c)) for j in range(n)) for i in range(n))
 
 
-def _em(rows):
-    return ExactMatrix.from_rows(
-        [[ExactScalar.of(v) for v in row] for row in rows]
-    )
-
-
-def _make_sl2():
-    h = _em([[1, 0], [0, -1]])
-    e = _em([[0, 1], [0, 0]])
-    f = _em([[0, 0], [1, 0]])
-    return _structure_from_rep("sl2", [h, e, f])
-
-
-def _make_gl2():
-    h = _em([[1, 0], [0, -1]])
-    e = _em([[0, 1], [0, 0]])
-    f = _em([[0, 0], [1, 0]])
-    i = _em([[1, 0], [0, 1]])
-    return _structure_from_rep("gl2", [h, e, f, i])
-
-
-def _make_sl3():
-    def unit(r, c):
-        rows = [[0] * 3 for _ in range(3)]
-        rows[r][c] = 1
-        return rows
-
-    h1 = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
-    h2 = [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
-    basis = [h1, h2, unit(0, 1), unit(1, 0), unit(0, 2), unit(2, 0), unit(1, 2), unit(2, 1)]
-    return _structure_from_rep("sl3", [_em(m) for m in basis])
-
-
+# the defining representation of each built-in algebra, in its basis order
+_H, _E, _F = ((1, 0), (0, -1)), _unit(2, 0, 1), _unit(2, 1, 0)
+_BASES = {
+    "sl2": (_H, _E, _F),
+    "gl2": (_H, _E, _F, ((1, 0), (0, 1))),
+    "sl3": (
+        ((1, 0, 0), (0, -1, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, -1)),
+        *(_unit(3, r, c) for r, c in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))),
+    ),
+}
 _BUILTIN_CACHE: dict = {}
 
 
 def builtin_algebra(name: str) -> LieAlgebraData:
     if name not in _BUILTIN_CACHE:
-        maker = {"sl2": _make_sl2, "gl2": _make_gl2, "sl3": _make_sl3}.get(name)
-        if maker is None:
+        if name not in _BASES:
             raise ValueError(f"unknown algebra {name!r} (built-ins: sl2, gl2, sl3)")
-        _BUILTIN_CACHE[name] = maker()
+        mats = [
+            ExactMatrix.from_rows([ExactScalar.of(v) for v in row] for row in m)
+            for m in _BASES[name]
+        ]
+        _BUILTIN_CACHE[name] = _structure_from_rep(name, mats)
     return _BUILTIN_CACHE[name]
 
 
@@ -245,6 +218,11 @@ def dimension_report(g: int, lie: LieAlgebraData) -> DimensionReport:
     if g < 2:
         raise ValueError("genus must be >= 2")
     d, c = lie.commutator_dimension, lie.center_dimension
+    if d + c != lie.dimension:
+        raise ValueError(
+            f"{lie.name} is not its center plus its derived algebra (d {d} + c {c} != "
+            f"dim {lie.dimension}), which the dimension formulas assume"
+        )
     return DimensionReport(
         genus=g,
         d=d,
@@ -303,38 +281,20 @@ def coefficient_matrices(system: DifferentialSystem) -> tuple:
 def conjugate_system(system: DifferentialSystem, s: ExactMatrix) -> DifferentialSystem:
     """Apply a constant gauge transformation: each coefficient matrix M_i of
     the system (the g-valued coefficient of the i-th differential) becomes
-    S M_i S^-1.  Requires the algebra to carry a 2x2 defining representation
-    (sl2, gl2)."""
+    S M_i S^-1, in the algebra's defining representation."""
     lie = system.lie
     mats = coefficient_matrices(system)
     n = mats[0].rows
-    if n != 2:
-        raise ValueError(
-            f"gauge conjugation supports 2x2 defining representations only; {lie.name} is {n}x{n}"
-        )
     if s.rows != n or s.cols != n:
         raise ValueError(f"gauge matrix must be {n}x{n}")
-    det = s.get(0, 0) * s.get(1, 1) - s.get(0, 1) * s.get(1, 0)
-    if det.is_zero():
-        raise ValueError("gauge matrix is singular")
-    s_inv = ExactMatrix.from_rows(
-        [
-            [s.get(1, 1) / det, -s.get(0, 1) / det],
-            [-s.get(1, 0) / det, s.get(0, 0) / det],
-        ]
-    )
-    columns = [tuple(m.entries) for m in lie.rep_matrices]
-    new_cols = [
-        exact_solve(columns, tuple(s.matmul(m).matmul(s_inv).entries))
-        for m in mats
-    ]
-    g = len(new_cols)
-    entries = tuple(
-        new_cols[c][j] for j in range(lie.dimension) for c in range(g)
-    )
-    return DifferentialSystem(
-        system.curve, lie, ExactMatrix(lie.dimension, g, entries)
-    )
+    rows, unit = [s.row(i) for i in range(n)], ExactMatrix.identity(n)
+    try:  # row k of S^-1 is the x with x S = e_k
+        s_inv = ExactMatrix.from_rows(exact_solve(rows, unit.row(k)) for k in range(n))
+    except ArithmeticError:
+        raise ValueError("gauge matrix is singular") from None
+    new_cols = [_coordinates(lie.rep_matrices, s.matmul(m).matmul(s_inv)) for m in mats]
+    entries = tuple(col[j] for j in range(lie.dimension) for col in new_cols)
+    return DifferentialSystem(system.curve, lie, ExactMatrix(lie.dimension, len(mats), entries))
 
 
 def system_to_json(system: DifferentialSystem) -> dict:

@@ -9,8 +9,9 @@ branch-loop group, loop clearance from the polygon
 rule on drawn letters, exact ranks, pivots and solves from sympy, the
 first independent subset by a greedy sympy-rank loop, the kernel's square roots
 from products taken one root at a time and its nearer roots from the two
-distances, and the stacked representation layer of the monodromy from
-products and norms taken one matrix at a time.  The one exception is the whole-polyline transport, which
+distances, the stacked representation layer of the monodromy from
+products and norms taken one matrix at a time, and the Jacobi identity
+from every index tuple in plain numbers.  The one exception is the whole-polyline transport, which
 runs the monodromy's own kernel on every segment of a polyline, circles
 included, with no edge, chart or letter product of its own, and starts each
 segment on the sheet of its own dense square-root continuation, not the
@@ -686,3 +687,27 @@ def bareiss_echelon(rows):
         if r == nrows:
             break
     return rows, pivots
+
+
+# -- Jacobi identity over every index tuple ------------------------------------
+# The check over all n^4 index tuples that ``LieAlgebraData`` replaced by one
+# check per triple i < j < k, kept verbatim but over plain numbers (ints or
+# Fractions), so it shares no scalar arithmetic with the code it checks.
+
+
+def jacobi_violations(table):
+    """The (i, j, k, l) at which the cyclic Jacobi sum of the structure
+    constants ``table`` (c[i][j][k], plain numbers) is nonzero, in loop
+    order and lazily: the first is found without running the rest."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    acc = 0
+                    for m in range(n):
+                        acc = acc + table[j][k][m] * table[i][m][l]
+                        acc = acc + table[k][i][m] * table[j][m][l]
+                        acc = acc + table[i][j][m] * table[k][m][l]
+                    if acc != 0:
+                        yield i, j, k, l

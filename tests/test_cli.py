@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,22 @@ class TestMonodromyCommand:
         )
         assert code == 1
         assert "--clearance must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "points, clearance",
+        [("0,1,2,3,4", "1e-14"), ("0,1,2,3,4", "1e-300"), ("0,1,2,3,1000000", "1e-12")],
+    )
+    def test_letter_below_double_precision_exit1(self, tmp_path, capsys, points, clearance):
+        """Clearances too small for double precision are configuration
+        errors naming the letter, with no report and no numpy warning."""
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["monodromy", "--branch-points", points, "--clearance", clearance,
+                            "--out", str(out)])
+        assert code == 1
+        assert "configuration error: clearance infeasible for letter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quartic_rejected(self, capsys):
         assert run_cli(["monodromy", "--quartic", "fermat"]) == 1

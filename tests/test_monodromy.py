@@ -210,6 +210,34 @@ class TestBuildLoops:
             build_loops(curve, clearance)
         assert "system" not in str(info.value)
 
+    @pytest.mark.parametrize(
+        "points, clearance, reason",
+        [
+            ((0, 1, 2, 3, 4), 1e-14, "letter 1: its circle has vertices within 1e-13"),
+            ((0, 1, 2, 3, 4), 1e-300, "letter 1: its circle has vertices within 1e-13"),
+            ((0, 1, 2, 3, 10**6), 1e-12, "letter 5: its sheet profile is not finite"),
+        ],
+    )
+    def test_letter_below_double_precision_is_named(self, points, clearance, reason):
+        """A circle whose 16-gon sides fall below the polylines' merge
+        distance (clearances 1e-14 and 1e-300), or whose vertices round onto
+        its branch point (1e-12 around 10^6, so its sheet profile divides by
+        zero), is refused, naming the letter and warning nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ClearanceError, match=reason):
+                build_loops(HyperellipticCurve.from_integers(points), clearance)
+
+    def test_smallest_drawn_letters_keep_their_sheets(self):
+        """At clearance 1e-12 the circles' sides (about 1.2e-12) stay above
+        the merge distance: each loop keeps as many vertices as at clearance
+        0.2, and the sheets match the dense continuation."""
+        curve = HyperellipticCurve.from_integers(range(5))
+        wide = build_loops(curve, 0.2)
+        for loop, wide_loop in zip(build_loops(curve, 1e-12).loops, wide.loops):
+            assert len(loop.vertices) == len(wide_loop.vertices), loop.name
+            assert list(loop.sheets) == loop_sheets(curve, loop), loop.name
+
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_letters_return_along_their_stem(self, g):
         """A letter's way back is its stem reversed, from a circle that closes

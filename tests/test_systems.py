@@ -1,7 +1,9 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffsys.field import ExactMatrix, ExactScalar
 from diffsys.systems import (
@@ -17,10 +19,25 @@ from diffsys.systems import (
     system_from_json,
     system_to_json,
 )
+from oracles import jacobi_violations
 
 
 def es(re, im=0):
     return ExactScalar.of(re, im)
+
+
+def exact_table(table):
+    return [[[es(c) for c in row] for row in plane] for plane in table]
+
+
+def table_of(n, brackets):
+    """The integer table of the brackets {(i, j): {k: c}} with i < j, made
+    antisymmetric."""
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in brackets.items():
+        for k, c in terms.items():
+            table[i][j][k], table[j][i][k] = c, -c
+    return table
 
 
 class TestBuiltinAlgebras:
@@ -71,6 +88,79 @@ class TestBuiltinAlgebras:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin_algebra("e8")
+
+
+class TestJacobiCheck:
+    """from_structure_constants checks Jacobi once per triple i < j < k; the
+    oracle checks every index tuple.  They must refuse the same tables."""
+
+    @staticmethod
+    def refused(table):
+        try:
+            LieAlgebraData.from_structure_constants("t", exact_table(table))
+        except ValueError as err:
+            assert "Jacobi" in str(err)
+            return True
+        return False
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_antisymmetric_tables(self, data):
+        """Tables of dimension 2..5 (Jacobi always holds for n = 2), each
+        entry drawn from 1, -1, 2 and 2, 8 or 32 zeros, so that sparse
+        tables, which often pass, are drawn too."""
+        n = data.draw(st.integers(2, 5))
+        entry = st.sampled_from((0,) * data.draw(st.sampled_from((2, 8, 32))) + (1, -1, 2))
+        brackets = {
+            pair: {k: data.draw(entry) for k in range(n)}
+            for pair in itertools.combinations(range(n), 2)
+        }
+        table = table_of(n, brackets)
+        assert self.refused(table) == (next(jacobi_violations(table), None) is not None)
+
+    @pytest.mark.parametrize("name", ["sl2", "gl2", "sl3"])
+    def test_one_planted_corruption_per_entry(self, name):
+        """Each built-in table with c[i][j][k] raised by one (and c[j][i][k]
+        lowered, so it stays antisymmetric), for every i < j and k."""
+        lie = builtin_algebra(name)
+        assert all(c.im == 0 and c.re.denominator == 1
+                   for plane in lie.structure_constants for row in plane for c in row)
+        clean = [[[int(c.re) for c in row] for row in plane] for plane in lie.structure_constants]
+        assert next(jacobi_violations(clean), None) is None and not self.refused(clean)
+        n, verdicts = lie.dimension, set()
+        for (i, j), k in itertools.product(itertools.combinations(range(n), 2), range(n)):
+            table = [[list(row) for row in plane] for plane in clean]
+            table[i][j][k] += 1
+            table[j][i][k] -= 1
+            verdict = self.refused(table)
+            assert verdict == (next(jacobi_violations(table), None) is not None), (i, j, k)
+            verdicts.add(verdict)
+        assert True in verdicts
+
+
+class TestCenter:
+    """c is the dimension of the center, the kernel of ad, so it is right off
+    reductive tables too; the dimension formulas refuse a table that is not
+    its center plus its derived algebra (d + c != dim)."""
+
+    @pytest.mark.parametrize(
+        "n, brackets, d, c, reductive",
+        [
+            (3, {(0, 1): {2: 1}}, 1, 1, False),  # Heisenberg: [x, y] = z
+            (2, {(0, 1): {1: 1}}, 1, 0, False),  # [x, y] = y
+            (3, {}, 0, 3, True),  # abelian C^3
+        ],
+        ids=["heisenberg", "affine", "abelian"],
+    )
+    def test_center_and_dimension_report(self, n, brackets, d, c, reductive):
+        lie = LieAlgebraData.from_structure_constants("t", exact_table(table_of(n, brackets)))
+        assert (lie.dimension, lie.commutator_dimension, lie.center_dimension) == (n, d, c)
+        if reductive:
+            r = dimension_report(2, lie)
+            assert (r.d, r.c, r.dim_character_variety) == (d, c, 2 * d + 4 * c)
+        else:
+            with pytest.raises(ValueError, match="center plus its derived algebra"):
+                dimension_report(2, lie)
 
 
 class TestDyadDetect:
@@ -236,18 +326,30 @@ class TestCoefficientMatrices:
 
 
 class TestConjugateSystem:
-    def test_sl3_rejected_with_clear_error(self, genus2_curve):
-        """Conjugation is written for 2x2 representations; sl3 must be refused
-        up front, for an invertible and for a singular 3x3 gauge matrix."""
-        sl3 = builtin_algebra("sl3")
-        system = sample_system(genus2_curve, sl3, seed=2, coefficient_bound=3)
-        identity = ExactMatrix.identity(3)
+    @pytest.mark.parametrize("name", ["sl2", "gl2", "sl3"])
+    def test_unimodular_gauge_round_trip(self, genus3_curve, name):
+        """Conjugation by a unimodular S gives S M S^-1 for every
+        coefficient matrix M, and conjugation by S^-1 returns the system."""
+        s, s_inv = {
+            2: ([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+            3: ([[1, 2, 3], [0, 1, 4], [5, 6, 0]], [[-24, 18, 5], [20, -15, -4], [-5, 4, 1]]),
+        }[builtin_algebra(name).rep_matrices[0].rows]
+        s, s_inv = (ExactMatrix.from_rows([[es(v) for v in row] for row in m]) for m in (s, s_inv))
+        assert s.matmul(s_inv) == ExactMatrix.identity(s.rows)
+        system = sample_system(genus3_curve, builtin_algebra(name), seed=3, coefficient_bound=4)
+        there = conjugate_system(system, s)
+        for m, m_there in zip(coefficient_matrices(system), coefficient_matrices(there)):
+            assert m_there == s.matmul(m).matmul(s_inv)
+        assert there != system
+        assert conjugate_system(there, s_inv) == system
+
+    def test_singular_3x3_gauge_rejected(self, genus2_curve):
+        system = sample_system(genus2_curve, builtin_algebra("sl3"), seed=2, coefficient_bound=3)
         singular = ExactMatrix.from_rows(
             [[es(1), es(0), es(0)], [es(0), es(1), es(0)], [es(1), es(1), es(0)]]
         )
-        for gauge in (identity, singular):
-            with pytest.raises(ValueError, match="2x2 defining representations only"):
-                conjugate_system(system, gauge)
+        with pytest.raises(ValueError, match="singular"):
+            conjugate_system(system, singular)
 
     def test_gl2_identity_gauge(self, genus2_curve):
         gl2 = builtin_algebra("gl2")
