@@ -17,11 +17,14 @@ moves span only the hyperelliptic locus (2g-1 of 3g-3 directions) and the
 exact injectivity criterion never holds on such curves, so those runs are
 labeled exploratory and carry no pass/fail meaning.
 
-The loop system is frozen across all perturbations of one experiment, and
-perturbation radii are capped well below the loop clearance, so every
-perturbed system runs along literally identical base-line edges, takes each
-stem and circle as one turn in its own chart (:mod:`diffsys.monodromy`), and
-shares both batched sweeps' step sequences with the center.
+An experiment's center and its perturbed systems are one family, and a
+family is two stacked arrays, branch roots and connection matrices
+(:mod:`diffsys.monodromy`): each perturbed row is the center's plus delta
+times one direction's unit move, formed by one broadcast.  The loop system
+is frozen across the family, and perturbation radii are capped well below
+the loop clearance, so every perturbed system runs along literally
+identical base-line edges, takes each stem and circle as one turn in its
+own chart, and shares both batched sweeps' step sequences with the center.
 
 All complex parameters and traces are split into real and imaginary parts.
 The map is holomorphic, so the real Jacobian has even rank and paired
@@ -59,8 +62,8 @@ from .monodromy import (
     IrreducibilityVerdict,
     LoopSystem,
     MonodromyRepresentation,
-    NumericSystem,
     build_loops,
+    float_system,
     irreducibility_probe,
     monodromy_family,
     standard_word_list,
@@ -258,22 +261,6 @@ class ImmersionReport:
         }
 
 
-def _perturbed(base: NumericSystem, rho, label, delta: complex) -> NumericSystem:
-    """``base`` moved by ``delta`` along a branch point or along coefficient
-    (r, c), which adds delta * rho[r] to M_c; ``rho`` is the numeric defining
-    representation, and only its nonzero entries are touched."""
-    kind, where = label
-    if kind == "branch":
-        roots = list(base.roots)
-        roots[where] = roots[where] + delta
-        return NumericSystem(tuple(roots), base.matrices)
-    r, c = where
-    matrices = base.matrices.copy()
-    moved = rho[r] != 0
-    matrices[c][moved] += delta * rho[r][moved]
-    return NumericSystem(base.roots, matrices)
-
-
 def _gap_rank(sigma):
     """(real_rank, gap_ratio) by the documented gap rule over the spectrum."""
     if not sigma or sigma[0] == 0.0:
@@ -324,39 +311,46 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
 
     The batch holds the center and, for every step, the +delta and -delta
     systems of each real direction, so all columns of all steps share one
-    step sequence (internal numerical differentiation).  The batch order
-    (step, label, delta along 1 then i, +delta then -delta) makes the
-    perturbed traces one (steps, directions, 2, words) block; the central
-    differences of all of it are one expression, and step k's (directions,
-    words) slice is its report's columns.  A failing perturbed system is
-    reported under its direction and step.
+    step sequence (internal numerical differentiation).  It is one family
+    of two stacked arrays: row 0 the center, then the center plus delta
+    times each label's unit move (branch point k by 1, or M_c by rho(e_r)),
+    in the batch order (step, label, delta along 1 then i, +delta then
+    -delta), which makes the perturbed traces one (steps, directions, 2,
+    words) block; the central differences of all of it are one expression,
+    and step k's (directions, words) slice is its report's columns.  A
+    failing perturbed system is reported under its direction and step.
     """
-    base = NumericSystem.from_system(center.system)
-    rho = np.array([m.to_numpy() for m in center.system.lie.rep_matrices])
     for fd_step in steps:
         _check_step(center, fd_step)
+    roots, matrices = float_system(center.system)
+    rho = np.array([m.to_numpy() for m in center.system.lie.rep_matrices])
+    labels = center.parameter_labels()
+    root_moves = np.zeros((len(labels), *roots.shape), dtype=complex)
+    matrix_moves = np.zeros((len(labels), *matrices.shape), dtype=complex)
+    for j, (kind, where) in enumerate(labels):
+        if kind == "branch":
+            root_moves[j, where] = 1
+        else:
+            matrix_moves[j, where[1]] = rho[where[0]]
+    deltas = [[(d, -d) for d in (fd_step * unit for unit in (1 + 0j, 1j))] for fd_step in steps]
+    delta = np.array(deltas)[:, None]  # (steps, 1, 2, 2), broadcast over the labels
 
-    # (step, label, delta) per direction, in batch order
-    probes = [
-        (fd_step, label, fd_step * unit)
-        for fd_step in steps
-        for label in center.parameter_labels()
-        for unit in (1.0 + 0j, 1j)
-    ]
-    systems = [base] + [
-        _perturbed(base, rho, label, d) for _, label, delta in probes for d in (delta, -delta)
-    ]
+    def family(rows, unit_moves):
+        """``rows`` (the center's), then rows + delta * unit move in batch order."""
+        moved = rows + delta.reshape(delta.shape + (1,) * rows.ndim) * unit_moves[:, None, None]
+        return np.concatenate([rows[None], moved.reshape(-1, *rows.shape)])
 
     def direction_failed(index, err):
-        _, label, delta = probes[(index - 1) // 2]
+        step, j, unit, _ = np.unravel_index(index - 1, (len(steps), len(labels), 2, 2))
         return IntegrationError(
-            f"finite-difference direction {label} (step {delta}) failed: {err}"
+            f"finite-difference direction {labels[j]} (step {deltas[step][unit][0]}) failed: {err}"
         )
 
     # hypothesis gates at the center
     verdict = criterion_injective(center.curve, center.system)
     try:
-        reps = monodromy_family(systems, center.loops, ode_tol)
+        reps = monodromy_family(family(roots, root_moves), family(matrices, matrix_moves),
+                                center.loops, ode_tol)
     except IntegrationError as err:
         if err.member is None or err.member[0] == 0:
             raise
@@ -375,7 +369,7 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
     except InvalidRepresentationError as err:
         raise direction_failed(err.index + 1, err) from err
 
-    pairs = traces.reshape(len(steps), len(probes) // len(steps), 2, -1)
+    pairs = traces.reshape(len(steps), 2 * len(labels), 2, -1)
     cols = (pairs[:, :, 0] - pairs[:, :, 1]) / (2 * np.array(steps))[:, None, None]
     return [
         _report(center, fd_step, block, verdict, probe, center_rep, status)

@@ -16,7 +16,8 @@ letter is construction data (branch point, radius, foot, south), checked by
 the one clearance rule ``_turn_guards``; a loop's vertices and per-vertex
 sheets are its letters' drawings (``_lollipop``) and their closed-form
 sheet profiles (below) end to end, the sign alternating from letter to
-letter, and every letter must end on the sheet opposite its start.
+letter: a letter that passes the clearance rule winds once around its own
+branch point and around no other, so it ends on the sheet opposite its start.
 
 Transport
 ---------
@@ -59,8 +60,10 @@ ignores the sign, so one pass serves both sheets and changes no bit of any
 member's numbers.  The sweep also returns its (accepted, rejected) step
 counts.
 
-Who shares a sweep: ``monodromy`` is ``monodromy_family`` of its one
-system, and :mod:`diffsys.immersion` runs a center and its +delta and
+Who shares a sweep: a family is two stacked arrays, the branch roots (n,
+2g+1) and the matrices M_c (n, g, 2, 2) of n float systems (``float_system``
+gives one system's rows); ``monodromy`` is ``monodromy_family`` of a family
+of one, and :mod:`diffsys.immersion` runs a center and its +delta and
 -delta systems through one ``monodromy_family``, so a central difference
 sees one discretisation and step-control noise cancels in its columns.  A
 family member is not bit for bit its lone run: a shared step sequence moves
@@ -132,10 +135,10 @@ __all__ = [
     "LoopSystem",
     "MonodromyRepresentation",
     "IrreducibilityVerdict",
-    "NumericSystem",
     "ODE_TOL_FLOOR",
     "canonical_words",
     "build_loops",
+    "float_system",
     "monodromy",
     "monodromy_family",
     "trace_values",
@@ -349,9 +352,6 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
         if bad.any():
             raise ClearanceError(f"clearance infeasible for letter {np.argmax(bad) + 1}: {what}")
     profiles = np.where(np.abs(ratio - 1) <= np.abs(ratio + 1), 1, -1).tolist()  # the nearer sign
-    for k, profile in enumerate(profiles, start=1):
-        if profile[-1] != -1:
-            raise IntegrationError(f"letter {k} does not end on the opposite sheet")
     drawn = paths.tolist()
     loops = tuple(Loop(nm, w, *_join(w, drawn, profiles)) for nm, w in canonical_words(g))
     return replace(letters, loops=loops)
@@ -386,31 +386,20 @@ def _join(word, letters, profiles):
     return tuple(vertices), tuple(sheets)
 
 
-# -- numeric system -------------------------------------------------------------
+# -- float systems --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericSystem:
-    """Float view of a system: branch roots and one connection matrix per differential."""
-
-    roots: tuple  # 2g+1 complex branch points
-    matrices: np.ndarray  # (g, 2, 2) complex: M_c of systems.coefficient_matrices
-
-    @staticmethod
-    def from_system(system: DifferentialSystem) -> "NumericSystem":
-        if system.lie.name != "sl2" or system.lie.dimension != 3:
-            raise ValueError("monodromy integration supports sl2 systems only")
-        curve = system.curve
-        if not isinstance(curve, HyperellipticCurve):
-            raise ValueError("monodromy integration supports hyperelliptic curves only")
-        matrices = np.array([m.to_numpy() for m in coefficient_matrices(system)])
-        return NumericSystem(tuple(curve.float_roots()), matrices)
-
-
-def _coerce(system) -> NumericSystem:
-    if isinstance(system, NumericSystem):
-        return system
-    return NumericSystem.from_system(system)
+def float_system(system: DifferentialSystem):
+    """A system's branch roots (2g+1,) and matrices M_c (g, 2, 2) of
+    ``systems.coefficient_matrices``, as complex arrays: a family of n float
+    systems is these two stacked, (n, 2g+1) and (n, g, 2, 2)."""
+    if system.lie.name != "sl2" or system.lie.dimension != 3:
+        raise ValueError("monodromy integration supports sl2 systems only")
+    curve = system.curve
+    if not isinstance(curve, HyperellipticCurve):
+        raise ValueError("monodromy integration supports hyperelliptic curves only")
+    matrices = np.array([m.to_numpy() for m in coefficient_matrices(system)])
+    return np.array(curve.float_roots(), dtype=complex), matrices
 
 
 # -- batched Dormand-Prince 8(5,3) transport ------------------------------------
@@ -696,16 +685,13 @@ def _words(letter_t, loops: LoopSystem):
     return words
 
 
-def _letter_transports(systems, loops: LoopSystem, ode_tol: float):
-    """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of ``systems``,
-    F(k,-s)^-1 V(k,s) F(k,s) from one sweep of base-line edges (``_feet``)
-    and one of the turns V, u_f -> -u_f in the charts of ``_turn_charts``,
-    each started from the foot's y in its chart, sqrt P(u_f) = y_foot scale /
-    (2 b u_f), and the (accepted, rejected) steps of the two sweeps, edges
-    first."""
-    systems = [_coerce(s) for s in systems]
-    roots = np.array([s.roots for s in systems], dtype=complex)  # (n, 2g+1)
-    matrices = np.array([s.matrices for s in systems], dtype=complex)  # (n, g, 2, 2)
+def _letter_transports(roots, matrices, loops: LoopSystem, ode_tol: float):
+    """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of the family
+    ``roots`` (n, 2g+1) and ``matrices`` (n, g, 2, 2), F(k,-s)^-1 V(k,s)
+    F(k,s) from one sweep of base-line edges (``_feet``) and one of the turns
+    V, u_f -> -u_f in the charts of ``_turn_charts``, each started from the
+    foot's y in its chart, sqrt P(u_f) = y_foot scale / (2 b u_f), and the
+    (accepted, rejected) steps of the two sweeps, edges first."""
     chart_roots, coeffs, u_foot, factor = _turn_charts(roots, matrices, loops)  # guards first
     feet, y_feet, edge_steps = _feet(roots, matrices, loops, ode_tol)
     members = [(i, f"letter {k + 1} turn", s) for i, k in np.ndindex(y_feet.shape) for s in _SHEETS]
@@ -835,7 +821,7 @@ def _representations(letter_t, loops: LoopSystem, steps) -> list:
 
 def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentation:
     """The representation of one system along a loop system: ``monodromy_family``
-    of that system alone.
+    of its ``float_system`` alone.
 
     Every (letter, starting sheet) member, 2(2g+1) of them, is transported
     and each loop's transport is the product of its letter transports (see
@@ -844,14 +830,17 @@ def monodromy(system, loops: LoopSystem, ode_tol: float) -> MonodromyRepresentat
     residuals are measured on the raw transports and gated at ``_DET_TOL``
     (1e-10), the relation residual at ``_RELATION_TOL`` (1e-8).
     """
-    return monodromy_family([system], loops, ode_tol)[0]
+    roots, matrices = float_system(system)
+    return monodromy_family(roots[None], matrices[None], loops, ode_tol)[0]
 
 
-def monodromy_family(systems, loops: LoopSystem, ode_tol: float) -> list:
-    """Representations of ``systems`` in one shared sweep, in their order, for
-    finite-difference partners that must see one discretisation; each result
-    then depends on the family, and errors name a system by its index."""
-    letter_t, sweeps = _letter_transports(systems, loops, ode_tol)
+def monodromy_family(roots, matrices, loops: LoopSystem, ode_tol: float) -> list:
+    """Representations of the family ``roots`` (n, 2g+1) and ``matrices``
+    (n, g, 2, 2), row i one float system (``float_system``), in one shared
+    sweep, in row order, for finite-difference partners that must see one
+    discretisation; each result then depends on the family, and errors name
+    a system by its row."""
+    letter_t, sweeps = _letter_transports(roots, matrices, loops, ode_tol)
     return _representations(letter_t, loops, tuple(map(sum, zip(*sweeps))))
 
 

@@ -192,15 +192,6 @@ class DimensionReport:
     dim_teichmuller: int
     gauge_dimension: int
 
-    def __post_init__(self):
-        if self.dim_character_variety != 2 * (self.genus - 1) * self.d + 2 * self.genus * self.c:
-            raise ValueError("character variety dimension formula violated")
-        if self.dim_syst != (self.genus - 1) * (self.d + 3) + self.genus * self.c:
-            raise ValueError("system space dimension formula violated")
-        identity = self.dim_teichmuller + self.genus * (self.d + self.c) - self.d
-        if self.dim_syst != identity:
-            raise ValueError("gauge identity violated")
-
     def to_json(self):
         return {
             "genus": self.genus,

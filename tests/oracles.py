@@ -29,7 +29,7 @@ import sympy
 
 from diffsys.curves import HyperellipticCurve, PlaneQuartic
 from diffsys.field import ExactMatrix, ExactScalar
-from diffsys.monodromy import _SHEETS, _coerce, _transport
+from diffsys.monodromy import _SHEETS, _transport, float_system
 
 # -- valuation oracle for hyperelliptic differentials --------------------------
 
@@ -446,8 +446,9 @@ def word_is_trivial_upstairs(words_product, n_letters, trials=8, seed=7):
 # -- whole-polyline transport reference ------------------------------------------
 
 
-def polyline_transports(systems, polylines, ode_tol, kinds=None):
-    """Forward transports (n, p, 2 sheets, 2, 2) of n systems along each of p
+def polyline_transports(roots, matrices, polylines, ode_tol, kinds=None):
+    """Forward transports (n, p, 2 sheets, 2, 2) of the family of n systems
+    ``roots`` (n, 2g+1) and ``matrices`` (n, g, 2, 2) along each of p
     polylines, from each start sheet of ``_SHEETS`` at the first vertex, and
     the (rows, (accepted, rejected)) of each kernel sweep behind them.
 
@@ -458,16 +459,15 @@ def polyline_transports(systems, polylines, ode_tol, kinds=None):
     segment starts from the sheet that ``vertex_sheets`` reaches at its
     start, times sqrt f there, so a polyline's transport chains its
     segments' members on one start sheet."""
-    systems = [_coerce(s) for s in systems]
-    rows = [(i, p, j) for i in range(len(systems)) for p, line in enumerate(polylines)
+    rows = [(i, p, j) for i in range(len(roots)) for p, line in enumerate(polylines)
             for j in range(len(line) - 1)]
     profiles = {}  # systems often share their roots
     y_starts = []
     for i, p, j in rows:
-        key = (systems[i].roots, p)
+        key = (roots[i].tobytes(), p)
         if key not in profiles:
-            profiles[key] = vertex_sheets(systems[i].roots, polylines[p])
-        y_starts.append(profiles[key][j] * cmath.sqrt(_f_of(systems[i].roots)(polylines[p][j])))
+            profiles[key] = vertex_sheets(roots[i].tolist(), polylines[p])
+        y_starts.append(profiles[key][j] * cmath.sqrt(_f_of(roots[i].tolist())(polylines[p][j])))
     y_starts = np.array(y_starts)
     kind_of = [None if kinds is None else kinds[j] for _, _, j in rows]
     segments = np.empty((len(rows), len(_SHEETS), 2, 2), dtype=complex)
@@ -476,13 +476,13 @@ def polyline_transports(systems, polylines, ode_tol, kinds=None):
         picked = [n for n, k in enumerate(kind_of) if k == kind]
         part = [rows[n] for n in picked]
         members = [(i, f"polyline {p} segment {j}", s) for i, p, j in part for s in _SHEETS]
+        systems = [i for i, _, _ in part]
         segments[picked], steps = _transport(
             np.array([polylines[p][j] for _, p, j in part], dtype=complex),
             np.array([polylines[p][j + 1] for _, p, j in part], dtype=complex), y_starts[picked],
-            np.array([systems[i].roots for i, _, _ in part]),
-            np.array([systems[i].matrices for i, _, _ in part]), ode_tol, members)
+            roots[systems], matrices[systems], ode_tol, members)
         sweeps.append((len(part), steps))
-    out = np.empty((len(systems), len(polylines), len(_SHEETS), 2, 2), dtype=complex)
+    out = np.empty((len(roots), len(polylines), len(_SHEETS), 2, 2), dtype=complex)
     out[...] = np.eye(2)
     for (i, p, _), segment in zip(rows, segments):
         out[i, p] = segment @ out[i, p]
@@ -490,10 +490,12 @@ def polyline_transports(systems, polylines, ode_tol, kinds=None):
 
 
 def integrate_loop(system, loop, ode_tol):
-    """Forward 2x2 transport around one whole loop, read on the sheet of its
-    first vertex (``polyline_transports``).  The whole-word reference for the
-    letter products of ``monodromy``."""
-    forward, _ = polyline_transports([system], [loop.vertices], ode_tol)
+    """Forward 2x2 transport around one whole loop of an sl2 system, read on
+    the sheet of its first vertex (``polyline_transports`` of its
+    ``float_system``).  The whole-word reference for the letter products of
+    ``monodromy``."""
+    roots, matrices = float_system(system)
+    forward, _ = polyline_transports(roots[None], matrices[None], [loop.vertices], ode_tol)
     return forward[0, 0, _SHEETS.index(loop.sheets[0])]
 
 

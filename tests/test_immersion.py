@@ -12,7 +12,7 @@ from diffsys.immersion import (
     FloatMatrix,
     SystCoordinates,
     _check_step,
-    _perturbed,
+    _experiments,
     fd_step_ladder,
     gauge_slice_regular,
     immersion_experiment,
@@ -21,8 +21,8 @@ from diffsys.immersion import (
 from diffsys.monodromy import (
     IntegrationError,
     InvalidRepresentationError,
-    NumericSystem,
     build_loops,
+    float_system,
 )
 from diffsys.systems import (
     DifferentialSystem,
@@ -163,38 +163,75 @@ class TestFloatMatrix:
             FloatMatrix(1, 2, (1.0, complex("nan")))
 
 
+class _Captured(Exception):
+    """Stops an experiment at its monodromy call, carrying the family."""
+
+
+def _family(center, steps, monkeypatch):
+    """The (roots, matrices) family that the experiments at ``steps`` hand to
+    ``monodromy_family``."""
+
+    def capture(roots, matrices, loops, ode_tol):
+        raise _Captured(roots, matrices)
+
+    with monkeypatch.context() as m:
+        m.setattr(diffsys.immersion, "monodromy_family", capture)
+        with pytest.raises(_Captured) as info:
+            _experiments(center, steps, 1e-12)
+    return info.value.args
+
+
+RHO = np.array([m.to_numpy() for m in SL2.rep_matrices])
+
+
 class TestFailingPartner:
-    """A failure of batch member k >= 1 is reported under its probe.  The
-    probes follow the documented batch order: step by step, label by label,
-    delta along 1 then along i, each as a +delta, -delta pair."""
+    """A failure of batch member k >= 1 is reported under the direction and
+    step that row k of the family moves the center by."""
 
     STEPS = (1e-4, 1e-5, 1e-6)
 
-    @staticmethod
-    def named(center, steps, k):
-        labels = center.parameter_labels()
-        step, j = divmod(k - 1, 4 * len(labels))
-        delta = steps[step] * (1 + 0j, 1j)[j // 2 % 2]
-        return f"finite-difference direction {labels[j // 4]} (step {delta}) failed: "
+    @classmethod
+    def named(cls, family, k):
+        """The message prefix that names row k by the coordinate moved in it:
+        a branch point, or coefficient (r, c), which moves M_c on the support
+        of rho(e_r); the step is +delta, read off the move."""
+        roots, matrices = family
+        (branch,) = np.nonzero(roots[k] != roots[0])
+        moved = matrices[k] != matrices[0]
+        if branch.size:
+            (j,) = branch
+            label, diff = ("branch", int(j)), roots[k, j] - roots[0, j]
+            assert not moved.any()
+        else:
+            (c,) = np.flatnonzero(moved.any(axis=(1, 2)))
+            (r,) = [r for r in range(3) if np.array_equal(RHO[r] != 0, moved[c])]
+            label = ("coeff", (r, int(c)))
+            diff = ((matrices[k, c] - matrices[0, c])[moved[c]] / RHO[r][moved[c]])[0]
+        step = min(cls.STEPS, key=lambda s: abs(abs(diff) - s))
+        assert abs(abs(diff) - step) <= 1e-9 * step
+        delta = step * (1 + 0j) if abs(diff.real) > abs(diff.imag) else step * 1j
+        return f"finite-difference direction {label} (step {delta}) failed: "
 
     @pytest.mark.parametrize("k", [1, 2, 3, 24, 31, 72])
     def test_integration_failure_names_its_direction(self, good_center, monkeypatch, k):
         cause = IntegrationError("step underflow", member=(k, "letter 2", 1))
+        family = []
 
-        def failing(systems, loops, ode_tol):
+        def failing(roots, matrices, loops, ode_tol):
+            family.extend((roots, matrices))
             raise cause
 
         monkeypatch.setattr(diffsys.immersion, "monodromy_family", failing)
         with pytest.raises(IntegrationError) as info:
             fd_step_ladder(good_center, self.STEPS)
-        assert str(info.value) == self.named(good_center, self.STEPS, k) + "step underflow"
+        assert str(info.value) == self.named(family, k) + "step underflow"
         assert info.value.__cause__ is cause
 
     @pytest.mark.parametrize("member", [(0, "letter 1", 1), None])
     def test_center_failure_is_raised_unchanged(self, good_center, monkeypatch, member):
         cause = IntegrationError("step underflow", member=member)
 
-        def failing(systems, loops, ode_tol):
+        def failing(roots, matrices, loops, ode_tol):
             raise cause
 
         monkeypatch.setattr(diffsys.immersion, "monodromy_family", failing)
@@ -205,19 +242,20 @@ class TestFailingPartner:
     @pytest.mark.parametrize("index", [0, 1, 30, 71])
     def test_invalid_partner_names_its_direction(self, good_center, good_report, monkeypatch, index):
         cause = InvalidRepresentationError("relation residual 1", index=index)
+        family = []
 
-        def family(systems, loops, ode_tol):
-            return [good_report.center_rep] * len(systems)
+        def valid(roots, matrices, loops, ode_tol):
+            family.extend((roots, matrices))
+            return [good_report.center_rep] * len(roots)
 
         def invalid(reps):
             raise cause
 
-        monkeypatch.setattr(diffsys.immersion, "monodromy_family", family)
+        monkeypatch.setattr(diffsys.immersion, "monodromy_family", valid)
         monkeypatch.setattr(diffsys.immersion, "trace_values", invalid)
         with pytest.raises(IntegrationError) as info:
             fd_step_ladder(good_center, self.STEPS)
-        named = self.named(good_center, self.STEPS, index + 1)
-        assert str(info.value) == named + "relation residual 1"
+        assert str(info.value) == self.named(family, index + 1) + "relation residual 1"
         assert info.value.__cause__ is cause
 
 
@@ -236,44 +274,84 @@ class TestNoBranchCollision:
             ((0, 1, 2, 3, 4, 5, 6), 0.2),
         ],
     )
-    def test_accepted_steps_keep_roots_apart(self, branch, clearance):
+    def test_accepted_steps_keep_roots_apart(self, monkeypatch, branch, clearance):
         center = make_center(seed=3, branch=branch, clearance=clearance)
-        base = NumericSystem.from_system(center.system)
-        rho = np.array([m.to_numpy() for m in SL2.rep_matrices])
         largest = clearance / 4
         with pytest.raises(ValueError, match="quarter of the loop clearance"):
             _check_step(center, math.nextafter(largest, math.inf))
-        for step in (largest, largest / 3, 1e-4, 1e-6):
-            _check_step(center, step)
-            for label in center.parameter_labels():
-                if label[0] != "branch":
-                    continue
-                for delta in (step, -step, 1j * step, -1j * step):
-                    roots = _perturbed(base, rho, label, delta).roots
-                    moved = roots[label[1]]
-                    others = roots[: label[1]] + roots[label[1] + 1 :]
-                    assert min(abs(moved - other) for other in others) > 2 * step
+        steps = (largest, largest / 3, 1e-4, 1e-6)
+        roots, _ = _family(center, steps, monkeypatch)
+        branch_rows = 4 * (2 * center.genus - 1)  # per step: branch labels first, 4 rows each
+        per_step = 4 * len(center.parameter_labels())
+        for step, rows in zip(steps, roots[1:].reshape(len(steps), per_step, -1)):
+            for row in rows[:branch_rows]:
+                (moved,) = np.flatnonzero(row != roots[0])
+                others = np.delete(row, moved)
+                assert np.abs(others - row[moved]).min() > 2 * step
+            assert (rows[branch_rows:] == roots[0]).all()
 
 
 class TestPerturbed:
-    def test_coefficient_direction_moves_only_representation_support(self, good_center):
+    """Row 0 of a ladder's family is the center's ``float_system``; every
+    partner row differs bitwise from it exactly on its direction's support,
+    signed zeros included: one branch point, or the entries of M_c where
+    rho(e_r) is nonzero.  Each row is bit for bit the center moved one
+    system at a time, adding delta times the unit on the support only."""
+
+    STEPS = TestFailingPartner.STEPS
+
+    @pytest.fixture(scope="class")
+    def family(self, good_center):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return _family(good_center, self.STEPS, monkeypatch)
+
+    def partners(self, center, family, kind):
+        """(row, where, delta, changed roots, changed matrices) of every
+        partner row along a ``kind`` label, a change being any changed bit
+        of a complex entry."""
+        labels = center.parameter_labels()
+        changed = [(a.view(np.uint64) != a[:1].view(np.uint64)).reshape(*a.shape, 2).any(axis=-1)
+                   for a in family]
+        for k in range(1, len(family[0])):
+            step, j, unit, sign = np.unravel_index(k - 1, (len(self.STEPS), len(labels), 2, 2))
+            if labels[j][0] == kind:
+                delta = (1, -1)[sign] * self.STEPS[step] * (1, 1j)[unit]
+                yield k, labels[j][1], delta, changed[0][k], changed[1][k]
+
+    def test_center_row_is_the_float_system(self, good_center, family):
+        roots, matrices = family
+        center_roots, center_matrices = float_system(good_center.system)
+        assert roots[0].tobytes() == center_roots.tobytes()
+        assert matrices[0].tobytes() == center_matrices.tobytes()
+        assert len(roots) == len(matrices) == 1 + 4 * len(self.STEPS) * good_center.free_complex_count
+
+    def test_branch_direction_moves_one_root(self, good_center, family):
+        roots, _ = family
+        rows = list(self.partners(good_center, family, "branch"))
+        assert len(rows) == 4 * len(self.STEPS) * (2 * good_center.genus - 1)
+        for k, where, delta, moved_roots, moved_matrices in rows:
+            expected = np.zeros_like(moved_roots)
+            expected[where] = True
+            assert np.array_equal(moved_roots, expected), k
+            assert not moved_matrices.any(), k
+            reference = roots[0].copy()
+            reference[where] += delta
+            assert roots[k].tobytes() == reference.tobytes(), k
+
+    def test_coefficient_direction_moves_only_representation_support(self, good_center, family):
         """Moving coefficient (r, c) adds delta * rho(e_r) to M_c and leaves
         every other bit alone, signed zeros included."""
-        base = NumericSystem.from_system(good_center.system)
-        before = base.matrices.copy()
-        rho = np.array([m.to_numpy() for m in SL2.rep_matrices])
-        delta = 1e-3 + 2e-3j
-        g = good_center.genus
-        for kind, (r, c) in (l for l in good_center.parameter_labels() if l[0] == "coeff"):
-            moved = _perturbed(base, rho, (kind, (r, c)), delta)
-            bits = moved.matrices.view(np.uint64) != base.matrices.view(np.uint64)
-            changed = bits.reshape(g, 2, 2, 2).any(axis=-1)
-            expected = np.zeros((g, 2, 2), dtype=bool)
-            expected[c] = rho[r] != 0
-            assert np.array_equal(changed, expected)
-            assert np.allclose(moved.matrices[c] - base.matrices[c], delta * rho[r], atol=1e-15)
-            assert moved.roots == base.roots
-        assert np.array_equal(base.matrices.view(np.uint64), before.view(np.uint64))
+        _, matrices = family
+        rows = list(self.partners(good_center, family, "coeff"))
+        assert len(rows) == 4 * len(self.STEPS) * (3 * good_center.genus - 3)
+        for k, (r, c), delta, moved_roots, moved_matrices in rows:
+            expected = np.zeros_like(moved_matrices)
+            expected[c] = RHO[r] != 0
+            assert np.array_equal(moved_matrices, expected), k
+            assert not moved_roots.any(), k
+            reference = matrices[0].copy()
+            reference[c][expected[c]] += delta * RHO[r][expected[c]]
+            assert matrices[k].tobytes() == reference.tobytes(), k
 
 
 class TestFdLadder:

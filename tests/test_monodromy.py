@@ -15,9 +15,9 @@ from diffsys.monodromy import (
     IntegrationError,
     InvalidRepresentationError,
     Loop,
-    NumericSystem,
     build_loops,
     canonical_words,
+    float_system,
     irreducibility_probe,
     monodromy,
     monodromy_family,
@@ -64,6 +64,24 @@ def small_system(curve, seed):
     return scale_system(
         sample_system(curve, SL2, seed=seed, coefficient_bound=5), EIGHTH
     )
+
+
+def _stack(pairs):
+    """The family (roots (n, 2g+1), matrices (n, g, 2, 2)) of float
+    systems given as (roots, matrices) pairs."""
+    return np.array([r for r, _ in pairs]), np.array([m for _, m in pairs])
+
+
+def _with_root(pair, k, value):
+    """The float system ``pair`` with branch root k set to ``value``."""
+    roots = pair[0].copy()
+    roots[k] = value
+    return roots, pair[1]
+
+
+def _zero_system(curve):
+    """The float zero system on ``curve``."""
+    return np.array(curve.float_roots()), np.zeros((curve.genus, 2, 2), dtype=complex)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +266,25 @@ class TestBuildLoops:
             assert letter[-3:] == letter[2::-1], k
             assert letter[2 + _CIRCLE_SIDES] == letter[2], k
 
+    def test_every_drawn_letter_ends_on_the_opposite_sheet(self):
+        """A letter that passes the clearance rule winds once around its own
+        branch point and around no other, so its drawing ends on sheet -1 of
+        the oracle's dense continuation: on every census curve and clearance
+        that builds (93 loop systems), for every letter."""
+        built = 0
+        for curve in oracles.clearance_curves():
+            for clearance in oracles.CLEARANCES:
+                try:
+                    loops = build_loops(curve, clearance)
+                except ClearanceError:
+                    continue
+                built += 1
+                roots = curve.float_roots()
+                for k in range(1, len(roots) + 1):
+                    assert oracles.vertex_sheets(roots, _lollipop(loops, k))[-1] == -1, (
+                        curve.branch_points, clearance, k)
+        assert built == 93
+
 
 class TestIntegrateLoop:
     def test_zero_system_identity(self, genus2_curve, loops_g2):
@@ -381,8 +418,9 @@ class TestMonodromy:
 
     def test_batched_monodromy_deterministic(self, genus2_curve, loops_g2):
         systems = [small_system(genus2_curve, seed) for seed in (3, 4)]
-        r1 = monodromy_family(systems, loops_g2, 1e-12)
-        r2 = monodromy_family(systems, loops_g2, 1e-12)
+        family = _stack([float_system(s) for s in systems])
+        r1 = monodromy_family(*family, loops_g2, 1e-12)
+        r2 = monodromy_family(*family, loops_g2, 1e-12)
         for rep1, rep2 in zip(r1, r2):
             for a, b in zip(rep1.matrices, rep2.matrices):
                 assert np.array_equal(a, b)
@@ -413,7 +451,7 @@ class TestMonodromy:
         """In a two-system stack only the overflowing member turns invalid;
         the other is bit for bit its own stack of one."""
         system = small_system(genus2_curve, 3)
-        letters, _ = _letter_transports([NumericSystem.from_system(system)], loops_g2, 1e-12)
+        letters, _ = _letter_transports(*_stack([float_system(system)]), loops_g2, 1e-12)
         stack = np.concatenate([self._overflowing_letters(loops_g2), letters])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -451,21 +489,20 @@ class TestStackedRepresentation:
 
     @pytest.fixture(scope="class")
     def family(self, genus2_curve):
-        base = NumericSystem.from_system(small_system(genus2_curve, 3))
+        roots, matrices = base = float_system(small_system(genus2_curve, 3))
         unit = np.zeros((2, 2, 2), dtype=complex)
         unit[0, 0, 1] = 1.0
-        coeff = [NumericSystem(base.roots, base.matrices + d * unit) for d in (1e-5, -1e-5, 1e-5j)]
-        moved = [base.roots[:2] + (base.roots[2] + d,) + base.roots[3:] for d in (1e-5, -1e-5j)]
-        branch = [NumericSystem(roots, base.matrices) for roots in moved]
-        stiff = NumericSystem.from_system(scale_system(small_system(genus2_curve, 4), es(8)))
+        coeff = [(roots, matrices + d * unit) for d in (1e-5, -1e-5, 1e-5j)]
+        branch = [_with_root(base, 2, roots[2] + d) for d in (1e-5, -1e-5j)]
+        stiff = float_system(scale_system(small_system(genus2_curve, 4), es(8)))
         return [base, *coeff, *branch, base, stiff]
 
     @pytest.fixture(scope="class")
     def family_reps(self, family, loops_g2):
-        return monodromy_family(family, loops_g2, 1e-12)
+        return monodromy_family(*_stack(family), loops_g2, 1e-12)
 
     def test_family_matches_per_matrix_reference(self, family, family_reps, loops_g2):
-        letter_t, _ = _letter_transports(family, loops_g2, 1e-12)
+        letter_t, _ = _letter_transports(*_stack(family), loops_g2, 1e-12)
         words = standard_word_list(2)
         valid = [i for i, rep in enumerate(family_reps) if rep.valid]
         assert len(valid) == len(family_reps) - 1  # the stiff system misses the relation gate
@@ -486,7 +523,7 @@ class TestStackedRepresentation:
 
     def test_permuted_family_permutes_results(self, family, family_reps, loops_g2):
         order = [5, 2, 7, 0, 3, 6, 1, 4]
-        permuted = monodromy_family([family[j] for j in order], loops_g2, 1e-12)
+        permuted = monodromy_family(*_stack([family[j] for j in order]), loops_g2, 1e-12)
         for rep, j in zip(permuted, order):
             _assert_same_rep(rep, family_reps[j])
 
@@ -502,15 +539,14 @@ def _rel_dev(a, b):
     return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
 
 
-def _rows(systems, per_system):
-    """Stacked roots and matrices of ``systems``, each repeated for ``per_system`` rows."""
-    return (np.array([s.roots for s in systems]).repeat(per_system, 0),
-            np.array([s.matrices for s in systems]).repeat(per_system, 0))
+def _rows(pairs, per_system):
+    """Stacked roots and matrices of float systems, each repeated for ``per_system`` rows."""
+    return tuple(a.repeat(per_system, 0) for a in _stack(pairs))
 
 
-def _principal(system, x):
-    """Principal sqrt f of ``system`` at the points ``x``."""
-    return np.sqrt(np.prod(np.asarray(x)[:, None] - np.array(system.roots), axis=1))
+def _principal(pair, x):
+    """Principal sqrt f of the float system ``pair`` at the points ``x``."""
+    return np.sqrt(np.prod(np.asarray(x)[:, None] - pair[0], axis=1))
 
 
 def _drawn_letters(loops):
@@ -518,15 +554,15 @@ def _drawn_letters(loops):
     return np.array([_lollipop(loops, k) for k in range(1, len(loops.radii) + 1)])
 
 
-def _full_letters(systems, loops):
-    """Letter transports (n, 2g+1, 2 sheets, 2, 2) from sweeps of every
+def _full_letters(pairs, loops):
+    """Letter transports (n, 2g+1, 2 sheets, 2, 2) of float systems from sweeps of every
     segment of the whole lollipops in x, the reference for the composed
     letters: the base-line edges, the first and last segments, in one sweep,
     and the stems and circles in another, so that their rows do not take the
     edges' steps (measured at genus 3: 9 against 58)."""
     letters = _drawn_letters(loops)
     kinds = ["edge"] + ["turn"] * (letters.shape[1] - 3) + ["edge"]
-    return oracles.polyline_transports(systems, letters, 1e-12, kinds)[0]
+    return oracles.polyline_transports(*_stack(pairs), letters, 1e-12, kinds)[0]
 
 
 class TestBatchedTransport:
@@ -543,12 +579,10 @@ class TestBatchedTransport:
     def test_member_on_branch_point_is_named(self, genus2_curve, loops_g2):
         """A branch point on letter 2's circle fails the half-turn guard,
         which runs before any half-turn is swept (no segment, no step)."""
-        good = NumericSystem.from_system(small_system(genus2_curve, 3))
-        roots = list(good.roots)
-        roots[0] = _lollipop(loops_g2, 2)[6]  # a vertex of the second letter's circle
-        bad = NumericSystem(tuple(roots), good.matrices)
+        good = float_system(small_system(genus2_curve, 3))
+        bad = _with_root(good, 0, _lollipop(loops_g2, 2)[6])  # a vertex of the second letter's circle
         with pytest.raises(IntegrationError, match="within the clearance of its circle") as info:
-            monodromy_family([good, good, bad], loops_g2, 1e-12)
+            monodromy_family(*_stack([good, good, bad]), loops_g2, 1e-12)
         err = info.value
         assert err.member[:2] == (2, "letter 2")
         assert "system 2, letter 2" in str(err)
@@ -559,13 +593,11 @@ class TestBatchedTransport:
         fails the half-turn guard (the circle is not walked, so no sheet
         guard sees that side); behind two systems with identical rows, the
         error names it."""
-        zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
+        zero = _zero_system(genus2_curve)
         a, b = _lollipop(loops_g2, 2)[6:8]
-        roots = list(zero.roots)
-        roots[0] = (a + b) / 2 + 1e-15j * (b - a) / abs(b - a)
-        bad = NumericSystem(tuple(roots), zero.matrices)
+        bad = _with_root(zero, 0, (a + b) / 2 + 1e-15j * (b - a) / abs(b - a))
         with pytest.raises(IntegrationError, match="within the clearance of its circle") as info:
-            monodromy_family([zero, zero, bad], loops_g2, 1e-12)
+            monodromy_family(*_stack([zero, zero, bad]), loops_g2, 1e-12)
         assert info.value.member == (2, "letter 2", 1)
 
     @pytest.mark.parametrize("where, moved, letter, what", [
@@ -584,12 +616,10 @@ class TestBatchedTransport:
         letter 3's foot, outside its circle's clearance ring but within the
         clearance of the turn's triangle (foot, south, lam): the guard names
         letter 3, not the emptied circle of letter 1."""
-        good = NumericSystem.from_system(small_system(genus2_curve, 3))
-        roots = list(good.roots)
-        roots[where] = moved
-        bad = NumericSystem(tuple(roots), good.matrices)
+        good = float_system(small_system(genus2_curve, 3))
+        bad = _with_root(good, where, moved)
         with pytest.raises(IntegrationError, match=what) as info:
-            monodromy_family([good, good, bad], loops_g2, 1e-12)
+            monodromy_family(*_stack([good, good, bad]), loops_g2, 1e-12)
         assert info.value.member == (2, f"letter {letter}", 1)
 
     def test_zero_length_stem_is_guarded(self):
@@ -602,11 +632,9 @@ class TestBatchedTransport:
             (0,), (Fraction(3, 2),), (3,), (Fraction(9, 2),), (Fraction(9, 4), Fraction(3, 2)))))
         loops = build_loops(curve, 0.22)
         assert loops.feet[1] == loops.souths[1]
-        roots = list(curve.float_roots())
-        roots[0] = 0.645
-        zero = NumericSystem(tuple(roots), np.zeros((2, 2, 2), dtype=complex))
+        zero = _with_root(_zero_system(curve), 0, 0.645)
         with pytest.raises(IntegrationError, match="within the clearance of its circle") as info:
-            monodromy_family([zero], loops, 1e-12)
+            monodromy_family(*_stack([zero]), loops, 1e-12)
         assert info.value.member == (0, "letter 2", 1)
 
     def test_guard_admits_the_largest_fd_branch_step(self, genus2_curve):
@@ -615,13 +643,9 @@ class TestBatchedTransport:
         fd step immersion admits, towards a neighbour still passes."""
         clearance = 0.441
         loops = build_loops(genus2_curve, clearance)
-        base = NumericSystem.from_system(small_system(genus2_curve, 3))
-        family = [base]
-        for d in (clearance / 4, -clearance / 4):
-            roots = list(base.roots)
-            roots[1] += d
-            family.append(NumericSystem(tuple(roots), base.matrices))
-        assert all(rep.valid for rep in monodromy_family(family, loops, 1e-12))
+        base = float_system(small_system(genus2_curve, 3))
+        family = [base] + [_with_root(base, 1, base[0][1] + d) for d in (clearance / 4, -clearance / 4)]
+        assert all(rep.valid for rep in monodromy_family(*_stack(family), loops, 1e-12))
 
     def test_half_turn_sheet_mismatch_is_named(self, genus2_curve, loops_g2, monkeypatch):
         """A turn starts from the foot's y in its chart, which must be +-sqrt
@@ -644,8 +668,8 @@ class TestBatchedTransport:
         exp -I) with I the Gauss-Legendre integral of omega along the whole
         lollipop polygon in x (measured: 3.7e-13)."""
         coeff = ExactMatrix.from_rows([[es(1), es(Fraction(1, 2))], [es(0), es(0)], [es(0), es(0)]])
-        system = NumericSystem.from_system(DifferentialSystem(genus2_curve, SL2, coeff))
-        letter_t = _letter_transports([system], loops_g2, 1e-12)[0][0]
+        system = float_system(DifferentialSystem(genus2_curve, SL2, coeff))
+        letter_t = _letter_transports(*_stack([system]), loops_g2, 1e-12)[0][0]
         worst = 0.0
         for k, letter in enumerate(_drawn_letters(loops_g2).tolist()):
             for j, sheet in enumerate(_SHEETS):
@@ -661,13 +685,11 @@ class TestBatchedTransport:
         segment is homotopic to the lollipop only outside the triangle (foot,
         south, lam): a branch point 1e-15 off letter 3's segment fails the turn
         guard, which runs before any sweep (no segment, no step)."""
-        zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
+        zero = _zero_system(genus2_curve)
         a, b = loops_g2.feet[2], loops_g2.souths[2]
-        roots = list(zero.roots)
-        roots[0] = (a + b) / 2 + 1e-15j * (b - a) / abs(b - a)
-        bad = NumericSystem(tuple(roots), zero.matrices)
+        bad = _with_root(zero, 0, (a + b) / 2 + 1e-15j * (b - a) / abs(b - a))
         with pytest.raises(IntegrationError, match="of its turn's triangle") as info:
-            monodromy_family([zero, zero, bad], loops_g2, 1e-12)
+            monodromy_family(*_stack([zero, zero, bad]), loops_g2, 1e-12)
         assert info.value.member == (2, "letter 3", 1)
         assert info.value.t is None
 
@@ -676,10 +698,8 @@ class TestBatchedTransport:
         from the base to letter 2's foot, 0.3 of the way, fails the sheet
         guard of the edge sweep, behind two systems with identical rows,
         naming the member."""
-        zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
-        roots = list(zero.roots)
-        roots[0] = 0.7 * loops_g2.base_point + 0.3 * loops_g2.feet[1] + 1e-15j
-        bad = NumericSystem(tuple(roots), zero.matrices)
+        zero = _zero_system(genus2_curve)
+        bad = _with_root(zero, 0, 0.7 * loops_g2.base_point + 0.3 * loops_g2.feet[1] + 1e-15j)
         with pytest.raises(IntegrationError, match="underflow.* at t=") as info:
             _feet(*_rows([zero, zero, bad], 1), loops_g2, 1e-12)
         assert info.value.member[:2] == (2, "letter 2")
@@ -696,12 +716,10 @@ class TestBatchedTransport:
         and 1.0e-14)."""
         curve = HyperellipticCurve.from_integers(range(2 * genus + 1))
         loops = build_loops(curve, 0.22)
-        systems = [NumericSystem.from_system(small_system(curve, seed)) for seed in range(1, 11)]
+        systems = [float_system(small_system(curve, seed)) for seed in range(1, 11)]
         for j, d in itertools.product(range(2 * genus + 1), (1e-4, 1e-4j)):
-            roots = list(systems[0].roots)
-            roots[j] += d
-            systems.append(NumericSystem(tuple(roots), systems[0].matrices))
-        composed, _ = _letter_transports(systems, loops, 1e-12)
+            systems.append(_with_root(systems[0], j, systems[0][0][j] + d))
+        composed, _ = _letter_transports(*_stack(systems), loops, 1e-12)
         for i, (c, f) in enumerate(zip(composed, _full_letters(systems, loops))):
             dev = max(_rel_dev(a, b) for a, b in zip(c.reshape(-1, 2, 2), f.reshape(-1, 2, 2)))
             assert dev <= 1e-12, (i, dev)
@@ -713,9 +731,10 @@ class TestBatchedTransport:
         the counts are deterministic and family members report their shared
         sweeps."""
         loops = build_loops(genus3_curve, 0.22)
-        system = NumericSystem.from_system(small_system(genus3_curve, 1))
+        system = small_system(genus3_curve, 1)
         letters = _drawn_letters(loops)
-        _, [(_, (full_accepted, _))] = oracles.polyline_transports([system], letters, 1e-12)
+        _, [(_, (full_accepted, _))] = oracles.polyline_transports(
+            *_stack([float_system(system)]), letters, 1e-12)
         full_work = letters.size - len(letters), full_accepted
         sweeps = []
         transport = diffsys.monodromy._transport
@@ -732,7 +751,8 @@ class TestBatchedTransport:
         assert rep.to_json()["steps"]["accepted"] == sum(accepted for _, accepted in sweeps)
         assert sum(rows * accepted for rows, accepted in sweeps) < math.prod(full_work)
         assert monodromy(system, loops, 1e-12).steps == rep.steps
-        family = monodromy_family([system, small_system(genus3_curve, 2)], loops, 1e-12)
+        pairs = [float_system(s) for s in (system, small_system(genus3_curve, 2))]
+        family = monodromy_family(*_stack(pairs), loops, 1e-12)
         assert family[0].steps == family[1].steps
 
     def test_sheet_chain_on_complex_branch_points(self):
@@ -743,14 +763,14 @@ class TestBatchedTransport:
         match a full-letter sweep (measured: 2.7e-14)."""
         curve = HyperellipticCurve(tuple(es(j, im) for j, im in enumerate((1, -1, 0, 2, -1))))
         loops = build_loops(curve, 0.22)
-        system = NumericSystem.from_system(small_system(curve, 1))
+        system = float_system(small_system(curve, 1))
         _, y_feet, _ = _feet(*_rows([system], 1), loops, 1e-12)
         sheets = [loop_sheets(curve, Loop("edge", (k,), (loops.base_point, foot), (1, 1)))[-1]
                   for k, foot in enumerate(loops.feet, start=1)]
         assert sheets == [-1, -1, 1, 1, 1]
-        principal = [np.sqrt(np.prod(foot - np.array(system.roots))) for foot in loops.feet]
+        principal = [np.sqrt(np.prod(foot - system[0])) for foot in loops.feet]
         assert np.allclose(y_feet[0], np.multiply(sheets, principal), rtol=1e-13, atol=0)
-        composed = _letter_transports([system], loops, 1e-12)[0][0]
+        composed = _letter_transports(*_stack([system]), loops, 1e-12)[0][0]
         full = _full_letters([system], loops)[0]
         dev = max(_rel_dev(a, b) for a, b in zip(composed.reshape(-1, 2, 2), full.reshape(-1, 2, 2)))
         assert dev <= 1e-12, dev
@@ -760,10 +780,8 @@ class TestBatchedTransport:
         letter 2's foot, zero system: the sweep's steps grow and one straddles
         the branch point, passing the sheet guard, so y at the foot comes out
         as minus the closed-form continuation, which the edge check names."""
-        zero = NumericSystem(tuple(genus2_curve.float_roots()), np.zeros((2, 2, 2), dtype=complex))
-        roots = list(zero.roots)
-        roots[0] = (loops_g2.base_point + loops_g2.feet[1]) / 2 + 1e-15j
-        bad = NumericSystem(tuple(roots), zero.matrices)
+        bad = _with_root(_zero_system(genus2_curve), 0,
+                         (loops_g2.base_point + loops_g2.feet[1]) / 2 + 1e-15j)
         with pytest.raises(IntegrationError, match="end is off the closed-form continuation") as info:
             _feet(*_rows([bad], 1), loops_g2, 1e-12)
         assert info.value.member == (0, "letter 2", 1)
@@ -786,7 +804,7 @@ class TestBatchedTransport:
     def test_zero_length_row_is_the_identity(self, genus2_curve, loops_g2):
         """A row whose start is its end, swept beside an edge of the base line,
         transports by the identity on both sheets and passes the end check."""
-        system = NumericSystem.from_system(small_system(genus2_curve, 3))
+        system = float_system(small_system(genus2_curve, 3))
         foot, base = loops_g2.feet[1], loops_g2.base_point
         members = [(0, path, s) for path in ("still", "edge") for s in _SHEETS]
         starts = np.array([foot, base])
@@ -800,7 +818,7 @@ class TestBatchedTransport:
         """An edge row's start y must be +-sqrt f: off by a factor i it
         matches no sheet, and the start check names the row's member on
         sheet +1 before any step."""
-        system = NumericSystem.from_system(small_system(genus2_curve, 3))
+        system = float_system(small_system(genus2_curve, 3))
         starts = np.full(2, loops_g2.base_point)
         members = [(0, f"letter {k}", s) for k in (2, 4) for s in _SHEETS]
         with pytest.raises(IntegrationError, match=r"start is not \+-sqrt f") as info:
@@ -814,8 +832,8 @@ class TestBatchedTransport:
         """Matrices of NaN, inf or 1e200 entries make every error estimate of
         their row non-finite, so the steps shrink to underflow; the error
         names that row, behind a good one, and that cause."""
-        good = NumericSystem.from_system(small_system(genus2_curve, 3))
-        bad = NumericSystem(good.roots, np.full((2, 2, 2), entry, dtype=complex))
+        good = float_system(small_system(genus2_curve, 3))
+        bad = good[0], np.full((2, 2, 2), entry, dtype=complex)
         starts = np.full(2, loops_g2.base_point)
         members = [(i, "letter 2", s) for i in (0, 1) for s in _SHEETS]
         with pytest.raises(IntegrationError, match=r"^step-size underflow \(latest rejection: "
@@ -829,10 +847,10 @@ class TestBatchedTransport:
         its system's index in the family, reading errors in member order
         (system, letter, sheet), sheet fastest, however the kernel lays its
         arrays out."""
-        ok = NumericSystem.from_system(small_system(genus2_curve, 3))
-        bad = NumericSystem(ok.roots, np.array([[[1e300, 1e300], [1e300, -1e300]]] * 2))
+        ok = float_system(small_system(genus2_curve, 3))
+        bad = ok[0], np.array([[[1e300, 1e300], [1e300, -1e300]]] * 2, dtype=complex)
         with pytest.raises(IntegrationError) as info:
-            monodromy_family([ok, bad, ok], loops_g2, 1e-10)
+            monodromy_family(*_stack([ok, bad, ok]), loops_g2, 1e-10)
         assert info.value.member == (1, "letter 1", 1)
         assert info.value.t is not None
 
@@ -841,7 +859,7 @@ class TestBatchedTransport:
         system stay within 1e-12 of their lone runs (measured: about 1e-13)."""
         stiff = scale_system(small_system(genus2_curve, 4), es(8))
         systems = [small_system(genus2_curve, 3), stiff, small_system(genus2_curve, 9)]
-        family = monodromy_family(systems, loops_g2, 1e-12)
+        family = monodromy_family(*_stack([float_system(s) for s in systems]), loops_g2, 1e-12)
         for i in (0, 2):
             alone = monodromy(systems[i], loops_g2, 1e-12)
             assert family[i].valid
@@ -898,13 +916,13 @@ class TestDOP853Transport:
         """One letter on both sheets against solve_ivp, which carries y as a
         state (dy/dt = y/2 sum_r delta/(x - r)) instead of picking roots."""
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-        system = NumericSystem.from_system(small_system(genus2_curve, 5))
-        roots = np.array(system.roots)
+        system = small_system(genus2_curve, 5)
+        roots, matrices = float_system(system)
         vertices = _lollipop(loops_g2, 5)
 
         def rhs(t, z, v, d):
             x, y = v + d * t, z[4]
-            m = sum(mc * x**c for c, mc in enumerate(system.matrices)) * (d / y)
+            m = sum(mc * x**c for c, mc in enumerate(matrices)) * (d / y)
             dy = 0.5 * y * d * np.sum(1 / (x - roots))
             return np.append((m @ z[:4].reshape(2, 2)).ravel(), dy)
 
@@ -948,8 +966,7 @@ class TestDOP853Transport:
             return ExactMatrix.from_rows([[exact(z) for z in row] for row in m])
 
         for seed in (2, 3, 9):
-            system = NumericSystem.from_system(small_system(genus2_curve, seed))
-            letter_t = _full_letters([system], loops_g2)[0]
+            letter_t = _full_letters([float_system(small_system(genus2_curve, seed))], loops_g2)[0]
             for loop, w in zip(loops_g2.loops, _words(letter_t[None], loops_g2)[0]):
                 ref = ExactMatrix.identity(2)
                 for i, k in enumerate(loop.word):
