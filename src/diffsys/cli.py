@@ -1,9 +1,11 @@
 """Batch command-line entry point.
 
-One verification task per process invocation; every run writes a single
-machine-readable report that echoes the fully resolved configuration (only
-a ``dims`` config is also a ``--config`` file).  Reports are written atomically
-(temp file in the target directory, then rename).
+One verification task per process invocation.  Each subcommand handler maps
+the parsed arguments to the fully resolved configuration and its result and
+writes nothing; ``main`` writes the one report, which echoes that
+configuration (only a ``dims`` config is also a ``--config`` file), or the
+CSV table read off the result.  Reports are written atomically (temp file in
+the target directory, then rename).
 
 Exit codes: 0 the run completed (negative mathematical verdicts are still
 data, not errors), 1 the configuration failed validation or the output
@@ -64,16 +66,16 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_rational(text: str) -> Fraction:
+def _number(text: str, flag: str, kind=Fraction):
     try:
-        return Fraction(text.strip())
+        return kind(text.strip())
     except (ValueError, ZeroDivisionError) as err:
-        raise ConfigError(f"cannot parse rational {text!r}: {err}") from None
+        raise ConfigError(f"{flag}: cannot parse {text!r}: {err}") from None
 
 
-def _rationals(text: str) -> list:
-    """The comma-separated rationals of a flag; empty fields are skipped."""
-    return [_parse_rational(v) for v in text.split(",") if v.strip()]
+def _numbers(text: str, flag: str, kind=Fraction) -> list:
+    """The comma-separated numbers of a flag; empty fields are skipped."""
+    return [_number(v, flag, kind) for v in text.split(",") if v.strip()]
 
 
 # what malformed JSON data raises in the curve and system loaders
@@ -89,17 +91,9 @@ def _load_json(path, flag, loader):
 
 
 def _curve_from_args(args) -> object:
-    sources = [
-        args.branch_points is not None,
-        args.quartic is not None,
-        args.curve_json is not None,
-    ]
-    if sum(sources) != 1:
-        raise ConfigError(
-            "specify exactly one of --branch-points, --quartic, --curve-json"
-        )
+    """The curve of the one curve source the parser lets through."""
     if args.branch_points is not None:
-        values = _rationals(args.branch_points)
+        values = _numbers(args.branch_points, "--branch-points")
         if len(values) < 5:
             raise ConfigError("--branch-points needs at least 5 values (genus >= 2)")
         try:
@@ -134,7 +128,7 @@ def _system_from_args(args, curve):
     lie = builtin_algebra(args.algebra)
     system = sample_system(curve, lie, seed=args.seed, coefficient_bound=args.bound)
     if args.scale != "1":
-        system = scale_system(system, ExactScalar.of(_parse_rational(args.scale)))
+        system = scale_system(system, ExactScalar.of(_number(args.scale, "--scale")))
     return system
 
 
@@ -165,43 +159,28 @@ def _write(args, text: str) -> None:
         raise
 
 
-def _write_report(args, payload) -> None:
-    # one line: without indent, json uses its C encoder
-    _write(args, json.dumps(payload, sort_keys=True) + "\n")
+def _tally(result) -> list:
+    return [("trials", "successes", "failures"),
+            (result["trials"], result["successes"], len(result["failures"]))]
 
 
-def _write_csv(args, rows) -> None:
-    _write(args, "\n".join(",".join(str(x) for x in row) for row in rows) + "\n")
+def _spectrum(result) -> list:
+    return [("index", "singular_value"), *enumerate(result["singular_values"], 1)]
 
 
-def _report(subcommand, config, result) -> dict:
-    return {
-        "subcommand": subcommand,
-        "config": config,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "result": result,
-    }
-
-
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: parsed arguments -> (config, result) -----------------
 
 
 def _cmd_dims(args):
     if args.genus < 2:
         raise ConfigError("--genus must be >= 2")
-    lie = builtin_algebra(args.algebra)
-    report = dimension_report(args.genus, lie)
     config = {"genus": args.genus, "algebra": args.algebra}
-    _write_report(args, _report("dims", config, report.to_json()))
-    return 0
+    return config, dimension_report(args.genus, builtin_algebra(args.algebra)).to_json()
 
 
 def _cmd_noether(args):
     curve = _curve_from_args(args)
-    verdict = noether_check(curve)
-    config = {"curve": curve_to_json(curve)}
-    _write_report(args, _report("noether", config, verdict.to_json()))
-    return 0
+    return {"curve": curve_to_json(curve)}, noether_check(curve).to_json()
 
 
 def _cmd_lazarsfeld(args):
@@ -217,13 +196,7 @@ def _cmd_lazarsfeld(args):
         "w_dim": args.w_dim,
         "seed": args.seed,
     }
-    if args.format == "csv":
-        rows = [("trials", "successes", "failures")]
-        rows.append((scan.trials, scan.successes, scan.trials - scan.successes))
-        _write_csv(args, rows)
-        return 0
-    _write_report(args, _report("lazarsfeld", config, scan.to_json()))
-    return 0
+    return config, scan.to_json()
 
 
 def _cmd_criterion(args):
@@ -236,9 +209,7 @@ def _cmd_criterion(args):
         "system": system_to_json(system),
         "seed": args.seed,
     }
-    result = {"criterion": verdict.to_json(), "dyad": dyad.to_json()}
-    _write_report(args, _report("criterion", config, result))
-    return 0
+    return config, {"criterion": verdict.to_json(), "dyad": dyad.to_json()}
 
 
 def _cmd_monodromy(args):
@@ -268,27 +239,22 @@ def _cmd_monodromy(args):
         "irreducibility": probe.to_json(),
         "loops": loops.to_json(),
     }
-    _write_report(args, _report("monodromy", config, result))
-    return 0
+    return config, result
 
 
 def _cmd_immersion(args):
     ode_tol = _positive(args.ode_tol, "--ode-tol", ODE_TOL_FLOOR)
     clearance = _positive(args.clearance, "--clearance")
-    steps = [float(s) for s in args.fd_steps.split(",") if s.strip()]
+    steps = _numbers(args.fd_steps, "--fd-steps", float)
     if not steps or not all(0 < s < math.inf for s in steps):
         raise ConfigError("--fd-steps must be positive and finite")
     if args.format == "csv" and len(steps) > 1:
         raise ConfigError("--format csv takes a single --fd-steps value")
-    branch = _rationals(args.branch_points) if args.branch_points else [0, 1, 2, 3, 4]
+    branch = _numbers(args.branch_points, "--branch-points") if args.branch_points else [0, 1, 2, 3, 4]
+    scale = _number(args.scale, "--scale")
     try:
-        center = make_center(
-            seed=args.seed,
-            branch=tuple(branch),
-            coefficient_bound=args.bound,
-            scale=_parse_rational(args.scale),
-            clearance=clearance,
-        )
+        center = make_center(seed=args.seed, branch=tuple(branch), coefficient_bound=args.bound,
+                             scale=scale, clearance=clearance)
     except (ValueError, CurveError, ClearanceError) as err:
         raise ConfigError(f"cannot build immersion center: {err}") from None
     config = {
@@ -298,36 +264,32 @@ def _cmd_immersion(args):
         "fd_steps": steps,
     }
     if len(steps) == 1:
-        report = immersion_experiment(center, steps[0], ode_tol)
-        if args.format == "csv":
-            _write_csv(args, [("index", "singular_value"), *enumerate(report.singular_values, 1)])
-            return 0
-        result = report.to_json()
+        result = immersion_experiment(center, steps[0], ode_tol).to_json()
     else:
         result = fd_step_ladder(center, steps, ode_tol).to_json()
     result["loops"] = center.loops.to_json()
-    _write_report(args, _report("immersion", config, result))
-    return 0
+    return config, result
 
 
 def _add_curve_args(p):
-    p.add_argument("--branch-points", help="comma-separated exact rationals, e.g. 0,1,2,3,4")
-    p.add_argument("--quartic", choices=["fermat", "klein"], help="built-in smooth quartic")
-    p.add_argument("--curve-json", help="path to a curve description JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--branch-points", help="comma-separated exact rationals, e.g. 0,1,2,3,4")
+    source.add_argument("--quartic", choices=["fermat", "klein"], help="built-in smooth quartic")
+    source.add_argument("--curve-json", help="path to a curve description JSON file")
 
 
-def _add_format(p):
-    # CSV covers only the lazarsfeld tally and one immersion step's singular values
+def _add_format(p, table):
+    """--format csv writes ``table(result)``, the rows read off the result."""
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(table=table)
 
 
 def _add_common(p, seeded=True):
     p.add_argument("--out", help="report path (default: stdout)")
     if seeded:  # dims and noether draw nothing, so they take no seed
         p.add_argument("--seed", type=int, default=0, action=_Given)
-    # kept so that existing command lines still parse; every subcommand
-    # runs in one thread
-    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    # every subcommand runs in one thread, so 1 is the only true value
+    p.add_argument("--threads", type=int, default=1, choices=[1])
 
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
@@ -354,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_args(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--w-dim", type=int, default=3)
-    _add_format(p)
+    _add_format(p, _tally)
     _add_common(p)
     p.set_defaults(func=_cmd_lazarsfeld)
 
@@ -385,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd-steps", default="1e-4,1e-5,1e-6")
     p.add_argument("--ode-tol", type=float, default=1e-12)
     p.add_argument("--clearance", type=float, default=0.22)
-    _add_format(p)
+    _add_format(p, _spectrum)
     _add_common(p)
     p.set_defaults(func=_cmd_immersion)
 
@@ -441,7 +403,16 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        config, result = args.func(args)
+        if getattr(args, "format", "json") == "csv":
+            text = "\n".join(",".join(map(str, row)) for row in args.table(result)) + "\n"
+        else:
+            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            report = {"subcommand": args.subcommand, "config": config, "timestamp": stamp, "result": result}
+            # one line: without indent, json uses its C encoder
+            text = json.dumps(report, sort_keys=True) + "\n"
+        _write(args, text)
+        return 0
     except SystemExit as err:
         # argparse exits itself on --help (0) and on bad usage; bad usage is
         # a configuration error under this tool's exit-code contract

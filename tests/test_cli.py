@@ -138,19 +138,22 @@ class TestLazarsfeld:
             ["lazarsfeld", "--branch-points", "0,1,2,3,4", "--w-dim", "3"]
         ) == 1
 
-    def test_threads_flag_changes_nothing(self, tmp_path):
-        """--threads stays accepted (benchmark scripts pass it) but is a no-op."""
+    def test_threads_takes_only_one(self, tmp_path, capsys):
+        """Every subcommand runs in one thread: --threads 1 writes the report
+        of a run without the flag, and any other value exits 1, names the
+        flag and writes nothing."""
+        argv = ["lazarsfeld", "--branch-points", "0,1,2,3,4,5,6", "--trials", "6", "--seed", "2"]
         texts = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"scan-{threads}.json"
-            assert run_cli(
-                [
-                    "lazarsfeld", "--branch-points", "0,1,2,3,4,5,6", "--trials", "6",
-                    "--seed", "2", "--threads", threads, "--out", str(out),
-                ]
-            ) == 0
+        for extra in ([], ["--threads", "1"]):
+            out = tmp_path / f"scan{len(extra)}.json"
+            assert run_cli(argv + extra + ["--out", str(out)]) == 0
             texts.append(re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', out.read_text()))
         assert texts[0] == texts[1]
+        for threads in ("4", "0"):
+            out = tmp_path / f"scan-threads-{threads}.json"
+            assert run_cli(argv + ["--threads", threads, "--out", str(out)]) == 1
+            assert "--threads" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestCriterion:
@@ -409,7 +412,7 @@ class TestImmersionCommand:
         code = run_cli(
             [
                 "immersion", "--seed", "1", "--fd-steps", "1e-4",
-                "--threads", "4", "--format", "csv", "--out", str(out),
+                "--format", "csv", "--out", str(out),
             ]
         )
         assert code == 0
@@ -422,7 +425,7 @@ class TestImmersionCommand:
         code = run_cli(
             [
                 "immersion", "--seed", "1", "--fd-steps", "1e-4",
-                "--threads", "4", "--out", str(out),
+                "--out", str(out),
             ]
         )
         assert code == 0
@@ -511,6 +514,28 @@ class TestConfigFile:
         assert run_cli(["dims", "--genus", "2", "--seed", "1"]) == 1
         assert run_cli(["noether", "--quartic", "klein", "--seed", "1"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", [["--quartic", "klein"], ["--curve-json", "curve.json"]])
+    def test_config_and_flag_curve_sources_conflict_exit1(self, tmp_path, capsys, source):
+        """A run takes one curve source, also when one comes from the config."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"subcommand": "noether", "branch_points": "0,1,2,3,4,5,6"}))
+        out = tmp_path / "r.json"
+        assert run_cli(["--config", str(cfg), *source, "--out", str(out)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_branch_points_override_config(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"subcommand": "noether", "branch_points": "0,1,2,3,4,5,6"}))
+        texts = []
+        for argv in (["--config", str(cfg), "--branch-points", "0,1,2,3,4"],
+                     ["noether", "--branch-points", "0,1,2,3,4"]):
+            out = tmp_path / f"r{len(texts)}.json"
+            assert run_cli(argv + ["--out", str(out)]) == 0
+            texts.append(re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', out.read_text()))
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["result"]["verdict"] == "surjective"  # genus 2, not 3
 
     def test_config_boolean_or_object_exit1(self, tmp_path, capsys):
         for value in (True, {"value": 2}, None):
@@ -668,3 +693,50 @@ def test_beyond_double_range_exit1(tmp_path, capsys, argv, body):
     assert err.startswith("diffsys: configuration error: ")
     assert err.endswith(" 1" + "0" * 39 + "... lies beyond double range\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["immersion", "--fd-steps", "abc"], "--fd-steps", id="immersion-fd-steps"),
+        pytest.param(["immersion", "--fd-steps", "1e-4,1e-5,x"], "--fd-steps", id="immersion-fd-steps-list"),
+        pytest.param(["immersion", "--scale", "x"], "--scale", id="immersion-scale"),
+        pytest.param(["immersion", "--branch-points", "0,1,2,3,x"], "--branch-points", id="immersion-branch-points"),
+        pytest.param(["noether", "--branch-points", "0,1,2,3,x"], "--branch-points", id="noether-branch-points"),
+        pytest.param(["lazarsfeld", "--branch-points", "0,1,2,3,1/0"], "--branch-points", id="lazarsfeld-zero-denominator"),
+        pytest.param(["criterion", "--branch-points", "0,1,2,3,4", "--scale", "x"], "--scale", id="criterion-scale"),
+        pytest.param(["monodromy", "--branch-points", "0,1,2,3,4", "--scale", "1/0"], "--scale", id="monodromy-zero-denominator"),
+    ],
+)
+def test_malformed_value_names_its_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "r.json"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: {flag}: cannot parse" in err
+    assert "cannot build immersion center" not in err
+    assert not out.exists()
+
+
+def _csv_and_json(tmp_path, argv):
+    """The CSV rows and the JSON result of one argv."""
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    assert run_cli(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    assert run_cli(argv + ["--out", str(json_out)]) == 0
+    rows = [line.split(",") for line in csv_out.read_text().splitlines()]
+    return rows, json.loads(json_out.read_text())["result"]
+
+
+@pytest.mark.parametrize("curve", [["--quartic", "fermat"], ["--branch-points", "0,1,2,3,4,5,6"]])
+def test_lazarsfeld_csv_is_read_off_the_result(tmp_path, curve):
+    rows, result = _csv_and_json(tmp_path, ["lazarsfeld", *curve, "--trials", "3", "--seed", "5"])
+    assert rows[0] == ["trials", "successes", "failures"]
+    expected = [result["trials"], result["successes"], len(result["failures"])]
+    assert rows[1:] == [[str(v) for v in expected]]
+
+
+def test_immersion_csv_is_read_off_the_result(tmp_path):
+    rows, result = _csv_and_json(tmp_path, ["immersion", "--seed", "1", "--fd-steps", "1e-4"])
+    assert rows[0] == ["index", "singular_value"]
+    assert len(rows) == len(result["singular_values"]) + 1
+    for index, (row, sigma) in enumerate(zip(rows[1:], result["singular_values"]), 1):
+        assert row == [str(index), repr(sigma)]
