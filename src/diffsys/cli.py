@@ -297,22 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffsys",
         description="rank criteria on curves and numerical monodromy experiments",
+        allow_abbrev=False,  # a flag or config key is taken only under its full name
     )
     parser.add_argument("--config", help="JSON file of arguments (overridden by flags)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("dims", help="dimension formulas for the moduli spaces")
+    p = sub.add_parser("dims", help="dimension formulas for the moduli spaces", allow_abbrev=False)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--algebra", default="sl2", choices=["sl2", "gl2", "sl3"])
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_dims)
 
-    p = sub.add_parser("noether", help="surjectivity of the full multiplication map")
+    p = sub.add_parser("noether", help="surjectivity of the full multiplication map", allow_abbrev=False)
     _add_curve_args(p)
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_noether)
 
-    p = sub.add_parser("lazarsfeld", help="random-subspace surjectivity scan")
+    p = sub.add_parser("lazarsfeld", help="random-subspace surjectivity scan", allow_abbrev=False)
     _add_curve_args(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--w-dim", type=int, default=3)
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_lazarsfeld)
 
-    p = sub.add_parser("criterion", help="injectivity criterion for a system")
+    p = sub.add_parser("criterion", help="injectivity criterion for a system", allow_abbrev=False)
     _add_curve_args(p)
     p.add_argument("--algebra", default="sl2", choices=["sl2", "gl2", "sl3"], action=_Given)
     p.add_argument("--bound", type=int, default=5, action=_Given)
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_criterion)
 
-    p = sub.add_parser("monodromy", help="full monodromy representation with traces")
+    p = sub.add_parser("monodromy", help="full monodromy representation with traces", allow_abbrev=False)
     _add_curve_args(p)
     p.add_argument("--algebra", default="sl2", choices=["sl2"], action=_Given)
     p.add_argument("--bound", type=int, default=5, action=_Given)
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_monodromy)
 
-    p = sub.add_parser("immersion", help="finite-difference rank of the monodromy map")
+    p = sub.add_parser("immersion", help="finite-difference rank of the monodromy map", allow_abbrev=False)
     p.add_argument("--branch-points", help="odd-model normalized branch points (default 0,1,2,3,4)")
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--scale", default="1/8")

@@ -76,17 +76,6 @@ class ExactScalar:
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
-        if not self.im and not other.im:  # Fraction raises ZeroDivisionError on 0
-            return ExactScalar(self.re / other.re, _Q0)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return ExactScalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

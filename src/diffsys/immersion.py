@@ -9,7 +9,8 @@ never quotients:
 * constant-gauge directions are killed by freezing three designated sl2
   coefficient entries (the E- and F-components on the first differential
   and the H-component on the second) at their center values, after checking
-  exactly that the adjoint action is transverse to this slice.
+  exactly that the adjoint action is transverse to this slice; that check
+  reads the frozen entries of [e_i, M] off the structure constants.
 
 For genus 2 the free complex parameter count is 3 + 3 = 6, matching the
 dimension of the system space.  For hyperelliptic genus >= 3 the branch
@@ -54,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import HyperellipticCurve, curve_to_json
-from .field import ExactMatrix, ExactScalar, exact_rank
+from .field import ONE, ZERO, ExactMatrix, ExactScalar, exact_rank
 from .multiplication import CriterionVerdict, criterion_injective
 from .monodromy import (
     IntegrationError,
@@ -88,19 +89,15 @@ GAUGE_FROZEN_ENTRIES = ((1, 0), (2, 0), (0, 1))
 
 
 def gauge_slice_regular(system: DifferentialSystem) -> bool:
-    """Exact transversality of the adjoint action to the frozen-entry slice."""
-    lie = system.lie
-    coeff = system.coefficients
-    basis = [
-        tuple(ExactScalar.of(1 if i == j else 0) for j in range(3)) for i in range(3)
-    ]
-    rows = []
-    for row_idx, col_idx in GAUGE_FROZEN_ENTRIES:
-        column = tuple(coeff.get(r, col_idx) for r in range(3))
-        rows.append(
-            tuple(lie.bracket(xi, column)[row_idx] for xi in basis)
-        )
-    return exact_rank(ExactMatrix.from_rows(rows)) == 3
+    """Exact transversality of the adjoint action to the frozen-entry slice,
+    read off the structure constants: entry (r, c) of [e_i, M] is
+    sum_j coeff[j, c] table[i][j][r], and the frozen entries of [e_i, M] for
+    i = H, E, F form a 3 x 3 matrix that must have exact rank 3."""
+    table, coeff = system.lie.structure_constants, system.coefficients
+    return exact_rank(ExactMatrix.from_rows(
+        [sum((coeff.get(j, c) * table[i][j][r] for j in range(3)), ZERO) for i in range(3)]
+        for r, c in GAUGE_FROZEN_ENTRIES
+    )) == 3
 
 
 @dataclass(frozen=True)
@@ -112,23 +109,18 @@ class SystCoordinates:
     are exploratory by nature and the flag is recorded in the report config.
     """
 
-    curve: HyperellipticCurve
     system: DifferentialSystem
     loops: LoopSystem
     allow_singular_gauge_slice: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.curve, HyperellipticCurve) or not self.curve.odd_model:
+        curve = self.system.curve
+        if not isinstance(curve, HyperellipticCurve) or not curve.odd_model:
             raise ValueError("immersion centers use odd-model hyperelliptic curves")
-        pts = self.curve.branch_points
-        if not (pts[0] - ExactScalar.of(0)).is_zero() or not (
-            pts[1] - ExactScalar.of(1)
-        ).is_zero():
+        if curve.branch_points[:2] != (ZERO, ONE):
             raise ValueError("center curve must be normalized with branch points 0 and 1")
         if self.system.lie.name != "sl2":
             raise ValueError("immersion experiments support sl2 systems only")
-        if self.system.curve != self.curve:
-            raise ValueError("system is attached to a different curve")
         if not self.allow_singular_gauge_slice and not gauge_slice_regular(self.system):
             raise ValueError(
                 "gauge slice is singular at this center; resample the system"
@@ -136,7 +128,7 @@ class SystCoordinates:
 
     @property
     def genus(self) -> int:
-        return self.curve.genus
+        return self.system.curve.genus
 
     def parameter_labels(self) -> list:
         g = self.genus
@@ -155,7 +147,7 @@ class SystCoordinates:
 
     def to_json(self):
         return {
-            "curve": curve_to_json(self.curve),
+            "curve": curve_to_json(self.system.curve),
             "system": system_to_json(self.system),
             "clearance": self.loops.clearance,
             "frozen_entries": [list(e) for e in GAUGE_FROZEN_ENTRIES],
@@ -197,7 +189,7 @@ def make_center(
             continue
         if require_criterion and not criterion_injective(curve, system).holds:
             continue
-        return SystCoordinates(curve, system, loops)
+        return SystCoordinates(system, loops)
     raise ValueError("failed to sample a regular center")
 
 
@@ -295,9 +287,9 @@ def _equilibrate(jac: np.ndarray) -> np.ndarray:
 
 
 def _check_step(center: SystCoordinates, fd_step: float):
-    # no collision check: build_loops keeps branch points over 2 * clearance
-    # apart, so a move of 2 * fd_step <= clearance / 2 reaches none, and the
-    # turn guards refuse another root within 0.9 clearance of a letter's circle
+    # no collision check: build_loops' radius rule keeps branch points over
+    # 2.26 * clearance apart, so a move of 2 * fd_step <= clearance / 2 reaches
+    # none, and the turn guards refuse another root within 0.9 clearance of a letter's circle
     if not 0 < fd_step < math.inf:
         raise ValueError("fd_step must be positive and finite")
     if fd_step > center.loops.clearance / 4:
@@ -347,7 +339,7 @@ def _experiments(center: SystCoordinates, steps, ode_tol):
         )
 
     # hypothesis gates at the center
-    verdict = criterion_injective(center.curve, center.system)
+    verdict = criterion_injective(center.system.curve, center.system)
     try:
         reps = monodromy_family(family(roots, root_moves), family(matrices, matrix_moves),
                                 center.loops, ode_tol)

@@ -297,11 +297,11 @@ _SHEETS = (1, -1)  # each kernel row runs on both; a word's i-th letter starts o
 def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     """Canonical loop system for an odd-model hyperelliptic curve.
 
-    Requires branch points pairwise separated by more than twice the
-    clearance, circles that fit outside the clearance ring, letters that
-    pass ``_turn_guards`` on the curve's branch points, circles whose
-    vertices stay more than ``_VERTEX_EPS`` apart and finite sheet
-    profiles; else ``ClearanceError``, naming the first letter that fails.
+    Requires circles that fit outside the clearance ring (so branch points
+    lie more than 2.26 clearances apart), letters that pass ``_turn_guards``
+    on the curve's branch points, circles whose vertices stay more than
+    ``_VERTEX_EPS`` apart and finite sheet profiles; else ``ClearanceError``,
+    naming the first letter that fails.
     """
     if not isinstance(curve, HyperellipticCurve):
         raise ValueError("loops are defined for hyperelliptic curves only")
@@ -312,13 +312,6 @@ def build_loops(curve: HyperellipticCurve, clearance: float) -> LoopSystem:
     g = curve.genus
     roots = sorted(curve.float_roots(), key=lambda z: (z.real, z.imag))
     n = len(roots)
-    min_sep = min(
-        abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n)
-    )
-    if min_sep <= 2 * clearance:
-        raise ClearanceError(
-            f"branch separation {min_sep:.4g} is not greater than twice the clearance {clearance:.4g}"
-        )
     radii = []
     for k, r in enumerate(roots):
         sep_k = min(abs(r - s) for i, s in enumerate(roots) if i != k)

@@ -75,23 +75,6 @@ class LieAlgebraData:
         ad = ExactMatrix.from_rows([c for row in plane for c in row] for plane in table)
         return LieAlgebraData(name, n, d, n - exact_rank(ad), table, rep_matrices)
 
-    def bracket(self, u, v) -> tuple:
-        """Coordinates of [u, v] for coordinate vectors u, v."""
-        n = self.dimension
-        out = [ZERO] * n
-        for i in range(n):
-            if u[i].is_zero():
-                continue
-            for j in range(n):
-                if v[j].is_zero():
-                    continue
-                uv = u[i] * v[j]
-                row = self.structure_constants[i][j]
-                for k in range(n):
-                    if not row[k].is_zero():
-                        out[k] = out[k] + uv * row[k]
-        return tuple(out)
-
     def to_json(self):
         builtin = _BUILTIN_CACHE.get(self.name)
         if builtin is not None and builtin.structure_constants == self.structure_constants:

@@ -7,8 +7,9 @@ SVD rank of its own (``svd_rank``), periods from composite Gauss-Legendre
 quadrature, loop words from exact finite-field representations of the
 branch-loop group, loop clearance from the polygon
 rule on drawn letters, exact ranks, pivots and solves from sympy, the
-first independent subset by a greedy sympy-rank loop, the kernel's square roots
-from products taken one root at a time and its nearer roots from the two
+first independent subset by a greedy sympy-rank loop, the gauge slice's
+transversality from commutators of the defining 2 x 2 matrices, the kernel's
+square roots from products taken one root at a time and its nearer roots from the two
 distances, the stacked representation layer of the monodromy from
 products and norms taken one matrix at a time, and the Jacobi identity
 from every index tuple in plain numbers.  The one exception is the whole-polyline transport, which
@@ -638,6 +639,24 @@ def greedy_row_basis(vectors):
             chosen = candidate
             rank += 1
     return chosen
+
+
+# -- gauge-slice transversality from the defining 2 x 2 matrices --------------
+
+
+def gauge_slice_regular(coefficients):
+    """Whether the sl2 adjoint action is transverse to the slice freezing the
+    E- and F-coordinates on the first differential and the H-coordinate on
+    the second: the sympy rank of the frozen coordinates of [rho(e_i), M_c]
+    is 3, each commutator taken of 2 x 2 matrices, M_c = sum_j coeff[j, c]
+    rho(e_j), and X = [[a, b], [c, -a]] read as a H + b E + c F."""
+    basis = [sympy.Matrix(m) for m in (((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0)))]
+    m = [sum((_sympy_scalar(coefficients.get(j, c)) * b for j, b in enumerate(basis)), sympy.zeros(2))
+         for c in range(coefficients.cols)]
+    coordinates = [(x[0, 0], x[0, 1], x[1, 0]) for x in (b * mc - mc * b for mc in m for b in basis)]
+    # coordinates[3 * c + i] is [rho(e_i), M_c] in (H, E, F)
+    rows = [[coordinates[3 * c + i][r] for i in range(3)] for r, c in ((1, 0), (2, 0), (0, 1))]
+    return sympy.Matrix(rows).rank() == 3
 
 
 # -- reference elimination --------------------------------------------------

@@ -545,6 +545,26 @@ class TestConfigFile:
             assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["lazarsfeld", "--quart", "fermat", "--tri", "2", "--format", "csv"], None),
+        (["--config", "run.json"], {"subcommand": "noether", "branch": "0,1,2,3,4"}),
+        (["--conf", "run.json", "noether", "--branch-points", "0,1,2,3,4,5,6"],
+         {"subcommand": "noether", "branch_points": "0,1,2,3,4"}),
+    ],
+    ids=["flags", "config-key", "config-flag"],
+)
+def test_abbreviation_exit1(tmp_path, capsys, argv, config):
+    """A flag or config key is taken only under its full name; by prefix
+    these would run under names no report echoes, the last with its config
+    file ignored."""
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    argv = [str(tmp_path / a) if a == "run.json" else a for a in argv]
+    assert run_cli(argv + ["--out", str(tmp_path / "r.out")]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 @pytest.mark.parametrize("subcommand", ["criterion", "monodromy"])
 @pytest.mark.parametrize(
     "flag, value", [("--scale", "2"), ("--bound", "9"), ("--algebra", "sl2"), ("--seed", "0")]

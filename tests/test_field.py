@@ -62,10 +62,6 @@ class TestExactScalar:
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
 
-    def test_division_roundtrip(self):
-        a, b = es(3, -4), es(Fraction(2, 7), 1)
-        assert (a / b) * b == a
-
     def test_denominators_normalized(self):
         x = ExactScalar(Fraction(2, -4), Fraction(0, 5))
         assert x.re.denominator > 0 and x.re == Fraction(-1, 2)
@@ -73,12 +69,6 @@ class TestExactScalar:
     def test_json_roundtrip(self):
         x = es(Fraction(-3, 7), Fraction(22, 5))
         assert ExactScalar.from_json(x.to_json()) == x
-
-    def test_division_by_zero(self):
-        for a in (es(3), es(3, 1)):
-            for zero in (es(0), ExactScalar(Fraction(0), Fraction(0, 7))):
-                with pytest.raises(ZeroDivisionError):
-                    a / zero
 
     def test_beyond_double_range_is_named(self):
         """A part beyond double range is a ValueError naming the value, not an
@@ -105,9 +95,6 @@ def test_scalar_arithmetic_matches_componentwise_formula(a, b, c, d):
     assert x + y == ExactScalar(a + c, b + d)
     assert x - y == ExactScalar(a - c, b - d)
     assert x * y == ExactScalar(a * c - b * d, a * d + b * c)
-    n = c * c + d * d
-    if n:
-        assert x / y == ExactScalar((a * c + b * d) / n, (b * c - a * d) / n)
     for z in (x + y, x - y, x * y):
         assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
 

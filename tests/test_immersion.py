@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import diffsys.immersion
+import oracles
 from diffsys.curves import HyperellipticCurve
 from diffsys.field import ExactMatrix, ExactScalar
 from diffsys.immersion import (
@@ -65,19 +67,68 @@ class TestCenterConstruction:
             sample_system(curve, SL2, seed=1, coefficient_bound=5), es(Fraction(1, 8))
         )
         with pytest.raises(ValueError):
-            SystCoordinates(curve, system, loops)
+            SystCoordinates(system, loops)
 
     def test_singular_slice_rejected_by_default(self):
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
         loops = build_loops(curve, 0.22)
         zero = DifferentialSystem(curve, SL2, ExactMatrix.from_rows([[es(0)] * 2] * 3))
         with pytest.raises(ValueError):
-            SystCoordinates(curve, zero, loops)
-        center = SystCoordinates(curve, zero, loops, allow_singular_gauge_slice=True)
+            SystCoordinates(zero, loops)
+        center = SystCoordinates(zero, loops, allow_singular_gauge_slice=True)
         assert center.free_complex_count == 6
 
     def test_frozen_entries_documented(self):
         assert GAUGE_FROZEN_ENTRIES == ((1, 0), (2, 0), (0, 1))
+
+
+@pytest.fixture(scope="module")
+def slice_systems():
+    """Seeded sl2 systems at bounds 0..5 in genus 2 and 3, some conjugated
+    into complex entries, plus the zero system and a dyad, last."""
+    s = ExactMatrix.from_rows([[es(2), es(1, 1)], [es(-1), es(3)]])
+    out = []
+    for branch in (range(5), range(7)):
+        curve = HyperellipticCurve.from_integers(branch)
+        for bound in range(6):
+            for seed in range(12):
+                system = sample_system(curve, SL2, seed=seed, coefficient_bound=bound)
+                out += [system, conjugate_system(system, s)] if seed < 2 else [system]
+    curve = HyperellipticCurve.from_integers(range(5))
+    out.append(DifferentialSystem(curve, SL2, ExactMatrix.from_rows([[es(0)] * 2] * 3)))
+    dyad = [[es(2), es(4)], [es(1), es(2)], [es(3), es(6)]]
+    out.append(DifferentialSystem(curve, SL2, ExactMatrix.from_rows(dyad)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def slice_oracle(slice_systems):
+    return [oracles.gauge_slice_regular(system.coefficients) for system in slice_systems]
+
+
+class TestGaugeSlice:
+    """``gauge_slice_regular`` reads [e_i, M_c] off the structure constants;
+    the oracle takes commutators of the defining 2 x 2 matrices."""
+
+    def test_matches_commutator_oracle(self, slice_systems, slice_oracle):
+        assert [gauge_slice_regular(system) for system in slice_systems] == slice_oracle
+        assert 0 < sum(slice_oracle) < len(slice_oracle)
+        assert slice_oracle[-2:] == [False, False]  # the zero system and the dyad
+
+    @pytest.mark.parametrize("order", [(1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+    def test_relabeled_table_is_told_apart(self, slice_systems, slice_oracle, order):
+        """The table with its basis indices relabeled (a table read in the
+        wrong basis order) changes some verdict here.  Only the relabelings
+        that move H can: the slice determinant is -4 h0 (e0 f1 - e1 f0), and
+        swapping E and F, or permuting the table's three index slots, only
+        flips its sign."""
+        table = np.array(SL2.structure_constants, dtype=object)[np.ix_(order, order, order)]
+        relabeled = dataclasses.replace(SL2, structure_constants=table.tolist())
+        verdicts = [
+            gauge_slice_regular(DifferentialSystem(s.curve, relabeled, s.coefficients))
+            for s in slice_systems
+        ]
+        assert verdicts != slice_oracle
 
 
 class TestImmersionExperiment:
@@ -132,10 +183,8 @@ class TestImmersionExperiment:
         )
         system = DifferentialSystem(curve, SL2, coeff)
         with pytest.raises(ValueError):
-            SystCoordinates(curve, system, loops)
-        center = SystCoordinates(
-            curve, system, loops, allow_singular_gauge_slice=True
-        )
+            SystCoordinates(system, loops)
+        center = SystCoordinates(system, loops, allow_singular_gauge_slice=True)
         report = immersion_experiment(center, fd_step=1e-5)
         assert report.status == "out_of_hypothesis"
         assert not report.criterion_verdict.holds
@@ -370,7 +419,7 @@ class TestFdLadder:
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
         loops = build_loops(curve, 0.22)
         zero = DifferentialSystem(curve, SL2, ExactMatrix.from_rows([[es(0)] * 2] * 3))
-        center = SystCoordinates(curve, zero, loops, allow_singular_gauge_slice=True)
+        center = SystCoordinates(zero, loops, allow_singular_gauge_slice=True)
         report = immersion_experiment(center, fd_step=1e-4)
         assert report.status == "out_of_hypothesis"
         assert "branch" in report.per_block_column_norms
@@ -402,6 +451,6 @@ class TestConjugationInvariance:
     def test_rank_invariant_under_gauge_conjugation(self, good_center, good_report):
         s = ExactMatrix.from_rows([[es(2), es(1)], [es(3), es(2)]])
         conj = conjugate_system(good_center.system, s)
-        center2 = SystCoordinates(good_center.curve, conj, good_center.loops)
+        center2 = SystCoordinates(conj, good_center.loops)
         report2 = immersion_experiment(center2, fd_step=1e-5)
         assert report2.estimated_rank == good_report.estimated_rank == 6

@@ -146,7 +146,7 @@ class TestBuildLoops:
 
     def test_separation_below_twice_clearance_errors(self):
         curve = HyperellipticCurve.from_integers([0, 1, 2, 3, 4])
-        with pytest.raises(ClearanceError):
+        with pytest.raises(ClearanceError, match="no circle radius fits"):
             build_loops(curve, clearance=0.5)
 
     def test_radius_rule_names_the_letter(self):
@@ -183,7 +183,7 @@ class TestBuildLoops:
 
     def test_clearance_rule_matches_polygon_oracle(self, monkeypatch):
         """build_loops refuses a curve at a clearance exactly where its
-        separation or radius rule refuses it or where the polygon oracle
+        radius rule refuses it or where the polygon oracle
         refuses a letter it would have drawn (the turn guards patched to
         hand over the letters instead), on the census curves of
         ``oracles.clearance_curves`` at every clearance of the census."""

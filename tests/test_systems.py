@@ -58,12 +58,10 @@ class TestBuiltinAlgebras:
     def test_sl2_table_values(self):
         sl2 = builtin_algebra("sl2")
         # basis order (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H
-        he = sl2.bracket((es(1), es(0), es(0)), (es(0), es(1), es(0)))
-        assert he == (es(0), es(2), es(0))
-        hf = sl2.bracket((es(1), es(0), es(0)), (es(0), es(0), es(1)))
-        assert hf == (es(0), es(0), es(-2))
-        ef = sl2.bracket((es(0), es(1), es(0)), (es(0), es(0), es(1)))
-        assert ef == (es(1), es(0), es(0))
+        table = sl2.structure_constants
+        assert table[0][1] == (es(0), es(2), es(0))
+        assert table[0][2] == (es(0), es(0), es(-2))
+        assert table[1][2] == (es(1), es(0), es(0))
 
     def test_bad_table_rejected(self):
         # violate antisymmetry
