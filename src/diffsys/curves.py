@@ -4,9 +4,9 @@ Two families are supported:
 
 * hyperelliptic curves ``y^2 = f(x)`` stored by the roots of ``f`` (branch
   points), genus ``floor((deg f - 1)/2) >= 2``;
-* smooth plane quartics ``F(x,y,z) = 0`` of genus 3, restricted to the
-  built-in Fermat/Klein families plus user-supplied coefficients carrying an
-  explicit smoothness assertion.
+* plane quartics ``F(x,y,z) = 0`` of genus 3, stored by the form ``F``.
+  Smoothness is not checked: the built-in Fermat and Klein quartics are
+  smooth, and a quartic read from JSON must assert it.
 
 Bases are the classical monomial ones and their ordering is frozen so that
 every matrix built downstream is reproducible bit for bit:
@@ -39,15 +39,13 @@ __all__ = [
     "curve_from_json",
 ]
 
-QUARTIC_MONOMIALS = tuple(
-    (i, j, 4 - i - j) for i in range(4, -1, -1) for j in range(4 - i, -1, -1)
-)
 LINEAR_FORMS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 QUADRATIC_FORMS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 class CurveError(ValueError):
-    """Invalid curve data: coincident branch points or no smoothness certificate."""
+    """Invalid curve data: coincident branch points, a malformed quartic form
+    or a quartic without its smoothness assertion."""
 
 
 # -- curve models -------------------------------------------------------------
@@ -84,53 +82,39 @@ class HyperellipticCurve:
 
 @dataclass(frozen=True)
 class PlaneQuartic:
-    coefficients: tuple  # ((i,j,k), ExactScalar) sorted by QUARTIC_MONOMIALS order
-    family: str | None = None
-    smoothness_asserted: bool = False
+    """The quartic ``F(x, y, z) = sum c x^i y^j z^k = 0`` by its form.
+
+    ``coefficients`` holds the ``((i, j, k), c)`` terms, exponents descending
+    and zero terms dropped, whatever order they are given in; so equal forms
+    compare and hash equal.
+    """
+
+    coefficients: tuple
 
     def __post_init__(self):
-        if self.family not in (None, "fermat", "klein"):
-            raise CurveError(f"unknown quartic family {self.family!r}")
-        if self.family is None and not self.smoothness_asserted:
-            raise CurveError(
-                "user-supplied quartics require smoothness_asserted=True"
-            )
         exps = [e for e, _ in self.coefficients]
-        if any(sum(e) != 4 for e in exps):
-            raise CurveError("quartic coefficients must have total degree 4")
+        for e in exps:
+            if not (type(e) is tuple and len(e) == 3
+                    and all(type(k) is int and k >= 0 for k in e) and sum(e) == 4):
+                raise CurveError(f"quartic exponent {e!r} is not three non-negative ints summing to 4")
         if len(set(exps)) != len(exps):
             raise CurveError("duplicate monomial in quartic coefficients")
-        if all(c.is_zero() for _, c in self.coefficients):
+        terms = sorted(((e, c) for e, c in self.coefficients if not c.is_zero()), reverse=True)
+        if not terms:
             raise CurveError("zero quartic form")
+        object.__setattr__(self, "coefficients", tuple(terms))
 
     @property
     def genus(self) -> int:
         return 3
 
     @staticmethod
-    def from_form(form: dict, family=None, smoothness_asserted=False) -> "PlaneQuartic":
-        items = tuple(
-            (e, form[e]) for e in QUARTIC_MONOMIALS if e in form and not form[e].is_zero()
-        )
-        return PlaneQuartic(items, family, smoothness_asserted)
-
-    @staticmethod
     def fermat() -> "PlaneQuartic":
-        one = ONE
-        return PlaneQuartic.from_form(
-            {(4, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one},
-            family="fermat",
-            smoothness_asserted=True,
-        )
+        return PlaneQuartic((((4, 0, 0), ONE), ((0, 4, 0), ONE), ((0, 0, 4), ONE)))
 
     @staticmethod
     def klein() -> "PlaneQuartic":
-        one = ONE
-        return PlaneQuartic.from_form(
-            {(3, 1, 0): one, (0, 3, 1): one, (1, 0, 3): one},
-            family="klein",
-            smoothness_asserted=True,
-        )
+        return PlaneQuartic((((3, 1, 0), ONE), ((0, 3, 1), ONE), ((1, 0, 3), ONE)))
 
 
 Curve = HyperellipticCurve | PlaneQuartic
@@ -176,8 +160,7 @@ def curve_to_json(curve: Curve) -> dict:
     return {
         "model": "quartic",
         "coefficients": [[list(e), c.to_json()] for e, c in curve.coefficients],
-        "family": curve.family,
-        "smoothness_asserted": curve.smoothness_asserted,
+        "smoothness_asserted": True,
     }
 
 
@@ -188,12 +171,10 @@ def curve_from_json(data: dict) -> Curve:
             tuple(ExactScalar.from_json(p) for p in data["branch_points"])
         )
     if model == "quartic":
-        coeffs = tuple(
-            (tuple(e), ExactScalar.from_json(c)) for e, c in data["coefficients"]
-        )
+        # smoothness is not checked, so the file must assert it
+        if data.get("smoothness_asserted") is not True:
+            raise CurveError('a quartic needs "smoothness_asserted": true')
         return PlaneQuartic(
-            coeffs,
-            family=data.get("family"),
-            smoothness_asserted=bool(data.get("smoothness_asserted", False)),
+            tuple((tuple(e), ExactScalar.from_json(c)) for e, c in data["coefficients"])
         )
     raise CurveError(f"unknown curve model {model!r}")

@@ -9,9 +9,9 @@ matrices, their defining representations (``_BASES``).  One exact
 coordinate solve over those matrices gives both the structure constants
 (the coordinates of each commutator) and a constant gauge conjugation
 (the coordinates of S M S^-1), for a defining representation of any size.
-Antisymmetry and the Jacobi identity are verified exactly for any table,
-built-in or user-supplied; d is the dimension of [g, g] and c that of the
-center, the kernel of ad.
+Any table, built-in or user-supplied, must be n x n x n, and antisymmetry
+and the Jacobi identity are verified exactly; d is the dimension of [g, g]
+and c that of the center, the kernel of ad.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ class LieAlgebraData:
     @staticmethod
     def from_structure_constants(name, table, rep_matrices=None) -> "LieAlgebraData":
         n = len(table)
+        for i, plane in enumerate(table):
+            if len(plane) != n:
+                raise ValueError(f"structure constants: plane {i} has {len(plane)} rows, not {n}")
+            for j, row in enumerate(plane):
+                if len(row) != n:
+                    raise ValueError(f"structure constants: row {i},{j} has {len(row)} entries, not {n}")
         pairs = itertools.combinations_with_replacement(range(n), 2)  # i <= j
         for (i, j), k in itertools.product(pairs, range(n)):
             if not (table[i][j][k] + table[j][i][k]).is_zero():
@@ -76,8 +82,8 @@ class LieAlgebraData:
         return LieAlgebraData(name, n, d, n - exact_rank(ad), table, rep_matrices)
 
     def to_json(self):
-        builtin = _BUILTIN_CACHE.get(self.name)
-        if builtin is not None and builtin.structure_constants == self.structure_constants:
+        if (self.name in _BASES
+                and builtin_algebra(self.name).structure_constants == self.structure_constants):
             return self.name
         return {
             "name": self.name,

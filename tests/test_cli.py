@@ -687,6 +687,75 @@ def test_malformed_json_exit1(tmp_path, capsys, argv, flag, body):
     assert not out.exists()
 
 
+_ONE = [1, 1, 0, 1]
+# a user quartic, x^4 + 3 x^2 y z + y^4 + z^4, its terms in the normal order
+_QUARTIC_TERMS = [[[4, 0, 0], _ONE], [[2, 1, 1], [3, 1, 0, 1]], [[0, 4, 0], _ONE], [[0, 0, 4], _ONE]]
+
+
+def _quartic(terms, asserted=True, **extra):
+    return {"model": "quartic", "coefficients": terms, "smoothness_asserted": asserted, **extra}
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(_quartic([[[2, 2, 0], _ONE]], False, family="fermat"),
+                     '"smoothness_asserted": true', id="family-label-without-assertion"),
+        pytest.param(_quartic([[[5, -1, 0], _ONE]]), "exponent (5, -1, 0)", id="negative-exponent"),
+        pytest.param(_quartic([[[4, 0], _ONE]]), "exponent (4, 0)", id="two-exponents"),
+        pytest.param(_quartic(_QUARTIC_TERMS, "false"), '"smoothness_asserted": true', id="string-assertion"),
+    ],
+)
+def test_malformed_quartic_exit1(tmp_path, capsys, body, message):
+    """A quartic file with a malformed form, or without the JSON boolean
+    smoothness assertion, is a configuration error naming its fault, and
+    no report is written."""
+    path, out = tmp_path / "quartic.json", tmp_path / "report.json"
+    path.write_text(json.dumps(body))
+    assert run_cli(["noether", "--curve-json", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: --curve-json invalid: " in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        pytest.param(_QUARTIC_TERMS[::-1], id="reversed"),
+        pytest.param(_QUARTIC_TERMS[:2] + [[[1, 1, 2], [0, 1, 0, 1]]] + _QUARTIC_TERMS[2:], id="zero-term"),
+    ],
+)
+def test_quartic_copies_match_the_system_curve(tmp_path, terms):
+    """A system sampled on a quartic runs on any copy of that quartic's
+    form: terms in another order or with a zero term added."""
+    from diffsys.curves import curve_from_json
+    from diffsys.systems import builtin_algebra, sample_system, system_to_json
+
+    curve = curve_from_json(_quartic(_QUARTIC_TERMS))
+    system, copy = tmp_path / "s.json", tmp_path / "q.json"
+    system.write_text(json.dumps(system_to_json(sample_system(curve, builtin_algebra("sl2"), 3, 5))))
+    copy.write_text(json.dumps(_quartic(terms)))
+    out = tmp_path / "report.json"
+    argv = ["criterion", "--curve-json", str(copy), "--system-json", str(system), "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert json.loads(out.read_text())["config"]["curve"]["coefficients"] == _QUARTIC_TERMS
+
+
+def test_padded_structure_constants_exit1(tmp_path, capsys):
+    """A 2-dimensional table whose rows carry a third entry, [e0, e0] = e2,
+    is refused by its shape rather than read as far as its planes go."""
+    z = [0, 1, 0, 1]
+    table = [[[z, z, _ONE], [z, z, z]], [[z, z, z], [z, z, z]]]
+    body = {"curve": _curve(z), "algebra": {"name": "padded", "structure_constants": table},
+            "coefficients": {"rows": 2, "cols": 2, "entries": [_ONE, z, z, _ONE]}}
+    path, out = tmp_path / "s.json", tmp_path / "report.json"
+    path.write_text(json.dumps(body))
+    argv = ["criterion", "--branch-points", "0,1,2,3,4", "--system-json", str(path), "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert "--system-json invalid: structure constants: row 0,0 has 3 entries, not 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, body",
     [

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from diffsys.curves import (
     curve_to_json,
     product_slots,
 )
-from diffsys.field import ExactMatrix, ExactScalar, exact_rank
+from diffsys.field import ONE, ZERO, ExactMatrix, ExactScalar, exact_rank
 
 from oracles import (
     hyperelliptic_vanishing_order,
@@ -26,6 +27,11 @@ from oracles import (
 
 def es(re, im=0):
     return ExactScalar.of(re, im)
+
+
+# the 15 quartic monomials, ascending, and a smooth user quartic out of order
+QUARTIC_EXPONENTS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+USER_FORM = [((0, 0, 4), es(1)), ((1, 1, 2), es(3)), ((0, 4, 0), es(1)), ((4, 0, 0), es(1))]
 
 
 class TestCurveConstruction:
@@ -47,16 +53,77 @@ class TestCurveConstruction:
             HyperellipticCurve.from_integers([0, 1, 2])
 
     def test_user_quartic_needs_assertion(self):
-        form = {(4, 0, 0): es(1), (0, 4, 0): es(1), (0, 0, 4): es(1), (1, 1, 2): es(3)}
-        with pytest.raises(CurveError):
-            PlaneQuartic.from_form(form)
-        q = PlaneQuartic.from_form(form, smoothness_asserted=True)
+        """Smoothness is not checked, so a quartic read from JSON must assert
+        it with the JSON boolean true; the constructor takes the form alone."""
+        q = PlaneQuartic(tuple(USER_FORM))
         assert q.genus == 3
+        data = curve_to_json(q)
+        for flag in (False, "false", "true", 1, None):
+            with pytest.raises(CurveError, match="smoothness_asserted"):
+                curve_from_json({**data, "smoothness_asserted": flag})
+        del data["smoothness_asserted"]
+        with pytest.raises(CurveError, match="smoothness_asserted"):
+            curve_from_json(data)
+        assert curve_from_json({**data, "smoothness_asserted": True}) == q
 
     def test_flag_echoed_in_serialization(self):
-        form = {(4, 0, 0): es(1), (0, 4, 0): es(1), (0, 0, 4): es(1)}
-        q = PlaneQuartic.from_form(form, smoothness_asserted=True)
-        assert curve_to_json(q)["smoothness_asserted"] is True
+        """``curve_to_json`` always writes the assertion and no family; an
+        old file's ``family`` key is ignored like any unknown key."""
+        q = PlaneQuartic(tuple(USER_FORM))
+        assert curve_to_json(q) == {
+            "model": "quartic",
+            "coefficients": [[[4, 0, 0], [1, 1, 0, 1]], [[1, 1, 2], [3, 1, 0, 1]],
+                             [[0, 4, 0], [1, 1, 0, 1]], [[0, 0, 4], [1, 1, 0, 1]]],
+            "smoothness_asserted": True,
+        }
+        for family in ("fermat", "nonsense", None):
+            assert curve_from_json({**curve_to_json(q), "family": family}) == q
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ((((5, -1, 0), ONE),), "quartic exponent (5, -1, 0) is not"),
+            ((((4, 0), ONE),), "quartic exponent (4, 0) is not"),
+            ((((True, 3, 0), ONE),), "quartic exponent (True, 3, 0) is not"),
+            ((((4.0, 0, 0), ONE),), "quartic exponent (4.0, 0, 0) is not"),
+            ((([4, 0, 0], ONE),), "quartic exponent [4, 0, 0] is not"),
+            ((((2, 1, 0), ONE),), "quartic exponent (2, 1, 0) is not"),
+            ((((4, 0, 0), ONE), ((4, 0, 0), ZERO)), "duplicate monomial"),
+            ((((4, 0, 0), ZERO),), "zero quartic form"),
+            ((), "zero quartic form"),
+        ],
+        ids=["negative", "two-exponents", "bool", "float", "list", "degree-3",
+             "duplicate", "zero-term", "empty"],
+    )
+    def test_malformed_quartic_rejected(self, terms, message):
+        with pytest.raises(CurveError, match=re.escape(message)):
+            PlaneQuartic(terms)
+
+    def test_builtin_quartics_pinned(self):
+        """Fermat and Klein keep their coefficient lists and their JSON."""
+        assert PlaneQuartic.fermat().coefficients == (((4, 0, 0), ONE), ((0, 4, 0), ONE), ((0, 0, 4), ONE))
+        assert PlaneQuartic.klein().coefficients == (((3, 1, 0), ONE), ((1, 0, 3), ONE), ((0, 3, 1), ONE))
+        one = [1, 1, 0, 1]
+        for quartic, exponents in ((PlaneQuartic.fermat(), ([4, 0, 0], [0, 4, 0], [0, 0, 4])),
+                                   (PlaneQuartic.klein(), ([3, 1, 0], [1, 0, 3], [0, 3, 1]))):
+            assert curve_to_json(quartic) == {
+                "model": "quartic",
+                "coefficients": [[e, one] for e in exponents],
+                "smoothness_asserted": True,
+            }
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_term_order_and_zero_terms_do_not_matter(self, data):
+        """A form's terms in any order, zero terms added, make one quartic:
+        equal, of equal hash and of identical JSON."""
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=15, max_size=15).filter(any))
+        terms = [(e, es(v)) for e, v in zip(QUARTIC_EXPONENTS, values)]
+        plain = PlaneQuartic(tuple((e, c) for e, c in terms if not c.is_zero()))
+        shuffled = PlaneQuartic(tuple(data.draw(st.permutations(terms))))
+        assert shuffled == plain and hash(shuffled) == hash(plain)
+        assert json.dumps(curve_to_json(shuffled)) == json.dumps(curve_to_json(plain))
+        assert [e for e, _ in plain.coefficients] == sorted((e for e, c in terms if not c.is_zero()), reverse=True)
 
 
 def unit_vectors(g):

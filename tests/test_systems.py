@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffsys import systems
 from diffsys.field import ExactMatrix, ExactScalar
 from diffsys.systems import (
     DifferentialSystem,
@@ -69,6 +70,26 @@ class TestBuiltinAlgebras:
         table = [[[z, z], [es(1), z]], [[es(1), z], [z, z]]]
         with pytest.raises(ValueError):
             LieAlgebraData.from_structure_constants("bad", table)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 2, 1), "row 0,0 has 1 entries, not 2"),
+            ((2, 2, 3), "row 0,0 has 3 entries, not 2"),
+            ((3, 2, 2), "plane 0 has 2 rows, not 3"),
+        ],
+        ids=["short-rows", "long-rows", "extra-plane"],
+    )
+    def test_table_not_n_by_n_by_n_rejected(self, shape, message):
+        """A table of the wrong shape is refused, naming the first plane or
+        row whose length is wrong, before antisymmetry or Jacobi reads it;
+        the long rows carry [e0, e0] = e2, which those checks never read."""
+        planes, rows, entries = shape
+        table = [[[es(0)] * entries for _ in range(rows)] for _ in range(planes)]
+        if entries == 3:
+            table[0][0][2] = es(1)
+        with pytest.raises(ValueError, match=f"structure constants: {message}"):
+            LieAlgebraData.from_structure_constants("t", table)
 
     def test_jacobi_violation_rejected(self):
         z, one = es(0), es(1)
@@ -283,6 +304,14 @@ class TestSystemSerialization:
         assert t.lie.name == "sl2"
         assert t.lie.structure_constants == custom.structure_constants != sl2.structure_constants
         assert sl2.to_json() == "sl2"
+
+    def test_to_json_independent_of_the_builtin_cache(self, monkeypatch):
+        """A table under a built-in's name with its constants is written as
+        the name whether or not the built-in was built before."""
+        lie = LieAlgebraData.from_structure_constants("sl2", builtin_algebra("sl2").structure_constants)
+        warm = json.dumps(lie.to_json())
+        monkeypatch.setattr(systems, "_BUILTIN_CACHE", {})
+        assert json.dumps(lie.to_json()) == warm == '"sl2"'
 
 
 class TestCoefficientMatrices:
