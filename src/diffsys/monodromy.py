@@ -78,20 +78,27 @@ around its circle, which swaps the sheet, and back on the other sheet, so
 T(k,s) = F(k,-s)^-1 V(k,s) F(k,s), F from the base to the foot and V the
 turn from the foot.  F_k = E_k F_parent over one edge per foot off the base,
 from the nearest foot between it and the base, or from the base (``_feet``).
-V is the one segment u_f -> -u_f, u_f^2 = (foot - lam) / b, straight through
+V is the segment u_f -> -u_f, u_f^2 = (foot - lam) / b, straight through
 lam in the chart x = lam + b u^2 about the system's branch point lam inside
 the circle (b = south - lam), where dx / y is regular (``_turn_charts``);
 it is homotopic to the lollipop as long as no other branch point comes
 within 0.9 clearance of the circle or of the triangle (foot, south, lam),
 which ``build_loops`` checks on the curve and the sweep on every system
-(``_turn_guards``).  So a family takes two sweeps on both sheets: the edges,
-the same for every system, and the turns, each in its system's own chart.
-Edges and turns start from the y continued from the principal root at the
-base (a turn from sqrt P(u_f) in its chart), so no member is reordered.
+(``_turn_guards``).  In the chart the connection N(u) du / sqrt P(u) is odd
+under u -> -u (N and P are polynomials in u^2, and sqrt P is even on the
+disc the guards keep clear), so the half of V from 0 to -u_f on sheet s is
+the inverse of the half W(k,-s) from u_f to 0 on sheet -s: V(k,s) =
+W(k,-s)^-1 W(k,s).  Only W is swept, and with reach(k,s) = W(k,s) F(k,s),
+the transport from the base to lam on sheet s, a letter is
+T(k,s) = reach(k,-s)^-1 reach(k,s), out on sheet s and back on sheet -s.
+So a family takes two sweeps on both sheets: the edges, the same for every
+system, and the half turns, each in its system's own chart.  Edges and half
+turns start from the y continued from the principal root at the base (a
+half turn from sqrt P(u_f) in its chart), so no member is reordered.
 Letters and words are formed in extended precision (``np.clongdouble``) and
 rounded once; since every letter swaps the sheet, the i-th letter of a word
 starts on sheet +1 for even i and on the other for odd i.
-Words, inverses, residuals, defects and norms are formed on arrays stacked
+Words, inverses, residuals and norms are formed on arrays stacked
 over a sweep's systems, bit for bit the per-matrix results: numpy's array
 complex multiply and array ``abs`` round unlike its scalar ones, so
 determinants come from real parts and moduli from hypot.
@@ -100,14 +107,12 @@ Since every word is assembled from the same letter transports, the surface
 relation is checked on letter products.  Cancelling adjacent repeated letters
 reduces the relation word to a conjugate of (1 2 ... 2g+1)^2, the circuit
 around every finite branch point taken on both sheets, which encircles the
-branch point at infinity and is trivial upstairs.  Each cancellation costs a
-letter involution defect |T(k,-s) T(k,s) - I| (a letter traversed on one
-sheet and then on the other is the trivial loop upstairs).  F(k,-s) cancels
-exactly in that product, so a defect witnesses the letter's turns on both
-sheets, conjugated by F(k,s); the edges are witnessed through the circuit,
-whose neighbouring letters differ.  The relation
-residual thus witnesses the letter transports themselves, not the agreement
-of independently integrated words; the defects are reported next to it.
+branch point at infinity and is trivial upstairs.  A cancellation costs
+nothing but rounding: T(k,-s) T(k,s) = I holds by construction, a letter
+being the way out on one sheet and back on the other.  The relation residual
+thus witnesses the circuit, whose neighbouring letters differ, plus
+round-off: the letter transports themselves, not the agreement of
+independently integrated words.
 
 Convention: the stored monodromy matrix of a loop is the inverse of the
 forward parallel transport, which turns loop concatenation into plain matrix
@@ -606,9 +611,6 @@ class MonodromyRepresentation:
     loop_names: tuple
     relation_residual: float
     det_residuals: tuple
-    # per letter k: max over sheets s of |T(k,-s) T(k,s) - I|, the letter
-    # transported on one sheet and back on the other (trivial upstairs)
-    involution_defects: tuple
     letter_norms: tuple  # per letter k: max over sheets s of |T(k,s)|_2
     steps: tuple  # (accepted, rejected) steps of the sweep that made it
 
@@ -630,7 +632,6 @@ class MonodromyRepresentation:
             ],
             "relation_residual": self.relation_residual,
             "det_residuals": list(self.det_residuals),
-            "involution_defects": list(self.involution_defects),
             "letter_norms": list(self.letter_norms),
             "steps": dict(zip(("accepted", "rejected"), self.steps)),
             "relation_tol": _RELATION_TOL,
@@ -680,19 +681,20 @@ def _words(letter_t, loops: LoopSystem):
 
 def _letter_transports(roots, matrices, loops: LoopSystem, ode_tol: float):
     """Forward letter transports (n, 2g+1, 2 sheets, 2, 2) of the family
-    ``roots`` (n, 2g+1) and ``matrices`` (n, g, 2, 2), F(k,-s)^-1 V(k,s)
-    F(k,s) from one sweep of base-line edges (``_feet``) and one of the turns
-    V, u_f -> -u_f in the charts of ``_turn_charts``, each started from the
-    foot's y in its chart, sqrt P(u_f) = y_foot scale / (2 b u_f), and the
-    (accepted, rejected) steps of the two sweeps, edges first."""
+    ``roots`` (n, 2g+1) and ``matrices`` (n, g, 2, 2), reach(k,-s)^-1
+    reach(k,s), and the (accepted, rejected) steps of the two sweeps, edges
+    first.  reach = W F is the transport from the base to lam on sheet s: F
+    from one sweep of base-line edges (``_feet``), W from one of the half
+    turns u_f -> 0 in the charts of ``_turn_charts``, each started from the
+    foot's y in its chart, sqrt P(u_f) = y_foot scale / (2 b u_f)."""
     chart_roots, coeffs, u_foot, factor = _turn_charts(roots, matrices, loops)  # guards first
     feet, y_feet, edge_steps = _feet(roots, matrices, loops, ode_tol)
     members = [(i, f"letter {k + 1} turn", s) for i, k in np.ndindex(y_feet.shape) for s in _SHEETS]
-    turns, turn_steps = _transport(u_foot, -u_foot, y_feet.ravel() * factor, chart_roots, coeffs,
-                                   ode_tol, members)
+    halves, turn_steps = _transport(u_foot, np.zeros_like(u_foot), y_feet.ravel() * factor,
+                                    chart_roots, coeffs, ode_tol, members)
     # formed in extended precision and rounded once, as words are
-    turns = turns.reshape(feet.shape).astype(np.clongdouble)
-    letters = (_sl2_inverses(feet[:, :, ::-1]) @ turns @ feet).astype(complex)
+    reach = halves.reshape(feet.shape).astype(np.clongdouble) @ feet
+    letters = (_sl2_inverses(reach[:, :, ::-1]) @ reach).astype(complex)
     return letters, (edge_steps, turn_steps)
 
 
@@ -802,13 +804,12 @@ def _representations(letter_t, loops: LoopSystem, steps) -> list:
     for i in range(0, mats.shape[1], 2):
         rel = rel @ mats[:, i] @ mats[:, i + 1] @ inverses[:, i] @ inverses[:, i + 1]
     residuals = _opnorms(rel - np.eye(2))
-    defects = _opnorms(letter_t[:, :, ::-1] @ letter_t - np.eye(2)).max(axis=-1)
     norms = _opnorms(letter_t).max(axis=-1)
     names = tuple(loop.name for loop in loops.loops)
     return [
-        MonodromyRepresentation(tuple(m), names, float(r), tuple(d.tolist()),
-                                tuple(inv.tolist()), tuple(nrm.tolist()), steps)
-        for m, r, d, inv, nrm in zip(mats, residuals, det_res, defects, norms)
+        MonodromyRepresentation(tuple(m), names, float(r), tuple(d.tolist()), tuple(nrm.tolist()),
+                                steps)
+        for m, r, d, nrm in zip(mats, residuals, det_res, norms)
     ]
 
 

@@ -291,6 +291,8 @@ def system_from_json(data: dict) -> DifferentialSystem:
     if isinstance(alg, str):
         lie = builtin_algebra(alg)
     else:
+        if not isinstance(alg["name"], str):
+            raise ValueError(f'algebra "name" must be a string, not {alg["name"]!r}')
         table = [
             [[ExactScalar.from_json(c) for c in row] for row in plane]
             for plane in alg["structure_constants"]

@@ -549,8 +549,8 @@ def word_transports(letter_t, loops):
 
 
 def representation(letter_t, loops):
-    """(matrices, relation residual, det residuals, involution defects,
-    letter norms) of one system from its letter transports."""
+    """(matrices, relation residual, det residuals, letter norms) of one
+    system from its letter transports."""
     eye = np.eye(2, dtype=complex)
     with np.errstate(all="ignore"):
         transports = [w.astype(complex) for w in word_transports(letter_t, loops)]
@@ -563,9 +563,8 @@ def representation(letter_t, loops):
             a, b = mats[2 * i], mats[2 * i + 1]
             rel = rel @ a @ b @ _sl2_inverse(a) @ _sl2_inverse(b)
         residual = _opnorm(rel - np.eye(2))
-    defects = tuple(max(_opnorm(t[1] @ t[0] - eye), _opnorm(t[0] @ t[1] - eye)) for t in letter_t)
     norms = tuple(max(_opnorm(t[0]), _opnorm(t[1])) for t in letter_t)
-    return mats, residual, det_res, defects, norms
+    return mats, residual, det_res, norms
 
 
 def traces(mats, names, words):

@@ -203,7 +203,7 @@ class TestMonodromyCommand:
         assert rep["valid"] is True
         assert len(rep["matrices"]) == 4
         assert len(rep["matrices"][0]) == 4  # four [re, im] entries
-        assert len(rep["involution_defects"]) == 5  # one per letter
+        assert len(rep["letter_norms"]) == 5  # one per letter
         assert rep["relation_tol"] == 1e-8
         assert rep["det_tol"] == 1e-10
         assert report["result"]["loops"]["genus"] == 2
@@ -753,6 +753,25 @@ def test_padded_structure_constants_exit1(tmp_path, capsys):
     argv = ["criterion", "--branch-points", "0,1,2,3,4", "--system-json", str(path), "--out", str(out)]
     assert run_cli(argv) == 1
     assert "--system-json invalid: structure constants: row 0,0 has 3 entries, not 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_list_named_algebra_exit1(tmp_path, capsys):
+    """An algebra file whose name is not a string, here sl2's table named
+    ["sl2"], is refused when read, naming "name", and no report is
+    written."""
+    from diffsys.curves import HyperellipticCurve
+    from diffsys.systems import builtin_algebra, sample_system, system_to_json
+
+    lie = builtin_algebra("sl2")
+    body = system_to_json(sample_system(HyperellipticCurve.from_integers(range(5)), lie, 3, 5))
+    body["algebra"] = {"name": ["sl2"], "structure_constants": [
+        [[c.to_json() for c in row] for row in plane] for plane in lie.structure_constants]}
+    path, out = tmp_path / "s.json", tmp_path / "report.json"
+    path.write_text(json.dumps(body))
+    argv = ["criterion", "--branch-points", "0,1,2,3,4", "--system-json", str(path), "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert '--system-json invalid: algebra "name" must be a string' in capsys.readouterr().err
     assert not out.exists()
 
 
